@@ -30,6 +30,7 @@ from .ness import (
     closed_form_rhs,
     gauge_shift,
     ness_map,
+    solve_batch,
     solve_ness,
     verify_steady,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "printed_first_order",
     "product_state_expectation",
     "run_sweep",
+    "solve_batch",
     "solve_gap",
     "solve_ness",
     "time_evolve_expectation",

@@ -33,7 +33,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CheckOptions:
-    damping: float = 0.5
+    damping: float = 1.0
     tolerance: float = NESS_CHANGE_TOL
     max_iter: int = 100_000
     dim_cap: int = lattice.DEFAULT_DIM_CAP

@@ -22,8 +22,9 @@ from . import lattice
 from .checks import CheckOptions, run_checks
 from .equilibrium import BulkParams, critical_beta, solve_gap
 from .lattice import LatticeSpec, ResourceLimitError
-from .ness import JunctionParams, solve_ness, verify_steady
+from .ness import JunctionParams
 from .sweep import (
+    POINT_FIELDS,
     config_from_mapping,
     evaluate_point,
     render,
@@ -102,9 +103,6 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-_POINT_KEYS = (
-    "epsilon_I", "epsilon_II", "beta_I", "beta_II", "gamma", "phi_I", "phi_II",
-)
 _SWEEP_KEYS = ("axis", "start", "stop", "count")
 
 
@@ -121,11 +119,7 @@ def _merged_config(args, default_format=None):
         if not isinstance(data, dict):
             raise ValueError("config file must hold a single JSON object")
         mapping.update(data)
-    for key in _POINT_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
-    for key in _SWEEP_KEYS:
+    for key in POINT_FIELDS + _SWEEP_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = value
@@ -211,16 +205,9 @@ def cmd_ness(args):
     if config.format == "csv":
         text = render([row], "csv")
     else:
-        sol = solve_ness(
-            params,
-            damping=config.damping,
-            tol=config.tolerance,
-            max_iter=config.max_iter,
-            seed=seed,
-        )
+        # the row's residual is the steady-state defect of the one solve
         payload = asdict(row)
-        payload["iterations"] = sol.iterations
-        payload["steady_residual"] = verify_steady(sol)
+        payload["steady_residual"] = row.residual
         text = json.dumps(payload, indent=2) + "\n"
     _emit(text, config.output)
     return EXIT_OK if row.converged else EXIT_SOLVER
@@ -234,10 +221,11 @@ def cmd_sweep(args):
 
 
 def cmd_check(args):
+    defaults = CheckOptions()
     opts = CheckOptions(
-        damping=args.damping if args.damping is not None else 0.5,
-        tolerance=args.tolerance if args.tolerance is not None else CheckOptions().tolerance,
-        max_iter=args.max_iter if args.max_iter is not None else 100_000,
+        damping=args.damping if args.damping is not None else defaults.damping,
+        tolerance=args.tolerance if args.tolerance is not None else defaults.tolerance,
+        max_iter=args.max_iter if args.max_iter is not None else defaults.max_iter,
         memory_cap=args.memory_cap,
     )
     results = run_checks(only=args.only, opts=opts)

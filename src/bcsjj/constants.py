@@ -20,16 +20,9 @@ VALIDATION_ATOL = 1e-10
 # Scalar gap bisection width on the spectral gap mu.
 GAP_BISECTION_TOL = 1e-14
 
-# Steady-state fixed point: stop when the damped update moves no
-# component more than this.
+# Steady-state fixed point: a junction point stops iterating, converged,
+# once its map defect max |f(x) - x| is below this.
 NESS_CHANGE_TOL = 1e-13
-
-# A steady-state solution counts as converged when the residual map
-# defect is below this.
-NESS_CONVERGED_DEFECT = 1e-12
-
-# Finite-difference step for the Newton fallback Jacobian.
-NEWTON_FD_STEP = 1e-7
 
 # Central-difference step for derivative certification at gamma = 0.
 CENTRAL_DIFF_STEP = 1e-5

@@ -14,7 +14,21 @@ and its state is the part of the bulk state that survives dephasing
 under the local Hamiltonian built from that field (the commutant
 projection).  The contact order parameters Lambda_b = <sigma_plus> must
 then reproduce themselves, a fixed point of two coupled complex
-equations solved here by damped iteration with a Newton fallback.
+equations.
+
+All of this is algebra on real Bloch 3-vectors.  A one-site state is
+rho = 1/2 + a.sigma, and the Hamiltonian with pairing field F is n.sigma
+with axis n = (-Re F, -Im F, eps).  A plate's bulk state has
+a = -1/2 tanh(beta |n|) n / |n|.  Dephasing keeps the part
+(a.n) n / |n|^2 along the contact axis, whose <sigma_plus> is
+
+    -(a.n) F / (eps^2 + |F|^2).
+
+:func:`solve_batch` iterates this map on arrays of junction points.  It
+contracts at rate O(gamma), so a few undamped steps reach rounding
+level; a point stops once its map defect |f(x) - x| is below the
+tolerance, and the iteration cap (``converged`` false) is the only
+fallback.  2x2 matrices are built only for objects the API hands out.
 
 The same fixed point has a closed rational form (used as a
 cross-check, never as the defining construction):
@@ -34,13 +48,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spin
-from .constants import NESS_CHANGE_TOL, NESS_CONVERGED_DEFECT, NEWTON_FD_STEP
+from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams, effective_hamiltonian, solve_gap
 
 REGIONS = ("I_a", "I_b", "II_b", "II_a")
-
-_NEWTON_MAX_ITER = 100
-_POLISH_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -95,28 +106,38 @@ class NessSolution:
 
 
 @dataclass(frozen=True, eq=False)
-class _BulkContext:
-    """Both bulk solutions, solved once per junction computation."""
+class NessBatch:
+    """Steady states of many junction points, held as arrays.
 
-    sol_I: object
-    sol_II: object
-    Lambda_I: complex
-    Lambda_II: complex
-    rho_I: np.ndarray
-    rho_II: np.ndarray
+    Arrays of shape ``(2, N)`` hold plate I in row 0 and plate II in
+    row 1.  ``axis`` and ``contact`` are the ``(3, 2, N)`` Bloch vectors
+    of the contact Hamiltonians and of the contact states.
+    ``residual`` is the :func:`verify_steady` defect in Bloch form (it
+    includes the map defect), and ``iterations`` counts map
+    evaluations up to the one that met the stop rule.
+    """
 
+    points: tuple
+    lambda_bulk: np.ndarray
+    Lambda_b: np.ndarray
+    field: np.ndarray
+    mu_t: np.ndarray
+    axis: np.ndarray
+    contact: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
-def _bulk_context(params):
-    sol_I = solve_gap(params.bulk_I)
-    sol_II = solve_gap(params.bulk_II)
-    return _BulkContext(
-        sol_I=sol_I,
-        sol_II=sol_II,
-        Lambda_I=sol_I.lam * cmath.exp(1j * params.bulk_I.phi),
-        Lambda_II=sol_II.lam * cmath.exp(1j * params.bulk_II.phi),
-        rho_I=sol_I.rho,
-        rho_II=sol_II.rho,
-    )
+    def solution(self, k):
+        """The :class:`NessSolution` of point ``k``, with its 2x2 states."""
+        pairs = (self.lambda_bulk, self.Lambda_b, self.field, self.mu_t)
+        rho_b = [spin.bloch_reconstruct(spin.BlochForm(0.5, v)) for v in self.contact[:, :, k].T]
+        return NessSolution(
+            self.points[k],
+            *(value for array in pairs for value in array[:, k].tolist()),  # I, II
+            *rho_b,
+            *(array[k].item() for array in (self.residual, self.iterations, self.converged)),
+        )
 
 
 def gauge_shift(params, delta):
@@ -128,7 +149,135 @@ def gauge_shift(params, delta):
     )
 
 
-def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j, _ctx=None):
+def _axis(field, epsilon):
+    """Bloch axis (-Re F, -Im F, eps) of the Hamiltonian with field F."""
+    return np.array([-field.real, -field.imag, epsilon])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _commutator_norm(n, v):
+    """Entrywise max-norm of [n.sigma, v.sigma] = 2i (n x v).sigma."""
+    cx = n[1] * v[2] - n[2] * v[1]
+    cy = n[2] * v[0] - n[0] * v[2]
+    cz = n[0] * v[1] - n[1] * v[0]
+    return 2.0 * np.maximum(np.abs(cz), np.sqrt(cx * cx + cy * cy))
+
+
+def _plates(points):
+    """Bulk data of both plates at every point, as ``(2, N)`` arrays.
+
+    Returns the bulk gaps, the bulk order parameters, the epsilons, the
+    ``(3, 2, N)`` bulk Bloch vectors and the ``(N,)`` couplings.  The
+    gap bisection runs once per distinct (epsilon, beta) plate.
+    """
+    gaps = {}
+    lam, order, eps, scale = [], [], [], []
+    for p in points:
+        for bulk in (p.bulk_I, p.bulk_II):
+            key = (bulk.epsilon, bulk.beta)
+            if key not in gaps:
+                gap = solve_gap(bulk).lam
+                norm = math.hypot(bulk.epsilon, gap)
+                gaps[key] = (gap, -0.5 * math.tanh(bulk.beta * norm) / norm)
+            gap, s = gaps[key]
+            lam.append(gap)
+            order.append(cmath.rect(gap, bulk.phi))
+            eps.append(bulk.epsilon)
+            scale.append(s)
+    lam, order, eps, scale = (
+        np.array(v).reshape(len(points), 2).T for v in (lam, order, eps, scale)
+    )
+    gamma = np.array([p.gamma for p in points], dtype=float)
+    return lam, order, eps, scale * _axis(order, eps), gamma
+
+
+def _contact_map(x, order, eps, bulk_vec, gamma):
+    """<sigma_plus> of the contact states for contact order parameters x.
+
+    Returns it with the contact fields, their Bloch axes n and the
+    factor c = (a.n) / |n|^2 that makes c n the contact Bloch vector.
+    """
+    field = order + gamma * x[::-1]
+    n = _axis(field, eps)
+    c = _dot(bulk_vec, n) / _dot(n, n)
+    return -c * field, field, n, c
+
+
+def _map_defect(f, x):
+    d = f - x
+    return np.sqrt(np.max(d.real * d.real + d.imag * d.imag, axis=0))
+
+
+def solve_batch(points, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
+    """Solve the junction fixed point at every point of a sequence.
+
+    Iterates x <- x + damping (f(x) - x) on the contact order parameters
+    of all points at once, from the bulk order parameters or from a
+    caller ``seed`` (Lambda_b_I, Lambda_b_II) shared by all points.  A
+    point stops after the first step whose map defect max |f(x) - x| was
+    below ``tol``, or after ``max_iter`` steps, exactly as it would
+    alone; it is ``converged`` when the defect of the returned x is
+    below ``tol``.  Never raises on non-convergence.
+    """
+    if not (0.0 < damping <= 1.0):
+        raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    points = tuple(points)
+    lam, order, eps, bulk_vec, gamma = _plates(points)
+    x = order.copy()
+    if seed is not None:
+        x[0], x[1] = complex(seed[0]), complex(seed[1])
+    iterations = np.zeros(len(points), dtype=int)
+    active = np.arange(len(points))
+    for _ in range(int(max_iter)):
+        xa = x[:, active]
+        fa = _contact_map(
+            xa, order[:, active], eps[:, active], bulk_vec[:, :, active], gamma[active]
+        )[0]
+        iterations[active] += 1
+        x[:, active] = xa + damping * (fa - xa)
+        active = active[_map_defect(fa, xa) >= tol]
+        if not active.size:
+            break
+
+    f, field, n, c = _contact_map(x, order, eps, bulk_vec, gamma)
+    contact = c * n
+    map_defect = _map_defect(f, x)
+    # Four-region stationarity; the contact self-consistency defect
+    # |Lambda_b - <sigma_plus>| is the map defect itself.
+    stationarity = np.maximum(
+        _commutator_norm(_axis(order, eps), bulk_vec), _commutator_norm(n, contact)
+    ).max(axis=0)
+    return NessBatch(
+        points=points,
+        lambda_bulk=lam,
+        Lambda_b=x,
+        field=field,
+        mu_t=np.sqrt(_dot(n, n)),
+        axis=n,
+        contact=contact,
+        residual=stationarity + map_defect,
+        iterations=iterations,
+        converged=map_defect < tol,
+    )
+
+
+def solve_ness(params, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
+    """Solve the junction fixed point at one point: :func:`solve_batch` of one.
+
+    Undamped by default, from the bulk order parameters or a caller
+    seed (for branch exploration).  Never raises on non-convergence:
+    the solution carries ``converged``, the steady-state ``residual``
+    and the ``iterations`` taken instead.
+    """
+    return solve_batch([params], damping, tol, max_iter, seed).solution(0)
+
+
+def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j):
     """Effective one-site Hamiltonian of the given region.
 
     Interior regions (``I_a``, ``II_a``) see only their bulk field, for
@@ -137,205 +286,65 @@ def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j, _ctx=Non
     """
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}, expected one of {REGIONS}")
-    ctx = _ctx if _ctx is not None else _bulk_context(params)
-    if region == "I_a":
-        return effective_hamiltonian(params.bulk_I.epsilon, ctx.Lambda_I)
-    if region == "II_a":
-        return effective_hamiltonian(params.bulk_II.epsilon, ctx.Lambda_II)
-    if region == "I_b":
-        field = ctx.Lambda_I + params.gamma * complex(Lambda_b_II)
-        return effective_hamiltonian(params.bulk_I.epsilon, field)
-    field = ctx.Lambda_II + params.gamma * complex(Lambda_b_I)
-    return effective_hamiltonian(params.bulk_II.epsilon, field)
+    if region in ("I_a", "I_b"):
+        bulk, other = params.bulk_I, Lambda_b_II
+    else:
+        bulk, other = params.bulk_II, Lambda_b_I
+    field = solve_gap(bulk).lam * cmath.exp(1j * bulk.phi)
+    if region.endswith("_b"):
+        field += params.gamma * complex(other)
+    return effective_hamiltonian(bulk.epsilon, field)
 
 
-def ness_map(guess, params, _ctx=None):
+def ness_map(guess, params):
     """One self-consistency update of the contact order parameters.
 
-    Builds the contact Hamiltonians from the guessed (Lambda_b_I,
+    Builds the contact fields from the guessed (Lambda_b_I,
     Lambda_b_II), dephases each plate's bulk state in them, and reads
     back <sigma_plus>.  Fixed points are junction steady states.
     """
-    ctx = _ctx if _ctx is not None else _bulk_context(params)
-    lb_i, lb_ii = complex(guess[0]), complex(guess[1])
-    out = []
-    for eps, bulk_field, rho_bulk, other in (
-        (params.bulk_I.epsilon, ctx.Lambda_I, ctx.rho_I, lb_ii),
-        (params.bulk_II.epsilon, ctx.Lambda_II, ctx.rho_II, lb_i),
-    ):
-        field = bulk_field + params.gamma * other
-        h = effective_hamiltonian(eps, field)
-        rho_proj = spin.commutant_projection(rho_bulk, h)
-        out.append(spin.expectation(rho_proj, spin.SIGMA_PLUS))
-    return (out[0], out[1])
+    _, order, eps, bulk_vec, gamma = _plates([params])
+    x = np.array([[complex(guess[0])], [complex(guess[1])]])
+    f = _contact_map(x, order, eps, bulk_vec, gamma)[0]
+    return (complex(f[0, 0]), complex(f[1, 0]))
 
 
-def closed_form_rhs(guess, params, _ctx=None):
+def closed_form_rhs(guess, params):
     """Closed rational form of the self-consistency right-hand side.
 
     Valid on the ordered branch, where the bulk state satisfies
     tanh(beta mu) = 2 mu; agrees with :func:`ness_map` to rounding and
     is kept as an independent cross-check of the projection route.
     """
-    ctx = _ctx if _ctx is not None else _bulk_context(params)
     lb_i, lb_ii = complex(guess[0]), complex(guess[1])
     out = []
-    for bulk_params, bulk_sol, bulk_field, other in (
-        (params.bulk_I, ctx.sol_I, ctx.Lambda_I, lb_ii),
-        (params.bulk_II, ctx.sol_II, ctx.Lambda_II, lb_i),
-    ):
-        eps = bulk_params.epsilon
-        field = bulk_field + params.gamma * other
-        aligned = (cmath.exp(-1j * bulk_params.phi) * field).real
-        numerator = eps * eps + bulk_sol.lam * aligned
+    for bulk, other in ((params.bulk_I, lb_ii), (params.bulk_II, lb_i)):
+        lam = solve_gap(bulk).lam
+        eps = bulk.epsilon
+        field = lam * cmath.exp(1j * bulk.phi) + params.gamma * other
+        aligned = (cmath.exp(-1j * bulk.phi) * field).real
+        numerator = eps * eps + lam * aligned
         out.append(field * numerator / (eps * eps + abs(field) ** 2))
     return (out[0], out[1])
 
 
-def _map_defect(x, params, ctx):
-    fx = np.array(ness_map(x, params, ctx), dtype=complex)
-    return fx, float(np.max(np.abs(fx - x)))
-
-
-def _newton_polish(x0, params, ctx, tol):
-    """Damped Newton on the 4 real components of the fixed-point defect."""
-
-    def residual(vec):
-        z = np.array([vec[0] + 1j * vec[1], vec[2] + 1j * vec[3]])
-        fz = ness_map(z, params, ctx)
-        g = np.array(fz) - z
-        return np.array([g[0].real, g[0].imag, g[1].real, g[1].imag])
-
-    x = np.array([x0[0].real, x0[0].imag, x0[1].real, x0[1].imag])
-    gx = residual(x)
-    iterations = 0
-    for _ in range(_NEWTON_MAX_ITER):
-        iterations += 1
-        if np.max(np.abs(gx)) < tol:
-            break
-        jac = np.empty((4, 4))
-        for k in range(4):
-            bumped = x.copy()
-            bumped[k] += NEWTON_FD_STEP
-            jac[:, k] = (residual(bumped) - gx) / NEWTON_FD_STEP
-        try:
-            step = np.linalg.solve(jac, -gx)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, -gx, rcond=None)
-        scale = 1.0
-        improved = False
-        while scale >= 2.0**-30:
-            candidate = x + scale * step
-            gc = residual(candidate)
-            if np.max(np.abs(gc)) < np.max(np.abs(gx)):
-                x, gx = candidate, gc
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    out = np.array([x[0] + 1j * x[1], x[2] + 1j * x[3]])
-    return out, iterations
-
-
-def solve_ness(params, damping=0.5, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
-    """Solve the junction fixed point for the contact order parameters.
-
-    Damped iteration seeded from the bulk order parameters (or a caller
-    seed for branch exploration), followed by a few undamped polishing
-    steps; a damped finite-difference Newton takes over if the iteration
-    stalls.  Never raises on non-convergence: the returned solution
-    carries ``converged`` and the defect ``residual`` instead.
-    """
-    if not (0.0 < damping <= 1.0):
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    ctx = _bulk_context(params)
-    if seed is None:
-        x = np.array([ctx.Lambda_I, ctx.Lambda_II], dtype=complex)
-    else:
-        x = np.array([complex(seed[0]), complex(seed[1])], dtype=complex)
-
-    iterations = 0
-    stalled = True
-    for _ in range(int(max_iter)):
-        fx, defect = _map_defect(x, params, ctx)
-        iterations += 1
-        change = damping * defect
-        x = x + damping * (fx - x)
-        if change < tol:
-            stalled = False
-            break
-
-    if stalled:
-        x, newton_iters = _newton_polish(x, params, ctx, tol)
-        iterations += newton_iters
-
-    # Undamped polishing: each step multiplies the defect by the local
-    # contraction factor (O(gamma)); keep going while it helps.
-    fx, defect = _map_defect(x, params, ctx)
-    for _ in range(_POLISH_STEPS):
-        if defect == 0.0:
-            break
-        f2, d2 = _map_defect(fx, params, ctx)
-        if d2 < defect:
-            x, fx, defect = fx, f2, d2
-            iterations += 1
-        else:
-            break
-
-    converged = defect <= max(NESS_CONVERGED_DEFECT, 10.0 * tol)
-
-    field_i = ctx.Lambda_I + params.gamma * x[1]
-    field_ii = ctx.Lambda_II + params.gamma * x[0]
-    h_i = effective_hamiltonian(params.bulk_I.epsilon, field_i)
-    h_ii = effective_hamiltonian(params.bulk_II.epsilon, field_ii)
-    sol = NessSolution(
-        params=params,
-        lambda_bulk_I=ctx.sol_I.lam,
-        lambda_bulk_II=ctx.sol_II.lam,
-        Lambda_b_I=complex(x[0]),
-        Lambda_b_II=complex(x[1]),
-        field_I=complex(field_i),
-        field_II=complex(field_ii),
-        mu_t_I=math.hypot(params.bulk_I.epsilon, abs(field_i)),
-        mu_t_II=math.hypot(params.bulk_II.epsilon, abs(field_ii)),
-        rho_b_I=spin.commutant_projection(ctx.rho_I, h_i),
-        rho_b_II=spin.commutant_projection(ctx.rho_II, h_ii),
-        residual=defect,
-        iterations=iterations,
-        converged=converged,
-    )
-    return replace(sol, residual=max(defect, verify_steady(sol, _ctx=ctx)))
-
-
-def verify_steady(sol, params=None, _ctx=None):
+def verify_steady(sol, params=None):
     """Steady-state defect of a solution object, rebuilt from scratch.
 
     Sums the worst commutator max-norm [h_x, rho_x] over the four
     regions with the worst contact self-consistency defect
     |Lambda_b - Tr(rho_b sigma_plus)|.  Small only for genuine steady
     states: perturbing a converged Lambda_b by 1e-3 pushes this above
-    1e-5 immediately.
+    1e-5 immediately.  This is the 2x2 matrix reference for the Bloch
+    form that :func:`solve_batch` reports as ``residual``.
     """
     p = params if params is not None else sol.params
-    ctx = _ctx if _ctx is not None else _bulk_context(p)
+    lam_b = {"Lambda_b_I": sol.Lambda_b_I, "Lambda_b_II": sol.Lambda_b_II}
     regions = (
-        (boundary_hamiltonian("I_a", p, _ctx=ctx), ctx.rho_I),
-        (boundary_hamiltonian("II_a", p, _ctx=ctx), ctx.rho_II),
-        (
-            boundary_hamiltonian(
-                "I_b", p, Lambda_b_II=sol.Lambda_b_II, _ctx=ctx
-            ),
-            sol.rho_b_I,
-        ),
-        (
-            boundary_hamiltonian(
-                "II_b", p, Lambda_b_I=sol.Lambda_b_I, _ctx=ctx
-            ),
-            sol.rho_b_II,
-        ),
+        (boundary_hamiltonian("I_a", p), solve_gap(p.bulk_I).rho),
+        (boundary_hamiltonian("II_a", p), solve_gap(p.bulk_II).rho),
+        (boundary_hamiltonian("I_b", p, **lam_b), sol.rho_b_I),
+        (boundary_hamiltonian("II_b", p, **lam_b), sol.rho_b_II),
     )
     worst_comm = max(spin.max_abs(spin.commutator(h, rho)) for h, rho in regions)
     defect_i = abs(sol.Lambda_b_I - spin.expectation(sol.rho_b_I, spin.SIGMA_PLUS))

@@ -116,6 +116,19 @@ def ccr_defect(pair):
     return abs(pair.ccr_exact - pair.ccr_formula)
 
 
+def ccr_defect_bloch(axis, contact, lambda_b, mu_t):
+    """:func:`ccr_defect` from Bloch vectors, elementwise over arrays.
+
+    Q = q.sigma and P = p.sigma have q x p = -(|F|^2 / mu_t^3) n on the
+    contact axis n, so Tr(rho_b [Q, P]) = 4i b.(q x p) for rho_b = 1/2 + b.sigma.
+    """
+    field2 = axis[0] * axis[0] + axis[1] * axis[1]
+    b_dot_n = contact[0] * axis[0] + contact[1] * axis[1] + contact[2] * axis[2]
+    exact = -4.0 * field2 * b_dot_n / (mu_t * mu_t * mu_t)
+    formula = 4.0 * (lambda_b.real * lambda_b.real + lambda_b.imag * lambda_b.imag) / mu_t
+    return np.abs(exact - formula)
+
+
 def goldstone_dynamics_residual(pair, hamiltonian, times):
     """Worst deviation from pure (Q, P)-plane rotation over the times.
 

@@ -104,9 +104,7 @@ def bloch_decompose(op):
 
 def bloch_reconstruct(form):
     """Inverse of :func:`bloch_decompose`."""
-    s = float(form.scalar)
-    v = np.asarray(form.vector, dtype=float)
-    return s * IDENTITY + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+    return _assemble(float(form.scalar), np.asarray(form.vector, dtype=float))
 
 
 def _assemble(scalar, vector):

@@ -8,14 +8,14 @@ digits, LF endings) so reruns of the same config are byte-identical.
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams
-from .ness import JunctionParams, solve_ness
-from .observables import ccr_defect, goldstone_operators, josephson_current
+from .ness import JunctionParams, solve_batch
+from .observables import ccr_defect_bloch
 
 CSV_COLUMNS = (
     "epsilon_I",
@@ -53,9 +53,13 @@ SWEEP_AXES = (
 
 FORMATS = ("csv", "json")
 
+POINT_FIELDS = ("epsilon_I", "epsilon_II", "beta_I", "beta_II", "gamma", "phi_I", "phi_II")
+
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point: the CSV columns, then the solver's map evaluations."""
+
     epsilon_I: float
     epsilon_II: float
     beta_I: float
@@ -78,6 +82,7 @@ class SweepRow:
     ccr_defect_II: float
     residual: float
     converged: bool
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ class RunConfig:
     count: int = 33
     output: str | None = None
     format: str = "csv"
-    damping: float = 0.5
+    damping: float = 1.0
     tolerance: float = NESS_CHANGE_TOL
     max_iter: int = 100_000
     seed_lambda: tuple | None = None
@@ -138,14 +143,6 @@ def config_from_mapping(mapping, base=None):
     return replace(base, **cleaned)
 
 
-def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a single JSON object")
-    return config_from_mapping(data)
-
-
 def _seed_from_config(config):
     if config.seed_lambda is None and config.seed_phi is None:
         return None
@@ -165,15 +162,7 @@ def _seed_from_config(config):
 
 def params_at(config, value):
     """Junction parameters at one grid value of the configured axis."""
-    fixed = {
-        "epsilon_I": config.epsilon_I,
-        "epsilon_II": config.epsilon_II,
-        "beta_I": config.beta_I,
-        "beta_II": config.beta_II,
-        "gamma": config.gamma,
-        "phi_I": config.phi_I,
-        "phi_II": config.phi_II,
-    }
+    fixed = {key: getattr(config, key) for key in POINT_FIELDS}
     if config.axis == "delta_phi":
         fixed["phi_II"] = fixed["phi_I"] - value
     else:
@@ -185,56 +174,66 @@ def params_at(config, value):
     )
 
 
-def evaluate_point(params, damping=0.5, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
-    """Full pipeline at one parameter point, rendered as a SweepRow."""
-    sol = solve_ness(
-        params, damping=damping, tol=tolerance, max_iter=max_iter, seed=seed
-    )
-    pair_i = goldstone_operators("I_b", sol)
-    pair_ii = goldstone_operators("II_b", sol)
-    return SweepRow(
-        epsilon_I=params.bulk_I.epsilon,
-        epsilon_II=params.bulk_II.epsilon,
-        beta_I=params.bulk_I.beta,
-        beta_II=params.bulk_II.beta,
-        gamma=params.gamma,
-        phi_I=params.bulk_I.phi,
-        phi_II=params.bulk_II.phi,
-        lambda_I=sol.lambda_bulk_I,
-        lambda_II=sol.lambda_bulk_II,
-        lambda_t_I=abs(sol.Lambda_b_I),
-        lambda_t_II=abs(sol.Lambda_b_II),
-        phi_t_I=float(np.angle(sol.Lambda_b_I)),
-        phi_t_II=float(np.angle(sol.Lambda_b_II)),
-        mu_t_I=sol.mu_t_I,
-        mu_t_II=sol.mu_t_II,
-        current=josephson_current(sol, params.gamma).j,
-        nu_t_I=pair_i.frequency,
-        nu_t_II=pair_ii.frequency,
-        ccr_defect_I=ccr_defect(pair_i),
-        ccr_defect_II=ccr_defect(pair_ii),
-        residual=sol.residual,
-        converged=sol.converged,
-    )
+def evaluate_point(params, damping=1.0, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
+    """Full pipeline at one parameter point: :func:`run_sweep` of one point."""
+    return _evaluate([params], damping, tolerance, max_iter, seed)[0]
 
 
 def run_sweep(config):
     """Evaluate the configured grid, in order, one SweepRow per point."""
     grid = np.linspace(config.start, config.stop, config.count)
+    points = [params_at(config, float(value)) for value in grid]
     seed = _seed_from_config(config)
-    rows = []
-    for value in grid:
-        params = params_at(config, float(value))
-        rows.append(
-            evaluate_point(
-                params,
-                damping=config.damping,
-                tolerance=config.tolerance,
-                max_iter=config.max_iter,
-                seed=seed,
-            )
+    return _evaluate(points, config.damping, config.tolerance, config.max_iter, seed)
+
+
+def _evaluate(points, damping, tolerance, max_iter, seed):
+    """One batched solve, then each SweepRow from the solution arrays."""
+    batch = solve_batch(points, damping=damping, tol=tolerance, max_iter=max_iter, seed=seed)
+    lam_b = batch.Lambda_b
+    gamma = np.array([p.gamma for p in batch.points], dtype=float)
+    # josephson_current: 4 gamma Im(conj(Lambda_b_I) Lambda_b_II)
+    current = 4.0 * gamma * (lam_b[0].real * lam_b[1].imag - lam_b[0].imag * lam_b[1].real)
+    ccr = ccr_defect_bloch(batch.axis, batch.contact, lam_b, batch.mu_t)
+    columns = zip(
+        batch.points,
+        batch.lambda_bulk.T.tolist(),
+        lam_b.T.tolist(),
+        batch.mu_t.T.tolist(),
+        current.tolist(),
+        ccr.T.tolist(),
+        batch.residual.tolist(),
+        batch.converged.tolist(),
+        batch.iterations.tolist(),
+    )
+    return [
+        SweepRow(
+            epsilon_I=p.bulk_I.epsilon,
+            epsilon_II=p.bulk_II.epsilon,
+            beta_I=p.bulk_I.beta,
+            beta_II=p.bulk_II.beta,
+            gamma=p.gamma,
+            phi_I=p.bulk_I.phi,
+            phi_II=p.bulk_II.phi,
+            lambda_I=lam[0],
+            lambda_II=lam[1],
+            lambda_t_I=abs(lb[0]),
+            lambda_t_II=abs(lb[1]),
+            phi_t_I=math.atan2(lb[0].imag, lb[0].real),
+            phi_t_II=math.atan2(lb[1].imag, lb[1].real),
+            mu_t_I=mu[0],
+            mu_t_II=mu[1],
+            current=j,
+            nu_t_I=2.0 * mu[0],
+            nu_t_II=2.0 * mu[1],
+            ccr_defect_I=ccr_pair[0],
+            ccr_defect_II=ccr_pair[1],
+            residual=residual,
+            converged=converged,
+            iterations=iterations,
         )
-    return rows
+        for p, lam, lb, mu, j, ccr_pair, residual, converged, iterations in columns
+    ]
 
 
 def _format_value(value):
@@ -246,16 +245,12 @@ def _format_value(value):
 def render_csv(rows):
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        data = asdict(row)
-        lines.append(",".join(_format_value(data[col]) for col in CSV_COLUMNS))
+        lines.append(",".join(_format_value(getattr(row, col)) for col in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def render_json(rows):
-    payload = []
-    for row in rows:
-        data = asdict(row)
-        payload.append({col: data[col] for col in CSV_COLUMNS})
+    payload = [{col: getattr(row, col) for col in CSV_COLUMNS} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 

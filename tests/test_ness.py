@@ -181,6 +181,23 @@ def test_converged_flag_tracks_residual():
         assert sol.converged == (sol.residual <= 1e-11) or sol.residual < 1e-12
 
 
+def test_iteration_cap_is_the_only_fallback():
+    sol = solve_ness(STANDARD, max_iter=1)
+    assert not sol.converged
+    assert sol.iterations == 1
+    assert sol.residual > 1e-12
+    assert solve_ness(STANDARD, max_iter=5).iterations <= 5
+
+
+def test_damping_reaches_the_same_point():
+    sol = solve_ness(STANDARD)
+    damped = solve_ness(STANDARD, damping=0.5)
+    assert damped.converged
+    assert damped.iterations > sol.iterations
+    assert abs(damped.Lambda_b_I - sol.Lambda_b_I) < 1e-12
+    assert abs(damped.Lambda_b_II - sol.Lambda_b_II) < 1e-12
+
+
 def test_solver_argument_validation():
     with pytest.raises(ValueError):
         solve_ness(STANDARD, damping=0.0)

@@ -166,6 +166,15 @@ def test_cli_ness_nonconvergence_exit(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_ness_iteration_cap_exit(capsys):
+    # one map evaluation cannot reach the tolerance at gamma = 1e-3
+    assert run_cli("ness", "--max-iter", "1") == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is False
+    assert payload["iterations"] == 1
+    assert payload["residual"] > 1e-12
+
+
 def test_cli_sweep_stdout(capsys):
     code = run_cli("sweep", "--count", "3", "--start", "-0.5", "--stop", "0.5")
     assert code == 0

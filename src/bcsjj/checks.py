@@ -3,6 +3,11 @@
 Each check measures a defect on a built-in standard grid and compares
 it with a fixed threshold.  The `check` CLI subcommand prints one line
 per entry; tests call :func:`run_checks` directly.
+
+Each junction grid is solved by one :func:`~bcsjj.ness.solve_batch`
+call.  The 2x2 references (closed form, steady-state defect, current,
+mode operators and dynamics) then run per point on
+``batch.solution(k)``, as the independent oracles of the batched core.
 """
 
 import math
@@ -10,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import lattice, ness, observables, perturbation, spin
+from . import lattice, observables, perturbation, spin
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams, critical_beta, gap_map, solve_gap
-from .ness import JunctionParams, boundary_hamiltonian, closed_form_rhs, gauge_shift, solve_ness, verify_steady
+from .ness import JunctionParams, boundary_hamiltonian, closed_form_rhs, gauge_shift, solve_batch, verify_steady
 
 STANDARD_EPSILONS = (0.2, 0.3)
 STANDARD_BETA = 1e4
@@ -48,17 +53,8 @@ def _standard_params(eps, gamma, delta, beta=STANDARD_BETA):
     )
 
 
-def _solve(params, opts):
-    return solve_ness(
-        params,
-        damping=opts.damping,
-        tol=opts.tolerance,
-        max_iter=opts.max_iter,
-    )
-
-
-def _angle_distance(a, b):
-    return abs(complex(math.cos(a) - math.cos(b), math.sin(a) - math.sin(b)))
+def _solve_all(points, opts):
+    return solve_batch(points, damping=opts.damping, tol=opts.tolerance, max_iter=opts.max_iter)
 
 
 def check_equilibrium_fixed_point(opts):
@@ -98,31 +94,28 @@ def check_equilibrium_gauge(opts):
     return CheckResult("equilibrium.gauge", worst < 1e-13, worst, 1e-13)
 
 
-def _standard_grid_solutions(opts):
-    for eps in STANDARD_EPSILONS:
-        for gamma in STANDARD_GAMMAS:
-            for delta in _DELTA_GRID_17:
-                params = _standard_params(eps, gamma, float(delta))
-                yield params, _solve(params, opts)
+def _standard_grid(opts):
+    """The 102-point grid (epsilon x gamma x 17 phase biases), solved at once."""
+    points = [
+        _standard_params(eps, gamma, float(delta))
+        for eps in STANDARD_EPSILONS
+        for gamma in STANDARD_GAMMAS
+        for delta in _DELTA_GRID_17
+    ]
+    return _solve_all(points, opts)
 
 
 def check_ness_oracle(opts):
-    worst = 0.0
-    for params, sol in _standard_grid_solutions(opts):
-        guess = (sol.Lambda_b_I, sol.Lambda_b_II)
-        rhs = closed_form_rhs(guess, params)
-        worst = max(
-            worst, abs(rhs[0] - sol.Lambda_b_I), abs(rhs[1] - sol.Lambda_b_II)
-        )
+    batch = _standard_grid(opts)
+    rhs = [closed_form_rhs(guess, p) for guess, p in zip(batch.Lambda_b.T, batch.points)]
+    worst = float(np.abs(np.array(rhs).T - batch.Lambda_b).max())
     return CheckResult("ness.oracle_equivalence", worst < 1e-11, worst, 1e-11)
 
 
 def check_ness_steady(opts):
-    worst = 0.0
-    converged = True
-    for params, sol in _standard_grid_solutions(opts):
-        converged = converged and sol.converged
-        worst = max(worst, verify_steady(sol))
+    batch = _standard_grid(opts)
+    worst = max(verify_steady(sol) for sol in batch.solutions())
+    converged = bool(batch.converged.all())
     return CheckResult(
         "ness.steady_state", converged and worst < 1e-12, worst, 1e-12,
         note="" if converged else "solver failed to converge somewhere",
@@ -130,26 +123,16 @@ def check_ness_steady(opts):
 
 
 def check_ness_gauge(opts):
-    worst = 0.0
     base = _standard_params(0.3, 1e-3, 0.3)
-    sol = _solve(base, opts)
-    for delta in (0.7, 2.1, -1.3, 2.0 * math.pi):
-        shifted_sol = _solve(gauge_shift(base, delta), opts)
-        worst = max(
-            worst,
-            abs(abs(shifted_sol.Lambda_b_I) - abs(sol.Lambda_b_I)),
-            abs(abs(shifted_sol.Lambda_b_II) - abs(sol.Lambda_b_II)),
-            abs(shifted_sol.mu_t_I - sol.mu_t_I),
-            abs(shifted_sol.mu_t_II - sol.mu_t_II),
-            abs(
-                shifted_sol.Lambda_b_I * complex(math.cos(delta), -math.sin(delta))
-                - sol.Lambda_b_I
-            ),
-            abs(
-                shifted_sol.Lambda_b_II * complex(math.cos(delta), -math.sin(delta))
-                - sol.Lambda_b_II
-            ),
-        )
+    deltas = np.array([0.7, 2.1, -1.3, 2.0 * math.pi])
+    batch = _solve_all([base] + [gauge_shift(base, float(d)) for d in deltas], opts)
+    lam_b, shifted = batch.Lambda_b[:, :1], batch.Lambda_b[:, 1:]
+    mu_t, shifted_mu_t = batch.mu_t[:, :1], batch.mu_t[:, 1:]
+    worst = float(max(
+        np.abs(np.abs(shifted) - np.abs(lam_b)).max(),
+        np.abs(shifted_mu_t - mu_t).max(),
+        np.abs(shifted * np.exp(-1j * deltas) - lam_b).max(),
+    ))
     return CheckResult("ness.gauge_covariance", worst < 1e-11, worst, 1e-11)
 
 
@@ -162,42 +145,33 @@ def check_ness_swap(opts):
     swapped = JunctionParams(
         bulk_I=params.bulk_II, bulk_II=params.bulk_I, gamma=params.gamma
     )
-    a = _solve(params, opts)
-    b = _solve(swapped, opts)
-    worst = max(
-        abs(a.Lambda_b_I - b.Lambda_b_II),
-        abs(a.Lambda_b_II - b.Lambda_b_I),
-        abs(a.mu_t_I - b.mu_t_II),
-        abs(a.mu_t_II - b.mu_t_I),
-    )
+    batch = _solve_all([params, swapped], opts)
+    worst = float(max(
+        np.abs(batch.Lambda_b[:, 0] - batch.Lambda_b[::-1, 1]).max(),
+        np.abs(batch.mu_t[:, 0] - batch.mu_t[::-1, 1]).max(),
+    ))
     return CheckResult("ness.swap_symmetry", worst < 1e-12, worst, 1e-12)
 
 
 def check_ness_phase_locking(opts):
-    worst = 0.0
-    for params, sol in _standard_grid_solutions(opts):
-        for lam_b, field in (
-            (sol.Lambda_b_I, sol.field_I),
-            (sol.Lambda_b_II, sol.field_II),
-        ):
-            if abs(lam_b) == 0.0:
-                continue
-            worst = max(
-                worst, _angle_distance(np.angle(lam_b), np.angle(field))
-            )
+    batch = _standard_grid(opts)
+    ordered = batch.Lambda_b != 0.0
+    lam_b, field = batch.Lambda_b[ordered], batch.field[ordered]
+    distance = np.abs(np.exp(1j * np.angle(lam_b)) - np.exp(1j * np.angle(field)))
+    worst = float(distance.max(initial=0.0))
     return CheckResult("ness.phase_locking", worst < 1e-12, worst, 1e-12)
 
 
 def check_ness_phase_proportionality(opts):
     """How far phi_t_I - phi_t_II strays from the imposed bias."""
     gamma = 1e-3
-    worst = 0.0
-    for eps in STANDARD_EPSILONS:
-        for delta in np.linspace(0.1, math.pi / 2 - 0.05, 9):
-            params = _standard_params(eps, gamma, float(delta))
-            sol = _solve(params, opts)
-            observed = np.angle(sol.Lambda_b_I) - np.angle(sol.Lambda_b_II)
-            worst = max(worst, abs(observed / delta - 1.0))
+    deltas = np.linspace(0.1, math.pi / 2 - 0.05, 9)
+    batch = _solve_all(
+        [_standard_params(eps, gamma, float(d)) for eps in STANDARD_EPSILONS for d in deltas],
+        opts,
+    )
+    observed = np.angle(batch.Lambda_b[0]) - np.angle(batch.Lambda_b[1])
+    worst = float(np.abs(observed.reshape(len(STANDARD_EPSILONS), -1) / deltas - 1.0).max())
     return CheckResult(
         "ness.phase_proportionality", worst < 20.0 * gamma, worst, 20.0 * gamma,
         note="contact bias tracks the bulk bias only to O(gamma)",
@@ -215,57 +189,46 @@ def check_perturbation_slopes(opts):
     return CheckResult("perturbation.slopes", worst < 1e-6, worst, 1e-6)
 
 
-def _law_errors(opts, eps, gamma):
-    """Sup-normalized deviations of current and frequency laws."""
-    bulk = solve_gap(BulkParams(eps, STANDARD_BETA))
-    lam2 = bulk.lam * bulk.lam
-    nu0 = 2.0 * bulk.mu
-    currents = []
-    current_law = []
-    shifts = []
-    shift_law = []
-    for delta in _DELTA_GRID_33:
-        params = _standard_params(eps, gamma, float(delta))
-        sol = _solve(params, opts)
-        currents.append(observables.josephson_current(sol, gamma).j)
-        current_law.append(-4.0 * gamma * lam2 * math.sin(delta))
-        shifts.append(2.0 * sol.mu_t_I - nu0)
-        shift_law.append(4.0 * gamma * lam2 * math.cos(delta) / nu0)
-    currents, current_law = np.array(currents), np.array(current_law)
-    shifts, shift_law = np.array(shifts), np.array(shift_law)
-    sine_err = float(
-        np.max(np.abs(currents - current_law)) / np.max(np.abs(current_law))
-    )
-    cosine_err = float(
-        np.max(np.abs(shifts - shift_law)) / np.max(np.abs(shift_law))
-    )
-    return sine_err, cosine_err
+def _law_errors(opts):
+    """Worst sup-normalized deviations (sine, cosine) of the current and
+    frequency laws over the standard epsilons."""
+    gamma = 1e-3
+    shape = (len(STANDARD_EPSILONS), len(_DELTA_GRID_33))
+    points = [
+        _standard_params(eps, gamma, float(d)) for eps in STANDARD_EPSILONS for d in _DELTA_GRID_33
+    ]
+    batch = _solve_all(points, opts)
+    currents = np.array([observables.josephson_current(sol, gamma).j for sol in batch.solutions()])
+    bulks = [solve_gap(BulkParams(eps, STANDARD_BETA)) for eps in STANDARD_EPSILONS]
+    lam2 = np.array([[bulk.lam * bulk.lam] for bulk in bulks])
+    nu0 = np.array([[2.0 * bulk.mu] for bulk in bulks])
+    current_law = -4.0 * gamma * lam2 * np.sin(_DELTA_GRID_33)
+    shift_law = 4.0 * gamma * lam2 * np.cos(_DELTA_GRID_33) / nu0
+    shifts = 2.0 * batch.mu_t[0].reshape(shape) - nu0
+    currents = currents.reshape(shape)
+    sine_err = np.abs(currents - current_law).max(axis=1) / np.abs(current_law).max(axis=1)
+    cosine_err = np.abs(shifts - shift_law).max(axis=1) / np.abs(shift_law).max(axis=1)
+    return float(sine_err.max()), float(cosine_err.max())
 
 
 def check_sine_law(opts):
-    worst = 0.0
-    for eps in STANDARD_EPSILONS:
-        sine_err, _ = _law_errors(opts, eps, 1e-3)
-        worst = max(worst, sine_err)
+    worst, _ = _law_errors(opts)
     return CheckResult("observables.sine_law", worst <= 1e-2, worst, 1e-2)
 
 
 def check_cosine_law(opts):
-    worst = 0.0
-    for eps in STANDARD_EPSILONS:
-        _, cosine_err = _law_errors(opts, eps, 1e-3)
-        worst = max(worst, cosine_err)
+    _, worst = _law_errors(opts)
     return CheckResult("observables.cosine_law", worst <= 1e-2, worst, 1e-2)
 
 
 def check_ccr(opts):
     params = _standard_params(0.3, 0.0, 0.3)
-    sol = _solve(params, opts)
-    pair = observables.goldstone_operators("I_b", sol)
-    zero_defect = observables.ccr_defect(pair)
+    bounds = ((1e-3, 1e-2), (1e-4, 1e-3))
+    batch = _solve_all([params] + [replace(params, gamma=gamma) for gamma, _ in bounds], opts)
+    sol, *sols_g = batch.solutions()
+    zero_defect = observables.ccr_defect(observables.goldstone_operators("I_b", sol))
     worst_rel = 0.0
-    for gamma, bound in ((1e-3, 1e-2), (1e-4, 1e-3)):
-        sol_g = _solve(replace(params, gamma=gamma), opts)
+    for sol_g, (_, bound) in zip(sols_g, bounds):
         for region in ("I_b", "II_b"):
             pair_g = observables.goldstone_operators(region, sol_g)
             rel = observables.ccr_defect(pair_g) / abs(pair_g.ccr_formula)
@@ -281,34 +244,35 @@ def check_ccr(opts):
 def check_dynamics(opts):
     worst_resid = 0.0
     worst_geo = 0.0
-    for eps in STANDARD_EPSILONS:
-        for gamma in (0.0, 1e-3):
-            params = _standard_params(eps, gamma, 0.5)
-            sol = _solve(params, opts)
-            for region in ("I_b", "II_b"):
-                pair = observables.goldstone_operators(region, sol)
-                h = boundary_hamiltonian(
-                    region,
-                    params,
-                    Lambda_b_I=sol.Lambda_b_I,
-                    Lambda_b_II=sol.Lambda_b_II,
-                )
-                period = 2.0 * math.pi / pair.frequency
-                times = np.linspace(0.0, 2.0 * period, 32)
-                worst_resid = max(
-                    worst_resid,
-                    observables.goldstone_dynamics_residual(pair, h, times),
-                )
-                _, q = spin.pauli_components(pair.Q)
-                _, p = spin.pauli_components(pair.P)
-                _, n = spin.pauli_components(h)
-                worst_geo = max(
-                    worst_geo,
-                    abs(float(np.dot(q.real, p.real))),
-                    abs(float(np.dot(q.real, n.real))),
-                    abs(float(np.dot(p.real, n.real))),
-                    abs(float(np.linalg.norm(q.real) - np.linalg.norm(p.real))),
-                )
+    batch = _solve_all(
+        [_standard_params(eps, gamma, 0.5) for eps in STANDARD_EPSILONS for gamma in (0.0, 1e-3)],
+        opts,
+    )
+    for sol in batch.solutions():
+        for region in ("I_b", "II_b"):
+            pair = observables.goldstone_operators(region, sol)
+            h = boundary_hamiltonian(
+                region,
+                sol.params,
+                Lambda_b_I=sol.Lambda_b_I,
+                Lambda_b_II=sol.Lambda_b_II,
+            )
+            period = 2.0 * math.pi / pair.frequency
+            times = np.linspace(0.0, 2.0 * period, 32)
+            worst_resid = max(
+                worst_resid,
+                observables.goldstone_dynamics_residual(pair, h, times),
+            )
+            _, q = spin.pauli_components(pair.Q)
+            _, p = spin.pauli_components(pair.P)
+            _, n = spin.pauli_components(h)
+            worst_geo = max(
+                worst_geo,
+                abs(float(np.dot(q.real, p.real))),
+                abs(float(np.dot(q.real, n.real))),
+                abs(float(np.dot(p.real, n.real))),
+                abs(float(np.linalg.norm(q.real) - np.linalg.norm(p.real))),
+            )
     passed = worst_resid < 1e-10 and worst_geo < 1e-12
     return CheckResult(
         "observables.dynamics", passed, worst_resid, 1e-10,

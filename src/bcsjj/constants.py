@@ -4,17 +4,9 @@ Every fixed tolerance used by the library lives here so the contracts
 stay consistent across modules.  Values are absolute unless noted.
 """
 
-# Constructors (Hermitian assembly, density matrices, Bloch round trips)
-# are exact up to floating-point rounding; anything beyond this is a bug.
-CONSTRUCTION_ATOL = 1e-14
-
-# Algebraic identities checked in floating point (commutators, spectra,
-# conservation laws).
-ALGEBRA_ATOL = 1e-13
-
-# Input validation is deliberately looser than the construction
-# guarantee: matrices that went through downstream arithmetic must still
-# be accepted as Hermitian / density inputs.
+# Input validation is deliberately loose: matrices that went through
+# downstream arithmetic must still be accepted as Hermitian / density
+# inputs.
 VALIDATION_ATOL = 1e-10
 
 # Scalar gap bisection width on the spectral gap mu.

@@ -139,6 +139,10 @@ class NessBatch:
             *(array[k].item() for array in (self.residual, self.iterations, self.converged)),
         )
 
+    def solutions(self):
+        """The :class:`NessSolution` of every point, in order."""
+        return [self.solution(k) for k in range(len(self.points))]
+
 
 def gauge_shift(params, delta):
     """Shift both condensate phases by the same angle."""

@@ -94,10 +94,7 @@ def goldstone_operators(region, sol):
     )
     p_op = (1j / mu_t) * (np.conj(f) * spin.SIGMA_PLUS - f * spin.SIGMA_MINUS)
     ccr_exact = spin.expectation(rho_b, spin.commutator(q_op, p_op))
-    mean_q = spin.expectation(rho_b, q_op).real
-    mean_p = spin.expectation(rho_b, p_op).real
-    var_q = spin.expectation(rho_b, q_op @ q_op).real - mean_q**2
-    var_p = spin.expectation(rho_b, p_op @ p_op).real - mean_p**2
+    var_q, var_p = _variances(q_op, p_op, rho_b)
     return GoldstonePair(
         region=region,
         Q=q_op,
@@ -105,8 +102,8 @@ def goldstone_operators(region, sol):
         ccr_exact=ccr_exact,
         ccr_formula=4j * abs(lambda_b) ** 2 / mu_t,
         ccr_formula_field=4j * abs(f) ** 2 / mu_t,
-        var_Q=float(var_q),
-        var_P=float(var_p),
+        var_Q=var_q,
+        var_P=var_p,
         frequency=2.0 * mu_t,
     )
 
@@ -170,8 +167,12 @@ def fluctuation_variances(pair, rho_b):
     For product states these equal the variances of the central-limit
     normal coordinates; both vanish in the normal phase.
     """
-    mean_q = spin.expectation(rho_b, pair.Q).real
-    mean_p = spin.expectation(rho_b, pair.P).real
-    var_q = spin.expectation(rho_b, pair.Q @ pair.Q).real - mean_q**2
-    var_p = spin.expectation(rho_b, pair.P @ pair.P).real - mean_p**2
+    return _variances(pair.Q, pair.P, rho_b)
+
+
+def _variances(q_op, p_op, rho_b):
+    mean_q = spin.expectation(rho_b, q_op).real
+    mean_p = spin.expectation(rho_b, p_op).real
+    var_q = spin.expectation(rho_b, q_op @ q_op).real - mean_q**2
+    var_p = spin.expectation(rho_b, p_op @ p_op).real - mean_p**2
     return (float(var_q), float(var_p))

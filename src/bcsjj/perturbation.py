@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .constants import CENTRAL_DIFF_STEP
 from .equilibrium import solve_gap
-from .ness import solve_ness
+from .ness import solve_batch
 from .observables import josephson_current
 
 
@@ -121,12 +121,11 @@ def _printed_slopes(params):
     }
 
 
-def _solver_quantities(params):
-    sol = solve_ness(params)
+def _solver_quantities(sol):
     return {
         "lambda_t_I": abs(sol.Lambda_b_I),
         "lambda_t_II": abs(sol.Lambda_b_II),
-        "current": josephson_current(sol, params.gamma).j,
+        "current": josephson_current(sol, sol.params.gamma).j,
         "nu_t_I": 2.0 * sol.mu_t_I,
         "nu_t_II": 2.0 * sol.mu_t_II,
     }
@@ -142,17 +141,15 @@ def certify_first_order(params, gammas=(1e-4, 1e-3, 1e-2)):
     if not gammas:
         raise ValueError("need at least one gamma to probe the remainder")
     step = CENTRAL_DIFF_STEP * max(1.0, *(abs(g) for g in gammas))
-    plus = _solver_quantities(replace(params, gamma=step))
-    minus = _solver_quantities(replace(params, gamma=-step))
+    batch = solve_batch([replace(params, gamma=g) for g in (step, -step, 0.0, *gammas)])
+    plus, minus, zero, *fulls = map(_solver_quantities, batch.solutions())
     numeric = {k: (plus[k] - minus[k]) / (2.0 * step) for k in plus}
     analytic = _analytic_slopes(params)
     printed = _printed_slopes(params)
     defects = {k: abs(analytic[k] - numeric[k]) for k in analytic}
 
-    zero = _solver_quantities(replace(params, gamma=0.0))
     remainders = {k: 0.0 for k in analytic}
-    for g in gammas:
-        full = _solver_quantities(replace(params, gamma=g))
+    for g, full in zip(gammas, fulls):
         for k in analytic:
             linear = zero[k] + analytic[k] * g
             remainders[k] = max(remainders[k], abs(full[k] - linear) / g**2)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from bcsjj import cli
-from bcsjj.checks import CheckResult
+from bcsjj.checks import CheckResult, run_checks
 from bcsjj.equilibrium import BulkParams
 from bcsjj.ness import JunctionParams
 from bcsjj.sweep import (
@@ -244,6 +244,24 @@ def test_cli_check_json(capsys):
         "equilibrium.threshold",
         "equilibrium.gauge",
     }
+    assert run_cli("check", "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len({entry["name"] for entry in payload}) == len(payload) == 17
+    assert all(entry["passed"] is True for entry in payload)
+
+
+def test_check_results_are_builtin_types():
+    for result in run_checks():
+        assert type(result.passed) is bool, result.name
+        assert type(result.measured) is float, result.name
+
+
+def test_cli_check_iteration_cap_fails(capsys):
+    # one undamped step cannot reach the standard grid's fixed points
+    assert run_cli("check", "--only", "ness.steady", "--max-iter", "1") == 1
+    out = capsys.readouterr().out
+    assert "FAIL ness.steady_state" in out
+    assert "solver failed to converge somewhere" in out
 
 
 def test_cli_check_reports_failure(monkeypatch, capsys):

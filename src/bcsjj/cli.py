@@ -260,6 +260,9 @@ def cmd_finite_n(args):
     commutator_defect = float(
         abs(1j * (hamiltonian @ charge - charge @ hamiltonian) - current).max()
     )
+    # Dropped so the gamma = 0 check below stays under the commutator's
+    # peak, which LatticeSpec.estimated_bytes models.
+    del hamiltonian
     decoupled = lattice.build_hamiltonian(
         spec, JunctionParams(params.bulk_I, params.bulk_II, 0.0)
     )

@@ -12,6 +12,10 @@ can be checked against literal operator algebra:
     J = i [H, Q] = -(2 i gamma / N)(B_minus_I B_plus_II - B_plus_I B_minus_II)
 
 with S the plate-summed and B the contact-row-summed ladder operators.
+Each plate's operators (eps sum sigma_z - S_plus S_minus / N, B_plus and
+the pair number) are built once on the plate's own 2^(N^2)-dimensional
+space and joined across the plates by one kron each, plate I holding the
+high bits.  H and Q are real float64 CSR; only J is complex.
 Expectations in product states contract site by site over the sparse
 entries, never building the 4^(N^2) density matrix.
 """
@@ -54,7 +58,7 @@ class LatticeSpec:
             )
         if self.memory_cap is not None and self.estimated_bytes > self.memory_cap:
             raise ResourceLimitError(
-                f"estimated operator storage {self.estimated_bytes} B exceeds "
+                f"estimated peak memory {self.estimated_bytes} B exceeds "
                 f"the memory cap {self.memory_cap} B"
             )
 
@@ -72,10 +76,20 @@ class LatticeSpec:
 
     @property
     def estimated_bytes(self):
-        """Rough CSR storage for the three standard operators."""
-        n2 = self.n * self.n
-        nnz_h = self.dim * (1 + n2 * (n2 - 1) // 2 + n2 // 2 + 1)
-        return 48 * nnz_h
+        """Peak memory of the operators and the commutator check i[H, Q] - J.
+
+        H and Q are real CSR (12 B per entry), J is complex (20 B).  The
+        check holds H @ Q and Q @ H, each keeping the entries of H on the
+        rows where the diagonal Q is nonzero, while their difference is
+        formed in a buffer sized for both.
+        """
+        n2 = self.sites_per_plate
+        nnz_h = self.dim * (1 + n2 * (n2 - 1) // 2) + self.dim * n2 // 2
+        nnz_q = self.dim - math.comb(2 * n2, n2)
+        nnz_j = self.dim * n2 // 2
+        product = nnz_h * nnz_q // self.dim
+        indptrs = 6 * 4 * (self.dim + 1)
+        return 12 * (nnz_h + nnz_q + 4 * product) + 20 * nnz_j + indptrs
 
     def plate_sites(self, plate):
         base = 0 if plate == 0 else self.sites_per_plate
@@ -87,59 +101,61 @@ class LatticeSpec:
         return range(base, base + self.n)
 
 
-def _site_operator(spec, site, local):
-    left = sparse.identity(1 << site, format="csr", dtype=complex)
-    right = sparse.identity(1 << (spec.n_sites - site - 1), format="csr", dtype=complex)
-    return sparse.kron(
-        sparse.kron(left, sparse.csr_matrix(local)), right, format="csr"
-    )
+def _plate_operator(spec, site, local):
+    """Real ``local`` on one site of a plate, on the plate's 2^(n^2) space."""
+    right = 1 << (spec.sites_per_plate - site - 1)
+    term = sparse.kron(sparse.identity(1 << site), local.real, format="csr")
+    return sparse.kron(term, sparse.identity(right), format="csr")
 
 
-def _summed(spec, sites, local):
+def _plate_summed(spec, sites, local):
     total = None
     for site in sites:
-        term = _site_operator(spec, site, local)
+        term = _plate_operator(spec, site, local)
         total = term if total is None else total + term
     return total
 
 
+def _contact_ladders(spec):
+    """B_plus and B_minus of one plate: its row-1 sites, the first n."""
+    b_plus = _plate_summed(spec, range(spec.n), spin.SIGMA_PLUS)
+    return b_plus, b_plus.T.tocsr()
+
+
+def _across(plate_i, plate_ii):
+    """An operator of plate I times one of plate II; plate I holds the high bits."""
+    return sparse.kron(plate_i, plate_ii, format="csr")
+
+
 def build_hamiltonian(spec, params):
-    """Full lattice Hamiltonian for the given junction parameters."""
+    """Full lattice Hamiltonian for the given junction parameters, real CSR."""
     n = spec.n
-    total = sparse.csr_matrix((spec.dim, spec.dim), dtype=complex)
-    for plate, bulk in ((0, params.bulk_I), (1, params.bulk_II)):
-        sites = spec.plate_sites(plate)
-        sz = _summed(spec, sites, spin.SIGMA_Z)
-        raise_all = _summed(spec, sites, spin.SIGMA_PLUS)
-        total = total + bulk.epsilon * sz - (raise_all @ raise_all.conj().T) / n
-    b_plus_i = _summed(spec, spec.boundary_sites(0), spin.SIGMA_PLUS)
-    b_plus_ii = _summed(spec, spec.boundary_sites(1), spin.SIGMA_PLUS)
-    b_minus_i = b_plus_i.conj().T.tocsr()
-    b_minus_ii = b_plus_ii.conj().T.tocsr()
-    total = total - (params.gamma / n) * (
-        b_plus_i @ b_minus_ii + b_minus_i @ b_plus_ii
+    sites = range(spec.sites_per_plate)
+    sz = _plate_summed(spec, sites, spin.SIGMA_Z)
+    raise_all = _plate_summed(spec, sites, spin.SIGMA_PLUS)
+    pairing = raise_all @ raise_all.T / n
+    one = sparse.identity(sz.shape[0], format="csr")
+    b_plus, b_minus = _contact_ladders(spec)
+    return (
+        _across(params.bulk_I.epsilon * sz - pairing, one)
+        + _across(one, params.bulk_II.epsilon * sz - pairing)
+        - (params.gamma / n) * (_across(b_plus, b_minus) + _across(b_minus, b_plus))
     )
-    return total.tocsr()
 
 
 def build_relative_number(spec):
-    """Pair-number imbalance between the plates."""
-    number = spin.SIGMA_PLUS @ spin.SIGMA_MINUS
-    return (
-        _summed(spec, spec.plate_sites(0), number)
-        - _summed(spec, spec.plate_sites(1), number)
-    ).tocsr()
+    """Pair-number imbalance between the plates, real CSR."""
+    number = _plate_summed(
+        spec, range(spec.sites_per_plate), spin.SIGMA_PLUS @ spin.SIGMA_MINUS
+    )
+    one = sparse.identity(number.shape[0], format="csr")
+    return _across(number, one) - _across(one, number)
 
 
 def build_current(spec, gamma):
-    """Pair current operator J = i [H, Q], in closed form."""
-    b_plus_i = _summed(spec, spec.boundary_sites(0), spin.SIGMA_PLUS)
-    b_plus_ii = _summed(spec, spec.boundary_sites(1), spin.SIGMA_PLUS)
-    b_minus_i = b_plus_i.conj().T.tocsr()
-    b_minus_ii = b_plus_ii.conj().T.tocsr()
-    return (
-        (-2j * gamma / spec.n) * (b_minus_i @ b_plus_ii - b_plus_i @ b_minus_ii)
-    ).tocsr()
+    """Pair current operator J = i [H, Q], in closed form, complex CSR."""
+    b_plus, b_minus = _contact_ladders(spec)
+    return (-2j * gamma / spec.n) * (_across(b_minus, b_plus) - _across(b_plus, b_minus))
 
 
 def product_state_expectation(op, site_states):

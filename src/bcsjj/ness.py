@@ -290,11 +290,17 @@ def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j):
     """
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}, expected one of {REGIONS}")
-    if region in ("I_a", "I_b"):
+    bulk = params.bulk_I if region.startswith("I_") else params.bulk_II
+    return _region_hamiltonian(region, params, solve_gap(bulk).lam, Lambda_b_I, Lambda_b_II)
+
+
+def _region_hamiltonian(region, params, lam, Lambda_b_I, Lambda_b_II):
+    """:func:`boundary_hamiltonian` with the region's bulk gap ``lam`` given."""
+    if region.startswith("I_"):
         bulk, other = params.bulk_I, Lambda_b_II
     else:
         bulk, other = params.bulk_II, Lambda_b_I
-    field = solve_gap(bulk).lam * cmath.exp(1j * bulk.phi)
+    field = lam * cmath.exp(1j * bulk.phi)
     if region.endswith("_b"):
         field += params.gamma * complex(other)
     return effective_hamiltonian(bulk.epsilon, field)
@@ -343,12 +349,13 @@ def verify_steady(sol, params=None):
     form that :func:`solve_batch` reports as ``residual``.
     """
     p = params if params is not None else sol.params
-    lam_b = {"Lambda_b_I": sol.Lambda_b_I, "Lambda_b_II": sol.Lambda_b_II}
+    gap_i, gap_ii = solve_gap(p.bulk_I), solve_gap(p.bulk_II)
+    lam_b = (sol.Lambda_b_I, sol.Lambda_b_II)
     regions = (
-        (boundary_hamiltonian("I_a", p), solve_gap(p.bulk_I).rho),
-        (boundary_hamiltonian("II_a", p), solve_gap(p.bulk_II).rho),
-        (boundary_hamiltonian("I_b", p, **lam_b), sol.rho_b_I),
-        (boundary_hamiltonian("II_b", p, **lam_b), sol.rho_b_II),
+        (_region_hamiltonian("I_a", p, gap_i.lam, *lam_b), gap_i.rho),
+        (_region_hamiltonian("II_a", p, gap_ii.lam, *lam_b), gap_ii.rho),
+        (_region_hamiltonian("I_b", p, gap_i.lam, *lam_b), sol.rho_b_I),
+        (_region_hamiltonian("II_b", p, gap_ii.lam, *lam_b), sol.rho_b_II),
     )
     worst_comm = max(spin.max_abs(spin.commutator(h, rho)) for h, rho in regions)
     defect_i = abs(sol.Lambda_b_I - spin.expectation(sol.rho_b_I, spin.SIGMA_PLUS))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from bcsjj.equilibrium import BulkParams, solve_gap
@@ -20,6 +22,63 @@ from bcsjj.lattice import (
 from bcsjj.ness import JunctionParams
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def reference_site_operator(spec, site, local):
+    """``local`` on one site of the full 2n^2-site space, by a kron chain."""
+    left = sparse.identity(1 << site, format="csr", dtype=complex)
+    right = sparse.identity(1 << (spec.n_sites - site - 1), format="csr", dtype=complex)
+    return sparse.kron(sparse.kron(left, sparse.csr_matrix(local)), right, format="csr")
+
+
+def reference_summed(spec, sites, local):
+    total = None
+    for site in sites:
+        term = reference_site_operator(spec, site, local)
+        total = term if total is None else total + term
+    return total
+
+
+def reference_operators(spec, params):
+    """H, Q and J summed site by site on the full space, all complex."""
+    n = spec.n
+    h = sparse.csr_matrix((spec.dim, spec.dim), dtype=complex)
+    for plate, bulk in ((0, params.bulk_I), (1, params.bulk_II)):
+        sites = spec.plate_sites(plate)
+        sz = reference_summed(spec, sites, SIGMA_Z)
+        raise_all = reference_summed(spec, sites, SIGMA_PLUS)
+        h = h + bulk.epsilon * sz - (raise_all @ raise_all.conj().T) / n
+    b_plus_i = reference_summed(spec, spec.boundary_sites(0), SIGMA_PLUS)
+    b_plus_ii = reference_summed(spec, spec.boundary_sites(1), SIGMA_PLUS)
+    b_minus_i = b_plus_i.conj().T.tocsr()
+    b_minus_ii = b_plus_ii.conj().T.tocsr()
+    h = h - (params.gamma / n) * (b_plus_i @ b_minus_ii + b_minus_i @ b_plus_ii)
+    number = SIGMA_PLUS @ SIGMA_PLUS.conj().T
+    q = reference_summed(spec, spec.plate_sites(0), number) - reference_summed(
+        spec, spec.plate_sites(1), number
+    )
+    j = (-2j * params.gamma / n) * (b_minus_i @ b_plus_ii - b_plus_i @ b_minus_ii)
+    return h.tocsr(), q.tocsr(), j.tocsr()
+
+
+def assert_matches_reference(spec, params):
+    """Plate-block builders against the kron chain: pattern, values, dtypes."""
+    built = (
+        build_hamiltonian(spec, params),
+        build_relative_number(spec),
+        build_current(spec, params.gamma),
+    )
+    for name, got, ref, dtype in zip(
+        "HQJ", built, reference_operators(spec, params), (float, float, complex)
+    ):
+        assert got.dtype == dtype, f"{name}: dtype {got.dtype}"
+        got.sort_indices()
+        ref.sort_indices()
+        assert np.array_equal(got.indptr, ref.indptr), f"{name}: row pattern"
+        assert np.array_equal(got.indices, ref.indices), f"{name}: column pattern"
+        defect = np.abs(got.data - ref.data).max(initial=0.0)
+        assert defect <= 1e-14, f"{name}: entrywise defect {defect:.2e}"
 
 
 def junction(gamma=1e-3, delta=0.3):
@@ -84,6 +143,28 @@ def test_operators_hermitian():
         build_current(spec, p.gamma),
     ):
         assert abs(op - op.conj().T).max() < 1e-15
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    eps_i=st.floats(0.15, 0.45),
+    eps_ii=st.floats(0.15, 0.45),
+    # below the weak-contact warning for every epsilon drawn
+    gamma=st.floats(0.0, 0.098 * 0.15),
+    phi=st.floats(-math.pi, math.pi),
+)
+def test_builders_match_site_kron_reference(n, eps_i, eps_ii, gamma, phi):
+    params = JunctionParams(
+        bulk_I=BulkParams(eps_i, 1e4, phi),
+        bulk_II=BulkParams(eps_ii, 1e4, 0.0),
+        gamma=gamma,
+    )
+    assert_matches_reference(LatticeSpec(n), params)
+
+
+def test_builders_match_site_kron_reference_n3():
+    assert_matches_reference(LatticeSpec(3), junction(gamma=1e-2, delta=0.7))
 
 
 def test_commutator_identity():

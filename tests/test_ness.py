@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bcsjj.equilibrium import BulkParams
+from bcsjj import ness
+from bcsjj.equilibrium import BulkParams, solve_gap
 from bcsjj.ness import (
     JunctionParams,
     boundary_hamiltonian,
@@ -121,6 +122,19 @@ def test_verify_steady_detects_perturbation():
     assert verify_steady(broken) > 1e-5
     broken = replace(sol, Lambda_b_I=sol.Lambda_b_I * cmath.exp(1e-4j))
     assert verify_steady(broken) > 1e-7
+
+
+def test_verify_steady_solves_each_plate_once(monkeypatch):
+    sol = solve_ness(STANDARD)
+    calls = []
+
+    def counting(bulk):
+        calls.append(bulk)
+        return solve_gap(bulk)
+
+    monkeypatch.setattr(ness, "solve_gap", counting)
+    verify_steady(sol)
+    assert calls == [STANDARD.bulk_I, STANDARD.bulk_II]
 
 
 def test_gauge_covariance():

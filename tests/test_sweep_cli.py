@@ -4,11 +4,12 @@ import json
 import math
 import shutil
 import subprocess
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from bcsjj import cli
+from bcsjj import cli, lattice
 from bcsjj.checks import CheckResult, run_checks
 from bcsjj.equilibrium import BulkParams
 from bcsjj.ness import JunctionParams
@@ -299,6 +300,31 @@ def test_cli_finite_n_resource_exit(capsys):
 def test_cli_finite_n_memory_cap(capsys):
     assert run_cli("finite-n", "--n", "2", "--memory-cap", "100") == 4
     capsys.readouterr()
+
+
+def test_cli_finite_n_peak_matches_estimate(capsys):
+    """The estimate covers the commutator check, not only the operators."""
+    tracemalloc.start()
+    try:
+        code = run_cli("finite-n", "--n", "3", "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    estimate = lattice.LatticeSpec(3).estimated_bytes
+    assert abs(peak / estimate - 1.0) <= 0.1, f"peak {peak} B, estimate {estimate} B"
+
+
+def test_cli_finite_n_memory_cap_before_build(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("operators built past the memory cap")
+
+    for name in ("build_hamiltonian", "build_relative_number", "build_current"):
+        monkeypatch.setattr(lattice, name, never)
+    cap = lattice.LatticeSpec(3).estimated_bytes - 1
+    assert run_cli("finite-n", "--n", "3", "--memory-cap", str(cap)) == 4
+    assert "exceeds the memory cap" in capsys.readouterr().err
 
 
 def test_console_script_installed():

@@ -16,7 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lattice, observables, perturbation, spin
-from .constants import NESS_CHANGE_TOL
+from .constants import (
+    FINITE_N_COMMUTATOR_TOL, FINITE_N_CONSERVATION_TOL, FINITE_N_CURRENT_TOL, NESS_CHANGE_TOL,
+)
 from .equilibrium import BulkParams, critical_beta, gap_map, solve_gap
 from .ness import JunctionParams, boundary_hamiltonian, closed_form_rhs, gauge_shift, solve_batch, verify_steady
 
@@ -41,7 +43,6 @@ class CheckOptions:
     damping: float = 1.0
     tolerance: float = NESS_CHANGE_TOL
     max_iter: int = 100_000
-    dim_cap: int = lattice.DEFAULT_DIM_CAP
     memory_cap: int | None = None
 
 
@@ -284,24 +285,26 @@ def check_finite_n_commutator(opts):
     worst = 0.0
     params = _standard_params(0.3, 1e-3, 0.3)
     for n in (1, 2):
-        spec = lattice.LatticeSpec(n, dim_cap=opts.dim_cap, memory_cap=opts.memory_cap)
+        spec = lattice.LatticeSpec(n, memory_cap=opts.memory_cap)
         h = lattice.build_hamiltonian(spec, params)
         q = lattice.build_relative_number(spec)
         j = lattice.build_current(spec, params.gamma)
         defect = abs(1j * (h @ q - q @ h) - j).max()
         worst = max(worst, float(defect))
-    return CheckResult("finite_n.commutator_identity", worst < 1e-13, worst, 1e-13)
+    tol = FINITE_N_COMMUTATOR_TOL
+    return CheckResult("finite_n.commutator_identity", worst < tol, worst, tol)
 
 
 def check_finite_n_bulk_conservation(opts):
     worst = 0.0
     params = _standard_params(0.3, 0.0, 0.3)
     for n in (1, 2):
-        spec = lattice.LatticeSpec(n, dim_cap=opts.dim_cap, memory_cap=opts.memory_cap)
+        spec = lattice.LatticeSpec(n, memory_cap=opts.memory_cap)
         h = lattice.build_hamiltonian(spec, params)
         q = lattice.build_relative_number(spec)
         worst = max(worst, float(abs(h @ q - q @ h).max()))
-    return CheckResult("finite_n.bulk_conservation", worst < 1e-13, worst, 1e-13)
+    tol = FINITE_N_CONSERVATION_TOL
+    return CheckResult("finite_n.bulk_conservation", worst < tol, worst, tol)
 
 
 def check_finite_n_current(opts):
@@ -309,9 +312,7 @@ def check_finite_n_current(opts):
     for n in (1, 2):
         for eps, gamma, delta in ((0.3, 1e-3, 0.3), (0.2, 1e-2, -0.7)):
             params = _standard_params(eps, gamma, delta)
-            spec = lattice.LatticeSpec(
-                n, dim_cap=opts.dim_cap, memory_cap=opts.memory_cap
-            )
+            spec = lattice.LatticeSpec(n, memory_cap=opts.memory_cap)
             j = lattice.build_current(spec, gamma)
             bulk_i = solve_gap(params.bulk_I)
             bulk_ii = solve_gap(params.bulk_II)
@@ -321,7 +322,8 @@ def check_finite_n_current(opts):
             measured = lattice.product_state_expectation(j, states).real / n
             expected = -4.0 * gamma * bulk_i.lam * bulk_ii.lam * math.sin(delta)
             worst = max(worst, abs(measured - expected))
-    return CheckResult("finite_n.product_current", worst < 1e-12, worst, 1e-12)
+    tol = FINITE_N_CURRENT_TOL
+    return CheckResult("finite_n.product_current", worst < tol, worst, tol)
 
 
 _ALL_CHECKS = (

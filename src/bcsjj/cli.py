@@ -13,20 +13,25 @@ Exit codes: 0 success, 1 failed checks or defects over threshold,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import lattice
 from .checks import CheckOptions, run_checks
+from .constants import FINITE_N_COMMUTATOR_TOL, FINITE_N_CONSERVATION_TOL, FINITE_N_CURRENT_TOL
 from .equilibrium import BulkParams, critical_beta, solve_gap
 from .lattice import LatticeSpec, ResourceLimitError
 from .ness import JunctionParams
 from .sweep import (
+    FORMATS,
     POINT_FIELDS,
+    RunConfig,
     config_from_mapping,
     evaluate_point,
+    params_at,
     render,
     run_sweep,
     _seed_from_config,
@@ -38,60 +43,76 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_RESOURCE = 4
 
+# Every flag by its dest, which is the RunConfig or CheckOptions field it
+# sets where one exists.
+_FLAGS = {
+    "config": ("--config", dict(metavar="PATH", help="JSON run configuration; flags override it")),
+    "output": ("--output", dict(metavar="PATH", help="write the result here instead of stdout")),
+    "tolerance": ("--tolerance", dict(type=float, help="solver iteration tolerance")),
+    "max_iter": ("--max-iter", dict(type=int, help="solver iteration cap")),
+    "damping": ("--damping", dict(type=float, help="fixed-point damping factor in (0, 1]")),
+    "seed_lambda": ("--seed-lambda", dict(
+        type=float, nargs="+", metavar="LAM",
+        help="starting order-parameter moduli (one shared or two values)",
+    )),
+    "seed_phi": ("--seed-phi", dict(
+        type=float, nargs="+", metavar="PHI",
+        help="starting order-parameter phases (one shared or two values)",
+    )),
+    "memory_cap": ("--memory-cap", dict(type=int, metavar="BYTES", help="lattice memory budget")),
+    "only": ("--only", dict(metavar="FILTER", help="check-name fragment to select")),
+    "epsilon_I": ("--epsilon-i", dict(type=float, help="plate I level splitting")),
+    "epsilon_II": ("--epsilon-ii", dict(type=float, help="plate II level splitting")),
+    "beta_I": ("--beta-i", dict(type=float, help="plate I inverse temperature")),
+    "beta_II": ("--beta-ii", dict(type=float, help="plate II inverse temperature")),
+    "gamma": ("--gamma", dict(type=float, help="contact coupling")),
+    "phi_I": ("--phi-i", dict(type=float, help="plate I phase (radians)")),
+    "phi_II": ("--phi-ii", dict(type=float, help="plate II phase (radians)")),
+    "epsilon": ("--epsilon", dict(type=float, required=True, help="level splitting")),
+    "beta": ("--beta", dict(type=float, required=True, help="inverse temperature")),
+    "phi": ("--phi", dict(type=float, default=0.0, help="order-parameter phase (radians)")),
+    "axis": ("--axis", dict(
+        help="swept field (delta_phi, gamma, beta_I, beta_II, epsilon_I, epsilon_II)",
+    )),
+    "start": ("--start", dict(type=float, help="first grid value")),
+    "stop": ("--stop", dict(type=float, help="last grid value")),
+    "count": ("--count", dict(type=int, help="number of grid points")),
+    "lattice_n": ("--n", dict(
+        type=int, metavar="N", help="plate edge length (N x N sites per plate)",
+    )),
+}
 
+_SOLVER = ("tolerance", "max_iter", "damping")
+_NESS = ("config", "output", *_SOLVER, "seed_lambda", "seed_phi", *POINT_FIELDS)
+
+# (name, help, the flags it reads besides --format, its --format choices)
+_SUBCOMMANDS = (
+    ("gap", "one-plate gap equation", ("epsilon", "beta", "phi", "output"), ("json",)),
+    ("ness", "solve one junction point", _NESS, FORMATS),
+    ("sweep", "tabulate a parameter sweep", _NESS + ("axis", "start", "stop", "count"), FORMATS),
+    ("check", "run the invariant suite", ("output", *_SOLVER, "memory_cap", "only"), ("json",)),
+    (
+        "finite-n", "small-lattice identities",
+        ("config", "output", "memory_cap", "lattice_n", *POINT_FIELDS), ("json",),
+    ),
+)
+
+
+@functools.cache
 def _build_parser():
+    """The parser, built once per process: ``main`` may be called many times."""
     parser = argparse.ArgumentParser(
         prog="bcsjj",
         description="Two-plate BCS junction: gap equation, steady states, "
         "Josephson current, boundary mode spectra, small-lattice oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON run configuration; flags override it")
-    common.add_argument("--output", metavar="PATH", help="write the result here instead of stdout")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
-    common.add_argument("--tolerance", type=float, help="solver iteration tolerance")
-    common.add_argument("--max-iter", type=int, help="solver iteration cap")
-    common.add_argument("--damping", type=float, help="fixed-point damping factor in (0, 1]")
-    common.add_argument(
-        "--seed-lambda", type=float, nargs="+", metavar="LAM",
-        help="starting order-parameter moduli (one shared or two values)",
-    )
-    common.add_argument(
-        "--seed-phi", type=float, nargs="+", metavar="PHI",
-        help="starting order-parameter phases (one shared or two values)",
-    )
-    common.add_argument("--memory-cap", type=int, metavar="BYTES", help="lattice memory budget")
-    common.add_argument("--only", metavar="FILTER", help="check-name fragment to select")
-
-    point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--epsilon-i", dest="epsilon_I", type=float, help="plate I level splitting")
-    point.add_argument("--epsilon-ii", dest="epsilon_II", type=float, help="plate II level splitting")
-    point.add_argument("--beta-i", dest="beta_I", type=float, help="plate I inverse temperature")
-    point.add_argument("--beta-ii", dest="beta_II", type=float, help="plate II inverse temperature")
-    point.add_argument("--gamma", type=float, help="contact coupling")
-    point.add_argument("--phi-i", dest="phi_I", type=float, help="plate I phase (radians)")
-    point.add_argument("--phi-ii", dest="phi_II", type=float, help="plate II phase (radians)")
-
-    gap = sub.add_parser("gap", parents=[common], help="one-plate gap equation")
-    gap.add_argument("--epsilon", type=float, required=True, help="level splitting")
-    gap.add_argument("--beta", type=float, required=True, help="inverse temperature")
-    gap.add_argument("--phi", type=float, default=0.0, help="order-parameter phase (radians)")
-
-    sub.add_parser("ness", parents=[common, point], help="solve one junction point")
-
-    swp = sub.add_parser("sweep", parents=[common, point], help="tabulate a parameter sweep")
-    swp.add_argument("--axis", help="swept field (delta_phi, gamma, beta_I, beta_II, epsilon_I, epsilon_II)")
-    swp.add_argument("--start", type=float, help="first grid value")
-    swp.add_argument("--stop", type=float, help="last grid value")
-    swp.add_argument("--count", type=int, help="number of grid points")
-
-    sub.add_parser("check", parents=[common], help="run the invariant suite")
-
-    fin = sub.add_parser("finite-n", parents=[common, point], help="small-lattice identities")
-    fin.add_argument("--n", type=int, help="plate edge length (N x N sites per plate)")
-
+    for name, help_text, dests, formats in _SUBCOMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--format", choices=formats, help="output format")
+        for dest in dests:
+            flag, options = _FLAGS[dest]
+            command.add_argument(flag, dest=dest, **options)
     return parser
 
 
@@ -103,7 +124,10 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-_SWEEP_KEYS = ("axis", "start", "stop", "count")
+def _overrides(args, cls):
+    """The parsed values that were given and name a field of dataclass ``cls``."""
+    names = {f.name for f in fields(cls)}
+    return {key: value for key, value in vars(args).items() if key in names and value is not None}
 
 
 def _merged_config(args, default_format=None):
@@ -119,35 +143,10 @@ def _merged_config(args, default_format=None):
         if not isinstance(data, dict):
             raise ValueError("config file must hold a single JSON object")
         mapping.update(data)
-    for key in POINT_FIELDS + _SWEEP_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
-    overrides = {
-        "output": args.output,
-        "format": args.fmt,
-        "damping": args.damping,
-        "tolerance": args.tolerance,
-        "max_iter": args.max_iter,
-        "seed_lambda": tuple(args.seed_lambda) if args.seed_lambda else None,
-        "seed_phi": tuple(args.seed_phi) if args.seed_phi else None,
-        "lattice_n": getattr(args, "n", None),
-        "memory_cap": args.memory_cap,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            mapping[key] = value
-    if default_format is not None and "format" not in mapping:
-        mapping["format"] = default_format
+    mapping.update(_overrides(args, RunConfig))
+    if default_format is not None:
+        mapping.setdefault("format", default_format)
     return config_from_mapping(mapping)
-
-
-def _junction_from_config(config):
-    return JunctionParams(
-        bulk_I=BulkParams(config.epsilon_I, config.beta_I, config.phi_I),
-        bulk_II=BulkParams(config.epsilon_II, config.beta_II, config.phi_II),
-        gamma=config.gamma,
-    )
 
 
 def cmd_gap(args):
@@ -167,10 +166,8 @@ def cmd_gap(args):
         ),
         "fixed_point_defect": sol.residual,
     }
-    if args.fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
-    elif args.fmt == "csv":
-        raise ValueError("gap reports have no CSV form; use --format json")
     else:
         lines = [
             f"epsilon = {args.epsilon:.17g}, beta = {args.beta:.17g}, phi = {args.phi:.17g}",
@@ -193,14 +190,12 @@ def cmd_gap(args):
 
 def cmd_ness(args):
     config = _merged_config(args, default_format="json")
-    params = _junction_from_config(config)
-    seed = _seed_from_config(config)
     row = evaluate_point(
-        params,
+        params_at(config),
         damping=config.damping,
         tolerance=config.tolerance,
         max_iter=config.max_iter,
-        seed=seed,
+        seed=_seed_from_config(config),
     )
     if config.format == "csv":
         text = render([row], "csv")
@@ -221,17 +216,10 @@ def cmd_sweep(args):
 
 
 def cmd_check(args):
-    defaults = CheckOptions()
-    opts = CheckOptions(
-        damping=args.damping if args.damping is not None else defaults.damping,
-        tolerance=args.tolerance if args.tolerance is not None else defaults.tolerance,
-        max_iter=args.max_iter if args.max_iter is not None else defaults.max_iter,
-        memory_cap=args.memory_cap,
-    )
-    results = run_checks(only=args.only, opts=opts)
+    results = run_checks(only=args.only, opts=CheckOptions(**_overrides(args, CheckOptions)))
     if not results:
         raise ValueError(f"no checks match --only {args.only!r}")
-    if args.fmt == "json":
+    if args.format == "json":
         text = json.dumps([asdict(r) for r in results], indent=2) + "\n"
     else:
         lines = []
@@ -251,7 +239,7 @@ def cmd_check(args):
 
 def cmd_finite_n(args):
     config = _merged_config(args)
-    params = _junction_from_config(config)
+    params = params_at(config)
     spec = LatticeSpec(config.lattice_n, memory_cap=config.memory_cap)
     hamiltonian = lattice.build_hamiltonian(spec, params)
     charge = lattice.build_relative_number(spec)
@@ -285,8 +273,12 @@ def cmd_finite_n(args):
         "mean_field_current": expected,
         "current_defect": current_defect,
     }
-    ok = commutator_defect < 1e-13 and conservation_defect < 1e-13 and current_defect < 1e-12
-    if args.fmt == "json":
+    ok = (
+        commutator_defect < FINITE_N_COMMUTATOR_TOL
+        and conservation_defect < FINITE_N_CONSERVATION_TOL
+        and current_defect < FINITE_N_CURRENT_TOL
+    )
+    if args.format == "json":
         payload["passed"] = ok
         text = json.dumps(payload, indent=2) + "\n"
     else:

@@ -19,6 +19,13 @@ NESS_CHANGE_TOL = 1e-13
 # Central-difference step for derivative certification at gamma = 0.
 CENTRAL_DIFF_STEP = 1e-5
 
-# Krylov propagation tolerance (also the allowed truncated mass when a
-# mixed product state is expanded into pure product terms).
+# Allowed truncated mass when the Krylov path of lattice time evolution
+# expands a mixed product state into pure product terms.  The propagation
+# itself is scipy's expm_multiply, which runs at double precision.
 KRYLOV_TOL = 1e-10
+
+# Finite-lattice identities (`finite-n`, finite_n.* checks): entrywise defects of
+# i[H, Q] - J and [H(gamma = 0), Q]; product-state current against the sine law.
+FINITE_N_COMMUTATOR_TOL = 1e-13
+FINITE_N_CONSERVATION_TOL = 1e-13
+FINITE_N_CURRENT_TOL = 1e-12

@@ -112,7 +112,8 @@ def solve_gap(params):
         superconducting = False
     field = lam * np.exp(1j * params.phi)
     rho = spin.gibbs_state(effective_hamiltonian(eps, field), beta)
-    residual = abs(gap_map(lam, params) - lam)
+    # gap_map(lam, params), from the state just built
+    residual = abs(abs(spin.expectation(rho, spin.SIGMA_PLUS)) - lam)
     return BulkSolution(
         lam=lam, mu=mu, superconducting=superconducting, rho=rho, residual=residual
     )

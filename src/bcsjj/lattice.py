@@ -91,15 +91,6 @@ class LatticeSpec:
         indptrs = 6 * 4 * (self.dim + 1)
         return 12 * (nnz_h + nnz_q + 4 * product) + 20 * nnz_j + indptrs
 
-    def plate_sites(self, plate):
-        base = 0 if plate == 0 else self.sites_per_plate
-        return range(base, base + self.sites_per_plate)
-
-    def boundary_sites(self, plate):
-        """Row-1 sites of the plate, the ones facing the contact."""
-        base = 0 if plate == 0 else self.sites_per_plate
-        return range(base, base + self.n)
-
 
 def _plate_operator(spec, site, local):
     """Real ``local`` on one site of a plate, on the plate's 2^(n^2) space."""
@@ -245,8 +236,9 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
     """Tr(rho exp(itH) op exp(-itH)) for a product state rho.
 
     Spectral (dense) evolution up to ``dense_dim``; above that the state
-    is expanded into dominant product eigenstates and each is propagated
-    with a Krylov exponential at tolerance ``KRYLOV_TOL``.
+    is expanded into dominant product eigenstates, dropping a total weight
+    below ``KRYLOV_TOL``, and each is propagated by scipy's ``expm_multiply``
+    (Al-Mohy and Higham) at double precision, which never sees ``KRYLOV_TOL``.
     """
     dim = hamiltonian.shape[0]
     if dim <= dense_dim:

@@ -160,12 +160,12 @@ def _seed_from_config(config):
     )
 
 
-def params_at(config, value):
-    """Junction parameters at one grid value of the configured axis."""
+def params_at(config, value=None):
+    """Junction parameters at the configured point, or at ``value`` on its axis."""
     fixed = {key: getattr(config, key) for key in POINT_FIELDS}
-    if config.axis == "delta_phi":
+    if value is not None and config.axis == "delta_phi":
         fixed["phi_II"] = fixed["phi_I"] - value
-    else:
+    elif value is not None:
         fixed[config.axis] = value
     return JunctionParams(
         bulk_I=BulkParams(fixed["epsilon_I"], fixed["beta_I"], fixed["phi_I"]),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from bcsjj import spin
 from bcsjj.equilibrium import (
     BulkParams,
     critical_beta,
@@ -115,6 +116,27 @@ def test_gauge_independence_of_moduli():
 def test_equilibrium_state_matches_solution_rho():
     p = BulkParams(0.2, 50.0, 1.2)
     assert np.allclose(equilibrium_state(p), solve_gap(p).rho, atol=1e-14)
+
+
+def test_residual_is_the_gap_map_defect_of_its_own_state(monkeypatch):
+    """The residual comes from the solve's one Gibbs state and equals the
+    defect under the independent gap map, ordered and normal plates alike."""
+    for eps in (0.05, 0.2, 0.3, 0.45, 0.6):
+        for beta in (1.0, 5.0, 50.0, 1e4):
+            for phi in (0.0, 0.7, -2.5):
+                p = BulkParams(eps, beta, phi)
+                sol = solve_gap(p)
+                assert sol.residual == abs(gap_map(sol.lam, p) - sol.lam), p
+    calls = []
+    real = spin.gibbs_state
+
+    def counted(hamiltonian, beta):
+        calls.append(beta)
+        return real(hamiltonian, beta)
+
+    monkeypatch.setattr(spin, "gibbs_state", counted)
+    solve_gap(BulkParams(0.3, 1e4))
+    assert len(calls) == 1
 
 
 def test_parameter_validation():

@@ -40,23 +40,35 @@ def reference_summed(spec, sites, local):
     return total
 
 
+def plate_sites(spec, plate):
+    """Sites of one plate in kron order: plate I first."""
+    base = plate * spec.sites_per_plate
+    return range(base, base + spec.sites_per_plate)
+
+
+def boundary_sites(spec, plate):
+    """The plate's row-1 sites, the ones facing the contact."""
+    base = plate * spec.sites_per_plate
+    return range(base, base + spec.n)
+
+
 def reference_operators(spec, params):
     """H, Q and J summed site by site on the full space, all complex."""
     n = spec.n
     h = sparse.csr_matrix((spec.dim, spec.dim), dtype=complex)
     for plate, bulk in ((0, params.bulk_I), (1, params.bulk_II)):
-        sites = spec.plate_sites(plate)
+        sites = plate_sites(spec, plate)
         sz = reference_summed(spec, sites, SIGMA_Z)
         raise_all = reference_summed(spec, sites, SIGMA_PLUS)
         h = h + bulk.epsilon * sz - (raise_all @ raise_all.conj().T) / n
-    b_plus_i = reference_summed(spec, spec.boundary_sites(0), SIGMA_PLUS)
-    b_plus_ii = reference_summed(spec, spec.boundary_sites(1), SIGMA_PLUS)
+    b_plus_i = reference_summed(spec, boundary_sites(spec, 0), SIGMA_PLUS)
+    b_plus_ii = reference_summed(spec, boundary_sites(spec, 1), SIGMA_PLUS)
     b_minus_i = b_plus_i.conj().T.tocsr()
     b_minus_ii = b_plus_ii.conj().T.tocsr()
     h = h - (params.gamma / n) * (b_plus_i @ b_minus_ii + b_minus_i @ b_plus_ii)
     number = SIGMA_PLUS @ SIGMA_PLUS.conj().T
-    q = reference_summed(spec, spec.plate_sites(0), number) - reference_summed(
-        spec, spec.plate_sites(1), number
+    q = reference_summed(spec, plate_sites(spec, 0), number) - reference_summed(
+        spec, plate_sites(spec, 1), number
     )
     j = (-2j * params.gamma / n) * (b_minus_i @ b_plus_ii - b_plus_i @ b_minus_ii)
     return h.tocsr(), q.tocsr(), j.tocsr()
@@ -107,10 +119,10 @@ def test_geometry():
     assert spec.sites_per_plate == 4
     assert spec.n_sites == 8
     assert spec.dim == 256
-    assert list(spec.plate_sites(0)) == [0, 1, 2, 3]
-    assert list(spec.plate_sites(1)) == [4, 5, 6, 7]
-    assert list(spec.boundary_sites(0)) == [0, 1]
-    assert list(spec.boundary_sites(1)) == [4, 5]
+    assert list(plate_sites(spec, 0)) == [0, 1, 2, 3]
+    assert list(plate_sites(spec, 1)) == [4, 5, 6, 7]
+    assert list(boundary_sites(spec, 0)) == [0, 1]
+    assert list(boundary_sites(spec, 1)) == [4, 5]
 
 
 def test_dimension_cap():

@@ -148,6 +148,66 @@ def test_cli_gap_rejects_csv(capsys):
     capsys.readouterr()
 
 
+# flags a subcommand does not read; each must exit 2 whatever its value
+UNREAD_FLAGS = {
+    "gap": ("--config", "--tolerance", "--max-iter", "--damping", "--seed-lambda",
+            "--seed-phi", "--memory-cap", "--only"),
+    "ness": ("--memory-cap", "--only"),
+    "sweep": ("--memory-cap", "--only"),
+    "check": ("--config", "--seed-lambda", "--seed-phi"),
+    "finite-n": ("--tolerance", "--max-iter", "--damping", "--seed-lambda", "--seed-phi",
+                 "--only"),
+}
+FLAG_VALUES = {
+    "--config": "run.json", "--tolerance": "1e-12", "--max-iter": "50", "--damping": "0.5",
+    "--seed-lambda": "0.1", "--seed-phi": "0.2", "--memory-cap": "1000000000",
+    "--only": "equilibrium",
+}
+REQUIRED = {"gap": ("--epsilon", "0.3", "--beta", "10")}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags],
+)
+def test_cli_rejects_unread_flags(command, flag, capsys):
+    argv = (command, *REQUIRED.get(command, ()), flag, FLAG_VALUES[flag])
+    assert run_cli(*argv) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "finite-n"])
+def test_cli_text_commands_reject_csv(command, capsys):
+    assert run_cli(command, "--format", "csv") == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+def test_cli_parser_reuse_carries_no_state(capsys):
+    argv = ("ness", "--gamma", "1e-3", "--phi-i", "0.3")
+    cli._build_parser.cache_clear()
+    assert run_cli(*argv) == 0
+    fresh = capsys.readouterr().out
+    cli._build_parser.cache_clear()
+    seeded = ("--seed-lambda", "0.1", "0.2", "--seed-phi", "1.0", "--damping", "0.5")
+    assert run_cli(*argv, *seeded, "--format", "csv") == 0
+    assert capsys.readouterr().out.startswith(EXPECTED_HEADER)
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == fresh
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_config_file_reaches_ness_and_finite_n(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"gamma": 2e-3, "lattice_n": 1, "format": "csv"}))
+    assert run_cli("ness", "--config", str(config)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == EXPECTED_HEADER
+    assert float(lines[1].split(",")[CSV_COLUMNS.index("gamma")]) == 2e-3
+    assert run_cli("finite-n", "--config", str(config), "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 1 and payload["passed"] is True
+
+
 def test_cli_ness_json_dump(capsys):
     code = run_cli("ness", "--gamma", "1e-3", "--phi-i", "0.3")
     assert code == 0

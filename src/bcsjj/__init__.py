@@ -26,6 +26,7 @@ from .lattice import (
 from .ness import (
     JunctionParams,
     NessSolution,
+    WeakContactWarning,
     boundary_hamiltonian,
     closed_form_rhs,
     gauge_shift,
@@ -78,6 +79,7 @@ __all__ = [
     "ResourceLimitError",
     "RunConfig",
     "SweepRow",
+    "WeakContactWarning",
     "bloch_decompose",
     "bloch_reconstruct",
     "boundary_hamiltonian",

@@ -278,7 +278,7 @@ def cmd_finite_n(args):
         and conservation_defect < FINITE_N_CONSERVATION_TOL
         and current_defect < FINITE_N_CURRENT_TOL
     )
-    if args.format == "json":
+    if config.format == "json":
         payload["passed"] = ok
         text = json.dumps(payload, indent=2) + "\n"
     else:

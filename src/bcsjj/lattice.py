@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import expm_multiply
 
 from . import spin
 from .constants import KRYLOV_TOL
@@ -232,13 +231,125 @@ def _dominant_product_terms(site_states, tol, cap=_MAX_PRODUCT_TERMS):
     return out
 
 
+def _spectral_interval(hamiltonian):
+    """Center c and half-width r of an interval holding the spectrum of H.
+
+    By Gershgorin, every eigenvalue of the Hermitian H lies within
+    sum_{j != i} |h_ij| of some diagonal entry h_ii.  The row sums are
+    read from the stored entries (CSR ``data`` and ``indptr``) or the
+    dense rows; H itself is not copied.
+    """
+    diag = hamiltonian.diagonal().real
+    if sparse.issparse(hamiltonian):
+        indptr = hamiltonian.indptr
+        rows = np.flatnonzero(np.diff(indptr))
+        abs_sums = np.zeros(len(diag))
+        if rows.size:
+            abs_sums[rows] = np.add.reduceat(np.abs(hamiltonian.data), indptr[rows])
+    else:
+        abs_sums = np.abs(hamiltonian).sum(axis=1)
+    radii = abs_sums - np.abs(diag)
+    low = float(np.min(diag - radii))
+    high = float(np.max(diag + radii))
+    return (high + low) / 2, (high - low) / 2
+
+
+def _chebyshev_order(x):
+    """Smallest K whose tail sum_{k > K} 2 |J_k(x)| is below roundoff.
+
+    Uses |J_k(x)| <= (|x|/2)^k / k!; once k + 2 > |x|/2 the terms fall
+    at least geometrically, so term K+1 over one minus the ratio
+    bounds the tail.
+    """
+    half = abs(x) / 2
+    if half == 0.0:
+        return 0
+    log_eps = math.log(np.finfo(float).eps)
+    order = int(half)
+    while True:
+        log_term = (order + 1) * math.log(half) - math.lgamma(order + 2)
+        if math.log(2 / (1 - half / (order + 2))) + log_term < log_eps:
+            return order
+        order += 1
+
+
+def _bessel_j(order, x):
+    """J_0(x) .. J_order(x), to double precision.
+
+    Below |x| = 2 sqrt(eps) the leading power-series term (x/2)^k / k!
+    is exact to roundoff.  Otherwise Miller's backward recurrence
+    J_{k-1} = (2k/x) J_k - J_{k+1}, started well above both ``order``
+    and |x| and rescaled against overflow, normalized by
+    J_0 + 2 sum_k J_2k = 1.
+    """
+    if abs(x) < 2 * math.sqrt(np.finfo(float).eps):
+        out = [1.0]
+        for k in range(1, order + 1):
+            out.append(out[-1] * x / (2 * k))
+        return np.array(out)
+    top = order + int(abs(x)) + 20
+    values = [0.0] * (top + 2)
+    values[top] = 1.0
+    for k in range(top, 0, -1):
+        values[k - 1] = (2 * k / abs(x)) * values[k] - values[k + 1]
+        if abs(values[k - 1]) > 1e250:
+            values = [value * 1e-250 for value in values]
+    values = np.array(values[: order + 1]) / (values[0] + 2 * math.fsum(values[2::2]))
+    if x < 0:
+        values[1::2] *= -1
+    return values
+
+
+def _propagate(hamiltonian, vectors, t):
+    """exp(-itH) v for each v of ``vectors``, one at a time, by the
+    Chebyshev series of Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984):
+
+        exp(-itH) v = e^{-itc} sum_k (2 - delta_k0) (-i)^k J_k(tr) T_k((H - c)/r) v
+
+    with [c - r, c + r] the Gershgorin interval of the Hermitian H, summed
+    until the rigorous tail bound drops below double-precision roundoff.
+    A real H acts on the (re, im) pair of the iterate as one real (dim, 2)
+    product, so no complex copy of H is ever formed; a complex H acts by a
+    plain ``h @ v``.
+    """
+    center, radius = _spectral_interval(hamiltonian)
+    coeffs = _bessel_j(_chebyshev_order(t * radius), t * radius)
+    if np.iscomplexobj(hamiltonian):
+        apply = hamiltonian.__matmul__
+    else:
+        def apply(v):
+            return (hamiltonian @ v.view(float).reshape(-1, 2)).view(complex).ravel()
+
+    def step(v):
+        """2 (H - c)/r applied to v."""
+        out = apply(v)
+        out -= center * v
+        out *= 2 / radius
+        return out
+
+    for vec in vectors:
+        prev = np.array(vec, dtype=complex)
+        total = coeffs[0] * prev
+        if len(coeffs) > 1:
+            cur = step(prev) / 2
+            total += -2j * coeffs[1] * cur
+            phase = -1j
+            for coeff in coeffs[2:]:
+                prev, cur = cur, step(cur) - prev
+                phase *= -1j
+                total += (2 * phase * coeff) * cur
+        yield np.exp(-1j * t * center) * total
+
+
 def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVOLUTION_DIM):
     """Tr(rho exp(itH) op exp(-itH)) for a product state rho.
 
-    Spectral (dense) evolution up to ``dense_dim``; above that the state
-    is expanded into dominant product eigenstates, dropping a total weight
-    below ``KRYLOV_TOL``, and each is propagated by scipy's ``expm_multiply``
-    (Al-Mohy and Higham) at double precision, which never sees ``KRYLOV_TOL``.
+    Spectral (dense ``eigh``) evolution up to ``dense_dim``; above that
+    the state is expanded into dominant product eigenstates, dropping a
+    total weight below ``KRYLOV_TOL``, and each is propagated by the
+    Chebyshev series of :func:`_propagate`, summed to double-precision
+    roundoff; ``KRYLOV_TOL`` bounds only the dropped weight.  A real H stays real throughout; a dense ``ndarray`` or
+    complex Hermitian H is accepted as it is.
     """
     dim = hamiltonian.shape[0]
     if dim <= dense_dim:
@@ -255,10 +366,9 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
         return complex(np.trace(rho @ evolved))
 
     terms = _dominant_product_terms(site_states, KRYLOV_TOL)
-    h_csr = sparse.csr_matrix(hamiltonian)
+    h = sparse.csr_matrix(hamiltonian) if sparse.issparse(hamiltonian) else np.asarray(hamiltonian)
     op_csr = sparse.csr_matrix(op)
     total = 0.0 + 0.0j
-    for w, vec in terms:
-        moved = expm_multiply(-1j * t * h_csr, vec)
+    for (w, _), moved in zip(terms, _propagate(h, [vec for _, vec in terms], t)):
         total += w * np.vdot(moved, op_csr @ moved)
     return complex(total)

@@ -54,6 +54,33 @@ from .equilibrium import BulkParams, effective_hamiltonian, solve_gap
 REGIONS = ("I_a", "I_b", "II_b", "II_a")
 
 
+class WeakContactWarning(UserWarning):
+    """gamma is not small against the plates' epsilon."""
+
+
+def warn_strong_contact(points, stacklevel=2):
+    """One WeakContactWarning for the points with |gamma| > 0.1 min(epsilon).
+
+    Names the worst point, the one with the largest |gamma| / min(epsilon),
+    and how many of ``points`` are over the bound.
+    """
+
+    def eps_min(p):
+        return min(p.bulk_I.epsilon, p.bulk_II.epsilon)
+
+    over = [p for p in points if abs(p.gamma) > 0.1 * eps_min(p)]
+    if not over:
+        return
+    worst = max(over, key=lambda p: abs(p.gamma) / eps_min(p))
+    count = f" ({len(over)} of {len(points)} points)" if len(points) > 1 else ""
+    warnings.warn(
+        f"gamma = {worst.gamma} is not small against min(epsilon) = "
+        f"{eps_min(worst)}{count}; the junction treatment assumes a weak contact",
+        WeakContactWarning,
+        stacklevel=stacklevel,
+    )
+
+
 @dataclass(frozen=True)
 class JunctionParams:
     """Two plates plus the tunneling coupling between their contact rows."""
@@ -65,13 +92,7 @@ class JunctionParams:
     def __post_init__(self):
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
-        eps_min = min(self.bulk_I.epsilon, self.bulk_II.epsilon)
-        if abs(self.gamma) > 0.1 * eps_min:
-            warnings.warn(
-                f"gamma = {self.gamma} is not small against min(epsilon) = "
-                f"{eps_min}; the junction treatment assumes a weak contact",
-                stacklevel=2,
-            )
+        warn_strong_contact([self], stacklevel=4)
 
     @property
     def delta_phi(self):

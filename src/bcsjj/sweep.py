@@ -8,13 +8,14 @@ digits, LF endings) so reruns of the same config are byte-identical.
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams
-from .ness import JunctionParams, solve_batch
+from .ness import JunctionParams, WeakContactWarning, solve_batch, warn_strong_contact
 from .observables import ccr_defect_bloch
 
 CSV_COLUMNS = (
@@ -182,7 +183,10 @@ def evaluate_point(params, damping=1.0, tolerance=NESS_CHANGE_TOL, max_iter=100_
 def run_sweep(config):
     """Evaluate the configured grid, in order, one SweepRow per point."""
     grid = np.linspace(config.start, config.stop, config.count)
-    points = [params_at(config, float(value)) for value in grid]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakContactWarning)
+        points = [params_at(config, float(value)) for value in grid]
+    warn_strong_contact(points, stacklevel=3)
     seed = _seed_from_config(config)
     return _evaluate(points, config.damping, config.tolerance, config.max_iter, seed)
 

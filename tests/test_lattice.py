@@ -11,6 +11,9 @@ from scipy import sparse
 from bcsjj.equilibrium import BulkParams, solve_gap
 from bcsjj.lattice import (
     DENSE_EVOLUTION_DIM,
+    _bessel_j,
+    _chebyshev_order,
+    _propagate,
     LatticeSpec,
     ResourceLimitError,
     build_current,
@@ -312,3 +315,95 @@ def test_evolution_matches_heisenberg_oracle():
 
 def test_default_dense_threshold_sane():
     assert DENSE_EVOLUTION_DIM >= 4
+
+
+def random_mixed_site_state(rng, mixing):
+    """A random pure site state mixed with weight ``mixing`` into 1/2."""
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    psi /= np.linalg.norm(psi)
+    return (1 - mixing) * np.outer(psi, psi.conj()) + mixing * np.eye(2) / 2
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    t=st.floats(0.0, 20.0),
+    gamma=st.floats(-0.098 * 0.3, 0.098 * 0.3),
+    phi_i=st.floats(-math.pi, math.pi),
+    phi_ii=st.floats(-math.pi, math.pi),
+    mixing=st.floats(0.0, 0.2),
+    seed=st.integers(0, 2**32 - 1),
+    current=st.booleans(),
+)
+def test_chebyshev_matches_dense_path(n, t, gamma, phi_i, phi_ii, mixing, seed, current):
+    """Chebyshev and spectral <Q(t)> or <J(t)> agree up to the dropped product mass."""
+    spec = LatticeSpec(n)
+    params = JunctionParams(BulkParams(0.3, 1e4, phi_i), BulkParams(0.3, 1e4, phi_ii), gamma)
+    h = build_hamiltonian(spec, params)
+    op = build_current(spec, gamma) if current else build_relative_number(spec)
+    rng = np.random.default_rng(seed)
+    states = [random_mixed_site_state(rng, mixing) for _ in range(spec.n_sites)]
+    norm = np.abs(np.linalg.eigvalsh(op.toarray())).max()
+    dense = time_evolve_expectation(op, h, states, t)
+    chebyshev = time_evolve_expectation(op, h, states, t, dense_dim=0)
+    # KRYLOV_TOL bounds the dropped mass of the product expansion
+    assert abs(dense - chebyshev) <= 1e-10 * norm + 1e-12, f"t={t}: {dense} vs {chebyshev}"
+
+
+def test_propagated_vector_keeps_unit_norm():
+    rng = np.random.default_rng(53)
+    h = build_hamiltonian(LatticeSpec(2), junction(gamma=2e-2, delta=1.1))
+    for t in (0.0, 0.01, 0.7, 5.0, 20.0, -3.0):
+        vec = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+        vec /= np.linalg.norm(vec)
+        (moved,) = _propagate(h, [vec], t)
+        assert abs(np.linalg.norm(moved) - 1.0) <= 1e-13, f"t={t}"
+
+
+def test_complex_and_dense_hamiltonians_on_the_chebyshev_path():
+    """Complex Hermitian and real H, as CSR or ndarray, run the same series."""
+    rng = np.random.default_rng(59)
+    raw = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    op = sparse.csr_matrix(np.diag(rng.normal(size=16)))
+    states = [random_mixed_site_state(rng, 0.1) for _ in range(4)]
+    for h in ((raw + raw.conj().T) / 4, (raw.real + raw.real.T) / 4):
+        for t in (0.3, 4.0):
+            dense = time_evolve_expectation(op, h, states, t)
+            for form in (sparse.csr_matrix(h), h):
+                got = time_evolve_expectation(op, form, states, t, dense_dim=0)
+                assert abs(got - dense) < 1e-9, f"t={t}, {form.dtype} {type(form).__name__}"
+
+
+def test_chebyshev_matches_expm_multiply_at_n3():
+    from scipy.sparse.linalg import expm_multiply
+
+    h = build_hamiltonian(LatticeSpec(3), junction(gamma=1e-3, delta=0.7))
+    rng = np.random.default_rng(61)
+    vec = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+    vec /= np.linalg.norm(vec)
+    t = 0.4
+    (moved,) = _propagate(h, [vec], t)
+    defect = np.abs(moved - expm_multiply(-1j * t * h, vec)).max()
+    assert defect <= 1e-12, f"{defect:.2e}"
+
+
+def test_bessel_coefficients_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for x in (1e-3, 0.7, -7.3, 50.0, 300.0):
+        order = _chebyshev_order(x)
+        got = _bessel_j(order, x)
+        ks = range(0, order + 1, max(1, order // 40))
+        worst = max(abs(got[k] - float(mpmath.besselj(k, x))) for k in ks)
+        assert worst <= 1e-15, f"x={x}: {worst:.2e}"
+
+
+def test_chebyshev_order_meets_the_tail_bound():
+    """The dropped tail sum_{k > K} 2 |J_k(x)| is below roundoff."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    assert _chebyshev_order(0.0) == 0
+    for x in (1e-3, 0.7, -5.0, 50.0):
+        order = _chebyshev_order(x)
+        tail = 2 * sum(abs(mpmath.besselj(k, x)) for k in range(order + 1, order + 80))
+        assert tail < np.finfo(float).eps, f"x={x}: {float(tail):.2e}"

@@ -2,17 +2,21 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import pytest
 
+import bcsjj
 from bcsjj import cli, lattice
 from bcsjj.checks import CheckResult, run_checks
 from bcsjj.equilibrium import BulkParams
-from bcsjj.ness import JunctionParams
+from bcsjj.ness import JunctionParams, WeakContactWarning
 from bcsjj.sweep import (
     CSV_COLUMNS,
     RunConfig,
@@ -206,6 +210,53 @@ def test_cli_config_file_reaches_ness_and_finite_n(tmp_path, capsys):
     assert run_cli("finite-n", "--config", str(config), "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 1 and payload["passed"] is True
+
+
+def test_cli_finite_n_config_file_picks_json(tmp_path, capsys):
+    """The merged config's format decides json or text, not the flag alone."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"format": "json", "lattice_n": 2}))
+    assert run_cli("finite-n", "--config", str(config)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 2 and payload["passed"] is True
+    config.write_text(json.dumps({"lattice_n": 1}))
+    assert run_cli("finite-n", "--config", str(config)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+def test_gamma_sweep_warns_once_naming_the_worst_gamma():
+    config = config_from_mapping(
+        {"axis": "gamma", "start": -0.5, "stop": 0.5, "count": 200,
+         "epsilon_I": 0.3, "epsilon_II": 0.3}
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = run_sweep(config)
+    assert len(rows) == 200
+    assert [w.category for w in caught] == [WeakContactWarning]
+    message = str(caught[0].message)
+    assert message.startswith("gamma = -0.5 is not small against min(epsilon) = 0.3")
+    assert "(188 of 200 points)" in message
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_sweep(small_config(count=3))
+    assert caught == []
+
+
+def test_cli_import_leaves_out_sparse_linalg():
+    """`import bcsjj.cli` loads scipy.sparse, but neither scipy.sparse.linalg nor scipy.special."""
+    src = os.path.dirname(os.path.dirname(bcsjj.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, bcsjj.cli; "
+        "print(*(m in sys.modules for m in "
+        "('scipy.sparse', 'scipy.sparse.linalg', 'scipy.special')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == ["True", "False", "False"]
 
 
 def test_cli_ness_json_dump(capsys):

@@ -289,8 +289,7 @@ def check_finite_n_commutator(opts):
         h = lattice.build_hamiltonian(spec, params)
         q = lattice.build_relative_number(spec)
         j = lattice.build_current(spec, params.gamma)
-        defect = abs(1j * (h @ q - q @ h) - j).max()
-        worst = max(worst, float(defect))
+        worst = max(worst, lattice.commutator_defect(h, q, j))
     tol = FINITE_N_COMMUTATOR_TOL
     return CheckResult("finite_n.commutator_identity", worst < tol, worst, tol)
 
@@ -302,7 +301,7 @@ def check_finite_n_bulk_conservation(opts):
         spec = lattice.LatticeSpec(n, memory_cap=opts.memory_cap)
         h = lattice.build_hamiltonian(spec, params)
         q = lattice.build_relative_number(spec)
-        worst = max(worst, float(abs(h @ q - q @ h).max()))
+        worst = max(worst, lattice.commutator_defect(h, q))
     tol = FINITE_N_CONSERVATION_TOL
     return CheckResult("finite_n.bulk_conservation", worst < tol, worst, tol)
 

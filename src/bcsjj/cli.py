@@ -21,10 +21,8 @@ from dataclasses import asdict, fields
 
 from . import lattice
 from .checks import CheckOptions, run_checks
-from .constants import FINITE_N_COMMUTATOR_TOL, FINITE_N_CONSERVATION_TOL, FINITE_N_CURRENT_TOL
 from .equilibrium import BulkParams, critical_beta, solve_gap
 from .lattice import LatticeSpec, ResourceLimitError
-from .ness import JunctionParams
 from .sweep import (
     FORMATS,
     POINT_FIELDS,
@@ -239,61 +237,23 @@ def cmd_check(args):
 
 def cmd_finite_n(args):
     config = _merged_config(args)
-    params = params_at(config)
     spec = LatticeSpec(config.lattice_n, memory_cap=config.memory_cap)
-    hamiltonian = lattice.build_hamiltonian(spec, params)
-    charge = lattice.build_relative_number(spec)
-    current = lattice.build_current(spec, params.gamma)
-
-    commutator_defect = float(
-        abs(1j * (hamiltonian @ charge - charge @ hamiltonian) - current).max()
-    )
-    # Dropped so the gamma = 0 check below stays under the commutator's
-    # peak, which LatticeSpec.estimated_bytes models.
-    del hamiltonian
-    decoupled = lattice.build_hamiltonian(
-        spec, JunctionParams(params.bulk_I, params.bulk_II, 0.0)
-    )
-    conservation_defect = float(abs(decoupled @ charge - charge @ decoupled).max())
-
-    bulk_i = solve_gap(params.bulk_I)
-    bulk_ii = solve_gap(params.bulk_II)
-    states = [bulk_i.rho] * spec.sites_per_plate + [bulk_ii.rho] * spec.sites_per_plate
-    measured = lattice.product_state_expectation(current, states).real / spec.n
-    expected = -4.0 * params.gamma * bulk_i.lam * bulk_ii.lam * math.sin(params.delta_phi)
-    current_defect = abs(measured - expected)
-
-    payload = {
-        "n": spec.n,
-        "sites": spec.n_sites,
-        "dimension": spec.dim,
-        "commutator_defect": commutator_defect,
-        "bulk_conservation_defect": conservation_defect,
-        "product_current_per_site": measured,
-        "mean_field_current": expected,
-        "current_defect": current_defect,
-    }
-    ok = (
-        commutator_defect < FINITE_N_COMMUTATOR_TOL
-        and conservation_defect < FINITE_N_CONSERVATION_TOL
-        and current_defect < FINITE_N_CURRENT_TOL
-    )
+    report = lattice.finite_n_report(spec, params_at(config))
     if config.format == "json":
-        payload["passed"] = ok
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(asdict(report), indent=2) + "\n"
     else:
         lines = [
             f"lattice: {spec.n}x{spec.n} per plate, {spec.n_sites} sites, dimension {spec.dim}",
-            f"i[H, Q] vs J entrywise defect      = {commutator_defect:.3e}",
-            f"[H(gamma=0), Q] entrywise defect   = {conservation_defect:.3e}",
-            f"product-state current per site     = {measured:.17g}",
-            f"mean-field sine-law current        = {expected:.17g}",
-            f"current defect                     = {current_defect:.3e}",
-            "PASS" if ok else "FAIL",
+            f"i[H, Q] vs J entrywise defect      = {report.commutator_defect:.3e}",
+            f"[H(gamma=0), Q] entrywise defect   = {report.bulk_conservation_defect:.3e}",
+            f"product-state current per site     = {report.product_current_per_site:.17g}",
+            f"mean-field sine-law current        = {report.mean_field_current:.17g}",
+            f"current defect                     = {report.current_defect:.3e}",
+            "PASS" if report.passed else "FAIL",
         ]
         text = "\n".join(lines) + "\n"
     _emit(text, config.output)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 _DISPATCH = {

@@ -14,10 +14,18 @@ can be checked against literal operator algebra:
 with S the plate-summed and B the contact-row-summed ladder operators.
 Each plate's operators (eps sum sigma_z - S_plus S_minus / N, B_plus and
 the pair number) are built once on the plate's own 2^(N^2)-dimensional
-space and joined across the plates by one kron each, plate I holding the
-high bits.  H and Q are real float64 CSR; only J is complex.
-Expectations in product states contract site by site over the sparse
-entries, never building the 4^(N^2) density matrix.
+space and joined across the plates, plate I holding the high bits:
+kron(A, 1) and kron(1, A) by writing the CSR arrays directly, the
+tunnelling products by ``sparse.kron``.  H is the plate part (H at
+gamma = 0) minus the tunnelling part.  H and Q are real float64 CSR;
+only J is complex.
+
+The identities i[H, Q] = J and [H(gamma = 0), Q] = 0 are checked
+entrywise without forming H @ Q or Q @ H: Q is diagonal, so
+[H, Q]_ab = h_ab q_b - q_a h_ab is read off H's stored entries against
+Q's diagonal (:func:`commutator_defect`).  Expectations in product
+states contract over the sparse entries a group of sites at a time,
+never building the 4^(N^2) density matrix.
 """
 
 import heapq
@@ -28,7 +36,13 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import spin
-from .constants import KRYLOV_TOL
+from .constants import (
+    FINITE_N_COMMUTATOR_TOL,
+    FINITE_N_CONSERVATION_TOL,
+    FINITE_N_CURRENT_TOL,
+    KRYLOV_TOL,
+)
+from .equilibrium import solve_gap
 
 DEFAULT_DIM_CAP = 2**20
 DENSE_EVOLUTION_DIM = 2**10
@@ -75,20 +89,24 @@ class LatticeSpec:
 
     @property
     def estimated_bytes(self):
-        """Peak memory of the operators and the commutator check i[H, Q] - J.
+        """Peak memory of a ``finite-n`` run.
 
-        H and Q are real CSR (12 B per entry), J is complex (20 B).  The
-        check holds H @ Q and Q @ H, each keeping the entries of H on the
-        rows where the diagonal Q is nonzero, while their difference is
-        formed in a buffer sized for both.
+        It comes where H = plate part - tunnelling part is formed: those
+        three and Q are held at once, as real CSR (12 B per entry, an
+        int32 row pointer each).  The commutator checks keep only the
+        nonzero entries of [H, Q], J-sized, and stay below it.
         """
         n2 = self.sites_per_plate
-        nnz_h = self.dim * (1 + n2 * (n2 - 1) // 2) + self.dim * n2 // 2
+        nnz_plate = self.dim * (1 + n2 * (n2 - 1) // 2)
+        nnz_tunnelling = self.dim * n2 // 2
+        nnz_h = nnz_plate + nnz_tunnelling
         nnz_q = self.dim - math.comb(2 * n2, n2)
-        nnz_j = self.dim * n2 // 2
-        product = nnz_h * nnz_q // self.dim
-        indptrs = 6 * 4 * (self.dim + 1)
-        return 12 * (nnz_h + nnz_q + 4 * product) + 20 * nnz_j + indptrs
+        return 12 * (nnz_plate + nnz_tunnelling + nnz_h + nnz_q) + 4 * 4 * (self.dim + 1)
+
+
+def _index_dtype(top):
+    """int32 while every index and offset stays below 2^31, else int64."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
 
 
 def _plate_operator(spec, site, local):
@@ -112,25 +130,75 @@ def _contact_ladders(spec):
     return b_plus, b_plus.T.tocsr()
 
 
+def _on_plate_i(op):
+    """kron(op, 1) for a plate-I operator, its CSR arrays written directly.
+
+    Row (r, k) of the result is row r of ``op`` with each column c moved
+    to c * dim + k, so row r of ``op`` fills one (dim, count) block.
+    Columns come out sorted, as ``sparse.kron`` leaves them.
+    """
+    op = op.sorted_indices()
+    dim = op.shape[0]
+    counts = np.diff(op.indptr)
+    idx = _index_dtype(max(dim * dim, dim * op.nnz))
+    lanes = np.arange(dim, dtype=idx)
+    indptr = np.empty(dim * dim + 1, dtype=idx)
+    indptr[:-1] = ((dim * op.indptr[:-1].astype(idx))[:, None] + counts[:, None] * lanes).ravel()
+    indptr[-1] = dim * op.nnz
+    indices = np.empty(dim * op.nnz, dtype=idx)
+    data = np.empty(dim * op.nnz, dtype=op.dtype)
+    for r in range(dim):
+        lo, hi = op.indptr[r], op.indptr[r + 1]
+        block = slice(dim * lo, dim * hi)
+        np.add(dim * op.indices[lo:hi].astype(idx), lanes[:, None],
+               out=indices[block].reshape(dim, hi - lo))
+        data[block].reshape(dim, hi - lo)[:] = op.data[lo:hi]
+    return sparse.csr_matrix((data, indices, indptr), shape=(dim * dim, dim * dim))
+
+
+def _on_plate_ii(op):
+    """kron(1, op) for a plate-II operator, its CSR arrays written directly:
+    ``op`` repeated down the diagonal, one dim-sized block per plate-I
+    state, its columns sorted.
+    """
+    op = op.sorted_indices()
+    dim = op.shape[0]
+    idx = _index_dtype(max(dim * dim, dim * op.nnz))
+    blocks = np.arange(dim, dtype=idx)[:, None]
+    indptr = np.empty(dim * dim + 1, dtype=idx)
+    indptr[:-1] = (op.indptr[:-1].astype(idx) + op.nnz * blocks).ravel()
+    indptr[-1] = dim * op.nnz
+    indices = (op.indices.astype(idx) + dim * blocks).ravel()
+    data = np.tile(op.data, dim)
+    return sparse.csr_matrix((data, indices, indptr), shape=(dim * dim, dim * dim))
+
+
 def _across(plate_i, plate_ii):
     """An operator of plate I times one of plate II; plate I holds the high bits."""
     return sparse.kron(plate_i, plate_ii, format="csr")
 
 
-def build_hamiltonian(spec, params):
-    """Full lattice Hamiltonian for the given junction parameters, real CSR."""
-    n = spec.n
+def _plate_part(spec, params):
+    """H at gamma = 0: each plate's eps sum sigma_z - S_plus S_minus / n."""
     sites = range(spec.sites_per_plate)
     sz = _plate_summed(spec, sites, spin.SIGMA_Z)
     raise_all = _plate_summed(spec, sites, spin.SIGMA_PLUS)
-    pairing = raise_all @ raise_all.T / n
-    one = sparse.identity(sz.shape[0], format="csr")
-    b_plus, b_minus = _contact_ladders(spec)
+    pairing = raise_all @ raise_all.T / spec.n
     return (
-        _across(params.bulk_I.epsilon * sz - pairing, one)
-        + _across(one, params.bulk_II.epsilon * sz - pairing)
-        - (params.gamma / n) * (_across(b_plus, b_minus) + _across(b_minus, b_plus))
+        _on_plate_i(params.bulk_I.epsilon * sz - pairing)
+        + _on_plate_ii(params.bulk_II.epsilon * sz - pairing)
     )
+
+
+def _tunnelling_part(spec, gamma):
+    """(gamma/n) (B_plus_I B_minus_II + B_minus_I B_plus_II)."""
+    b_plus, b_minus = _contact_ladders(spec)
+    return (gamma / spec.n) * (_across(b_plus, b_minus) + _across(b_minus, b_plus))
+
+
+def build_hamiltonian(spec, params):
+    """Full lattice Hamiltonian for the given junction parameters, real CSR."""
+    return _plate_part(spec, params) - _tunnelling_part(spec, params.gamma)
 
 
 def build_relative_number(spec):
@@ -138,8 +206,7 @@ def build_relative_number(spec):
     number = _plate_summed(
         spec, range(spec.sites_per_plate), spin.SIGMA_PLUS @ spin.SIGMA_MINUS
     )
-    one = sparse.identity(number.shape[0], format="csr")
-    return _across(number, one) - _across(one, number)
+    return _on_plate_i(number) - _on_plate_ii(number)
 
 
 def build_current(spec, gamma):
@@ -148,14 +215,65 @@ def build_current(spec, gamma):
     return (-2j * gamma / spec.n) * (_across(b_minus, b_plus) - _across(b_plus, b_minus))
 
 
+def _nonzero_commutator(op, q):
+    """[op, Q] for Q = diag(q), as CSR holding only its nonzero entries.
+
+    [op, Q]_ab = op_ab q_b - q_a op_ab lives on the stored entries of
+    ``op`` and is formed there, in op's own arithmetic, in blocks of
+    about sqrt(dim) rows, so the temporaries stay small.  Its values are
+    those of the literal sparse products op @ Q - Q @ op.
+    """
+    dim = op.shape[0]
+    step = max(1, math.isqrt(dim))
+    counts, cols, values = [], [], []
+    for start in range(0, dim, step):
+        stop = min(start + step, dim)
+        lo, ends = op.indptr[start], op.indptr[start + 1 : stop + 1]
+        h = op.data[lo : ends[-1]]
+        col = op.indices[lo : ends[-1]]
+        q_row = np.repeat(q[start:stop], np.diff(op.indptr[start : stop + 1]))
+        entry = h * q.take(col) - q_row * h
+        keep = np.flatnonzero(entry != 0)
+        rows = np.searchsorted(ends, lo + keep, side="right")
+        counts.append(np.bincount(rows, minlength=stop - start))
+        cols.append(col[keep])
+        values.append(entry[keep])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return sparse.csr_matrix(
+        (np.concatenate(values), np.concatenate(cols), indptr), shape=op.shape
+    )
+
+
+def commutator_defect(op, charge, target=None):
+    """max_ab |i[op, Q] - target|_ab, or max_ab |[op, Q]|_ab without a target.
+
+    Q must be diagonal.  Neither op @ Q nor Q @ op is made: the
+    commutator is read off the stored entries of ``op`` against Q's
+    diagonal, and only its nonzero entries meet ``target``, so for a
+    real ``op`` no complex array of op's size is built.
+    """
+    charge = sparse.coo_matrix(charge)
+    if np.any(charge.row != charge.col):
+        raise ValueError("the charge must be diagonal: it has an off-diagonal entry")
+    op = sparse.csr_matrix(op)
+    if op.shape != charge.shape:
+        raise ValueError(f"operator shape {op.shape} does not match charge {charge.shape}")
+    commutator = _nonzero_commutator(op, charge.diagonal())
+    if target is None:
+        return float(abs(commutator).max())
+    return float(abs(1j * commutator - target).max())
+
+
 def product_state_expectation(op, site_states):
     """Tr(rho op) for rho a tensor product of one-site density matrices.
 
     Contracts over the sparse entries of ``op`` only: each entry
     op[r, c] picks up rho[c, r] = prod_x rho_x[c_x, r_x] from the site
-    bit patterns, so the cost is O(nnz * sites) and nothing of size
-    dim^2 is ever built.  Site 0 is the most significant bit (kron
-    order).
+    bit patterns, so nothing of size dim^2 is ever built.  The sites go
+    in groups of at most six, and a group's factor is one lookup in the
+    kron of its site states (at most 64 x 64), indexed by the group's
+    column and row bits, so the cost is O(nnz * groups).  Site 0 is the
+    most significant bit (kron order).
     """
     op = sparse.coo_matrix(op)
     dim = op.shape[0]
@@ -167,15 +285,78 @@ def product_state_expectation(op, site_states):
             f"got {len(site_states)} site states for {n_sites} sites"
         )
     acc = op.data.astype(complex, copy=True)
-    rows = op.row.astype(np.int64)
-    cols = op.col.astype(np.int64)
-    for site in range(n_sites):
-        shift = n_sites - 1 - site
-        rb = (rows >> shift) & 1
-        cb = (cols >> shift) & 1
-        flat = np.asarray(site_states[site], dtype=complex).reshape(4)
-        acc *= flat[cb * 2 + rb]
+    n_groups = max(1, -(-n_sites // 6))
+    edges = [g * n_sites // n_groups for g in range(n_groups + 1)]
+    for first, last in zip(edges, edges[1:]):
+        width = last - first
+        table = np.ones((1, 1), dtype=complex)
+        for state in site_states[first:last]:
+            # kron(table, state), without np.kron's call overhead
+            state = np.asarray(state, dtype=complex)
+            table = (table[:, None, :, None] * state[None, :, None, :]).reshape(
+                2 * table.shape[0], 2 * table.shape[1]
+            )
+        shift = n_sites - last
+        mask = (1 << width) - 1
+        index = ((op.col >> shift) & mask) << width
+        index |= (op.row >> shift) & mask
+        acc *= table.ravel()[index]
     return complex(acc.sum())
+
+
+@dataclass(frozen=True)
+class FiniteNReport:
+    """The finite-lattice identities at one junction point, with the verdict."""
+
+    n: int
+    sites: int
+    dimension: int
+    commutator_defect: float
+    bulk_conservation_defect: float
+    product_current_per_site: float
+    mean_field_current: float
+    current_defect: float
+    passed: bool
+
+
+def finite_n_report(spec, params):
+    """i[H, Q] = J entrywise, [H(gamma = 0), Q] = 0 and the product-state sine law.
+
+    The plate part of H is H at gamma = 0 bit for bit, so it is built
+    once: the conservation check reads it, and H is formed from it by
+    subtracting the tunnelling part.  The current is measured per
+    contact site in the product of the two plates' bulk gap states.
+    """
+    charge = build_relative_number(spec)
+    plate = _plate_part(spec, params)
+    conservation = commutator_defect(plate, charge)
+    hamiltonian = plate - _tunnelling_part(spec, params.gamma)
+    del plate
+    current = build_current(spec, params.gamma)
+    identity = commutator_defect(hamiltonian, charge, current)
+    del hamiltonian
+
+    bulk_i = solve_gap(params.bulk_I)
+    bulk_ii = solve_gap(params.bulk_II)
+    states = [bulk_i.rho] * spec.sites_per_plate + [bulk_ii.rho] * spec.sites_per_plate
+    measured = product_state_expectation(current, states).real / spec.n
+    expected = -4.0 * params.gamma * bulk_i.lam * bulk_ii.lam * math.sin(params.delta_phi)
+    current_defect = abs(measured - expected)
+    return FiniteNReport(
+        n=spec.n,
+        sites=spec.n_sites,
+        dimension=spec.dim,
+        commutator_defect=identity,
+        bulk_conservation_defect=conservation,
+        product_current_per_site=measured,
+        mean_field_current=expected,
+        current_defect=current_defect,
+        passed=(
+            identity < FINITE_N_COMMUTATOR_TOL
+            and conservation < FINITE_N_CONSERVATION_TOL
+            and current_defect < FINITE_N_CURRENT_TOL
+        ),
+    )
 
 
 def _dominant_product_terms(site_states, tol, cap=_MAX_PRODUCT_TERMS):
@@ -184,15 +365,22 @@ def _dominant_product_terms(site_states, tol, cap=_MAX_PRODUCT_TERMS):
     Yields (weight, statevector) until the neglected mass drops below
     ``tol``.  For nearly pure site states (large beta) one term suffices;
     a genuinely mixed state on many sites trips the term cap instead of
-    silently truncating.
+    silently truncating.  Each distinct site state (compared by value)
+    is diagonalized once.
     """
+    spectra = {}
     probs = []
     vectors = []
     for rho in site_states:
-        w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
-        order = np.argsort(w)[::-1]
-        probs.append(np.clip(w[order], 0.0, None))
-        vectors.append(v[:, order])
+        rho = np.asarray(rho, dtype=complex)
+        key = (rho.shape, rho.tobytes())
+        if key not in spectra:
+            w, v = np.linalg.eigh(rho)
+            order = np.argsort(w)[::-1]
+            spectra[key] = (np.clip(w[order], 0.0, None), v[:, order])
+        p, v = spectra[key]
+        probs.append(p)
+        vectors.append(v)
 
     n_sites = len(site_states)
 
@@ -219,7 +407,7 @@ def _dominant_product_terms(site_states, tol, cap=_MAX_PRODUCT_TERMS):
             break
         vec = vectors[0][:, choice[0]]
         for x in range(1, n_sites):
-            vec = np.kron(vec, vectors[x][:, choice[x]])
+            vec = np.multiply.outer(vec, vectors[x][:, choice[x]]).ravel()
         out.append((w, vec))
         mass += w
         for x in range(n_sites):
@@ -363,7 +551,7 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
         rho = np.ones((1, 1), dtype=complex)
         for state in site_states:
             rho = np.kron(rho, np.asarray(state, dtype=complex))
-        return complex(np.trace(rho @ evolved))
+        return complex(np.sum(rho.T * evolved))
 
     terms = _dominant_product_terms(site_states, KRYLOV_TOL)
     h = sparse.csr_matrix(hamiltonian) if sparse.issparse(hamiltonian) else np.asarray(hamiltonian)

@@ -13,12 +13,17 @@ from bcsjj.lattice import (
     DENSE_EVOLUTION_DIM,
     _bessel_j,
     _chebyshev_order,
+    _on_plate_i,
+    _on_plate_ii,
+    _plate_part,
     _propagate,
     LatticeSpec,
     ResourceLimitError,
     build_current,
     build_hamiltonian,
     build_relative_number,
+    commutator_defect,
+    finite_n_report,
     product_state_expectation,
     time_evolve_expectation,
 )
@@ -200,6 +205,141 @@ def test_decoupled_charge_conserved():
         h = build_hamiltonian(spec, junction(gamma=0.0))
         q = build_relative_number(spec)
         assert abs(h @ q - q @ h).max() < 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    eps_i=st.floats(0.15, 0.45),
+    eps_ii=st.floats(0.15, 0.45),
+    gamma=st.floats(-0.098 * 0.15, 0.098 * 0.15),
+    phi=st.floats(-math.pi, math.pi),
+)
+def test_commutator_defect_matches_literal_products(n, eps_i, eps_ii, gamma, phi):
+    spec = LatticeSpec(n)
+    params = JunctionParams(BulkParams(eps_i, 1e4, phi), BulkParams(eps_ii, 1e4, 0.0), gamma)
+    h = build_hamiltonian(spec, params)
+    q = build_relative_number(spec)
+    j = build_current(spec, gamma)
+    literal = abs(1j * (h @ q - q @ h) - j).max()
+    assert abs(commutator_defect(h, q, j) - literal) <= 1e-15
+    assert abs(commutator_defect(h, q) - abs(h @ q - q @ h).max()) <= 1e-15
+
+
+def test_commutator_defect_reports_a_planted_error():
+    spec = LatticeSpec(2)
+    p = junction(gamma=1e-2)
+    q = build_relative_number(spec)
+    j = build_current(spec, p.gamma)
+    h = build_hamiltonian(spec, p)
+    assert commutator_defect(h, q, j) < 1e-13
+    moved = h.tocoo()
+    hops = np.flatnonzero(q.diagonal()[moved.row] != q.diagonal()[moved.col])
+    planted = h.copy()
+    planted[moved.row[hops[7]], moved.col[hops[7]]] += 1e-9
+    assert commutator_defect(planted, q, j) >= 1e-9
+    # a new entry between two pair numbers, on the plate part
+    plate = build_hamiltonian(spec, junction(gamma=0.0)).tolil()
+    plate[0, np.flatnonzero(q.diagonal() != q.diagonal()[0])[0]] = 1e-9
+    assert commutator_defect(plate.tocsr(), q) >= 1e-9
+
+
+def test_commutator_defect_sums_duplicate_entries():
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction(gamma=1e-2))
+    q = build_relative_number(spec)
+    j = build_current(spec, 1e-2)
+    # every stored entry split in two duplicates that sum to it
+    half = h.data / 2
+    split = sparse.csr_matrix(
+        (np.stack([half, h.data - half], axis=1).ravel(), h.indices.repeat(2), 2 * h.indptr),
+        shape=h.shape,
+    )
+    assert not split.has_canonical_format
+    literal = abs(1j * (split @ q - q @ split) - j).max()
+    assert abs(commutator_defect(split, q, j) - literal) <= 1e-15
+    assert abs(commutator_defect(split, q) - abs(split @ q - q @ split).max()) <= 1e-15
+
+
+def test_commutator_defect_needs_a_diagonal_charge():
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction())
+    off_diagonal = build_relative_number(spec).tolil()
+    off_diagonal[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        commutator_defect(h, off_diagonal.tocsr())
+
+
+def test_plate_part_is_the_decoupled_hamiltonian():
+    for n in (1, 2, 3):
+        spec = LatticeSpec(n)
+        p = junction(gamma=2e-3, delta=0.4)
+        plate = _plate_part(spec, p)
+        decoupled = build_hamiltonian(spec, junction(gamma=0.0, delta=0.4))
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(plate, name), getattr(decoupled, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f"n={n}: {name}"
+
+
+def test_plate_joins_match_sparse_kron():
+    rng = np.random.default_rng(67)
+    for dim in (1, 2, 16, 64):
+        left = sparse.csr_matrix(rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.2))
+        op = left @ left.T  # a sparse product, as the plate operators are: columns unsorted
+        one = sparse.identity(dim, format="csr")
+        for got, want in (
+            (_on_plate_i(op), sparse.kron(op, one, format="csr")),
+            (_on_plate_ii(op), sparse.kron(one, op, format="csr")),
+        ):
+            assert got.shape == want.shape
+            assert got.indices.dtype == want.indices.dtype == np.int32
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_finite_n_report_matches_the_literal_algebra():
+    for n in (1, 2):
+        spec = LatticeSpec(n)
+        p = junction(gamma=1e-2, delta=-0.7)
+        report = finite_n_report(spec, p)
+        h = build_hamiltonian(spec, p)
+        q = build_relative_number(spec)
+        j = build_current(spec, p.gamma)
+        decoupled = build_hamiltonian(spec, junction(gamma=0.0, delta=-0.7))
+        assert report.commutator_defect == float(abs(1j * (h @ q - q @ h) - j).max())
+        assert report.bulk_conservation_defect == float(abs(decoupled @ q - q @ decoupled).max())
+        bulk_i, bulk_ii = solve_gap(p.bulk_I), solve_gap(p.bulk_II)
+        states = [bulk_i.rho] * spec.sites_per_plate + [bulk_ii.rho] * spec.sites_per_plate
+        assert report.product_current_per_site == product_state_expectation(j, states).real / n
+        assert report.passed
+        assert (report.n, report.sites, report.dimension) == (n, spec.n_sites, spec.dim)
+
+
+def site_by_site_expectation(op, site_states):
+    """Tr(rho op) multiplying in one site factor per pass over the entries."""
+    op = sparse.coo_matrix(op)
+    n_sites = len(site_states)
+    acc = op.data.astype(complex)
+    for site, state in enumerate(site_states):
+        shift = n_sites - 1 - site
+        flat = np.asarray(state, dtype=complex).reshape(4)
+        acc *= flat[((op.col >> shift) & 1) * 2 + ((op.row >> shift) & 1)]
+    return complex(acc.sum())
+
+
+def test_grouped_product_contraction_matches_references():
+    rng = np.random.default_rng(71)
+    for n_sites in (1, 3, 5, 7, 8, 11, 13):
+        dim = 1 << n_sites
+        states = [random_site_state(rng) for _ in range(n_sites)]
+        op = sparse.random(dim, dim, density=min(1.0, 2000 / dim**2), random_state=rng, format="csr")
+        op = op + 1j * sparse.random(dim, dim, density=min(1.0, 2000 / dim**2), random_state=rng)
+        got = product_state_expectation(op, states)
+        assert abs(got - site_by_site_expectation(op, states)) <= 1e-13, n_sites
+        if n_sites <= 8:
+            oracle = np.trace(dense_product_state(states) @ op.toarray())
+            assert abs(got - oracle) <= 1e-12, n_sites
 
 
 def test_product_expectation_identity():

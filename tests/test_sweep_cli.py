@@ -431,7 +431,10 @@ def test_cli_finite_n_memory_cap_before_build(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("operators built past the memory cap")
 
-    for name in ("build_hamiltonian", "build_relative_number", "build_current"):
+    for name in (
+        "build_hamiltonian", "build_relative_number", "build_current",
+        "_plate_part", "_tunnelling_part",
+    ):
         monkeypatch.setattr(lattice, name, never)
     cap = lattice.LatticeSpec(3).estimated_bytes - 1
     assert run_cli("finite-n", "--n", "3", "--memory-cap", str(cap)) == 4

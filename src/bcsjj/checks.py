@@ -312,14 +312,7 @@ def check_finite_n_current(opts):
         for eps, gamma, delta in ((0.3, 1e-3, 0.3), (0.2, 1e-2, -0.7)):
             params = _standard_params(eps, gamma, delta)
             spec = lattice.LatticeSpec(n, memory_cap=opts.memory_cap)
-            j = lattice.build_current(spec, gamma)
-            bulk_i = solve_gap(params.bulk_I)
-            bulk_ii = solve_gap(params.bulk_II)
-            states = [bulk_i.rho] * spec.sites_per_plate + [
-                bulk_ii.rho
-            ] * spec.sites_per_plate
-            measured = lattice.product_state_expectation(j, states).real / n
-            expected = -4.0 * gamma * bulk_i.lam * bulk_ii.lam * math.sin(delta)
+            measured, expected = lattice.product_state_current(spec, params)
             worst = max(worst, abs(measured - expected))
     tol = FINITE_N_CURRENT_TOL
     return CheckResult("finite_n.product_current", worst < tol, worst, tol)

@@ -47,6 +47,13 @@ from .equilibrium import solve_gap
 DEFAULT_DIM_CAP = 2**20
 DENSE_EVOLUTION_DIM = 2**10
 _MAX_PRODUCT_TERMS = 4096
+# What a finite-n run allocates besides its full-space arrays: the Python
+# objects around each array, the plate-space operators (2^(n^2) states,
+# freed before the peak) and the commutator check's per-block pieces.
+# Measured at most 66 kB over the arrays (n = 2).  The state a process
+# builds once, on its first run (the argument parser and the caches that
+# numpy, scipy and abc fill on first use, ~90 kB), is not counted.
+_RUN_OVERHEAD_BYTES = 96 * 1024
 
 
 class ResourceLimitError(RuntimeError):
@@ -89,19 +96,24 @@ class LatticeSpec:
 
     @property
     def estimated_bytes(self):
-        """Peak memory of a ``finite-n`` run.
+        """Upper bound on the peak memory of a ``finite-n`` run.
 
-        It comes where H = plate part - tunnelling part is formed: those
-        three and Q are held at once, as real CSR (12 B per entry, an
-        int32 row pointer each).  The commutator checks keep only the
-        nonzero entries of [H, Q], J-sized, and stay below it.
+        The peak comes where H = plate part - tunnelling part is formed:
+        those three and Q are held at once, as real CSR (12 B per entry,
+        an int32 row pointer each).  The plate part is the sum of the two
+        plates' joins, and its arrays keep the room scipy allocated for
+        both: one entry per row more than it stores, where the two
+        diagonals merged.  The commutator checks keep only the nonzero
+        entries of [H, Q], J-sized, and stay below it.  On top comes
+        ``_RUN_OVERHEAD_BYTES`` for what is not a full-space array.
         """
         n2 = self.sites_per_plate
         nnz_plate = self.dim * (1 + n2 * (n2 - 1) // 2)
         nnz_tunnelling = self.dim * n2 // 2
         nnz_h = nnz_plate + nnz_tunnelling
         nnz_q = self.dim - math.comb(2 * n2, n2)
-        return 12 * (nnz_plate + nnz_tunnelling + nnz_h + nnz_q) + 4 * 4 * (self.dim + 1)
+        entries = (nnz_plate + self.dim) + nnz_tunnelling + nnz_h + nnz_q
+        return _RUN_OVERHEAD_BYTES + 12 * entries + 4 * 4 * (self.dim + 1)
 
 
 def _index_dtype(top):
@@ -264,6 +276,24 @@ def commutator_defect(op, charge, target=None):
     return float(abs(1j * commutator - target).max())
 
 
+def _site_groups(n_sites):
+    """(first, last) site ranges of at most six sites each, in kron order."""
+    n_groups = max(1, -(-n_sites // 6))
+    edges = [g * n_sites // n_groups for g in range(n_groups + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _product_table(states):
+    """The kron of a few one-site states (at most 64 x 64), without np.kron's call overhead."""
+    table = np.ones((1, 1), dtype=complex)
+    for state in states:
+        state = np.asarray(state, dtype=complex)
+        table = (table[:, None, :, None] * state[None, :, None, :]).reshape(
+            2 * table.shape[0], 2 * table.shape[1]
+        )
+    return table
+
+
 def product_state_expectation(op, site_states):
     """Tr(rho op) for rho a tensor product of one-site density matrices.
 
@@ -285,23 +315,30 @@ def product_state_expectation(op, site_states):
             f"got {len(site_states)} site states for {n_sites} sites"
         )
     acc = op.data.astype(complex, copy=True)
-    n_groups = max(1, -(-n_sites // 6))
-    edges = [g * n_sites // n_groups for g in range(n_groups + 1)]
-    for first, last in zip(edges, edges[1:]):
+    for first, last in _site_groups(n_sites):
         width = last - first
-        table = np.ones((1, 1), dtype=complex)
-        for state in site_states[first:last]:
-            # kron(table, state), without np.kron's call overhead
-            state = np.asarray(state, dtype=complex)
-            table = (table[:, None, :, None] * state[None, :, None, :]).reshape(
-                2 * table.shape[0], 2 * table.shape[1]
-            )
+        table = _product_table(site_states[first:last])
         shift = n_sites - last
         mask = (1 << width) - 1
         index = ((op.col >> shift) & mask) << width
         index |= (op.row >> shift) & mask
         acc *= table.ravel()[index]
     return complex(acc.sum())
+
+
+def product_state_current(spec, params, current=None):
+    """<J> per contact site in the product of the two plates' bulk gap
+    states, and the sine law -4 gamma lam_I lam_II sin(delta_phi) it equals
+    at every n.  Builds J unless ``current`` is given.
+    """
+    if current is None:
+        current = build_current(spec, params.gamma)
+    bulk_i = solve_gap(params.bulk_I)
+    bulk_ii = solve_gap(params.bulk_II)
+    states = [bulk_i.rho] * spec.sites_per_plate + [bulk_ii.rho] * spec.sites_per_plate
+    measured = product_state_expectation(current, states).real / spec.n
+    expected = -4.0 * params.gamma * bulk_i.lam * bulk_ii.lam * math.sin(params.delta_phi)
+    return measured, expected
 
 
 @dataclass(frozen=True)
@@ -324,8 +361,8 @@ def finite_n_report(spec, params):
 
     The plate part of H is H at gamma = 0 bit for bit, so it is built
     once: the conservation check reads it, and H is formed from it by
-    subtracting the tunnelling part.  The current is measured per
-    contact site in the product of the two plates' bulk gap states.
+    subtracting the tunnelling part.  The current is
+    :func:`product_state_current`.
     """
     charge = build_relative_number(spec)
     plate = _plate_part(spec, params)
@@ -336,11 +373,7 @@ def finite_n_report(spec, params):
     identity = commutator_defect(hamiltonian, charge, current)
     del hamiltonian
 
-    bulk_i = solve_gap(params.bulk_I)
-    bulk_ii = solve_gap(params.bulk_II)
-    states = [bulk_i.rho] * spec.sites_per_plate + [bulk_ii.rho] * spec.sites_per_plate
-    measured = product_state_expectation(current, states).real / spec.n
-    expected = -4.0 * params.gamma * bulk_i.lam * bulk_ii.lam * math.sin(params.delta_phi)
+    measured, expected = product_state_current(spec, params, current)
     current_defect = abs(measured - expected)
     return FiniteNReport(
         n=spec.n,
@@ -529,29 +562,101 @@ def _propagate(hamiltonian, vectors, t):
         yield np.exp(-1j * t * center) * total
 
 
+def _value_key(array):
+    """Shape, dtypes and bytes of a CSR or dense array: equal only for equal values."""
+    if sparse.issparse(array):
+        array = sparse.csr_matrix(array)
+        parts = (array.indptr, array.indices, array.data)
+    else:
+        parts = (np.asarray(array),)
+    return (array.shape,) + tuple((part.dtype.str, part.tobytes()) for part in parts)
+
+
+def _to_eigenbasis(basis, block):
+    """basis^dagger @ block.  A real basis acts on the (re, im) columns of
+    a complex block as one real product, as in :func:`_propagate`."""
+    if np.iscomplexobj(basis):
+        return basis.conj().T @ block
+    if not np.iscomplexobj(block):
+        return basis.T @ block
+    return (basis.T @ np.ascontiguousarray(block).view(float)).view(complex)
+
+
+def _apply_product_state(site_states, block):
+    """(rho_0 kron rho_1 kron ...) @ block, one group of sites at a time
+    (the kron of its states, at most 64 x 64), so the dim x dim product
+    state is never formed.  Site 0 is the most significant bit."""
+    out = block
+    for first, last in _site_groups(len(site_states)):
+        table = _product_table(site_states[first:last])
+        out = np.matmul(table, out.reshape(1 << first, table.shape[0], -1))
+    return out.reshape(block.shape)
+
+
+def _spectral_weights(op, hamiltonian, site_states):
+    """<op> at t = 0, and the energies E, coherences W and column sums of W
+    that carry its time dependence.
+
+    With H = V diag(E) V^dagger and W_ab = (V^dagger rho V)_ba (V^dagger op V)_ab,
+    <op(t)> = sum_ab e^{iE_a t} W_ab e^{-iE_b t}.  The a = b terms do not
+    depend on t, so <op(t)> = <op> + sum_{a != b} W_ab (e^{i(E_a - E_b)t} - 1):
+    W is kept with its diagonal zeroed, and <op> is contracted in the
+    product state directly.
+    """
+    h_dense = np.asarray(hamiltonian.toarray() if sparse.issparse(hamiltonian) else hamiltonian)
+    energies, basis = np.linalg.eigh(h_dense)
+    op_basis = _to_eigenbasis(basis, op @ basis)
+    rho_basis = _to_eigenbasis(basis, _apply_product_state(site_states, basis))
+    coherences = rho_basis.T * op_basis
+    np.fill_diagonal(coherences, 0.0)
+    static = product_state_expectation(op, site_states)
+    return static, energies, coherences, coherences.sum(axis=0)
+
+
+# (key, weights) of the last dense evolution; a call with equal H, op and
+# site states reuses it, so a time series diagonalizes once.
+_spectral_memo = (None, None)
+
+
 def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVOLUTION_DIM):
     """Tr(rho exp(itH) op exp(-itH)) for a product state rho.
 
-    Spectral (dense ``eigh``) evolution up to ``dense_dim``; above that
-    the state is expanded into dominant product eigenstates, dropping a
-    total weight below ``KRYLOV_TOL``, and each is propagated by the
-    Chebyshev series of :func:`_propagate`, summed to double-precision
-    roundoff; ``KRYLOV_TOL`` bounds only the dropped weight.  A real H stays real throughout; a dense ``ndarray`` or
+    Up to ``dense_dim`` it is the spectral sum over the eigenpairs of H
+    (dense ``eigh``), <op> + sum_{a != b} W_ab (e^{i(E_a - E_b)t} - 1)
+    (:func:`_spectral_weights`).  H is diagonalized and W formed once per
+    (H, op, state): the last weights are kept, keyed on the values of H,
+    op and the site states, so each later t of a series costs one O(d^2)
+    phase sum.  At n = 2 (d = 256, one BLAS thread) a later call takes
+    ~0.13 ms, the first ~17 ms.  Written in e^{i(E_a - E_b)t} - 1, the
+    sum gives <op> exactly at t = 0, and at every t when W vanishes off
+    the diagonal (Q under the decoupled n = 1 H).
+    Above ``dense_dim`` the state is expanded into dominant product
+    eigenstates, dropping a total weight below ``KRYLOV_TOL``, and each
+    is propagated by the Chebyshev series of :func:`_propagate`, summed
+    to double-precision roundoff; ``KRYLOV_TOL`` bounds only the dropped
+    weight.  A real H stays real throughout; a dense ``ndarray`` or
     complex Hermitian H is accepted as it is.
     """
+    global _spectral_memo
     dim = hamiltonian.shape[0]
     if dim <= dense_dim:
-        h_dense = np.asarray(
-            hamiltonian.toarray() if sparse.issparse(hamiltonian) else hamiltonian
+        key = (
+            _value_key(hamiltonian),
+            _value_key(op),
+            tuple(_value_key(np.asarray(state, dtype=complex)) for state in site_states),
         )
-        energies, basis = np.linalg.eigh(h_dense)
-        propagator = (basis * np.exp(1j * t * energies)) @ basis.conj().T
-        op_dense = np.asarray(op.toarray() if sparse.issparse(op) else op)
-        evolved = propagator @ op_dense @ propagator.conj().T
-        rho = np.ones((1, 1), dtype=complex)
-        for state in site_states:
-            rho = np.kron(rho, np.asarray(state, dtype=complex))
-        return complex(np.sum(rho.T * evolved))
+        cached_key, weights = _spectral_memo  # one read: another thread may replace it
+        if cached_key != key:
+            # drop the old W first: one is held at a time, even while a miss runs
+            weights = None
+            _spectral_memo = (None, None)
+            weights = _spectral_weights(op, hamiltonian, site_states)
+            _spectral_memo = (key, weights)
+        static, energies, coherences, column_sums = weights
+        phases = np.exp(1j * t * energies)
+        shifts = phases - 1.0
+        # sum_ab W_ab (p_a conj(p_b) - 1), with p_a conj(p_b) - 1 = s_a conj(p_b) + conj(s_b)
+        return complex(static + shifts @ coherences @ phases.conj() + column_sums @ shifts.conj())
 
     terms = _dominant_product_terms(site_states, KRYLOV_TOL)
     h = sparse.csr_matrix(hamiltonian) if sparse.issparse(hamiltonian) else np.asarray(hamiltonian)

@@ -1,6 +1,8 @@
 """Small-lattice oracle: exact operator identities and contractions."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from bcsjj import lattice
 from bcsjj.equilibrium import BulkParams, solve_gap
 from bcsjj.lattice import (
     DENSE_EVOLUTION_DIM,
@@ -451,6 +454,147 @@ def test_evolution_matches_heisenberg_oracle():
             sparse.csr_matrix(q), sparse.csr_matrix(h), states, t
         )
         assert abs(got - oracle) < 1e-10
+
+
+def literal_evolution(op, h, states, t):
+    """Tr(rho P op P^dagger), P = exp(itH) from one eigh: no memo, no spectral sum."""
+    h = h.toarray() if sparse.issparse(h) else np.asarray(h)
+    energies, basis = np.linalg.eigh(h)
+    propagator = (basis * np.exp(1j * t * energies)) @ basis.conj().T
+    op = op.toarray() if sparse.issparse(op) else np.asarray(op)
+    return complex(np.trace(dense_product_state(states) @ propagator @ op @ propagator.conj().T))
+
+
+def test_non_hermitian_op_matches_expm():
+    """The dense path gives Tr(rho e^{iHt} O e^{-iHt}), sign and order pinned by expm."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(73)
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction(gamma=2e-2, delta=0.6))
+    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    states = [random_site_state(rng) for _ in range(spec.n_sites)]
+    rho = dense_product_state(states)
+    for t in (0.0, 0.7, -2.3, 11.0):
+        u = expm(1j * t * h.toarray())
+        oracle = np.trace(rho @ u @ op @ u.conj().T)
+        for form in (op, sparse.csr_matrix(op)):
+            got = time_evolve_expectation(form, h, states, t)
+            assert abs(got - oracle) <= 1e-12, f"t={t}: {got} vs {oracle}"
+
+
+def _memo_pool():
+    """Small H, op and state pools, with equal values in distinct objects."""
+    rng = np.random.default_rng(79)
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction(gamma=1e-2))
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    hamiltonians = [
+        h,
+        build_hamiltonian(spec, junction(gamma=3e-2, delta=-1.1)),
+        h.toarray(),  # h's value as a dense ndarray
+        (raw + raw.conj().T) / 4,  # complex Hermitian
+    ]
+    ops = [
+        build_relative_number(spec),
+        build_current(spec, 1e-2),
+        rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
+    ]
+    first = [random_site_state(rng), random_site_state(rng)]
+    states = [first, [state.copy() for state in first], [random_site_state(rng), first[1]]]
+    return hamiltonians, ops, states
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.sampled_from([0.0, 0.4, 0.4, 3.1, -7.5]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_spectral_memo_is_exact(calls):
+    """Interleaved calls equal the memo-free formula, also after an in-place edit of H."""
+    hamiltonians, ops, states = _memo_pool()
+    diagonal = np.flatnonzero(
+        np.repeat(np.arange(4), np.diff(hamiltonians[0].indptr)) == hamiltonians[0].indices
+    )
+    for h_index, op_index, state_index, t, edit in calls:
+        if edit:
+            hamiltonians[0].data[diagonal[0]] += 0.125
+        h, op, site_states = hamiltonians[h_index], ops[op_index], states[state_index]
+        got = time_evolve_expectation(op, h, site_states, t)
+        want = literal_evolution(op, h, site_states, t)
+        assert abs(got - want) <= 1e-13, f"{(h_index, op_index, state_index, t)}: {got} vs {want}"
+
+
+def test_spectral_memo_under_threads():
+    """Threads sharing the one-entry memo each get the value of their own inputs."""
+    hamiltonians, ops, states = _memo_pool()
+    cases = [(h, op, s) for h in hamiltonians[:2] for op in ops for s in states[::2]]
+    wanted = [literal_evolution(op, h, s, 1.3) for h, op, s in cases]
+    wrong = []
+
+    def worker(offset):
+        for step in range(200):
+            k = (offset + step) % len(cases)
+            h, op, s = cases[k]
+            try:
+                got = time_evolve_expectation(op, h, s, 1.3)
+            except Exception as exc:  # a torn memo read raises in the thread; report it here
+                wrong.append(repr(exc))
+                return
+            if abs(got - wanted[k]) > 1e-13:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong, wrong
+
+
+def test_dense_path_diagonalizes_once_per_input(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(lattice, "_spectral_memo", (None, None))
+    spec = LatticeSpec(2)
+    h = build_hamiltonian(spec, junction(gamma=2e-3, delta=0.5))
+    j = build_current(spec, 2e-3)
+    bulk = solve_gap(BulkParams(0.3, 1e4, 0.5)).rho
+    states = [bulk] * spec.n_sites
+    times = np.linspace(0.0, 20.0, 40)
+    first = [time_evolve_expectation(j, h, states, t) for t in times]
+    assert len(calls) == 1
+    # equal values in new objects still hit
+    again = [time_evolve_expectation(j.copy(), h.copy(), [s.copy() for s in states], t) for t in times]
+    assert again == first and len(calls) == 1
+    time_evolve_expectation(j, build_hamiltonian(spec, junction(gamma=3e-3, delta=0.5)), states, 1.0)
+    assert len(calls) == 2
+    time_evolve_expectation(build_relative_number(spec), h, states, 1.0)
+    assert len(calls) == 3
+    time_evolve_expectation(j, h, states[:-1] + [np.eye(2) / 2], 1.0)
+    assert len(calls) == 4
+    assert all(shape == (spec.dim, spec.dim) for shape in calls)
 
 
 def test_default_dense_threshold_sane():

@@ -427,6 +427,26 @@ def test_cli_finite_n_peak_matches_estimate(capsys):
     assert abs(peak / estimate - 1.0) <= 0.1, f"peak {peak} B, estimate {estimate} B"
 
 
+def test_cli_finite_n_peak_within_estimate(capsys):
+    """estimated_bytes bounds the traced peak of a run at every n.
+
+    The state a process builds on its first run at a size (the parser,
+    numpy's and scipy's first-use caches) is left out by one run first.
+    """
+    for n in (1, 2, 3):
+        assert run_cli("finite-n", "--n", str(n), "--format", "json") == 0
+        tracemalloc.start()
+        try:
+            code = run_cli("finite-n", "--n", str(n), "--format", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        estimate = lattice.LatticeSpec(n).estimated_bytes
+        assert peak <= estimate, f"n={n}: peak {peak} B, estimate {estimate} B"
+    capsys.readouterr()
+
+
 def test_cli_finite_n_memory_cap_before_build(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("operators built past the memory cap")

@@ -8,8 +8,14 @@ Each junction grid is solved by one :func:`~bcsjj.ness.solve_batch`
 call.  The 2x2 references (closed form, steady-state defect, current,
 mode operators and dynamics) then run per point on
 ``batch.solution(k)``, as the independent oracles of the batched core.
+
+Nothing is computed twice in a run: the standard grid (three checks)
+and the law grid (two) sit in one-entry caches keyed on the frozen
+:class:`CheckOptions`, and the three ``finite_n.*`` checks share one
+:func:`~bcsjj.lattice.finite_n_report` per lattice size.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -95,6 +101,7 @@ def check_equilibrium_gauge(opts):
     return CheckResult("equilibrium.gauge", worst < 1e-13, worst, 1e-13)
 
 
+@functools.lru_cache(maxsize=1)
 def _standard_grid(opts):
     """The 102-point grid (epsilon x gamma x 17 phase biases), solved at once."""
     points = [
@@ -143,9 +150,7 @@ def check_ness_swap(opts):
         bulk_II=BulkParams(0.3, STANDARD_BETA, 0.1),
         gamma=1e-3,
     )
-    swapped = JunctionParams(
-        bulk_I=params.bulk_II, bulk_II=params.bulk_I, gamma=params.gamma
-    )
+    swapped = replace(params, bulk_I=params.bulk_II, bulk_II=params.bulk_I)
     batch = _solve_all([params, swapped], opts)
     worst = float(max(
         np.abs(batch.Lambda_b[:, 0] - batch.Lambda_b[::-1, 1]).max(),
@@ -190,9 +195,10 @@ def check_perturbation_slopes(opts):
     return CheckResult("perturbation.slopes", worst < 1e-6, worst, 1e-6)
 
 
+@functools.lru_cache(maxsize=1)
 def _law_errors(opts):
     """Worst sup-normalized deviations (sine, cosine) of the current and
-    frequency laws over the standard epsilons."""
+    frequency laws over the standard epsilons, solved once for both."""
     gamma = 1e-3
     shape = (len(STANDARD_EPSILONS), len(_DELTA_GRID_33))
     points = [
@@ -281,39 +287,36 @@ def check_dynamics(opts):
     )
 
 
-def check_finite_n_commutator(opts):
-    worst = 0.0
-    params = _standard_params(0.3, 1e-3, 0.3)
+@functools.lru_cache(maxsize=1)
+def _finite_n_defects(memory_cap):
+    """Worst (commutator, conservation, current) defects over n = 1, 2:
+    one finite_n_report per size (its conservation defect is read off the
+    plate part, H(gamma = 0) bit for bit), and a second product current."""
+    commutator = conservation = current = 0.0
     for n in (1, 2):
-        spec = lattice.LatticeSpec(n, memory_cap=opts.memory_cap)
-        h = lattice.build_hamiltonian(spec, params)
-        q = lattice.build_relative_number(spec)
-        j = lattice.build_current(spec, params.gamma)
-        worst = max(worst, lattice.commutator_defect(h, q, j))
+        spec = lattice.LatticeSpec(n, memory_cap=memory_cap)
+        report = lattice.finite_n_report(spec, _standard_params(0.3, 1e-3, 0.3))
+        measured, expected = lattice.product_state_current(spec, _standard_params(0.2, 1e-2, -0.7))
+        commutator = max(commutator, report.commutator_defect)
+        conservation = max(conservation, report.bulk_conservation_defect)
+        current = max(current, report.current_defect, abs(measured - expected))
+    return commutator, conservation, current
+
+
+def check_finite_n_commutator(opts):
+    worst, _, _ = _finite_n_defects(opts.memory_cap)
     tol = FINITE_N_COMMUTATOR_TOL
     return CheckResult("finite_n.commutator_identity", worst < tol, worst, tol)
 
 
 def check_finite_n_bulk_conservation(opts):
-    worst = 0.0
-    params = _standard_params(0.3, 0.0, 0.3)
-    for n in (1, 2):
-        spec = lattice.LatticeSpec(n, memory_cap=opts.memory_cap)
-        h = lattice.build_hamiltonian(spec, params)
-        q = lattice.build_relative_number(spec)
-        worst = max(worst, lattice.commutator_defect(h, q))
+    _, worst, _ = _finite_n_defects(opts.memory_cap)
     tol = FINITE_N_CONSERVATION_TOL
     return CheckResult("finite_n.bulk_conservation", worst < tol, worst, tol)
 
 
 def check_finite_n_current(opts):
-    worst = 0.0
-    for n in (1, 2):
-        for eps, gamma, delta in ((0.3, 1e-3, 0.3), (0.2, 1e-2, -0.7)):
-            params = _standard_params(eps, gamma, delta)
-            spec = lattice.LatticeSpec(n, memory_cap=opts.memory_cap)
-            measured, expected = lattice.product_state_current(spec, params)
-            worst = max(worst, abs(measured - expected))
+    _, _, worst = _finite_n_defects(opts.memory_cap)
     tol = FINITE_N_CURRENT_TOL
     return CheckResult("finite_n.product_current", worst < tol, worst, tol)
 

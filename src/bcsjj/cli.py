@@ -19,10 +19,9 @@ import math
 import sys
 from dataclasses import asdict, fields
 
-from . import lattice
 from .checks import CheckOptions, run_checks
 from .equilibrium import BulkParams, critical_beta, solve_gap
-from .lattice import LatticeSpec, ResourceLimitError
+from .lattice import LatticeSpec, ResourceLimitError, finite_n_report
 from .sweep import (
     FORMATS,
     POINT_FIELDS,
@@ -98,7 +97,8 @@ _SUBCOMMANDS = (
 
 @functools.cache
 def _build_parser():
-    """The parser, built once per process: ``main`` may be called many times."""
+    """The parser, built once per process, on import: ``main`` may be
+    called many times, and a run's peak memory leaves the parser out."""
     parser = argparse.ArgumentParser(
         prog="bcsjj",
         description="Two-plate BCS junction: gap equation, steady states, "
@@ -112,6 +112,9 @@ def _build_parser():
             flag, options = _FLAGS[dest]
             command.add_argument(flag, dest=dest, **options)
     return parser
+
+
+_build_parser()
 
 
 def _emit(text, output):
@@ -238,7 +241,7 @@ def cmd_check(args):
 def cmd_finite_n(args):
     config = _merged_config(args)
     spec = LatticeSpec(config.lattice_n, memory_cap=config.memory_cap)
-    report = lattice.finite_n_report(spec, params_at(config))
+    report = finite_n_report(spec, params_at(config))
     if config.format == "json":
         text = json.dumps(asdict(report), indent=2) + "\n"
     else:

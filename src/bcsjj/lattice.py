@@ -50,9 +50,9 @@ _MAX_PRODUCT_TERMS = 4096
 # What a finite-n run allocates besides its full-space arrays: the Python
 # objects around each array, the plate-space operators (2^(n^2) states,
 # freed before the peak) and the commutator check's per-block pieces.
-# Measured at most 66 kB over the arrays (n = 2).  The state a process
-# builds once, on its first run (the argument parser and the caches that
-# numpy, scipy and abc fill on first use, ~90 kB), is not counted.
+# Measured at most 66 kB over the arrays (n = 2).  The caches numpy, scipy
+# and abc fill on a process's first run (~40-50 kB) are not counted; the
+# argument parser is built on import, outside any run.
 _RUN_OVERHEAD_BYTES = 96 * 1024
 
 

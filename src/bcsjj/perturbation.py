@@ -14,6 +14,11 @@ variant of the contact-gap expansion (no cosine, asymmetric powers) is
 kept verbatim in :func:`printed_first_order` purely so reports can
 tabulate its discrepancy against the certified formula; it does not
 match the solver derivative and is never used elsewhere.
+
+Each zeroth-order value and gamma-slope is written once, in
+``_expansion``; the ``*_first_order`` functions and
+:func:`certify_first_order` read from it, so a certification solves
+each plate's gap once.
 """
 
 import math
@@ -49,25 +54,49 @@ class FirstOrderReport:
     remainder_constants: dict
 
 
-def _bulk_pair(params):
-    sol_i = solve_gap(params.bulk_I)
-    sol_ii = solve_gap(params.bulk_II)
+def _expansion(params):
+    """Every first-order formula, stated once: each quantity's value and
+    gamma-slope at gamma = 0, and the printed variant's two contact-gap
+    slopes, as (zeroth, slopes, printed) dicts."""
+    sol_i, sol_ii = solve_gap(params.bulk_I), solve_gap(params.bulk_II)
     if not (sol_i.superconducting and sol_ii.superconducting):
         raise ValueError(
             "first-order junction formulas need both plates on the ordered "
             "branch; at least one side is normal here"
         )
-    return sol_i, sol_ii
+    cos_dphi = math.cos(params.delta_phi)
+    sin_dphi = math.sin(params.delta_phi)
+    eps_i, eps_ii = params.bulk_I.epsilon, params.bulk_II.epsilon
+    zeroth = {
+        "lambda_t_I": sol_i.lam,
+        "lambda_t_II": sol_ii.lam,
+        "current": 0.0,
+        "nu_t_I": 2.0 * sol_i.mu,
+        "nu_t_II": 2.0 * sol_ii.mu,
+    }
+    slopes = {
+        "lambda_t_I": sol_ii.lam * (eps_i / sol_i.mu) ** 2 * cos_dphi,
+        "lambda_t_II": sol_i.lam * (eps_ii / sol_ii.mu) ** 2 * cos_dphi,
+        "current": -4.0 * sol_i.lam * sol_ii.lam * sin_dphi,
+        "nu_t_I": 4.0 * sol_i.lam * sol_ii.lam * cos_dphi / (2.0 * sol_i.mu),
+        "nu_t_II": 4.0 * sol_i.lam * sol_ii.lam * cos_dphi / (2.0 * sol_ii.mu),
+    }
+    printed = {
+        "lambda_t_I": -sol_i.lam**2 * sol_ii.lam / sol_i.mu**2,
+        "lambda_t_II": sol_i.lam**2 * eps_ii**2 / sol_ii.mu**2,
+    }
+    return zeroth, slopes, printed
+
+
+def _linear(zeroth, slopes, gamma, *keys):
+    """zeroth + gamma * slope for each of ``keys``, as a tuple."""
+    return tuple(zeroth[k] + gamma * slopes[k] for k in keys)
 
 
 def lambda_first_order(params):
     """Contact gaps to first order in gamma."""
-    sol_i, sol_ii = _bulk_pair(params)
-    cos_dphi = math.cos(params.delta_phi)
-    eps_i, eps_ii = params.bulk_I.epsilon, params.bulk_II.epsilon
-    lam_i = sol_i.lam + params.gamma * sol_ii.lam * (eps_i / sol_i.mu) ** 2 * cos_dphi
-    lam_ii = sol_ii.lam + params.gamma * sol_i.lam * (eps_ii / sol_ii.mu) ** 2 * cos_dphi
-    return (lam_i, lam_ii)
+    zeroth, slopes, _ = _expansion(params)
+    return _linear(zeroth, slopes, params.gamma, "lambda_t_I", "lambda_t_II")
 
 
 def printed_first_order(params):
@@ -77,48 +106,20 @@ def printed_first_order(params):
     derivative): the phase dependence is missing and the powers are
     asymmetric between the plates.  Kept only for discrepancy tables.
     """
-    sol_i, sol_ii = _bulk_pair(params)
-    lam_i = sol_i.lam - params.gamma * sol_i.lam**2 * sol_ii.lam / sol_i.mu**2
-    lam_ii = (
-        sol_ii.lam
-        + params.gamma * sol_i.lam**2 * params.bulk_II.epsilon**2 / sol_ii.mu**2
-    )
-    return (lam_i, lam_ii)
+    zeroth, _, printed = _expansion(params)
+    return _linear(zeroth, printed, params.gamma, "lambda_t_I", "lambda_t_II")
 
 
 def current_first_order(params):
     """Pair current to first order: -4 gamma lam_I lam_II sin(dphi)."""
-    sol_i, sol_ii = _bulk_pair(params)
-    return -4.0 * params.gamma * sol_i.lam * sol_ii.lam * math.sin(params.delta_phi)
+    zeroth, slopes, _ = _expansion(params)
+    return _linear(zeroth, slopes, params.gamma, "current")[0]
 
 
 def frequency_first_order(params):
     """Contact mode frequencies to first order in gamma."""
-    sol_i, sol_ii = _bulk_pair(params)
-    shift = 4.0 * params.gamma * sol_i.lam * sol_ii.lam * math.cos(params.delta_phi)
-    return (2.0 * sol_i.mu + shift / (2.0 * sol_i.mu), 2.0 * sol_ii.mu + shift / (2.0 * sol_ii.mu))
-
-
-def _analytic_slopes(params):
-    sol_i, sol_ii = _bulk_pair(params)
-    cos_dphi = math.cos(params.delta_phi)
-    sin_dphi = math.sin(params.delta_phi)
-    eps_i, eps_ii = params.bulk_I.epsilon, params.bulk_II.epsilon
-    return {
-        "lambda_t_I": sol_ii.lam * (eps_i / sol_i.mu) ** 2 * cos_dphi,
-        "lambda_t_II": sol_i.lam * (eps_ii / sol_ii.mu) ** 2 * cos_dphi,
-        "current": -4.0 * sol_i.lam * sol_ii.lam * sin_dphi,
-        "nu_t_I": 4.0 * sol_i.lam * sol_ii.lam * cos_dphi / (2.0 * sol_i.mu),
-        "nu_t_II": 4.0 * sol_i.lam * sol_ii.lam * cos_dphi / (2.0 * sol_ii.mu),
-    }
-
-
-def _printed_slopes(params):
-    sol_i, sol_ii = _bulk_pair(params)
-    return {
-        "lambda_t_I": -sol_i.lam**2 * sol_ii.lam / sol_i.mu**2,
-        "lambda_t_II": sol_i.lam**2 * params.bulk_II.epsilon**2 / sol_ii.mu**2,
-    }
+    zeroth, slopes, _ = _expansion(params)
+    return _linear(zeroth, slopes, params.gamma, "nu_t_I", "nu_t_II")
 
 
 def _solver_quantities(sol):
@@ -140,12 +141,11 @@ def certify_first_order(params, gammas=(1e-4, 1e-3, 1e-2)):
     """
     if not gammas:
         raise ValueError("need at least one gamma to probe the remainder")
+    zeroth, analytic, printed = _expansion(params)
     step = CENTRAL_DIFF_STEP * max(1.0, *(abs(g) for g in gammas))
     batch = solve_batch([replace(params, gamma=g) for g in (step, -step, 0.0, *gammas)])
     plus, minus, zero, *fulls = map(_solver_quantities, batch.solutions())
     numeric = {k: (plus[k] - minus[k]) / (2.0 * step) for k in plus}
-    analytic = _analytic_slopes(params)
-    printed = _printed_slopes(params)
     defects = {k: abs(analytic[k] - numeric[k]) for k in analytic}
 
     remainders = {k: 0.0 for k in analytic}
@@ -154,14 +154,8 @@ def certify_first_order(params, gammas=(1e-4, 1e-3, 1e-2)):
             linear = zero[k] + analytic[k] * g
             remainders[k] = max(remainders[k], abs(full[k] - linear) / g**2)
 
-    lam_lin = lambda_first_order(params)
-    nu_lin = frequency_first_order(params)
     return FirstOrderReport(
-        lambda_t_I_lin=lam_lin[0],
-        lambda_t_II_lin=lam_lin[1],
-        current_lin=current_first_order(params),
-        nu_t_I_lin=nu_lin[0],
-        nu_t_II_lin=nu_lin[1],
+        *_linear(zeroth, analytic, params.gamma, *analytic),  # the *_lin fields, in key order
         slopes_analytic=analytic,
         slopes_numeric=numeric,
         slopes_printed=printed,

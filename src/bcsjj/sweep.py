@@ -8,6 +8,7 @@ digits, LF endings) so reruns of the same config are byte-identical.
 
 import json
 import math
+import typing
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -17,31 +18,6 @@ from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams
 from .ness import JunctionParams, WeakContactWarning, solve_batch, warn_strong_contact
 from .observables import ccr_defect_bloch
-
-CSV_COLUMNS = (
-    "epsilon_I",
-    "epsilon_II",
-    "beta_I",
-    "beta_II",
-    "gamma",
-    "phi_I",
-    "phi_II",
-    "lambda_I",
-    "lambda_II",
-    "lambda_t_I",
-    "lambda_t_II",
-    "phi_t_I",
-    "phi_t_II",
-    "mu_t_I",
-    "mu_t_II",
-    "current",
-    "nu_t_I",
-    "nu_t_II",
-    "ccr_defect_I",
-    "ccr_defect_II",
-    "residual",
-    "converged",
-)
 
 SWEEP_AXES = (
     "delta_phi",
@@ -86,6 +62,9 @@ class SweepRow:
     iterations: int
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))[:-1]  # all but iterations
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one junction run or sweep needs.
@@ -126,22 +105,40 @@ class RunConfig:
             raise ValueError(f"count must be a positive integer, got {self.count!r}")
 
 
+_FIELD_TYPES = {f.name: typing.get_args(f.type) or (f.type,) for f in fields(RunConfig)}
+# The types a config value may have for each field type; a bool is never a number.
+_ACCEPTED = {float: (int, float), int: (int,), str: (str,), tuple: (int, float)}
+
+
+def _typed(key, value):
+    """``value`` for the field ``key``, or a ValueError naming the key.
+
+    The seeds take one number or a list of them and become a tuple of floats.
+    """
+    kinds = _FIELD_TYPES[key]
+    if value is None and type(None) in kinds:
+        return None
+    seeds = kinds[0] is tuple
+    items = value if seeds and isinstance(value, (list, tuple)) else [value]
+    accepted = _ACCEPTED[kinds[0]]
+    if not all(isinstance(v, accepted) and not isinstance(v, bool) for v in items):
+        names = " or ".join(t.__name__ for t in accepted)
+        raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+    return tuple(map(float, items)) if seeds else value
+
+
 def config_from_mapping(mapping, base=None):
     """Build a RunConfig from a dict, e.g. a parsed JSON config file.
 
-    Unknown keys are rejected; ``base`` supplies defaults for missing
-    ones (command-line merging starts from the file config).
+    Unknown keys and mistyped values are rejected; ``base`` supplies
+    defaults for missing ones (command-line merging starts from the
+    file config).
     """
     base = base if base is not None else RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(mapping) - known
+    unknown = set(mapping) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    cleaned = dict(mapping)
-    for key in ("seed_lambda", "seed_phi"):
-        if cleaned.get(key) is not None:
-            cleaned[key] = tuple(float(v) for v in np.atleast_1d(cleaned[key]))
-    return replace(base, **cleaned)
+    return replace(base, **{key: _typed(key, value) for key, value in mapping.items()})
 
 
 def _seed_from_config(config):

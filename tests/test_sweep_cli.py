@@ -224,6 +224,33 @@ def test_cli_finite_n_config_file_picks_json(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 
+@pytest.mark.parametrize(
+    "command, mapping",
+    [
+        ("ness", {"gamma": "0.001"}),
+        ("ness", {"epsilon_I": None}),
+        ("ness", {"tolerance": "1e-3"}),
+        ("ness", {"max_iter": "3"}),
+        ("ness", {"seed_lambda": [0.1, True]}),
+        ("sweep", {"count": True}),
+        ("finite-n", {"memory_cap": "5"}),
+        ("finite-n", {"lattice_n": 1.0}),
+    ],
+)
+def test_cli_rejects_mistyped_config_values(command, mapping, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(mapping))
+    assert run_cli(command, "--config", str(config)) == 2
+    (key,) = mapping
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+
+
+def test_config_accepts_ints_for_float_fields_and_null_for_optional_ones():
+    config = config_from_mapping({"gamma": 0, "start": -1, "memory_cap": None, "output": None})
+    assert (config.gamma, config.start, config.memory_cap) == (0, -1, None)
+    assert config_from_mapping({"seed_lambda": 1}).seed_lambda == (1.0,)
+
+
 def test_gamma_sweep_warns_once_naming_the_worst_gamma():
     config = config_from_mapping(
         {"axis": "gamma", "start": -0.5, "stop": 0.5, "count": 200,
@@ -445,6 +472,29 @@ def test_cli_finite_n_peak_within_estimate(capsys):
         estimate = lattice.LatticeSpec(n).estimated_bytes
         assert peak <= estimate, f"n={n}: peak {peak} B, estimate {estimate} B"
     capsys.readouterr()
+
+
+def test_cli_first_finite_n_run_peaks_within_estimate():
+    """A process's first `finite-n --n 1` stays within estimated_bytes:
+    the parser is built on import, outside the traced run."""
+    src = os.path.dirname(os.path.dirname(bcsjj.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import contextlib, io, tracemalloc\n"
+        "from bcsjj.cli import main\n"
+        "from bcsjj.lattice import LatticeSpec\n"
+        "tracemalloc.start()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['finite-n', '--n', '1'])\n"
+        "print(code, tracemalloc.get_traced_memory()[1], LatticeSpec(1).estimated_bytes)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    code, peak, estimate = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak <= estimate, f"cold peak {peak} B, estimate {estimate} B"
 
 
 def test_cli_finite_n_memory_cap_before_build(capsys, monkeypatch):

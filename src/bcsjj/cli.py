@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, fields
 
@@ -95,11 +96,21 @@ _SUBCOMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token shaped like a negative
+    number as a value, ``-2.5e-05`` included (Python 3.10 and 3.11 take
+    only the ``-1`` and ``-1.5`` shapes).  No bcsjj flag looks like one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def _build_parser():
     """The parser, built once per process, on import: ``main`` may be
     called many times, and a run's peak memory leaves the parser out."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bcsjj",
         description="Two-plate BCS junction: gap equation, steady states, "
         "Josephson current, boundary mode spectra, small-lattice oracles.",

@@ -111,11 +111,13 @@ def solve_gap(params):
         mu = eps
         superconducting = False
     field = lam * np.exp(1j * params.phi)
-    rho = spin.gibbs_state(effective_hamiltonian(eps, field), beta)
-    # gap_map(lam, params), from the state just built
-    residual = abs(abs(spin.expectation(rho, spin.SIGMA_PLUS)) - lam)
+    # the thermal Bloch vector on the axis (-Re F, -Im F, eps); its
+    # <sigma_plus> is a_x + i a_y, so the residual is gap_map's defect
+    a = spin._thermal_bloch(np.array([-field.real, -field.imag, eps]), beta)
+    residual = abs(abs(complex(a[0], a[1])) - lam)
     return BulkSolution(
-        lam=lam, mu=mu, superconducting=superconducting, rho=rho, residual=residual
+        lam=lam, mu=mu, superconducting=superconducting,
+        rho=spin.bloch_reconstruct(spin.BlochForm(0.5, a)), residual=residual,
     )
 
 

@@ -50,10 +50,20 @@ _MAX_PRODUCT_TERMS = 4096
 # What a finite-n run allocates besides its full-space arrays: the Python
 # objects around each array, the plate-space operators (2^(n^2) states,
 # freed before the peak) and the commutator check's per-block pieces.
-# Measured at most 66 kB over the arrays (n = 2).  The caches numpy, scipy
-# and abc fill on a process's first run (~40-50 kB) are not counted; the
-# argument parser is built on import, outside any run.
+# Measured at most 66 kB over the arrays (n = 2) once a process has run,
+# and ~80 kB on its first run (the interpreter's free lists fill).  abc's
+# caches are filled on import (below) and the argument parser is built
+# on import, so neither is part of a run.
 _RUN_OVERHEAD_BYTES = 96 * 1024
+
+# scipy's sparse type checks fill abc's per-class caches (~30 kB) the
+# first time they see each type: numpy arrays, tuples, ints and the
+# CSR, CSC and DIA formats.  One check of each here keeps them out of
+# every finite-n run, so a cold first run also peaks within the estimate.
+for _sample in (np.empty(0), (), 0, sparse.csr_matrix((1, 1)), sparse.csc_matrix((1, 1)),
+                sparse.dia_matrix((1, 1)), sparse.dia_array((1, 1))):
+    sparse.issparse(_sample)
+del _sample
 
 
 class ResourceLimitError(RuntimeError):

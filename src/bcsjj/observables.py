@@ -20,7 +20,6 @@ reported exactly, alongside that formula and its effective-field
 variant, because the two readings split at first order in gamma.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,45 +60,41 @@ def josephson_current(sol, gamma):
     return CurrentValue(float(j))
 
 
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _region_data(region, sol):
-    if region == "I_b":
-        return (
-            sol.params.bulk_I.epsilon,
-            sol.field_I,
-            sol.mu_t_I,
-            sol.rho_b_I,
-            sol.Lambda_b_I,
-        )
-    if region == "II_b":
-        return (
-            sol.params.bulk_II.epsilon,
-            sol.field_II,
-            sol.mu_t_II,
-            sol.rho_b_II,
-            sol.Lambda_b_II,
-        )
-    raise ValueError(f"region must be 'I_b' or 'II_b', got {region!r}")
+    """(epsilon, field, mu_t, rho_b, Lambda_b) of contact region I_b or II_b."""
+    if region not in ("I_b", "II_b"):
+        raise ValueError(f"region must be 'I_b' or 'II_b', got {region!r}")
+    side = region[:-2]
+    names = ("field", "mu_t", "rho_b", "Lambda_b")
+    bulk = sol.params.bulk_I if side == "I" else sol.params.bulk_II
+    return (bulk.epsilon, *(getattr(sol, f"{name}_{side}") for name in names))
 
 
 def goldstone_operators(region, sol):
     """Normal coordinates, commutator data and variances of one contact.
 
-    In the normal phase the effective field vanishes and both operators
-    are identically zero (a valid degenerate case, not an error).
+    Q = q.sigma and P = p.sigma with q = (eps Re F, eps Im F, |F|^2) / mu_t^2
+    and p = (Im F, -Re F, 0) / mu_t.  In the normal phase the effective
+    field vanishes and both operators are identically zero (a valid
+    degenerate case, not an error).
     """
     eps, field, mu_t, rho_b, lambda_b = _region_data(region, sol)
     f = complex(field)
-    q_op = (abs(f) ** 2 / mu_t**2) * spin.SIGMA_Z + (eps / mu_t**2) * (
-        np.conj(f) * spin.SIGMA_PLUS + f * spin.SIGMA_MINUS
-    )
-    p_op = (1j / mu_t) * (np.conj(f) * spin.SIGMA_PLUS - f * spin.SIGMA_MINUS)
-    ccr_exact = spin.expectation(rho_b, spin.commutator(q_op, p_op))
-    var_q, var_p = _variances(q_op, p_op, rho_b)
+    scale = eps / mu_t**2
+    q = np.array([scale * f.real, scale * f.imag, abs(f) ** 2 / mu_t**2])
+    p = (1.0 / mu_t) * np.array([f.imag, -f.real, 0.0])
+    b = spin.pauli_components(rho_b)[1].real
+    var_q, var_p = _variances(q, p, b)
+    # Tr(rho_b [Q, P]) = 4i b.(q x p), for rho_b = 1/2 + b.sigma
     return GoldstonePair(
         region=region,
-        Q=q_op,
-        P=p_op,
-        ccr_exact=ccr_exact,
+        Q=spin.bloch_reconstruct(spin.BlochForm(0.0, q)),
+        P=spin.bloch_reconstruct(spin.BlochForm(0.0, p)),
+        ccr_exact=4j * _dot(b, np.cross(q, p)),
         ccr_formula=4j * abs(lambda_b) ** 2 / mu_t,
         ccr_formula_field=4j * abs(f) ** 2 / mu_t,
         var_Q=var_q,
@@ -116,12 +111,12 @@ def ccr_defect(pair):
 def ccr_defect_bloch(axis, contact, lambda_b, mu_t):
     """:func:`ccr_defect` from Bloch vectors, elementwise over arrays.
 
-    Q = q.sigma and P = p.sigma have q x p = -(|F|^2 / mu_t^3) n on the
-    contact axis n, so Tr(rho_b [Q, P]) = 4i b.(q x p) for rho_b = 1/2 + b.sigma.
+    q x p = -(|F|^2 / mu_t^3) n on the contact axis n, so the identity
+    Tr(rho_b [Q, P]) = 4i b.(q x p) of :func:`goldstone_operators` reads
+    -4i |F|^2 (b.n) / mu_t^3 here.
     """
     field2 = axis[0] * axis[0] + axis[1] * axis[1]
-    b_dot_n = contact[0] * axis[0] + contact[1] * axis[1] + contact[2] * axis[2]
-    exact = -4.0 * field2 * b_dot_n / (mu_t * mu_t * mu_t)
+    exact = -4.0 * field2 * _dot(contact, axis) / (mu_t * mu_t * mu_t)
     formula = 4.0 * (lambda_b.real * lambda_b.real + lambda_b.imag * lambda_b.imag) / mu_t
     return np.abs(exact - formula)
 
@@ -134,26 +129,21 @@ def goldstone_dynamics_residual(pair, hamiltonian, times):
     Zero operators (normal phase) give zero residual trivially.
     """
     q_op, p_op = pair.Q, pair.P
-    if spin.max_abs(q_op) == 0.0 and spin.max_abs(p_op) == 0.0:
+    n, q, p = (spin.pauli_components(np.asarray(op, dtype=complex))[1].real
+               for op in (hamiltonian, q_op, p_op))
+    if not (q.any() or p.any()):
         return 0.0
-    _, nvec = spin.pauli_components(np.asarray(hamiltonian, dtype=complex))
-    n = nvec.real
-    norm = float(np.linalg.norm(n))
-    _, qvec = spin.pauli_components(q_op)
-    _, pvec = spin.pauli_components(p_op)
-    if norm == 0.0:
+    if not n.any():
         raise ValueError("contact Hamiltonian must have a nonzero axis")
-    initial_rate = -np.cross(n / norm, qvec.real)
-    s = 1.0 if float(np.dot(initial_rate, pvec.real)) >= 0.0 else -1.0
-    worst = 0.0
-    for t in np.asarray(times, dtype=float):
-        theta = pair.frequency * t
-        q_t = spin.evolve_heisenberg(q_op, hamiltonian, t)
-        p_t = spin.evolve_heisenberg(p_op, hamiltonian, t)
-        q_ref = q_op * math.cos(theta) + s * p_op * math.sin(theta)
-        p_ref = -s * q_op * math.sin(theta) + p_op * math.cos(theta)
-        worst = max(worst, spin.max_abs(q_t - q_ref), spin.max_abs(p_t - p_ref))
-    return worst
+    s = 1.0 if _dot(np.cross(q, n), p) >= 0.0 else -1.0  # dQ/dt = -nu n_hat x q
+    times = np.asarray(times, dtype=float)
+    theta = (pair.frequency * times)[:, None, None]
+    cos, sin = np.cos(theta), np.sin(theta)
+    q_ref = q_op * cos + s * p_op * sin
+    p_ref = -s * q_op * sin + p_op * cos
+    q_t = spin.evolve_heisenberg(q_op, hamiltonian, times)
+    p_t = spin.evolve_heisenberg(p_op, hamiltonian, times)
+    return float(max(np.abs(q_t - q_ref).max(initial=0.0), np.abs(p_t - p_ref).max(initial=0.0)))
 
 
 def goldstone_frequencies(sol):
@@ -167,12 +157,11 @@ def fluctuation_variances(pair, rho_b):
     For product states these equal the variances of the central-limit
     normal coordinates; both vanish in the normal phase.
     """
-    return _variances(pair.Q, pair.P, rho_b)
+    b = spin.pauli_components(np.asarray(rho_b))[1].real
+    q, p = (spin.pauli_components(op)[1].real for op in (pair.Q, pair.P))
+    return _variances(q, p, b)
 
 
-def _variances(q_op, p_op, rho_b):
-    mean_q = spin.expectation(rho_b, q_op).real
-    mean_p = spin.expectation(rho_b, p_op).real
-    var_q = spin.expectation(rho_b, q_op @ q_op).real - mean_q**2
-    var_p = spin.expectation(rho_b, p_op @ p_op).real - mean_p**2
-    return (float(var_q), float(var_p))
+def _variances(q, p, b):
+    """Variances |v|^2 - (2 b.v)^2 of v.sigma in rho = 1/2 + b.sigma, for v = q, p."""
+    return tuple(float(_dot(v, v) - (2.0 * _dot(b, v)) ** 2) for v in (q, p))

@@ -1,7 +1,8 @@
 """Closed-form algebra on 2x2 complex operators.
 
-Everything local in this package (one-site Hamiltonians, density
-matrices, fluctuation generators) is a 2x2 complex matrix.  All spectral
+The package's one-site objects (Hamiltonians, density matrices,
+fluctuation generators) are real Bloch vectors inside its core and 2x2
+complex matrices where its API hands them out.  All spectral
 manipulation goes through the decomposition
 
     A = s * 1 + v . sigma
@@ -108,13 +109,21 @@ def bloch_reconstruct(form):
 
 
 def _assemble(scalar, vector):
-    # complex-coefficient variant of bloch_reconstruct, no validation
-    return (
-        scalar * IDENTITY
-        + vector[0] * SIGMA_X
-        + vector[1] * SIGMA_Y
-        + vector[2] * SIGMA_Z
-    )
+    # complex-coefficient variant of bloch_reconstruct, no validation;
+    # a (..., 3) stack of vectors gives a (..., 2, 2) stack of matrices
+    x, y, z = (np.asarray(vector)[..., k, None, None] for k in range(3))
+    return scalar * IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+
+
+def _thermal_bloch(n, beta):
+    """Bloch vector a of exp(-beta n.sigma) / Z = 1/2 + a.sigma.
+
+    a = -1/2 tanh(beta |n|) n / |n|, and zero for n = 0.
+    """
+    norm = float(np.linalg.norm(n))
+    if norm == 0.0:
+        return np.zeros(3)
+    return -0.5 * np.tanh(beta * norm) * (n / norm)
 
 
 def gibbs_state(hamiltonian, beta):
@@ -128,12 +137,7 @@ def gibbs_state(hamiltonian, beta):
     if not (np.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
     _, v = pauli_components(hamiltonian)
-    n = v.real
-    norm = float(np.linalg.norm(n))
-    if norm == 0.0:
-        return 0.5 * IDENTITY.copy()
-    a = -np.tanh(beta * norm) * (n / norm)
-    return _assemble(0.5, 0.5 * a)
+    return _assemble(0.5, _thermal_bloch(v.real, beta))
 
 
 def commutant_projection(rho, hamiltonian):
@@ -167,22 +171,26 @@ def evolve_heisenberg(op, hamiltonian, t):
 
     The adjoint action of exp(-i t H) rotates the Pauli coefficient
     vector of ``op`` about the H axis; the formula extends linearly to
-    complex coefficient vectors, so ``op`` need not be Hermitian.
+    complex coefficient vectors, so ``op`` need not be Hermitian.  An
+    array of times gives the stack of evolved operators, shape
+    ``t.shape + (2, 2)``, from one rotation.
     """
     hamiltonian = _require_hermitian(hamiltonian, "Hamiltonian")
     op = np.asarray(op, dtype=complex)
+    t = np.asarray(t, dtype=float)
     s, a = pauli_components(op)
     _, w = pauli_components(hamiltonian)
     n = w.real
     norm = float(np.linalg.norm(n))
     if norm == 0.0:
-        return op.copy()
+        return np.broadcast_to(op, t.shape + (2, 2)).copy()
     n_hat = n / norm
-    theta = 2.0 * norm * t
+    theta = (2.0 * norm * t)[..., None]
+    cos, sin = np.cos(theta), np.sin(theta)
     # d a / d t = -2 n x a  =>  rotation by -theta about n_hat
     cross = np.cross(n_hat, a)
     axial = np.dot(n_hat, a) * n_hat  # bilinear, no conjugation
-    rotated = a * np.cos(theta) - cross * np.sin(theta) + axial * (1.0 - np.cos(theta))
+    rotated = a * cos - cross * sin + axial * (1.0 - cos)
     return _assemble(s, rotated)
 
 

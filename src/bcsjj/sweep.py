@@ -8,6 +8,7 @@ digits, LF endings) so reruns of the same config are byte-identical.
 
 import json
 import math
+import operator
 import typing
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -97,17 +98,28 @@ class RunConfig:
     memory_cap: int | None = None
 
     def __post_init__(self):
+        # files, flags and direct construction all pass here
+        for key, exact in _FIELD_EXACT_TYPES:
+            value = getattr(self, key)
+            if type(value) not in exact:
+                object.__setattr__(self, key, _typed(key, value))
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if not (isinstance(self.count, int) and self.count >= 1):
+        if self.count < 1:
             raise ValueError(f"count must be a positive integer, got {self.count!r}")
 
 
 _FIELD_TYPES = {f.name: typing.get_args(f.type) or (f.type,) for f in fields(RunConfig)}
 # The types a config value may have for each field type; a bool is never a number.
 _ACCEPTED = {float: (int, float), int: (int,), str: (str,), tuple: (int, float)}
+# The value types each field takes as they are, without a closer look; a
+# seed that is set always goes through _typed, which makes it a tuple of floats.
+_FIELD_EXACT_TYPES = tuple(
+    (key, kinds[1:] if kinds[0] is tuple else _ACCEPTED[kinds[0]] + kinds[1:])
+    for key, kinds in _FIELD_TYPES.items()
+)
 
 
 def _typed(key, value):
@@ -130,15 +142,15 @@ def _typed(key, value):
 def config_from_mapping(mapping, base=None):
     """Build a RunConfig from a dict, e.g. a parsed JSON config file.
 
-    Unknown keys and mistyped values are rejected; ``base`` supplies
-    defaults for missing ones (command-line merging starts from the
-    file config).
+    Unknown keys are rejected here and mistyped values by RunConfig;
+    ``base`` supplies defaults for missing ones (command-line merging
+    starts from the file config).
     """
     base = base if base is not None else RunConfig()
     unknown = set(mapping) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return replace(base, **{key: _typed(key, value) for key, value in mapping.items()})
+    return replace(base, **mapping)
 
 
 def _seed_from_config(config):
@@ -237,16 +249,17 @@ def _evaluate(points, damping, tolerance, max_iter, seed):
     ]
 
 
-def _format_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format(float(value), ".17g")
+# One row: every number at 17 significant digits, then the last column,
+# converged, as true or false.
+_CSV_ROW = ",".join(["%.17g"] * (len(CSV_COLUMNS) - 1) + ["%s"])
+_CSV_NUMBERS = operator.attrgetter(*CSV_COLUMNS[:-1])
 
 
 def render_csv(rows):
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_value(getattr(row, col)) for col in CSV_COLUMNS))
+    lines += [
+        _CSV_ROW % (*_CSV_NUMBERS(row), "true" if row.converged else "false") for row in rows
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from bcsjj import spin
+from bcsjj import equilibrium, spin
 from bcsjj.equilibrium import (
     BulkParams,
     critical_beta,
@@ -119,8 +119,9 @@ def test_equilibrium_state_matches_solution_rho():
 
 
 def test_residual_is_the_gap_map_defect_of_its_own_state(monkeypatch):
-    """The residual comes from the solve's one Gibbs state and equals the
-    defect under the independent gap map, ordered and normal plates alike."""
+    """The residual comes from the solve's one thermal Bloch vector and
+    equals the defect under the independent gap map, ordered and normal
+    plates alike."""
     for eps in (0.05, 0.2, 0.3, 0.45, 0.6):
         for beta in (1.0, 5.0, 50.0, 1e4):
             for phi in (0.0, 0.7, -2.5):
@@ -128,13 +129,13 @@ def test_residual_is_the_gap_map_defect_of_its_own_state(monkeypatch):
                 sol = solve_gap(p)
                 assert sol.residual == abs(gap_map(sol.lam, p) - sol.lam), p
     calls = []
-    real = spin.gibbs_state
+    real = spin._thermal_bloch
 
-    def counted(hamiltonian, beta):
+    def counted(n, beta):
         calls.append(beta)
-        return real(hamiltonian, beta)
+        return real(n, beta)
 
-    monkeypatch.setattr(spin, "gibbs_state", counted)
+    monkeypatch.setattr(spin, "_thermal_bloch", counted)
     solve_gap(BulkParams(0.3, 1e4))
     assert len(calls) == 1
 
@@ -161,3 +162,16 @@ def _timed(fn):
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def test_solve_gap_builds_no_hamiltonian_or_gibbs_matrix(monkeypatch):
+    """The state comes from the closed-form Bloch vector; no 2x2 round trip."""
+
+    def forbidden(*args):
+        raise AssertionError("solve_gap went through a 2x2 matrix")
+
+    monkeypatch.setattr(equilibrium, "effective_hamiltonian", forbidden)
+    monkeypatch.setattr(spin, "gibbs_state", forbidden)
+    for eps, beta, phi in ((0.3, 1e4, 0.7), (0.45, 5.0, -2.5), (0.6, 50.0, 0.0)):
+        sol = solve_gap(BulkParams(eps, beta, phi))
+        assert sol.rho.shape == (2, 2)

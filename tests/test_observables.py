@@ -15,7 +15,10 @@ from bcsjj.observables import (
     goldstone_operators,
     josephson_current,
 )
-from bcsjj.spin import commutator, expectation, is_hermitian, pauli_components
+from bcsjj import spin
+from bcsjj.spin import (
+    commutator, evolve_heisenberg, expectation, is_hermitian, max_abs, pauli_components,
+)
 
 
 def junction(gamma=1e-3, delta=0.3, eps=0.3, beta=1e4):
@@ -206,3 +209,46 @@ def test_dynamics_residual_detects_wrong_frequency():
     times = np.linspace(0.0, 4.0 * math.pi / pair.frequency, 32)
     wrong = replace(pair, frequency=pair.frequency * 1.001)
     assert goldstone_dynamics_residual(wrong, h, times) > 1e-4
+
+
+def _dynamics_residual_per_time(pair, hamiltonian, times):
+    """The 2x2 reference: one Heisenberg evolution of Q and of P per time."""
+    _, n = pauli_components(np.asarray(hamiltonian, dtype=complex))
+    _, q = pauli_components(pair.Q)
+    _, p = pauli_components(pair.P)
+    s = 1.0 if float(np.dot(-np.cross(n.real, q.real), p.real)) >= 0.0 else -1.0
+    worst = 0.0
+    for t in times:
+        theta = pair.frequency * t
+        q_ref = pair.Q * np.cos(theta) + s * pair.P * np.sin(theta)
+        p_ref = -s * pair.Q * np.sin(theta) + pair.P * np.cos(theta)
+        q_t = evolve_heisenberg(pair.Q, hamiltonian, t)
+        p_t = evolve_heisenberg(pair.P, hamiltonian, t)
+        worst = max(worst, max_abs(q_t - q_ref), max_abs(p_t - p_ref))
+    return worst
+
+
+def test_dynamics_residual_is_the_per_time_reference(monkeypatch):
+    """One Heisenberg evolution per operator covers the whole time grid,
+    and the residual equals the per-time 2x2 loop bit for bit."""
+    calls = []
+
+    def counted(op, hamiltonian, t):
+        calls.append(np.shape(t))
+        return evolve_heisenberg(op, hamiltonian, t)
+
+    for gamma, delta in ((0.0, 0.5), (1e-3, 0.3), (1e-2, -1.2)):
+        sol = solve_ness(junction(gamma=gamma, delta=delta))
+        for region in ("I_b", "II_b"):
+            pair = goldstone_operators(region, sol)
+            h = boundary_hamiltonian(
+                region, sol.params, Lambda_b_I=sol.Lambda_b_I, Lambda_b_II=sol.Lambda_b_II
+            )
+            times = np.linspace(0.0, 4.0 * math.pi / pair.frequency, 32)
+            for candidate in (pair, replace(pair, frequency=pair.frequency * 1.001)):
+                expected = _dynamics_residual_per_time(candidate, h, times)
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(spin, "evolve_heisenberg", counted)
+                    assert goldstone_dynamics_residual(candidate, h, times) == expected
+                assert calls == [(32,), (32,)]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from bcsjj.spin import (
@@ -170,3 +172,28 @@ def test_expectation_matches_trace():
         rho = random_state(rng)
         op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert abs(expectation(rho, op) - np.trace(rho @ op)) < 1e-13
+
+
+_FINITE = st.floats(-3.0, 3.0, allow_nan=False)
+_TIMES = st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=0, max_size=8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    op=st.lists(_FINITE, min_size=8, max_size=8),
+    axis=st.lists(_FINITE, min_size=3, max_size=3),
+    shift=_FINITE,
+    zero_axis=st.booleans(),
+    times=_TIMES,
+)
+def test_heisenberg_over_times_is_the_stack_of_single_times(op, axis, shift, zero_axis, times):
+    """One call over an array of times equals one call per time, bit for bit,
+    for any complex op, including an H with zero axis."""
+    op = np.array(op[:4]).reshape(2, 2) + 1j * np.array(op[4:]).reshape(2, 2)
+    n = np.zeros(3) if zero_axis else np.array(axis)
+    h = shift * IDENTITY + n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+    stacked = evolve_heisenberg(op, h, np.array(times))
+    assert stacked.shape == (len(times), 2, 2)
+    for t, evolved in zip(times, stacked):
+        assert np.array_equal(evolved, evolve_heisenberg(op, h, t))
+    assert evolve_heisenberg(op, h, 1.5).shape == (2, 2)

@@ -22,6 +22,7 @@ from bcsjj.sweep import (
     RunConfig,
     config_from_mapping,
     evaluate_point,
+    params_at,
     render,
     run_sweep,
 )
@@ -249,6 +250,73 @@ def test_config_accepts_ints_for_float_fields_and_null_for_optional_ones():
     config = config_from_mapping({"gamma": 0, "start": -1, "memory_cap": None, "output": None})
     assert (config.gamma, config.start, config.memory_cap) == (0, -1, None)
     assert config_from_mapping({"seed_lambda": 1}).seed_lambda == (1.0,)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("gamma", "0.001"), ("count", True), ("max_iter", 3.0), ("seed_phi", "0.1")]
+)
+def test_run_config_rejects_mistyped_fields_when_built_directly(key, value):
+    with pytest.raises(ValueError, match=f"config key {key!r} must be"):
+        RunConfig(**{key: value})
+
+
+def test_run_config_built_directly_takes_ints_for_floats_and_types_its_seeds():
+    assert RunConfig(epsilon_I=1).epsilon_I == 1
+    config = RunConfig(seed_lambda=[0.1, 1], seed_phi=0)
+    assert (config.seed_lambda, config.seed_phi) == ((0.1, 1.0), (0.0,))
+    assert params_at(RunConfig(gamma=0)).gamma == 0
+
+
+def _exponent_negative(token):
+    """A negative number that argparse before Python 3.12 reads as a flag."""
+    return token.startswith("-") and token[1:2].isdigit() and "e" in token
+
+
+def _benchmark_argvs_with_exponent_negatives(monkeypatch):
+    """The benchmark's `sweep`, `ness` and `gap` argvs that hold such a
+    number, at the seeds where one occurs among the first 1000."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import workloads
+
+    argvs = []
+    for seed in (68, 445, 447, 597, 833, 899, 946):
+        spec = workloads.junction(seed)
+        argvs += [argv for argv, _ in spec["sweeps"] + spec["points"]]
+    for seed in (430, 500, 803, 831):
+        argvs += [argv for argv, _ in workloads.certify(seed)["points"]]
+    return [argv for argv in argvs if any(map(_exponent_negative, argv))]
+
+
+def _joined(argv):
+    """``argv`` with each exponent-shaped negative value in --flag=value form."""
+    out = []
+    for token in argv:
+        if _exponent_negative(token) and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def test_cli_reads_negative_numbers_in_exponent_notation(monkeypatch, capsys):
+    argvs = _benchmark_argvs_with_exponent_negatives(monkeypatch)
+    assert len(argvs) == 11
+    argvs += [
+        ["gap", "--epsilon", "0.3", "--beta", "1e4", "--phi", "-2.5549494038212828e-05"],
+        ["ness", "--phi-i", "-3e-05"],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakContactWarning)
+        for argv in argvs:
+            assert run_cli(*argv) == 0, argv
+            spaced = capsys.readouterr().out
+            assert run_cli(*_joined(argv)) == 0, argv
+            assert spaced == capsys.readouterr().out, argv
+    # a flag with several values has no --flag=value form
+    assert run_cli("ness", "--seed-phi", "0.1", "-1e-3") == 0
+    exponent = capsys.readouterr().out
+    assert run_cli("ness", "--seed-phi", "0.1", "-0.001") == 0
+    assert exponent == capsys.readouterr().out
 
 
 def test_gamma_sweep_warns_once_naming_the_worst_gamma():
@@ -488,6 +556,30 @@ def test_cli_first_finite_n_run_peaks_within_estimate():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(['finite-n', '--n', '1'])\n"
         "print(code, tracemalloc.get_traced_memory()[1], LatticeSpec(1).estimated_bytes)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    code, peak, estimate = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak <= estimate, f"cold peak {peak} B, estimate {estimate} B"
+
+
+def test_cli_first_finite_n_run_at_n_2_peaks_within_estimate():
+    """A process's first `finite-n --n 2`, the size where the commutator
+    check sets the peak, stays within estimated_bytes: abc's caches are
+    filled on import, outside the traced run."""
+    src = os.path.dirname(os.path.dirname(bcsjj.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import contextlib, io, tracemalloc\n"
+        "from bcsjj.cli import main\n"
+        "from bcsjj.lattice import LatticeSpec\n"
+        "tracemalloc.start()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['finite-n', '--n', '2', '--format', 'json'])\n"
+        "print(code, tracemalloc.get_traced_memory()[1], LatticeSpec(2).estimated_bytes)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True

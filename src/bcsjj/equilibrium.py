@@ -111,8 +111,7 @@ def solve_gap(params):
         mu = eps
         superconducting = False
     field = lam * np.exp(1j * params.phi)
-    # the thermal Bloch vector on the axis (-Re F, -Im F, eps); its
-    # <sigma_plus> is a_x + i a_y, so the residual is gap_map's defect
+    # the thermal state on the axis (-Re F, -Im F, eps); <sigma_plus> = a_x + i a_y
     a = spin._thermal_bloch(np.array([-field.real, -field.imag, eps]), beta)
     residual = abs(abs(complex(a[0], a[1])) - lam)
     return BulkSolution(

@@ -53,13 +53,16 @@ _MAX_PRODUCT_TERMS = 4096
 # Measured at most 66 kB over the arrays (n = 2) once a process has run,
 # and ~80 kB on its first run (the interpreter's free lists fill).  abc's
 # caches are filled on import (below) and the argument parser is built
-# on import, so neither is part of a run.
+# on import, so neither is part of a run.  Measured on Python 3.11 with
+# numpy 2.4 and scipy 1.17.1 only: a first run at n = 3 then peaks ~18 kB
+# under the estimate, a margin other interpreters or scipy versions may use up.
 _RUN_OVERHEAD_BYTES = 96 * 1024
 
 # scipy's sparse type checks fill abc's per-class caches (~30 kB) the
-# first time they see each type: numpy arrays, tuples, ints and the
-# CSR, CSC and DIA formats.  One check of each here keeps them out of
-# every finite-n run, so a cold first run also peaks within the estimate.
+# first time they see each type.  In scipy 1.17.1 these are numpy arrays,
+# tuples, ints and the CSR, CSC and DIA formats; one check of each here
+# keeps them out of every finite-n run.  Other scipy versions may check
+# other types, whose caches then fill inside a process's first run.
 for _sample in (np.empty(0), (), 0, sparse.csr_matrix((1, 1)), sparse.csc_matrix((1, 1)),
                 sparse.dia_matrix((1, 1)), sparse.dia_array((1, 1))):
     sparse.issparse(_sample)

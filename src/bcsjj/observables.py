@@ -65,22 +65,31 @@ def _dot(u, v):
 
 
 def _region_data(region, sol):
-    """(epsilon, field, mu_t, rho_b, Lambda_b) of contact region I_b or II_b."""
-    if region not in ("I_b", "II_b"):
-        raise ValueError(f"region must be 'I_b' or 'II_b', got {region!r}")
-    side = region[:-2]
-    names = ("field", "mu_t", "rho_b", "Lambda_b")
-    bulk = sol.params.bulk_I if side == "I" else sol.params.bulk_II
-    return (bulk.epsilon, *(getattr(sol, f"{name}_{side}") for name in names))
+    if region == "I_b":
+        return (
+            sol.params.bulk_I.epsilon,
+            sol.field_I,
+            sol.mu_t_I,
+            sol.rho_b_I,
+            sol.Lambda_b_I,
+        )
+    if region == "II_b":
+        return (
+            sol.params.bulk_II.epsilon,
+            sol.field_II,
+            sol.mu_t_II,
+            sol.rho_b_II,
+            sol.Lambda_b_II,
+        )
+    raise ValueError(f"region must be 'I_b' or 'II_b', got {region!r}")
 
 
 def goldstone_operators(region, sol):
     """Normal coordinates, commutator data and variances of one contact.
 
-    Q = q.sigma and P = p.sigma with q = (eps Re F, eps Im F, |F|^2) / mu_t^2
-    and p = (Im F, -Re F, 0) / mu_t.  In the normal phase the effective
-    field vanishes and both operators are identically zero (a valid
-    degenerate case, not an error).
+    Q = q.sigma, P = p.sigma with q = (eps Re F, eps Im F, |F|^2) / mu_t^2 and
+    p = (Im F, -Re F, 0) / mu_t.  In the normal phase F = 0 and both operators
+    vanish identically (a valid degenerate case, not an error).
     """
     eps, field, mu_t, rho_b, lambda_b = _region_data(region, sol)
     f = complex(field)
@@ -111,9 +120,8 @@ def ccr_defect(pair):
 def ccr_defect_bloch(axis, contact, lambda_b, mu_t):
     """:func:`ccr_defect` from Bloch vectors, elementwise over arrays.
 
-    q x p = -(|F|^2 / mu_t^3) n on the contact axis n, so the identity
-    Tr(rho_b [Q, P]) = 4i b.(q x p) of :func:`goldstone_operators` reads
-    -4i |F|^2 (b.n) / mu_t^3 here.
+    q x p = -(|F|^2 / mu_t^3) n on the contact axis n, so the identity 4i b.(q x p)
+    of :func:`goldstone_operators` reads -4i |F|^2 (b.n) / mu_t^3 here.
     """
     field2 = axis[0] * axis[0] + axis[1] * axis[1]
     exact = -4.0 * field2 * _dot(contact, axis) / (mu_t * mu_t * mu_t)

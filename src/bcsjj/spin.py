@@ -1,8 +1,7 @@
 """Closed-form algebra on 2x2 complex operators.
 
-The package's one-site objects (Hamiltonians, density matrices,
-fluctuation generators) are real Bloch vectors inside its core and 2x2
-complex matrices where its API hands them out.  All spectral
+One-site objects (Hamiltonians, density matrices, fluctuation generators)
+are real Bloch vectors in the core and 2x2 matrices in the API.  All spectral
 manipulation goes through the decomposition
 
     A = s * 1 + v . sigma
@@ -116,10 +115,7 @@ def _assemble(scalar, vector):
 
 
 def _thermal_bloch(n, beta):
-    """Bloch vector a of exp(-beta n.sigma) / Z = 1/2 + a.sigma.
-
-    a = -1/2 tanh(beta |n|) n / |n|, and zero for n = 0.
-    """
+    """a = -1/2 tanh(beta |n|) n/|n| of exp(-beta n.sigma)/Z = 1/2 + a.sigma (0 at n = 0)."""
     norm = float(np.linalg.norm(n))
     if norm == 0.0:
         return np.zeros(3)
@@ -172,8 +168,7 @@ def evolve_heisenberg(op, hamiltonian, t):
     The adjoint action of exp(-i t H) rotates the Pauli coefficient
     vector of ``op`` about the H axis; the formula extends linearly to
     complex coefficient vectors, so ``op`` need not be Hermitian.  An
-    array of times gives the stack of evolved operators, shape
-    ``t.shape + (2, 2)``, from one rotation.
+    array of times gives the ``t.shape + (2, 2)`` stack from one rotation.
     """
     hamiltonian = _require_hermitian(hamiltonian, "Hamiltonian")
     op = np.asarray(op, dtype=complex)
@@ -186,11 +181,10 @@ def evolve_heisenberg(op, hamiltonian, t):
         return np.broadcast_to(op, t.shape + (2, 2)).copy()
     n_hat = n / norm
     theta = (2.0 * norm * t)[..., None]
-    cos, sin = np.cos(theta), np.sin(theta)
     # d a / d t = -2 n x a  =>  rotation by -theta about n_hat
     cross = np.cross(n_hat, a)
     axial = np.dot(n_hat, a) * n_hat  # bilinear, no conjugation
-    rotated = a * cos - cross * sin + axial * (1.0 - cos)
+    rotated = a * np.cos(theta) - cross * np.sin(theta) + axial * (1.0 - np.cos(theta))
     return _assemble(s, rotated)
 
 

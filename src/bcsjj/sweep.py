@@ -99,10 +99,8 @@ class RunConfig:
 
     def __post_init__(self):
         # files, flags and direct construction all pass here
-        for key, exact in _FIELD_EXACT_TYPES:
-            value = getattr(self, key)
-            if type(value) not in exact:
-                object.__setattr__(self, key, _typed(key, value))
+        for key in _FIELD_TYPES:
+            object.__setattr__(self, key, _typed(key, getattr(self, key)))
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if self.format not in FORMATS:
@@ -114,12 +112,6 @@ class RunConfig:
 _FIELD_TYPES = {f.name: typing.get_args(f.type) or (f.type,) for f in fields(RunConfig)}
 # The types a config value may have for each field type; a bool is never a number.
 _ACCEPTED = {float: (int, float), int: (int,), str: (str,), tuple: (int, float)}
-# The value types each field takes as they are, without a closer look; a
-# seed that is set always goes through _typed, which makes it a tuple of floats.
-_FIELD_EXACT_TYPES = tuple(
-    (key, kinds[1:] if kinds[0] is tuple else _ACCEPTED[kinds[0]] + kinds[1:])
-    for key, kinds in _FIELD_TYPES.items()
-)
 
 
 def _typed(key, value):
@@ -131,11 +123,12 @@ def _typed(key, value):
     if value is None and type(None) in kinds:
         return None
     seeds = kinds[0] is tuple
-    items = value if seeds and isinstance(value, (list, tuple)) else [value]
+    items = value if seeds and isinstance(value, (list, tuple)) else (value,)
     accepted = _ACCEPTED[kinds[0]]
-    if not all(isinstance(v, accepted) and not isinstance(v, bool) for v in items):
-        names = " or ".join(t.__name__ for t in accepted)
-        raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+    for v in items:
+        if not isinstance(v, accepted) or isinstance(v, bool):
+            names = " or ".join(t.__name__ for t in accepted)
+            raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
     return tuple(map(float, items)) if seeds else value
 
 

@@ -5,9 +5,11 @@ it with a fixed threshold.  The `check` CLI subcommand prints one line
 per entry; tests call :func:`run_checks` directly.
 
 Each junction grid is solved by one :func:`~bcsjj.ness.solve_batch`
-call.  The 2x2 references (closed form, steady-state defect, current,
-mode operators and dynamics) then run per point on
-``batch.solution(k)``, as the independent oracles of the batched core.
+call, and the observables (current, mode frequencies, commutator
+values) run on the whole batch at once.  The independent 2x2 routes
+(the closed form, :func:`~bcsjj.ness.verify_steady`, and the rebuilt
+contact Hamiltonians of the mode dynamics) run per point on
+``batch[k]``, so no check compares the solver with itself.
 
 Nothing is computed twice in a run: the standard grid (three checks)
 and the law grid (two) sit in one-entry caches keyed on the frozen
@@ -122,7 +124,7 @@ def check_ness_oracle(opts):
 
 def check_ness_steady(opts):
     batch = _standard_grid(opts)
-    worst = max(verify_steady(sol) for sol in batch.solutions())
+    worst = max(verify_steady(batch[k]) for k in range(len(batch.points)))
     converged = bool(batch.converged.all())
     return CheckResult(
         "ness.steady_state", converged and worst < 1e-12, worst, 1e-12,
@@ -205,14 +207,13 @@ def _law_errors(opts):
         _standard_params(eps, gamma, float(d)) for eps in STANDARD_EPSILONS for d in _DELTA_GRID_33
     ]
     batch = _solve_all(points, opts)
-    currents = np.array([observables.josephson_current(sol, gamma).j for sol in batch.solutions()])
+    currents = observables.josephson_current(batch, gamma).j.reshape(shape)
     bulks = [solve_gap(BulkParams(eps, STANDARD_BETA)) for eps in STANDARD_EPSILONS]
     lam2 = np.array([[bulk.lam * bulk.lam] for bulk in bulks])
     nu0 = np.array([[2.0 * bulk.mu] for bulk in bulks])
     current_law = -4.0 * gamma * lam2 * np.sin(_DELTA_GRID_33)
     shift_law = 4.0 * gamma * lam2 * np.cos(_DELTA_GRID_33) / nu0
     shifts = 2.0 * batch.mu_t[0].reshape(shape) - nu0
-    currents = currents.reshape(shape)
     sine_err = np.abs(currents - current_law).max(axis=1) / np.abs(current_law).max(axis=1)
     cosine_err = np.abs(shifts - shift_law).max(axis=1) / np.abs(shift_law).max(axis=1)
     return float(sine_err.max()), float(cosine_err.max())
@@ -232,14 +233,10 @@ def check_ccr(opts):
     params = _standard_params(0.3, 0.0, 0.3)
     bounds = ((1e-3, 1e-2), (1e-4, 1e-3))
     batch = _solve_all([params] + [replace(params, gamma=gamma) for gamma, _ in bounds], opts)
-    sol, *sols_g = batch.solutions()
-    zero_defect = observables.ccr_defect(observables.goldstone_operators("I_b", sol))
-    worst_rel = 0.0
-    for sol_g, (_, bound) in zip(sols_g, bounds):
-        for region in ("I_b", "II_b"):
-            pair_g = observables.goldstone_operators(region, sol_g)
-            rel = observables.ccr_defect(pair_g) / abs(pair_g.ccr_formula)
-            worst_rel = max(worst_rel, rel / bound)
+    pairs = [observables.goldstone_operators(region, batch) for region in ("I_b", "II_b")]
+    zero_defect = float(observables.ccr_defect(pairs[0])[0])
+    rel = np.array([observables.ccr_defect(pair) / np.abs(pair.ccr_formula) for pair in pairs])
+    worst_rel = float((rel[:, 1:] / [bound for _, bound in bounds]).max())
     passed = zero_defect < 1e-12 and worst_rel <= 1.0
     measured = max(zero_defect / 1e-12, worst_rel)
     return CheckResult(
@@ -255,31 +252,18 @@ def check_dynamics(opts):
         [_standard_params(eps, gamma, 0.5) for eps in STANDARD_EPSILONS for gamma in (0.0, 1e-3)],
         opts,
     )
-    for sol in batch.solutions():
+    for k in range(len(batch.points)):
+        sol = batch[k]
         for region in ("I_b", "II_b"):
             pair = observables.goldstone_operators(region, sol)
-            h = boundary_hamiltonian(
-                region,
-                sol.params,
-                Lambda_b_I=sol.Lambda_b_I,
-                Lambda_b_II=sol.Lambda_b_II,
-            )
+            h = boundary_hamiltonian(region, sol.params, *sol.Lambda_b)
             period = 2.0 * math.pi / pair.frequency
             times = np.linspace(0.0, 2.0 * period, 32)
-            worst_resid = max(
-                worst_resid,
-                observables.goldstone_dynamics_residual(pair, h, times),
-            )
-            _, q = spin.pauli_components(pair.Q)
-            _, p = spin.pauli_components(pair.P)
-            _, n = spin.pauli_components(h)
-            worst_geo = max(
-                worst_geo,
-                abs(float(np.dot(q.real, p.real))),
-                abs(float(np.dot(q.real, n.real))),
-                abs(float(np.dot(p.real, n.real))),
-                abs(float(np.linalg.norm(q.real) - np.linalg.norm(p.real))),
-            )
+            resid = observables.goldstone_dynamics_residual(pair, h, times)
+            q, p, n = pair.q, pair.p, spin.pauli_components(h)[1].real
+            geo = (np.dot(q, p), np.dot(q, n), np.dot(p, n), np.linalg.norm(q) - np.linalg.norm(p))
+            worst_resid = max(worst_resid, resid)
+            worst_geo = max(worst_geo, *(abs(float(v)) for v in geo))
     passed = worst_resid < 1e-10 and worst_geo < 1e-12
     return CheckResult(
         "observables.dynamics", passed, worst_resid, 1e-10,

@@ -28,7 +28,10 @@ a = -1/2 tanh(beta |n|) n / |n|.  Dephasing keeps the part
 contracts at rate O(gamma), so a few undamped steps reach rounding
 level; a point stops once its map defect |f(x) - x| is below the
 tolerance, and the iteration cap (``converged`` false) is the only
-fallback.  2x2 matrices are built only for objects the API hands out.
+fallback.  It returns one :class:`NessSolution` holding the solver's
+arrays with a trailing point axis; :func:`solve_ness` is one point of
+it, ``solve_batch([params])[0]``.  2x2 matrices (the contact states
+``rho_b_*``) are built only when read.
 
 The same fixed point has a closed rational form (used as a
 cross-check, never as the defining construction):
@@ -43,13 +46,14 @@ arg(field).
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import spin
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams, effective_hamiltonian, solve_gap
+from .spin import _dot, _from_bloch
 
 REGIONS = ("I_a", "I_b", "II_b", "II_a")
 
@@ -100,42 +104,31 @@ class JunctionParams:
         return self.bulk_I.phi - self.bulk_II.phi
 
 
+def _row(name, row):
+    """Property reading plate I (row 0) or plate II (row 1) of an array field."""
+    return property(lambda self: getattr(self, name)[row], doc=f"``{name}[{row}]``")
+
+
 @dataclass(frozen=True, eq=False)
 class NessSolution:
-    """Converged (or best-effort) junction steady state.
+    """Junction steady states, held as arrays with a trailing point axis.
 
-    ``Lambda_b_*`` are the contact order parameters <sigma_plus>;
-    ``field_*`` the effective pairing fields entering the contact
-    Hamiltonians; ``mu_t_*`` the contact spectral scales
-    sqrt(eps^2 + |field|^2); ``rho_b_*`` the contact one-site states.
-    """
+    Arrays of shape ``(2, ...)`` hold plate I in row 0 and plate II in
+    row 1: the bulk gaps ``lambda_bulk``, the contact order parameters
+    ``Lambda_b`` = <sigma_plus>, the effective pairing fields ``field``
+    of the contact Hamiltonians and their spectral scales
+    ``mu_t`` = sqrt(eps^2 + |field|^2).  ``axis`` and ``contact`` are
+    the ``(3, 2, ...)`` Bloch vectors of the contact Hamiltonians and
+    of the contact states.  ``residual`` is the :func:`verify_steady`
+    defect in Bloch form (it includes the map defect), and
+    ``iterations`` counts map evaluations up to the one that met the
+    stop rule.
 
-    params: JunctionParams
-    lambda_bulk_I: float
-    lambda_bulk_II: float
-    Lambda_b_I: complex
-    Lambda_b_II: complex
-    field_I: complex
-    field_II: complex
-    mu_t_I: float
-    mu_t_II: float
-    rho_b_I: np.ndarray
-    rho_b_II: np.ndarray
-    residual: float
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True, eq=False)
-class NessBatch:
-    """Steady states of many junction points, held as arrays.
-
-    Arrays of shape ``(2, N)`` hold plate I in row 0 and plate II in
-    row 1.  ``axis`` and ``contact`` are the ``(3, 2, N)`` Bloch vectors
-    of the contact Hamiltonians and of the contact states.
-    ``residual`` is the :func:`verify_steady` defect in Bloch form (it
-    includes the map defect), and ``iterations`` counts map
-    evaluations up to the one that met the stop rule.
+    ``sol[k]`` is point ``k`` alone: the point axis is dropped, so
+    ``points`` becomes that point's :class:`JunctionParams` and
+    ``residual``, ``iterations`` and ``converged`` plain numbers.  The
+    per-plate properties (``Lambda_b_I``, ``mu_t_II``, ...) read one
+    row, and ``rho_b_*`` assemble the 2x2 contact states on demand.
     """
 
     points: tuple
@@ -149,20 +142,17 @@ class NessBatch:
     iterations: np.ndarray
     converged: np.ndarray
 
-    def solution(self, k):
-        """The :class:`NessSolution` of point ``k``, with its 2x2 states."""
-        pairs = (self.lambda_bulk, self.Lambda_b, self.field, self.mu_t)
-        rho_b = [spin.bloch_reconstruct(spin.BlochForm(0.5, v)) for v in self.contact[:, :, k].T]
-        return NessSolution(
-            self.points[k],
-            *(value for array in pairs for value in array[:, k].tolist()),  # I, II
-            *rho_b,
-            *(array[k].item() for array in (self.residual, self.iterations, self.converged)),
-        )
+    def __getitem__(self, k):
+        values = (getattr(self, f.name)[..., k] for f in fields(self)[1:])  # all but points
+        return NessSolution(self.points[k], *(v.item() if v.ndim == 0 else v for v in values))
 
-    def solutions(self):
-        """The :class:`NessSolution` of every point, in order."""
-        return [self.solution(k) for k in range(len(self.points))]
+    params = property(lambda self: self.points, doc="The junction parameters, per point.")
+    lambda_bulk_I, lambda_bulk_II = _row("lambda_bulk", 0), _row("lambda_bulk", 1)
+    Lambda_b_I, Lambda_b_II = _row("Lambda_b", 0), _row("Lambda_b", 1)
+    field_I, field_II = _row("field", 0), _row("field", 1)
+    mu_t_I, mu_t_II = _row("mu_t", 0), _row("mu_t", 1)
+    rho_b_I = property(lambda self: _from_bloch(0.5, self.contact[:, 0]), doc="2x2 contact state")
+    rho_b_II = property(lambda self: _from_bloch(0.5, self.contact[:, 1]), doc="2x2 contact state")
 
 
 def gauge_shift(params, delta):
@@ -177,10 +167,6 @@ def gauge_shift(params, delta):
 def _axis(field, epsilon):
     """Bloch axis (-Re F, -Im F, eps) of the Hamiltonian with field F."""
     return np.array([-field.real, -field.imag, epsilon])
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _commutator_norm(n, v):
@@ -277,7 +263,7 @@ def solve_batch(points, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed
     stationarity = np.maximum(
         _commutator_norm(_axis(order, eps), bulk_vec), _commutator_norm(n, contact)
     ).max(axis=0)
-    return NessBatch(
+    return NessSolution(
         points=points,
         lambda_bulk=lam,
         Lambda_b=x,
@@ -299,7 +285,7 @@ def solve_ness(params, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=
     the solution carries ``converged``, the steady-state ``residual``
     and the ``iterations`` taken instead.
     """
-    return solve_batch([params], damping, tol, max_iter, seed).solution(0)
+    return solve_batch([params], damping, tol, max_iter, seed)[0]
 
 
 def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j):
@@ -360,7 +346,7 @@ def closed_form_rhs(guess, params):
 
 
 def verify_steady(sol, params=None):
-    """Steady-state defect of a solution object, rebuilt from scratch.
+    """Steady-state defect of one point's solution, rebuilt from scratch.
 
     Sums the worst commutator max-norm [h_x, rho_x] over the four
     regions with the worst contact self-consistency defect
@@ -381,4 +367,4 @@ def verify_steady(sol, params=None):
     worst_comm = max(spin.max_abs(spin.commutator(h, rho)) for h, rho in regions)
     defect_i = abs(sol.Lambda_b_I - spin.expectation(sol.rho_b_I, spin.SIGMA_PLUS))
     defect_ii = abs(sol.Lambda_b_II - spin.expectation(sol.rho_b_II, spin.SIGMA_PLUS))
-    return worst_comm + max(defect_i, defect_ii)
+    return float(worst_comm + max(defect_i, defect_ii))

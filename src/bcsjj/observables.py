@@ -18,6 +18,13 @@ frequency nu_t = 2 mu_t.  Both have zero mean in the contact state; the
 expected commutator tends to 4i lambda_b^2 / mu_t as gamma -> 0 and is
 reported exactly, alongside that formula and its effective-field
 variant, because the two readings split at first order in gamma.
+
+Every function here reads the solver's own arrays (``Lambda_b``,
+``field``, ``mu_t``, the contact axis n and the contact Bloch vector b of
+:class:`~bcsjj.ness.NessSolution`) and works elementwise, on one point or
+on a whole batch.  Q and P are 2x2 only when read; only
+:func:`goldstone_dynamics_residual` takes a 2x2 matrix, the caller's
+contact Hamiltonian, as the independent side of the mode dynamics.
 """
 
 from dataclasses import dataclass
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spin
+from .spin import _dot, _from_bloch
 
 
 @dataclass(frozen=True)
@@ -36,11 +44,15 @@ class CurrentValue:
 
 @dataclass(frozen=True, eq=False)
 class GoldstonePair:
-    """Soft-mode normal coordinates of one contact row."""
+    """Soft-mode normal coordinates of one contact row.
+
+    ``q`` and ``p`` are the Bloch vectors of Q = q.sigma and P = p.sigma;
+    ``Q`` and ``P`` assemble the 2x2 operators on demand.
+    """
 
     region: str
-    Q: np.ndarray
-    P: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
     ccr_exact: complex
     ccr_formula: complex
     ccr_formula_field: complex
@@ -48,64 +60,65 @@ class GoldstonePair:
     var_P: float
     frequency: float
 
+    Q = property(lambda self: _from_bloch(0.0, self.q), doc="2x2 operator q.sigma")
+    P = property(lambda self: _from_bloch(0.0, self.p), doc="2x2 operator p.sigma")
+
 
 def josephson_current(sol, gamma):
-    """Steady pair current per contact site.
+    """Steady pair current per contact site, elementwise over the points.
 
     Evaluates 4 gamma Im(conj(Lambda_b_I) Lambda_b_II), which equals
     -4 gamma |Lambda_b_I||Lambda_b_II| sin(phi_b_I - phi_b_II) without
-    any branch-cut trouble at vanishing order parameters.
+    any branch-cut trouble at vanishing order parameters.  ``gamma`` is
+    one coupling or one per point.
     """
-    j = 4.0 * gamma * (np.conj(sol.Lambda_b_I) * sol.Lambda_b_II).imag
-    return CurrentValue(float(j))
+    lam_i, lam_ii = sol.Lambda_b
+    return CurrentValue(4.0 * gamma * (lam_i.real * lam_ii.imag - lam_i.imag * lam_ii.real))
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def ccr_values(sol):
+    """Tr(rho_b [Q, P]) = i c of both contacts, and c by its two formulas.
 
-
-def _region_data(region, sol):
-    if region == "I_b":
-        return (
-            sol.params.bulk_I.epsilon,
-            sol.field_I,
-            sol.mu_t_I,
-            sol.rho_b_I,
-            sol.Lambda_b_I,
-        )
-    if region == "II_b":
-        return (
-            sol.params.bulk_II.epsilon,
-            sol.field_II,
-            sol.mu_t_II,
-            sol.rho_b_II,
-            sol.Lambda_b_II,
-        )
-    raise ValueError(f"region must be 'I_b' or 'II_b', got {region!r}")
+    Returns the real (exact, formula, formula_field), each of shape
+    ``(2, ...)``.  For rho_b = 1/2 + b.sigma the exact mean is
+    4i b.(q x p), and q x p = -(|F|^2 / mu_t^3) n on the contact axis n,
+    so c = -4 |F|^2 (b.n) / mu_t^3.  The formulas are 4 |Lambda_b|^2 / mu_t
+    and 4 |F|^2 / mu_t.
+    """
+    n, lam_b, mu_t = sol.axis, sol.Lambda_b, sol.mu_t
+    field2 = n[0] * n[0] + n[1] * n[1]
+    exact = -4.0 * field2 * _dot(sol.contact, n) / (mu_t * mu_t * mu_t)
+    formula = 4.0 * (lam_b.real * lam_b.real + lam_b.imag * lam_b.imag) / mu_t
+    return exact, formula, 4.0 * field2 / mu_t
 
 
 def goldstone_operators(region, sol):
     """Normal coordinates, commutator data and variances of one contact.
 
     Q = q.sigma, P = p.sigma with q = (eps Re F, eps Im F, |F|^2) / mu_t^2 and
-    p = (Im F, -Re F, 0) / mu_t.  In the normal phase F = 0 and both operators
-    vanish identically (a valid degenerate case, not an error).
+    p = (Im F, -Re F, 0) / mu_t, elementwise over the points of ``sol``.  In
+    the normal phase F = 0 and both operators vanish identically (a valid
+    degenerate case, not an error).
     """
-    eps, field, mu_t, rho_b, lambda_b = _region_data(region, sol)
-    f = complex(field)
-    scale = eps / mu_t**2
-    q = np.array([scale * f.real, scale * f.imag, abs(f) ** 2 / mu_t**2])
-    p = (1.0 / mu_t) * np.array([f.imag, -f.real, 0.0])
-    b = spin.pauli_components(rho_b)[1].real
-    var_q, var_p = _variances(q, p, b)
-    # Tr(rho_b [Q, P]) = 4i b.(q x p), for rho_b = 1/2 + b.sigma
+    if region not in ("I_b", "II_b"):
+        raise ValueError(f"region must be 'I_b' or 'II_b', got {region!r}")
+    row = 0 if region == "I_b" else 1
+    f, mu_t = sol.field[row], sol.mu_t[row]
+    # x * x and hypot, not x**2 and np.abs: those round one point otherwise than an array
+    mu2 = mu_t * mu_t
+    scale = sol.axis[2, row] / mu2
+    norm = np.hypot(f.real, f.imag)
+    q = np.array([scale * f.real, scale * f.imag, norm * norm / mu2])
+    p = (1.0 / mu_t) * np.array([f.imag, -f.real, np.zeros_like(mu_t)])
+    var_q, var_p = fluctuation_variances(q, p, sol.contact[:, row])
+    exact, formula, formula_field = (1j * value[row] for value in ccr_values(sol))
     return GoldstonePair(
         region=region,
-        Q=spin.bloch_reconstruct(spin.BlochForm(0.0, q)),
-        P=spin.bloch_reconstruct(spin.BlochForm(0.0, p)),
-        ccr_exact=4j * _dot(b, np.cross(q, p)),
-        ccr_formula=4j * abs(lambda_b) ** 2 / mu_t,
-        ccr_formula_field=4j * abs(f) ** 2 / mu_t,
+        q=q,
+        p=p,
+        ccr_exact=exact,
+        ccr_formula=formula,
+        ccr_formula_field=formula_field,
         var_Q=var_q,
         var_P=var_p,
         frequency=2.0 * mu_t,
@@ -113,37 +126,25 @@ def goldstone_operators(region, sol):
 
 
 def ccr_defect(pair):
-    """Distance between the exact commutator mean and the gap formula."""
-    return abs(pair.ccr_exact - pair.ccr_formula)
-
-
-def ccr_defect_bloch(axis, contact, lambda_b, mu_t):
-    """:func:`ccr_defect` from Bloch vectors, elementwise over arrays.
-
-    q x p = -(|F|^2 / mu_t^3) n on the contact axis n, so the identity 4i b.(q x p)
-    of :func:`goldstone_operators` reads -4i |F|^2 (b.n) / mu_t^3 here.
-    """
-    field2 = axis[0] * axis[0] + axis[1] * axis[1]
-    exact = -4.0 * field2 * _dot(contact, axis) / (mu_t * mu_t * mu_t)
-    formula = 4.0 * (lambda_b.real * lambda_b.real + lambda_b.imag * lambda_b.imag) / mu_t
-    return np.abs(exact - formula)
+    """Distance between the exact commutator mean and the gap formula, elementwise."""
+    return np.abs(pair.ccr_exact - pair.ccr_formula)
 
 
 def goldstone_dynamics_residual(pair, hamiltonian, times):
-    """Worst deviation from pure (Q, P)-plane rotation over the times.
+    """Worst deviation of one point's pair from (Q, P)-plane rotation over the times.
 
     The rotation orientation is computed from the Bloch geometry, not
     assumed: s is the sign making dQ/dt = s * nu * P at t = 0.
     Zero operators (normal phase) give zero residual trivially.
     """
-    q_op, p_op = pair.Q, pair.P
-    n, q, p = (spin.pauli_components(np.asarray(op, dtype=complex))[1].real
-               for op in (hamiltonian, q_op, p_op))
+    q, p = pair.q, pair.p
+    n = spin.pauli_components(np.asarray(hamiltonian, dtype=complex))[1].real
     if not (q.any() or p.any()):
         return 0.0
     if not n.any():
         raise ValueError("contact Hamiltonian must have a nonzero axis")
     s = 1.0 if _dot(np.cross(q, n), p) >= 0.0 else -1.0  # dQ/dt = -nu n_hat x q
+    q_op, p_op = pair.Q, pair.P
     times = np.asarray(times, dtype=float)
     theta = (pair.frequency * times)[:, None, None]
     cos, sin = np.cos(theta), np.sin(theta)
@@ -159,17 +160,16 @@ def goldstone_frequencies(sol):
     return (2.0 * sol.mu_t_I, 2.0 * sol.mu_t_II)
 
 
-def fluctuation_variances(pair, rho_b):
-    """Per-site variances of (Q, P) in the given contact state.
+def fluctuation_variances(q, p, b):
+    """Variances |v|^2 - (2 b.v)^2 of v.sigma in rho = 1/2 + b.sigma, for v = q, p.
 
-    For product states these equal the variances of the central-limit
-    normal coordinates; both vanish in the normal phase.
+    Elementwise over Bloch vectors of shape ``(3, ...)``.  For product
+    states these equal the variances of the central-limit normal
+    coordinates; both vanish in the normal phase.
     """
-    b = spin.pauli_components(np.asarray(rho_b))[1].real
-    q, p = (spin.pauli_components(op)[1].real for op in (pair.Q, pair.P))
-    return _variances(q, p, b)
 
+    def variance(v):
+        mean = 2.0 * _dot(b, v)  # <v.sigma> in rho
+        return _dot(v, v) - mean * mean
 
-def _variances(q, p, b):
-    """Variances |v|^2 - (2 b.v)^2 of v.sigma in rho = 1/2 + b.sigma, for v = q, p."""
-    return tuple(float(_dot(v, v) - (2.0 * _dot(b, v)) ** 2) for v in (q, p))
+    return variance(q), variance(p)

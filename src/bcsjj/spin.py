@@ -114,6 +114,16 @@ def _assemble(scalar, vector):
     return scalar * IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
 
+def _from_bloch(scalar, v):
+    """scalar * 1 + v.sigma for vectors ``v`` of shape ``(3, ...)``, as ``(..., 2, 2)``."""
+    return _assemble(scalar, np.moveaxis(v, 0, -1))
+
+
+def _dot(u, v):
+    """u.v over the leading axis of Bloch vectors (any trailing shape)."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _thermal_bloch(n, beta):
     """a = -1/2 tanh(beta |n|) n/|n| of exp(-beta n.sigma)/Z = 1/2 + a.sigma (0 at n = 0)."""
     norm = float(np.linalg.norm(n))

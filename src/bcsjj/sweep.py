@@ -18,7 +18,7 @@ import numpy as np
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams
 from .ness import JunctionParams, WeakContactWarning, solve_batch, warn_strong_contact
-from .observables import ccr_defect_bloch
+from .observables import ccr_values, goldstone_frequencies, josephson_current
 
 SWEEP_AXES = (
     "delta_phi",
@@ -196,18 +196,16 @@ def run_sweep(config):
 def _evaluate(points, damping, tolerance, max_iter, seed):
     """One batched solve, then each SweepRow from the solution arrays."""
     batch = solve_batch(points, damping=damping, tol=tolerance, max_iter=max_iter, seed=seed)
-    lam_b = batch.Lambda_b
-    gamma = np.array([p.gamma for p in batch.points], dtype=float)
-    # josephson_current: 4 gamma Im(conj(Lambda_b_I) Lambda_b_II)
-    current = 4.0 * gamma * (lam_b[0].real * lam_b[1].imag - lam_b[0].imag * lam_b[1].real)
-    ccr = ccr_defect_bloch(batch.axis, batch.contact, lam_b, batch.mu_t)
+    current = josephson_current(batch, np.array([p.gamma for p in batch.points], dtype=float)).j
+    exact, formula, _ = ccr_values(batch)
     columns = zip(
         batch.points,
         batch.lambda_bulk.T.tolist(),
-        lam_b.T.tolist(),
+        batch.Lambda_b.T.tolist(),
         batch.mu_t.T.tolist(),
         current.tolist(),
-        ccr.T.tolist(),
+        zip(*(nu.tolist() for nu in goldstone_frequencies(batch))),
+        np.abs(exact - formula).T.tolist(),  # ccr_defect of both contacts
         batch.residual.tolist(),
         batch.converged.tolist(),
         batch.iterations.tolist(),
@@ -230,15 +228,15 @@ def _evaluate(points, damping, tolerance, max_iter, seed):
             mu_t_I=mu[0],
             mu_t_II=mu[1],
             current=j,
-            nu_t_I=2.0 * mu[0],
-            nu_t_II=2.0 * mu[1],
+            nu_t_I=nu[0],
+            nu_t_II=nu[1],
             ccr_defect_I=ccr_pair[0],
             ccr_defect_II=ccr_pair[1],
             residual=residual,
             converged=converged,
             iterations=iterations,
         )
-        for p, lam, lb, mu, j, ccr_pair, residual, converged, iterations in columns
+        for p, lam, lb, mu, j, nu, ccr_pair, residual, converged, iterations in columns
     ]
 
 

@@ -118,9 +118,9 @@ def test_phase_locking():
 
 def test_verify_steady_detects_perturbation():
     sol = solve_ness(STANDARD)
-    broken = replace(sol, Lambda_b_I=sol.Lambda_b_I + 1e-3)
+    broken = replace(sol, Lambda_b=sol.Lambda_b + [1e-3, 0.0])
     assert verify_steady(broken) > 1e-5
-    broken = replace(sol, Lambda_b_I=sol.Lambda_b_I * cmath.exp(1e-4j))
+    broken = replace(sol, Lambda_b=sol.Lambda_b * [cmath.exp(1e-4j), 1.0])
     assert verify_steady(broken) > 1e-7
 
 

@@ -7,14 +7,28 @@ Examples are derandomized so every run checks the same points.
 
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcsjj.equilibrium import BulkParams
-from bcsjj.ness import JunctionParams, gauge_shift, solve_ness, verify_steady
-from bcsjj.observables import ccr_defect, goldstone_operators, josephson_current
+from bcsjj.ness import (
+    JunctionParams,
+    NessSolution,
+    gauge_shift,
+    solve_batch,
+    solve_ness,
+    verify_steady,
+)
+from bcsjj.observables import (
+    GoldstonePair,
+    ccr_defect,
+    goldstone_frequencies,
+    goldstone_operators,
+    josephson_current,
+)
 from bcsjj.sweep import (
     SWEEP_AXES,
     _seed_from_config,
@@ -110,7 +124,55 @@ def test_row_matches_matrix_observables(params, seed):
     for side in ("I", "II"):
         pair = goldstone_operators(f"{side}_b", sol)
         assert getattr(row, f"nu_t_{side}") == pair.frequency
-        assert abs(getattr(row, f"ccr_defect_{side}") - ccr_defect(pair)) <= 1e-14
+        assert getattr(row, f"ccr_defect_{side}") == ccr_defect(pair)
+
+
+def _names(cls):
+    """Every dataclass field and every property of ``cls``."""
+    properties = [name for name, v in vars(cls).items() if isinstance(v, property)]
+    return [f.name for f in fields(cls)] + properties
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# a point where pow(mu_t, 2) on one point rounds otherwise than mu_t * mu_t on arrays
+ROUNDING_POINT = JunctionParams(
+    BulkParams(0.3333333333333333, 100.0), BulkParams(0.3924940264049931, 0.5), 0.004050263094858067
+)
+
+
+@PROPERTY
+@given(points=st.lists(junctions(), min_size=1, max_size=6), seed=SEED)
+@example(points=[ROUNDING_POINT], seed=None)
+def test_batch_point_equals_single_solve(points, seed):
+    """solve_batch(points)[k] is solve_ness(points[k]) bit for bit, and the
+    observables of the whole batch are their per-point values."""
+    batch = solve_batch(points, seed=seed)
+    current = josephson_current(batch, np.array([p.gamma for p in points])).j
+    frequencies = goldstone_frequencies(batch)
+    pairs = [goldstone_operators(region, batch) for region in ("I_b", "II_b")]
+    for k, params in enumerate(points):
+        sol = solve_ness(params, seed=seed)
+        for name in _names(NessSolution):
+            value, expected = getattr(batch[k], name), getattr(sol, name)
+            if name in ("points", "params"):
+                assert value == expected
+            else:
+                assert _same_bits(value, expected), name
+        assert _same_bits(current[k], josephson_current(sol, params.gamma).j)
+        for nu, expected in zip(frequencies, goldstone_frequencies(sol)):
+            assert _same_bits(nu[k], expected)
+        for pair in pairs:
+            expected = goldstone_operators(pair.region, sol)
+            for name in _names(GoldstonePair):
+                value = getattr(pair, name)
+                # Q and P are (points, 2, 2) stacks; the rest keep the point axis last
+                if name != "region":
+                    value = value[k] if name in ("Q", "P") else value[..., k]
+                assert _same_bits(value, getattr(expected, name)), (pair.region, name)
 
 
 @PROPERTY

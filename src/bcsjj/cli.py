@@ -212,8 +212,9 @@ def cmd_ness(args):
     if config.format == "csv":
         text = render([row], "csv")
     else:
+        # a shallow dict: the fields are plain numbers, which asdict would deep-copy one by one;
         # the row's residual is the steady-state defect of the one solve
-        payload = asdict(row)
+        payload = {f.name: getattr(row, f.name) for f in fields(row)}
         payload["steady_residual"] = row.residual
         text = json.dumps(payload, indent=2) + "\n"
     _emit(text, config.output)

@@ -84,18 +84,17 @@ def critical_beta(epsilon):
     return math.atanh(2.0 * epsilon) / epsilon
 
 
-def solve_gap(params):
-    """Solve the bulk self-consistency for one plate.
+def gap_root(epsilon, beta):
+    """The bare gap of one plate: ``(lam, mu, superconducting)``.
 
     The ordered branch exists iff tanh(beta epsilon) > 2 epsilon, in
     which case tanh(beta mu) / mu is strictly decreasing so the root of
     tanh(beta mu) = 2 mu is unique; plain bisection on (epsilon, 1/2]
     brackets it from the sign change.  Returns the ordered branch when
-    it exists, otherwise the normal solution.
+    it exists, otherwise the normal solution ``(0.0, epsilon, False)``.
     """
-    eps, beta = params.epsilon, params.beta
-    if math.tanh(beta * eps) > 2.0 * eps:
-        lo, hi = eps, 0.5
+    if math.tanh(beta * epsilon) > 2.0 * epsilon:
+        lo, hi = epsilon, 0.5
         # f(lo) > 0 by the criterion, f(0.5) = tanh(beta/2) - 1 < 0
         while hi - lo > GAP_BISECTION_TOL:
             mid = 0.5 * (lo + hi)
@@ -104,12 +103,19 @@ def solve_gap(params):
             else:
                 hi = mid
         mu = 0.5 * (lo + hi)
-        lam = math.sqrt(max(mu * mu - eps * eps, 0.0))
-        superconducting = True
-    else:
-        lam = 0.0
-        mu = eps
-        superconducting = False
+        return math.sqrt(max(mu * mu - epsilon * epsilon, 0.0)), mu, True
+    return 0.0, epsilon, False
+
+
+def solve_gap(params):
+    """Solve the bulk self-consistency for one plate.
+
+    The gap is :func:`gap_root`'s; the state is the closed-form thermal
+    state of the one-site Hamiltonian at that gap, ``rho`` assembled
+    from it once and ``residual`` its gap-map defect.
+    """
+    eps, beta = params.epsilon, params.beta
+    lam, mu, superconducting = gap_root(eps, beta)
     field = lam * np.exp(1j * params.phi)
     # the thermal state on the axis (-Re F, -Im F, eps); <sigma_plus> = a_x + i a_y
     a = spin._thermal_bloch(np.array([-field.real, -field.imag, eps]), beta)

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import spin
 from .constants import NESS_CHANGE_TOL
-from .equilibrium import BulkParams, effective_hamiltonian, solve_gap
+from .equilibrium import BulkParams, effective_hamiltonian, gap_root, solve_gap
 from .spin import _dot, _from_bloch
 
 REGIONS = ("I_a", "I_b", "II_b", "II_a")
@@ -182,7 +182,7 @@ def _plates(points):
 
     Returns the bulk gaps, the bulk order parameters, the epsilons, the
     ``(3, 2, N)`` bulk Bloch vectors and the ``(N,)`` couplings.  The
-    gap bisection runs once per distinct (epsilon, beta) plate.
+    bare gap root runs once per distinct (epsilon, beta) plate.
     """
     gaps = {}
     lam, order, eps, scale = [], [], [], []
@@ -190,7 +190,7 @@ def _plates(points):
         for bulk in (p.bulk_I, p.bulk_II):
             key = (bulk.epsilon, bulk.beta)
             if key not in gaps:
-                gap = solve_gap(bulk).lam
+                gap = gap_root(*key)[0]
                 norm = math.hypot(bulk.epsilon, gap)
                 gaps[key] = (gap, -0.5 * math.tanh(bulk.beta * norm) / norm)
             gap, s = gaps[key]
@@ -298,7 +298,8 @@ def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j):
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}, expected one of {REGIONS}")
     bulk = params.bulk_I if region.startswith("I_") else params.bulk_II
-    return _region_hamiltonian(region, params, solve_gap(bulk).lam, Lambda_b_I, Lambda_b_II)
+    lam = gap_root(bulk.epsilon, bulk.beta)[0]
+    return _region_hamiltonian(region, params, lam, Lambda_b_I, Lambda_b_II)
 
 
 def _region_hamiltonian(region, params, lam, Lambda_b_I, Lambda_b_II):
@@ -336,8 +337,8 @@ def closed_form_rhs(guess, params):
     lb_i, lb_ii = complex(guess[0]), complex(guess[1])
     out = []
     for bulk, other in ((params.bulk_I, lb_ii), (params.bulk_II, lb_i)):
-        lam = solve_gap(bulk).lam
         eps = bulk.epsilon
+        lam = gap_root(eps, bulk.beta)[0]
         field = lam * cmath.exp(1j * bulk.phi) + params.gamma * other
         aligned = (cmath.exp(-1j * bulk.phi) * field).real
         numerator = eps * eps + lam * aligned

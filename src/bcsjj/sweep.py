@@ -34,9 +34,13 @@ FORMATS = ("csv", "json")
 POINT_FIELDS = ("epsilon_I", "epsilon_II", "beta_I", "beta_II", "gamma", "phi_I", "phi_II")
 
 
-@dataclass(frozen=True)
+@dataclass
 class SweepRow:
-    """One grid point: the CSV columns, then the solver's map evaluations."""
+    """One grid point: the CSV columns, then the solver's map evaluations.
+
+    A plain record: not frozen, since a frozen dataclass pays one
+    ``object.__setattr__`` per field on every row built.
+    """
 
     epsilon_I: float
     epsilon_II: float
@@ -163,18 +167,27 @@ def _seed_from_config(config):
     )
 
 
-def params_at(config, value=None):
-    """Junction parameters at the configured point, or at ``value`` on its axis."""
-    fixed = {key: getattr(config, key) for key in POINT_FIELDS}
+def params_at(config, value=None, base=None):
+    """Junction parameters at the configured point, or at ``value`` on its axis.
+
+    ``base``, the configured point ``params_at(config)``, lends the
+    result each plate the axis leaves alone, so a grid builds only its
+    swept plate per value.
+    """
+    point = {key: getattr(config, key) for key in POINT_FIELDS}
+    swept = ""
     if value is not None and config.axis == "delta_phi":
-        fixed["phi_II"] = fixed["phi_I"] - value
+        swept = "phi_II"
+        point[swept] = point["phi_I"] - value
     elif value is not None:
-        fixed[config.axis] = value
-    return JunctionParams(
-        bulk_I=BulkParams(fixed["epsilon_I"], fixed["beta_I"], fixed["phi_I"]),
-        bulk_II=BulkParams(fixed["epsilon_II"], fixed["beta_II"], fixed["phi_II"]),
-        gamma=fixed["gamma"],
-    )
+        swept = config.axis
+        point[swept] = value
+    bulk_I, bulk_II = (None, None) if base is None else (base.bulk_I, base.bulk_II)
+    if bulk_I is None or swept.endswith("_I"):
+        bulk_I = BulkParams(point["epsilon_I"], point["beta_I"], point["phi_I"])
+    if bulk_II is None or swept.endswith("_II"):
+        bulk_II = BulkParams(point["epsilon_II"], point["beta_II"], point["phi_II"])
+    return JunctionParams(bulk_I=bulk_I, bulk_II=bulk_II, gamma=point["gamma"])
 
 
 def evaluate_point(params, damping=1.0, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
@@ -187,7 +200,8 @@ def run_sweep(config):
     grid = np.linspace(config.start, config.stop, config.count)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakContactWarning)
-        points = [params_at(config, float(value)) for value in grid]
+        base = params_at(config)
+        points = [params_at(config, float(value), base) for value in grid]
     warn_strong_contact(points, stacklevel=3)
     seed = _seed_from_config(config)
     return _evaluate(points, config.damping, config.tolerance, config.max_iter, seed)

@@ -8,17 +8,18 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
 import bcsjj
-from bcsjj import cli, lattice
+from bcsjj import cli, lattice, ness, spin, sweep
 from bcsjj.checks import CheckResult, run_checks
-from bcsjj.equilibrium import BulkParams
+from bcsjj.equilibrium import BulkParams, gap_root
 from bcsjj.ness import JunctionParams, WeakContactWarning
 from bcsjj.sweep import (
     CSV_COLUMNS,
+    SWEEP_AXES,
     RunConfig,
     config_from_mapping,
     evaluate_point,
@@ -66,6 +67,55 @@ def test_gamma_axis():
     rows = run_sweep(config)
     assert [row.gamma for row in rows] == [0.0, 5e-3, 1e-2]
     assert rows[0].lambda_t_I == pytest.approx(rows[0].lambda_I, abs=1e-11)
+
+
+# each range crosses a plate's ordering threshold or epsilon = 1/2 where it can
+AXIS_RANGES = {
+    "delta_phi": (-3.0, 3.0),
+    "gamma": (0.0, 1e-2),
+    "beta_I": (1.0, 1e4),
+    "beta_II": (1.0, 1e4),
+    "epsilon_I": (0.1, 0.6),
+    "epsilon_II": (0.1, 0.6),
+}
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_sweep_solves_each_plate_once_on_bloch_vectors(axis, monkeypatch):
+    """A sweep takes one bare gap root per distinct (epsilon, beta) plate
+    and assembles no 2x2 matrix."""
+
+    def forbidden(*args):
+        raise AssertionError("the sweep went through a 2x2 matrix")
+
+    roots = []
+
+    def counted(epsilon, beta):
+        roots.append((epsilon, beta))
+        return gap_root(epsilon, beta)
+
+    monkeypatch.setattr(spin, "_assemble", forbidden)
+    monkeypatch.setattr(ness, "gap_root", counted)
+    start, stop = AXIS_RANGES[axis]
+    rows = run_sweep(small_config(axis=axis, start=start, stop=stop, count=7))
+    plates = {(r.epsilon_I, r.beta_I) for r in rows} | {(r.epsilon_II, r.beta_II) for r in rows}
+    assert len(rows) == 7 and all(r.converged for r in rows)
+    assert len(roots) == len(plates) and set(roots) == plates
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_sweep_builds_only_the_swept_plate_per_grid_value(axis, monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return BulkParams(*args)
+
+    monkeypatch.setattr(sweep, "BulkParams", counted)
+    start, stop = AXIS_RANGES[axis]
+    run_sweep(small_config(axis=axis, start=start, stop=stop, count=7))
+    # both plates of the configured point, then the swept one per value
+    assert len(built) == 2 + (0 if axis == "gamma" else 7)
 
 
 def test_render_deterministic():
@@ -362,6 +412,15 @@ def test_cli_ness_json_dump(capsys):
     assert payload["converged"] is True
     assert payload["steady_residual"] < 1e-12
     assert payload["iterations"] >= 1
+
+
+def test_cli_ness_json_prints_the_bytes_of_asdict(capsys):
+    assert run_cli("ness", "--gamma", "1e-3", "--phi-i", "0.3", "--beta-ii", "5") == 0
+    config = config_from_mapping({"gamma": 1e-3, "phi_I": 0.3, "beta_II": 5.0})
+    row = evaluate_point(params_at(config))
+    payload = asdict(row)
+    payload["steady_residual"] = row.residual
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_cli_ness_nonconvergence_exit(monkeypatch, capsys):

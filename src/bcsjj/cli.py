@@ -136,9 +136,12 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
+_FIELD_NAMES = {cls: frozenset(f.name for f in fields(cls)) for cls in (RunConfig, CheckOptions)}
+
+
 def _overrides(args, cls):
     """The parsed values that were given and name a field of dataclass ``cls``."""
-    names = {f.name for f in fields(cls)}
+    names = _FIELD_NAMES[cls]
     return {key: value for key, value in vars(args).items() if key in names and value is not None}
 
 
@@ -216,7 +219,10 @@ def cmd_ness(args):
         # the row's residual is the steady-state defect of the one solve
         payload = {f.name: getattr(row, f.name) for f in fields(row)}
         payload["steady_residual"] = row.residual
-        text = json.dumps(payload, indent=2) + "\n"
+        # The payload is one flat object of numbers and booleans, so these
+        # separators give the bytes of indent=2 exactly; unlike any indent,
+        # they keep json on its C encoder.
+        text = "{\n  " + json.dumps(payload, separators=(",\n  ", ": "))[1:-1] + "\n}\n"
     _emit(text, config.output)
     return EXIT_OK if row.converged else EXIT_SOLVER
 

@@ -53,7 +53,7 @@ import numpy as np
 from . import spin
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams, effective_hamiltonian, gap_root, solve_gap
-from .spin import _dot, _from_bloch
+from .spin import _from_bloch
 
 REGIONS = ("I_a", "I_b", "II_b", "II_a")
 
@@ -205,21 +205,29 @@ def _plates(points):
     return lam, order, eps, scale * _axis(order, eps), gamma
 
 
-def _contact_map(x, order, eps, bulk_vec, gamma):
+def _map_constants(bulk_vec, eps):
+    """The per-point constants of the contact map: -a_x, -a_y, a_z eps and eps^2."""
+    return -bulk_vec[0], -bulk_vec[1], bulk_vec[2] * eps, eps * eps
+
+
+def _contact_map(x, order, gamma, minus_ax, minus_ay, az_eps, eps_sq):
     """<sigma_plus> of the contact states for contact order parameters x.
 
-    Returns it with the contact fields, their Bloch axes n and the
-    factor c = (a.n) / |n|^2 that makes c n the contact Bloch vector.
+    Returns it with the contact fields F, the factor c = (a.n) / |n|^2
+    that makes c n the contact Bloch vector, and |n|^2, for the axes
+    n = (-Re F, -Im F, eps).  a.n is summed as (-a_x) Re F + (-a_y) Im F
+    + a_z eps, which is a_x (-Re F) + a_y (-Im F) + a_z eps bit for bit.
     """
     field = order + gamma * x[::-1]
-    n = _axis(field, eps)
-    c = _dot(bulk_vec, n) / _dot(n, n)
-    return -c * field, field, n, c
+    fr, fi = field.real, field.imag
+    norm_sq = fr * fr + fi * fi + eps_sq
+    c = (minus_ax * fr + minus_ay * fi + az_eps) / norm_sq
+    return -c * field, field, c, norm_sq
 
 
-def _map_defect(f, x):
-    d = f - x
-    return np.sqrt(np.max(d.real * d.real + d.imag * d.imag, axis=0))
+def _map_defect(d):
+    """max |d| over both plates, per point."""
+    return np.sqrt((d.real * d.real + d.imag * d.imag).max(axis=0))
 
 
 def solve_batch(points, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
@@ -239,25 +247,40 @@ def solve_batch(points, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed
         raise ValueError(f"tol must be finite and positive, got {tol}")
     points = tuple(points)
     lam, order, eps, bulk_vec, gamma = _plates(points)
+    constants = _map_constants(bulk_vec, eps)
     x = order.copy()
     if seed is not None:
         x[0], x[1] = complex(seed[0]), complex(seed[1])
     iterations = np.zeros(len(points), dtype=int)
-    active = np.arange(len(points))
-    for _ in range(int(max_iter)):
-        xa = x[:, active]
-        fa = _contact_map(
-            xa, order[:, active], eps[:, active], bulk_vec[:, :, active], gamma[active]
-        )[0]
-        iterations[active] += 1
-        x[:, active] = xa + damping * (fa - xa)
-        active = active[_map_defect(fa, xa) >= tol]
-        if not active.size:
+    # The points still iterating, by index, and their slices of the map's
+    # inputs.  Until a point stops these are the full arrays, and x is
+    # updated in place; the working set is compacted only on a step
+    # where some point stops, after writing back the points that stop.
+    left = np.arange(len(points))
+    work = (x, order, gamma, *constants)
+    max_iter = int(max_iter)
+    for step in range(1, max_iter + 1):
+        xw = work[0]
+        d = _contact_map(*work)[0] - xw
+        xw += damping * d
+        go_on = _map_defect(d) >= tol
+        if step == max_iter:  # the cap stops every point left
+            go_on[:] = False
+        if left.size and go_on.all():
+            continue
+        stop = ~go_on
+        iterations[left[stop]] = step
+        if xw is not x:
+            x[:, left[stop]] = xw[:, stop]
+        if not go_on.any():
             break
+        left = left[go_on]
+        work = tuple(v[..., go_on] for v in work)
 
-    f, field, n, c = _contact_map(x, order, eps, bulk_vec, gamma)
+    f, field, c, norm_sq = _contact_map(x, order, gamma, *constants)
+    n = _axis(field, eps)
     contact = c * n
-    map_defect = _map_defect(f, x)
+    map_defect = _map_defect(f - x)
     # Four-region stationarity; the contact self-consistency defect
     # |Lambda_b - <sigma_plus>| is the map defect itself.
     stationarity = np.maximum(
@@ -268,7 +291,7 @@ def solve_batch(points, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed
         lambda_bulk=lam,
         Lambda_b=x,
         field=field,
-        mu_t=np.sqrt(_dot(n, n)),
+        mu_t=np.sqrt(norm_sq),
         axis=n,
         contact=contact,
         residual=stationarity + map_defect,
@@ -323,7 +346,7 @@ def ness_map(guess, params):
     """
     _, order, eps, bulk_vec, gamma = _plates([params])
     x = np.array([[complex(guess[0])], [complex(guess[1])]])
-    f = _contact_map(x, order, eps, bulk_vec, gamma)[0]
+    f = _contact_map(x, order, gamma, *_map_constants(bulk_vec, eps))[0]
     return (complex(f[0, 0]), complex(f[1, 0]))
 
 

@@ -77,7 +77,9 @@ class RunConfig:
     The sweep axis replaces the like-named fixed field at each grid
     point; ``delta_phi`` holds ``phi_I`` fixed and sets
     ``phi_II = phi_I - delta`` so the axis value is the bias
-    phi_I - phi_II appearing in the current law.
+    phi_I - phi_II appearing in the current law.  Only ``delta_phi``
+    has a default range, ``DELTA_PHI_RANGE``; a sweep on any other
+    axis needs both ``start`` and ``stop``.
     """
 
     epsilon_I: float = 0.3
@@ -88,8 +90,8 @@ class RunConfig:
     phi_I: float = 0.0
     phi_II: float = 0.0
     axis: str = "delta_phi"
-    start: float = -math.pi / 2
-    stop: float = math.pi / 2
+    start: float | None = None
+    stop: float | None = None
     count: int = 33
     output: str | None = None
     format: str = "csv"
@@ -136,14 +138,17 @@ def _typed(key, value):
     return tuple(map(float, items)) if seeds else value
 
 
-def config_from_mapping(mapping, base=None):
+# The defaults, validated once: a frozen instance is safe to share.
+DEFAULT_CONFIG = RunConfig()
+DELTA_PHI_RANGE = (-math.pi / 2, math.pi / 2)
+
+
+def config_from_mapping(mapping, base=DEFAULT_CONFIG):
     """Build a RunConfig from a dict, e.g. a parsed JSON config file.
 
     Unknown keys are rejected here and mistyped values by RunConfig;
-    ``base`` supplies defaults for missing ones (command-line merging
-    starts from the file config).
+    ``base`` supplies defaults for missing ones.
     """
-    base = base if base is not None else RunConfig()
     unknown = set(mapping) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -197,7 +202,7 @@ def evaluate_point(params, damping=1.0, tolerance=NESS_CHANGE_TOL, max_iter=100_
 
 def run_sweep(config):
     """Evaluate the configured grid, in order, one SweepRow per point."""
-    grid = np.linspace(config.start, config.stop, config.count)
+    grid = np.linspace(*_sweep_range(config), config.count)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakContactWarning)
         base = params_at(config)
@@ -205,6 +210,22 @@ def run_sweep(config):
     warn_strong_contact(points, stacklevel=3)
     seed = _seed_from_config(config)
     return _evaluate(points, config.damping, config.tolerance, config.max_iter, seed)
+
+
+def _sweep_range(config):
+    """(start, stop) of the grid: as configured, or ``DELTA_PHI_RANGE``
+    filling in on the delta_phi axis."""
+    start, stop = config.start, config.stop
+    if config.axis == "delta_phi":
+        default_start, default_stop = DELTA_PHI_RANGE
+        start = default_start if start is None else start
+        stop = default_stop if stop is None else stop
+    elif start is None or stop is None:
+        raise ValueError(
+            f"a sweep on the {config.axis} axis needs both --start and --stop "
+            "(only delta_phi has a default range)"
+        )
+    return start, stop
 
 
 def _evaluate(points, damping, tolerance, max_iter, seed):

@@ -203,6 +203,19 @@ def test_iteration_cap_is_the_only_fallback():
     assert solve_ness(STANDARD, max_iter=5).iterations <= 5
 
 
+def test_empty_batch_evaluates_the_map_at_most_twice(monkeypatch):
+    calls, contact_map = [], ness._contact_map
+
+    def counting(*args):
+        calls.append(args)
+        return contact_map(*args)
+
+    monkeypatch.setattr(ness, "_contact_map", counting)
+    empty = ness.solve_batch([])
+    assert empty.Lambda_b.shape == (2, 0) and empty.iterations.shape == (0,)
+    assert len(calls) <= 2  # at most one loop step, then the final stage
+
+
 def test_damping_reaches_the_same_point():
     sol = solve_ness(STANDARD)
     damped = solve_ness(STANDARD, damping=0.5)

@@ -10,10 +10,12 @@ past example set hit are kept as ``@example``.
 
 import cmath
 import math
+import warnings
 from dataclasses import fields
 
 import hypothesis
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from bcsjj.equilibrium import BulkParams, critical_beta, gap_root, solve_gap
 from bcsjj.ness import (
     JunctionParams,
     NessSolution,
+    WeakContactWarning,
     gauge_shift,
     solve_batch,
     solve_ness,
@@ -65,11 +68,11 @@ AXIS_VALUES = {
 
 
 @st.composite
-def junctions(draw):
+def junctions(draw, gamma=GAMMA):
     return JunctionParams(
         bulk_I=BulkParams(draw(EPSILON), draw(BETA), draw(PHI)),
         bulk_II=BulkParams(draw(EPSILON), draw(BETA), draw(PHI)),
-        gamma=draw(GAMMA),
+        gamma=draw(gamma),
     )
 
 
@@ -193,6 +196,45 @@ def test_batch_point_equals_single_solve(points, seed):
                 if name != "region":
                     value = value[k] if name in ("Q", "P") else value[..., k]
                 assert _same_bits(value, getattr(expected, name)), (pair.region, name)
+
+
+# At damping 1 the map's iterates settle into a 2-cycle here and never
+# meet the tolerance; a weak point beside it stops after a few steps.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", WeakContactWarning)
+    TWO_CYCLE_POINT = JunctionParams(BulkParams(0.3, 1e4, math.pi), BulkParams(0.3, 1e4), 1.0)
+WEAK_POINT = JunctionParams(BulkParams(0.3, 1e4, 0.3), BulkParams(0.3, 1e4), 1e-3)
+
+
+@st.composite
+def capped_batches(draw):
+    """(points, damping, max_iter): under a small cap, contacts up to
+    gamma = 30, many of which never settle at either damping; under the
+    default cap only weak ones, which each stop within a few steps."""
+    max_iter = draw(st.sampled_from((1, 2, 7, 100_000)))
+    gamma = GAMMA if max_iter == 100_000 else GAMMA | st.floats(0.0, 30.0)
+    points = draw(st.lists(junctions(gamma), min_size=1, max_size=6))
+    return points, draw(st.sampled_from((1.0, 0.5))), max_iter
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+@PROPERTY
+@hypothesis.seed(108)
+@given(batch=capped_batches(), seed=SEED)
+@example(batch=([TWO_CYCLE_POINT, WEAK_POINT], 1.0, 50), seed=None)
+def test_batch_stops_each_point_as_it_would_alone(batch, seed):
+    """A batch whose points stop at different steps, or run out of
+    steps, returns each point's lone solution bit for bit."""
+    points, damping, max_iter = batch
+    solved = solve_batch(points, damping, max_iter=max_iter, seed=seed)
+    for k, params in enumerate(points):
+        sol = solve_ness(params, damping, max_iter=max_iter, seed=seed)
+        for f in fields(NessSolution):
+            value, expected = getattr(solved[k], f.name), getattr(sol, f.name)
+            if f.name == "points":
+                assert value == expected
+            else:
+                assert _same_bits(value, expected), f.name
 
 
 @PROPERTY

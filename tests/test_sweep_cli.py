@@ -414,13 +414,31 @@ def test_cli_ness_json_dump(capsys):
     assert payload["iterations"] >= 1
 
 
+# (flags, the same point as config keys, exit code): an ordered point; an
+# iteration cap the default point cannot meet; a normal plate II with a
+# phase, whose zero order parameter has signed zero parts; a strong contact
+NESS_EDGE_POINTS = (
+    (("--gamma", "1e-3", "--phi-i", "0.3", "--beta-ii", "5"),
+     {"gamma": 1e-3, "phi_I": 0.3, "beta_II": 5.0}, 0),
+    (("--max-iter", "1"), {"max_iter": 1}, 3),
+    (("--beta-ii", "1", "--phi-ii", "2.5"), {"beta_II": 1.0, "phi_II": 2.5}, 0),
+    (("--gamma", "0.2"), {"gamma": 0.2}, 0),
+)
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
 def test_cli_ness_json_prints_the_bytes_of_asdict(capsys):
-    assert run_cli("ness", "--gamma", "1e-3", "--phi-i", "0.3", "--beta-ii", "5") == 0
-    config = config_from_mapping({"gamma": 1e-3, "phi_I": 0.3, "beta_II": 5.0})
-    row = evaluate_point(params_at(config))
-    payload = asdict(row)
-    payload["steady_residual"] = row.residual
-    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    """``ness`` JSON is the indent=2 dump of the row, and its CSV the
+    row rendered as a one-row table, byte for byte."""
+    for flags, mapping, code in NESS_EDGE_POINTS:
+        config = config_from_mapping(mapping)
+        row = evaluate_point(params_at(config), max_iter=config.max_iter)
+        payload = asdict(row)
+        payload["steady_residual"] = row.residual
+        assert run_cli("ness", *flags) == code
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n", flags
+        assert run_cli("ness", *flags, "--format", "csv") == code
+        assert capsys.readouterr().out == render([row], "csv"), flags
 
 
 def test_cli_ness_nonconvergence_exit(monkeypatch, capsys):
@@ -447,6 +465,23 @@ def test_cli_sweep_stdout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == EXPECTED_HEADER
     assert len(lines) == 4
+
+
+def test_phase_sweep_defaults_to_a_quarter_turn_either_side():
+    deltas = [row.phi_I - row.phi_II for row in run_sweep(small_config(count=3))]
+    assert deltas == [-math.pi / 2, 0.0, math.pi / 2]
+    deltas = [row.phi_I - row.phi_II for row in run_sweep(small_config(count=3, start=0.0))]
+    assert deltas == [0.0, math.pi / 4, math.pi / 2]
+
+
+@pytest.mark.parametrize("axis", [axis for axis in SWEEP_AXES if axis != "delta_phi"])
+def test_sweep_off_the_phase_axis_needs_its_range(axis, capsys):
+    for flags in ((), ("--start", "0.1"), ("--stop", "0.1")):
+        assert run_cli("sweep", "--axis", axis, *flags) == 2
+        err = capsys.readouterr().err
+        assert "--start" in err and "--stop" in err and axis in err
+    with pytest.raises(ValueError, match=axis):
+        run_sweep(small_config(axis=axis))
 
 
 def test_cli_sweep_byte_identical(tmp_path):

@@ -48,7 +48,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CheckOptions:
-    damping: float = 1.0
     tolerance: float = NESS_CHANGE_TOL
     max_iter: int = 100_000
     memory_cap: int | None = None
@@ -63,7 +62,7 @@ def _standard_params(eps, gamma, delta, beta=STANDARD_BETA):
 
 
 def _solve_all(points, opts):
-    return solve_batch(points, damping=opts.damping, tol=opts.tolerance, max_iter=opts.max_iter)
+    return solve_batch(points, tol=opts.tolerance, max_iter=opts.max_iter)
 
 
 def check_equilibrium_fixed_point(opts):

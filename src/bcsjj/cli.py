@@ -48,7 +48,6 @@ _FLAGS = {
     "output": ("--output", dict(metavar="PATH", help="write the result here instead of stdout")),
     "tolerance": ("--tolerance", dict(type=float, help="solver iteration tolerance")),
     "max_iter": ("--max-iter", dict(type=int, help="solver iteration cap")),
-    "damping": ("--damping", dict(type=float, help="fixed-point damping factor in (0, 1]")),
     "seed_lambda": ("--seed-lambda", dict(
         type=float, nargs="+", metavar="LAM",
         help="starting order-parameter moduli (one shared or two values)",
@@ -80,7 +79,7 @@ _FLAGS = {
     )),
 }
 
-_SOLVER = ("tolerance", "max_iter", "damping")
+_SOLVER = ("tolerance", "max_iter")
 _NESS = ("config", "output", *_SOLVER, "seed_lambda", "seed_phi", *POINT_FIELDS)
 
 # (name, help, the flags it reads besides --format, its --format choices)
@@ -205,13 +204,8 @@ def cmd_gap(args):
 
 def cmd_ness(args):
     config = _merged_config(args, default_format="json")
-    row = evaluate_point(
-        params_at(config),
-        damping=config.damping,
-        tolerance=config.tolerance,
-        max_iter=config.max_iter,
-        seed=_seed_from_config(config),
-    )
+    seed = _seed_from_config(config)
+    row = evaluate_point(params_at(config), config.tolerance, config.max_iter, seed)
     if config.format == "csv":
         text = render([row], "csv")
     else:

@@ -24,14 +24,11 @@ a = -1/2 tanh(beta |n|) n / |n|.  Dephasing keeps the part
 
     -(a.n) F / (eps^2 + |F|^2).
 
-:func:`solve_batch` iterates this map on arrays of junction points.  It
-contracts at rate O(gamma), so a few undamped steps reach rounding
-level; a point stops once its map defect |f(x) - x| is below the
-tolerance, and the iteration cap (``converged`` false) is the only
-fallback.  It returns one :class:`NessSolution` holding the solver's
-arrays with a trailing point axis; :func:`solve_ness` is one point of
-it, ``solve_batch([params])[0]``.  2x2 matrices (the contact states
-``rho_b_*``) are built only when read.
+:func:`solve_batch` finds this fixed point on arrays of junction points
+by Newton steps, with the map's Jacobian in closed form, and returns one
+:class:`NessSolution` holding the solver's arrays with a trailing point
+axis; :func:`solve_ness` is ``solve_batch([params])[0]``.  2x2 matrices
+(the contact states ``rho_b_*``) are built only when read.
 
 The same fixed point has a closed rational form (used as a
 cross-check, never as the defining construction):
@@ -62,7 +59,7 @@ class WeakContactWarning(UserWarning):
     """gamma is not small against the plates' epsilon."""
 
 
-def warn_strong_contact(points, stacklevel=2):
+def warn_strong_contact(points):
     """One WeakContactWarning for the points with |gamma| > 0.1 min(epsilon).
 
     Names the worst point, the one with the largest |gamma| / min(epsilon),
@@ -81,7 +78,7 @@ def warn_strong_contact(points, stacklevel=2):
         f"gamma = {worst.gamma} is not small against min(epsilon) = "
         f"{eps_min(worst)}{count}; the junction treatment assumes a weak contact",
         WeakContactWarning,
-        stacklevel=stacklevel,
+        stacklevel=3,  # the caller of solve_batch
     )
 
 
@@ -96,7 +93,6 @@ class JunctionParams:
     def __post_init__(self):
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
-        warn_strong_contact([self], stacklevel=4)
 
     @property
     def delta_phi(self):
@@ -121,8 +117,8 @@ class NessSolution:
     the ``(3, 2, ...)`` Bloch vectors of the contact Hamiltonians and
     of the contact states.  ``residual`` is the :func:`verify_steady`
     defect in Bloch form (it includes the map defect), and
-    ``iterations`` counts map evaluations up to the one that met the
-    stop rule.
+    ``iterations`` counts the solver's Newton steps, up to and including
+    the one whose map defect met the stop rule.
 
     ``sol[k]`` is point ``k`` alone: the point axis is dropped, so
     ``points`` becomes that point's :class:`JunctionParams` and
@@ -206,49 +202,75 @@ def _plates(points):
 
 
 def _map_constants(bulk_vec, eps):
-    """The per-point constants of the contact map: -a_x, -a_y, a_z eps and eps^2."""
-    return -bulk_vec[0], -bulk_vec[1], bulk_vec[2] * eps, eps * eps
+    """The contact map's per-point constants conj(m), m = -(a_x + i a_y), a_z eps and eps^2."""
+    return bulk_vec[1] * 1j - bulk_vec[0], bulk_vec[2] * eps, eps * eps
 
 
-def _contact_map(x, order, gamma, minus_ax, minus_ay, az_eps, eps_sq):
+def _contact_map(x, order, gamma, conj_m, az_eps, eps_sq):
     """<sigma_plus> of the contact states for contact order parameters x.
 
-    Returns it with the contact fields F, the factor c = (a.n) / |n|^2
+    Returns it with the contact fields F, F conj(m), the factor c = (a.n) / |n|^2
     that makes c n the contact Bloch vector, and |n|^2, for the axes
-    n = (-Re F, -Im F, eps).  a.n is summed as (-a_x) Re F + (-a_y) Im F
-    + a_z eps, which is a_x (-Re F) + a_y (-Im F) + a_z eps bit for bit.
+    n = (-Re F, -Im F, eps); a.n = Re(F conj(m)) + a_z eps.
     """
     field = order + gamma * x[::-1]
-    fr, fi = field.real, field.imag
-    norm_sq = fr * fr + fi * fi + eps_sq
-    c = (minus_ax * fr + minus_ay * fi + az_eps) / norm_sq
-    return -c * field, field, c, norm_sq
+    fm = field * conj_m
+    norm_sq = (field * field.conj()).real + eps_sq
+    c = (fm.real + az_eps) / norm_sq
+    return -c * field, field, fm, c, norm_sq
+
+
+def _newton_step(x, order, gamma, conj_m, az_eps, eps_sq, m):
+    """One Newton step on x - f(x): returns d = f(x) - x and adds to x, in
+    place, the delta that solves (I - Df) delta = d.
+
+    A plate's f reads x only through F = order + gamma x_other, so Df maps
+    the other plate's dx to p dx + q conj(dx), with p = -(gamma/2)
+    (F conj(m) + 2 c eps^2) / |n|^2 and q = -(gamma/2) F (m - 2 c F) / |n|^2.
+    Eliminating the other plate's delta leaves alpha delta - beta conj(delta)
+    = r in each row (``[::-1]`` swaps the plates), solved in closed form; a
+    singular I - Df has its determinant read as 1.
+    """
+    f, field, fm, c, norm_sq = _contact_map(x, order, gamma, conj_m, az_eps, eps_sq)
+    d = f - x
+    scale = -0.5 * gamma / norm_sq
+    p = scale * (fm + (c + c) * eps_sq)
+    q = scale * field * (m + f + f)
+    p_o, q_o = p[::-1], q[::-1]
+    alpha = 1.0 - (p * p_o + q * q_o.conj())
+    beta = p * q_o + q * p_o.conj()
+    r = d + p * d[::-1] + q * d[::-1].conj()
+    alpha_c = alpha.conj()
+    det = (alpha * alpha_c - beta * beta.conj()).real
+    det[det == 0.0] = 1.0
+    x += (alpha_c * r + beta * r.conj()) / det
+    return d
 
 
 def _map_defect(d):
     """max |d| over both plates, per point."""
-    return np.sqrt((d.real * d.real + d.imag * d.imag).max(axis=0))
+    return np.maximum(*np.abs(d))
 
 
-def solve_batch(points, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
+def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     """Solve the junction fixed point at every point of a sequence.
 
-    Iterates x <- x + damping (f(x) - x) on the contact order parameters
-    of all points at once, from the bulk order parameters or from a
-    caller ``seed`` (Lambda_b_I, Lambda_b_II) shared by all points.  A
+    Takes Newton steps (:func:`_newton_step`) on the contact order
+    parameters of all points at once, from the bulk order parameters or
+    a caller ``seed`` (Lambda_b_I, Lambda_b_II) shared by all points.  A
     point stops after the first step whose map defect max |f(x) - x| was
-    below ``tol``, or after ``max_iter`` steps, exactly as it would
-    alone; it is ``converged`` when the defect of the returned x is
-    below ``tol``.  Never raises on non-convergence.
+    below ``tol``, that step applied, or after ``max_iter`` steps, exactly
+    as it would alone; it is ``converged`` when the defect of the returned
+    x is below ``tol``.  Never raises on non-convergence; warns once,
+    with :class:`WeakContactWarning`, if some contact is not weak.
     """
-    if not (0.0 < damping <= 1.0):
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     points = tuple(points)
+    warn_strong_contact(points)
     lam, order, eps, bulk_vec, gamma = _plates(points)
     constants = _map_constants(bulk_vec, eps)
-    x = order.copy()
+    x = order.astype(complex)
     if seed is not None:
         x[0], x[1] = complex(seed[0]), complex(seed[1])
     iterations = np.zeros(len(points), dtype=int)
@@ -257,12 +279,11 @@ def solve_batch(points, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed
     # updated in place; the working set is compacted only on a step
     # where some point stops, after writing back the points that stop.
     left = np.arange(len(points))
-    work = (x, order, gamma, *constants)
+    work = (x, order, gamma, *constants, constants[0].conj())  # ..., conj(m), a_z eps, eps^2, m
     max_iter = int(max_iter)
     for step in range(1, max_iter + 1):
         xw = work[0]
-        d = _contact_map(*work)[0] - xw
-        xw += damping * d
+        d = _newton_step(*work)
         go_on = _map_defect(d) >= tol
         if step == max_iter:  # the cap stops every point left
             go_on[:] = False
@@ -277,7 +298,7 @@ def solve_batch(points, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed
         left = left[go_on]
         work = tuple(v[..., go_on] for v in work)
 
-    f, field, c, norm_sq = _contact_map(x, order, gamma, *constants)
+    f, field, _, c, norm_sq = _contact_map(x, order, gamma, *constants)
     n = _axis(field, eps)
     contact = c * n
     map_defect = _map_defect(f - x)
@@ -300,15 +321,14 @@ def solve_batch(points, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed
     )
 
 
-def solve_ness(params, damping=1.0, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
+def solve_ness(params, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     """Solve the junction fixed point at one point: :func:`solve_batch` of one.
 
-    Undamped by default, from the bulk order parameters or a caller
-    seed (for branch exploration).  Never raises on non-convergence:
-    the solution carries ``converged``, the steady-state ``residual``
-    and the ``iterations`` taken instead.
+    Starts from the bulk order parameters or a caller seed (for branch
+    exploration); the solution carries ``converged``, the steady-state
+    ``residual`` and the ``iterations`` taken.
     """
-    return solve_batch([params], damping, tol, max_iter, seed)[0]
+    return solve_batch([params], tol, max_iter, seed)[0]
 
 
 def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j):

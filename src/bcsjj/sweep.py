@@ -10,14 +10,13 @@ import json
 import math
 import operator
 import typing
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams
-from .ness import JunctionParams, WeakContactWarning, solve_batch, warn_strong_contact
+from .ness import JunctionParams, solve_batch
 from .observables import ccr_values, goldstone_frequencies, josephson_current
 
 SWEEP_AXES = (
@@ -95,7 +94,6 @@ class RunConfig:
     count: int = 33
     output: str | None = None
     format: str = "csv"
-    damping: float = 1.0
     tolerance: float = NESS_CHANGE_TOL
     max_iter: int = 100_000
     seed_lambda: tuple | None = None
@@ -195,21 +193,18 @@ def params_at(config, value=None, base=None):
     return JunctionParams(bulk_I=bulk_I, bulk_II=bulk_II, gamma=point["gamma"])
 
 
-def evaluate_point(params, damping=1.0, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
+def evaluate_point(params, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     """Full pipeline at one parameter point: :func:`run_sweep` of one point."""
-    return _evaluate([params], damping, tolerance, max_iter, seed)[0]
+    return _evaluate([params], tolerance, max_iter, seed)[0]
 
 
 def run_sweep(config):
     """Evaluate the configured grid, in order, one SweepRow per point."""
     grid = np.linspace(*_sweep_range(config), config.count)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakContactWarning)
-        base = params_at(config)
-        points = [params_at(config, float(value), base) for value in grid]
-    warn_strong_contact(points, stacklevel=3)
+    base = params_at(config)
+    points = [params_at(config, float(value), base) for value in grid]
     seed = _seed_from_config(config)
-    return _evaluate(points, config.damping, config.tolerance, config.max_iter, seed)
+    return _evaluate(points, config.tolerance, config.max_iter, seed)
 
 
 def _sweep_range(config):
@@ -228,9 +223,9 @@ def _sweep_range(config):
     return start, stop
 
 
-def _evaluate(points, damping, tolerance, max_iter, seed):
+def _evaluate(points, tolerance, max_iter, seed):
     """One batched solve, then each SweepRow from the solution arrays."""
-    batch = solve_batch(points, damping=damping, tol=tolerance, max_iter=max_iter, seed=seed)
+    batch = solve_batch(points, tol=tolerance, max_iter=max_iter, seed=seed)
     current = josephson_current(batch, np.array([p.gamma for p in batch.points], dtype=float)).j
     exact, formula, _ = ccr_values(batch)
     columns = zip(

@@ -10,7 +10,6 @@ past example set hit are kept as ``@example``.
 
 import cmath
 import math
-import warnings
 from dataclasses import fields
 
 import hypothesis
@@ -23,7 +22,7 @@ from bcsjj.equilibrium import BulkParams, critical_beta, gap_root, solve_gap
 from bcsjj.ness import (
     JunctionParams,
     NessSolution,
-    WeakContactWarning,
+    closed_form_rhs,
     gauge_shift,
     solve_batch,
     solve_ness,
@@ -91,7 +90,6 @@ def sweep_configs(draw):
         "start": draw(AXIS_VALUES[axis]),
         "stop": draw(AXIS_VALUES[axis]),
         "count": draw(st.integers(1, 6)),
-        "damping": draw(st.sampled_from((1.0, 0.7))),
     }
     if draw(st.booleans()):
         mapping["seed_lambda"] = draw(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=2))
@@ -126,7 +124,6 @@ def test_sweep_rows_equal_single_point_rows(config):
     expected = [
         evaluate_point(
             params_at(config, float(value)),
-            damping=config.damping,
             tolerance=config.tolerance,
             max_iter=config.max_iter,
             seed=seed,
@@ -198,37 +195,42 @@ def test_batch_point_equals_single_solve(points, seed):
                 assert _same_bits(value, getattr(expected, name)), (pair.region, name)
 
 
-# At damping 1 the map's iterates settle into a 2-cycle here and never
-# meet the tolerance; a weak point beside it stops after a few steps.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", WeakContactWarning)
-    TWO_CYCLE_POINT = JunctionParams(BulkParams(0.3, 1e4, math.pi), BulkParams(0.3, 1e4), 1.0)
+# The undamped map's iterates settle into a 2-cycle here and never meet
+# the tolerance; a weak point beside it stops after a few steps.
+TWO_CYCLE_POINT = JunctionParams(BulkParams(0.3, 1e4, math.pi), BulkParams(0.3, 1e4), 1.0)
 WEAK_POINT = JunctionParams(BulkParams(0.3, 1e4, 0.3), BulkParams(0.3, 1e4), 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+def test_two_cycle_point_converges():
+    sol = solve_ness(TWO_CYCLE_POINT)
+    assert sol.converged and sol.iterations <= 10
+    assert verify_steady(sol) <= 1e-12
 
 
 @st.composite
 def capped_batches(draw):
-    """(points, damping, max_iter): under a small cap, contacts up to
-    gamma = 30, many of which never settle at either damping; under the
-    default cap only weak ones, which each stop within a few steps."""
+    """(points, max_iter): under a small cap, contacts up to gamma = 30,
+    many of which cannot settle in time; under the default cap only weak
+    ones, which each stop within a few steps."""
     max_iter = draw(st.sampled_from((1, 2, 7, 100_000)))
     gamma = GAMMA if max_iter == 100_000 else GAMMA | st.floats(0.0, 30.0)
     points = draw(st.lists(junctions(gamma), min_size=1, max_size=6))
-    return points, draw(st.sampled_from((1.0, 0.5))), max_iter
+    return points, max_iter
 
 
 @pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
 @PROPERTY
 @hypothesis.seed(108)
 @given(batch=capped_batches(), seed=SEED)
-@example(batch=([TWO_CYCLE_POINT, WEAK_POINT], 1.0, 50), seed=None)
+@example(batch=([TWO_CYCLE_POINT, WEAK_POINT], 50), seed=None)
 def test_batch_stops_each_point_as_it_would_alone(batch, seed):
     """A batch whose points stop at different steps, or run out of
     steps, returns each point's lone solution bit for bit."""
-    points, damping, max_iter = batch
-    solved = solve_batch(points, damping, max_iter=max_iter, seed=seed)
+    points, max_iter = batch
+    solved = solve_batch(points, max_iter=max_iter, seed=seed)
     for k, params in enumerate(points):
-        sol = solve_ness(params, damping, max_iter=max_iter, seed=seed)
+        sol = solve_ness(params, max_iter=max_iter, seed=seed)
         for f in fields(NessSolution):
             value, expected = getattr(solved[k], f.name), getattr(sol, f.name)
             if f.name == "points":
@@ -245,6 +247,31 @@ def test_bloch_residual_matches_matrix_reference(params, seed):
     assert sol.converged
     assert sol.residual <= 1e-12
     assert abs(sol.residual - verify_steady(sol)) <= 1e-15
+
+
+@st.composite
+def strong_junctions(draw):
+    """Plates on either side of their ordering threshold, joined by any
+    contact up to gamma = 100."""
+    gamma = draw(st.floats(0.0, 100.0) | st.floats(-4.0, 2.0).map(lambda e: 10.0**e))
+    return JunctionParams(draw(plates()), draw(plates()), gamma)
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+@PROPERTY
+@hypothesis.seed(109)
+@given(params=strong_junctions())
+@example(params=TWO_CYCLE_POINT)
+# two normal plates at their threshold: at x = 0, an exact fixed point, I - Df is singular
+@example(params=JunctionParams(*[BulkParams(0.40625, 2.7922258970072176)] * 2, 1.0))
+def test_every_contact_converges_to_a_steady_state(params):
+    sol = solve_ness(params)
+    assert sol.converged
+    assert verify_steady(sol) <= 1e-12
+    if all(gap_root(b.epsilon, b.beta)[2] for b in (params.bulk_I, params.bulk_II)):
+        rhs = closed_form_rhs((sol.Lambda_b_I, sol.Lambda_b_II), params)
+        assert abs(rhs[0] - sol.Lambda_b_I) <= 1e-11
+        assert abs(rhs[1] - sol.Lambda_b_II) <= 1e-11
 
 
 @PROPERTY

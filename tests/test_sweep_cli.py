@@ -204,12 +204,13 @@ def test_cli_gap_rejects_csv(capsys):
 
 
 # flags a subcommand does not read; each must exit 2 whatever its value
+# (no subcommand reads --damping: the solver's Newton step needs no knob)
 UNREAD_FLAGS = {
     "gap": ("--config", "--tolerance", "--max-iter", "--damping", "--seed-lambda",
             "--seed-phi", "--memory-cap", "--only"),
-    "ness": ("--memory-cap", "--only"),
-    "sweep": ("--memory-cap", "--only"),
-    "check": ("--config", "--seed-lambda", "--seed-phi"),
+    "ness": ("--memory-cap", "--only", "--damping"),
+    "sweep": ("--memory-cap", "--only", "--damping"),
+    "check": ("--config", "--seed-lambda", "--seed-phi", "--damping"),
     "finite-n": ("--tolerance", "--max-iter", "--damping", "--seed-lambda", "--seed-phi",
                  "--only"),
 }
@@ -243,7 +244,7 @@ def test_cli_parser_reuse_carries_no_state(capsys):
     assert run_cli(*argv) == 0
     fresh = capsys.readouterr().out
     cli._build_parser.cache_clear()
-    seeded = ("--seed-lambda", "0.1", "0.2", "--seed-phi", "1.0", "--damping", "0.5")
+    seeded = ("--seed-lambda", "0.1", "0.2", "--seed-phi", "1.0", "--tolerance", "1e-12")
     assert run_cli(*argv, *seeded, "--format", "csv") == 0
     assert capsys.readouterr().out.startswith(EXPECTED_HEADER)
     assert run_cli(*argv) == 0
@@ -415,12 +416,12 @@ def test_cli_ness_json_dump(capsys):
 
 
 # (flags, the same point as config keys, exit code): an ordered point; an
-# iteration cap the default point cannot meet; a normal plate II with a
+# iteration cap a gamma = 1e-2 point cannot meet; a normal plate II with a
 # phase, whose zero order parameter has signed zero parts; a strong contact
 NESS_EDGE_POINTS = (
     (("--gamma", "1e-3", "--phi-i", "0.3", "--beta-ii", "5"),
      {"gamma": 1e-3, "phi_I": 0.3, "beta_II": 5.0}, 0),
-    (("--max-iter", "1"), {"max_iter": 1}, 3),
+    (("--max-iter", "1", "--gamma", "1e-2"), {"max_iter": 1, "gamma": 1e-2}, 3),
     (("--beta-ii", "1", "--phi-ii", "2.5"), {"beta_II": 1.0, "phi_II": 2.5}, 0),
     (("--gamma", "0.2"), {"gamma": 0.2}, 0),
 )
@@ -451,8 +452,8 @@ def test_cli_ness_nonconvergence_exit(monkeypatch, capsys):
 
 
 def test_cli_ness_iteration_cap_exit(capsys):
-    # one map evaluation cannot reach the tolerance at gamma = 1e-3
-    assert run_cli("ness", "--max-iter", "1") == 3
+    # one Newton step cannot reach the tolerance at gamma = 1e-2
+    assert run_cli("ness", "--max-iter", "1", "--gamma", "1e-2") == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is False
     assert payload["iterations"] == 1
@@ -513,6 +514,21 @@ def test_cli_sweep_rejects_unknown_config_key(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["ness", "sweep"])
+def test_cli_rejects_a_damping_config_key(command, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"damping": 0.5}))
+    assert run_cli(command, "--config", str(config)) == 2
+    assert "unknown config keys: ['damping']" in capsys.readouterr().err
+
+
+def test_cli_ness_strong_contact_converges(capsys):
+    # the undamped map's iterates 2-cycle here; Newton steps converge
+    with pytest.warns(WeakContactWarning):
+        assert run_cli("ness", "--gamma", "1", "--phi-i", "3.141592653589793") == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
 def test_cli_sweep_nonconvergence_exit(monkeypatch, tmp_path, capsys):
     rows = run_sweep(small_config(count=2))
     bad = [rows[0], replace(rows[1], converged=False)]
@@ -558,7 +574,7 @@ def test_check_results_are_builtin_types():
 
 
 def test_cli_check_iteration_cap_fails(capsys):
-    # one undamped step cannot reach the standard grid's fixed points
+    # one Newton step cannot reach the standard grid's fixed points
     assert run_cli("check", "--only", "ness.steady", "--max-iter", "1") == 1
     out = capsys.readouterr().out
     assert "FAIL ness.steady_state" in out

@@ -6,10 +6,11 @@ per entry; tests call :func:`run_checks` directly.
 
 Each junction grid is solved by one :func:`~bcsjj.ness.solve_batch`
 call, and the observables (current, mode frequencies, commutator
-values) run on the whole batch at once.  The independent 2x2 routes
-(the closed form, :func:`~bcsjj.ness.verify_steady`, and the rebuilt
-contact Hamiltonians of the mode dynamics) run per point on
-``batch[k]``, so no check compares the solver with itself.
+values) run on the whole batch at once.  So do the independent 2x2
+routes, the closed form and :func:`~bcsjj.ness.verify_steady`, which
+work elementwise on 2x2 matrices, never on the solver's Bloch algebra;
+the rebuilt contact Hamiltonians of the mode dynamics run per point on
+``batch[k]``.  No check compares the solver with itself.
 
 Nothing is computed twice in a run: the standard grid (three checks)
 and the law grid (two) sit in one-entry caches keyed on the frozen
@@ -116,14 +117,13 @@ def _standard_grid(opts):
 
 def check_ness_oracle(opts):
     batch = _standard_grid(opts)
-    rhs = [closed_form_rhs(guess, p) for guess, p in zip(batch.Lambda_b.T, batch.points)]
-    worst = float(np.abs(np.array(rhs).T - batch.Lambda_b).max())
+    worst = float(np.abs(closed_form_rhs(batch.Lambda_b, batch.points) - batch.Lambda_b).max())
     return CheckResult("ness.oracle_equivalence", worst < 1e-11, worst, 1e-11)
 
 
 def check_ness_steady(opts):
     batch = _standard_grid(opts)
-    worst = max(verify_steady(batch[k]) for k in range(len(batch.points)))
+    worst = float(verify_steady(batch).max())
     converged = bool(batch.converged.all())
     return CheckResult(
         "ness.steady_state", converged and worst < 1e-12, worst, 1e-12,

@@ -107,21 +107,23 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser():
-    """The parser, built once per process, on import: ``main`` may be
-    called many times, and a run's peak memory leaves the parser out."""
+    """The top-level parser and each subcommand's parser by name, built
+    once per process, on import: ``main`` may be called many times, and
+    a run's peak memory leaves the parsers out."""
     parser = _Parser(
         prog="bcsjj",
         description="Two-plate BCS junction: gap equation, steady states, "
         "Josephson current, boundary mode spectra, small-lattice oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, help_text, dests, formats in _SUBCOMMANDS:
-        command = sub.add_parser(name, help=help_text)
+        command = commands[name] = sub.add_parser(name, help=help_text)
         command.add_argument("--format", choices=formats, help="output format")
         for dest in dests:
             flag, options = _FLAGS[dest]
             command.add_argument(flag, dest=dest, **options)
-    return parser
+    return parser, commands
 
 
 _build_parser()
@@ -280,10 +282,27 @@ _DISPATCH = {
 }
 
 
+def _parse(argv):
+    """The parsed arguments, with ``command`` set.
+
+    A known command's arguments go straight to its own parser, and any
+    tokens it leaves get the top-level parser's error, as argparse gives
+    them.  ``-h``, no arguments and an unknown command go through the
+    top-level parser.
+    """
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -14,11 +14,13 @@ can be checked against literal operator algebra:
 with S the plate-summed and B the contact-row-summed ladder operators.
 Each plate's operators (eps sum sigma_z - S_plus S_minus / N, B_plus and
 the pair number) are built once on the plate's own 2^(N^2)-dimensional
-space and joined across the plates, plate I holding the high bits:
-kron(A, 1) and kron(1, A) by writing the CSR arrays directly, the
-tunnelling products by ``sparse.kron``.  H is the plate part (H at
-gamma = 0) minus the tunnelling part.  H and Q are real float64 CSR;
-only J is complex.
+space, each site sum read off the site bits of the plate states in one
+COO to CSR conversion (:func:`_plate_summed`; site 0 is the most
+significant bit, as in kron order).  They are joined across the plates,
+plate I holding the high bits: kron(A, 1) and kron(1, A) by writing the
+CSR arrays directly, the tunnelling products by ``sparse.kron``.  H is
+the plate part (H at gamma = 0) minus the tunnelling part.  H and Q are
+real float64 CSR; only J is complex.
 
 The identities i[H, Q] = J and [H(gamma = 0), Q] = 0 are checked
 entrywise without forming H @ Q or Q @ H: Q is diagonal, so
@@ -54,7 +56,7 @@ _MAX_PRODUCT_TERMS = 4096
 # and ~80 kB on its first run (the interpreter's free lists fill).  abc's
 # caches are filled on import (below) and the argument parser is built
 # on import, so neither is part of a run.  Measured on Python 3.11 with
-# numpy 2.4 and scipy 1.17.1 only: a first run at n = 3 then peaks ~18 kB
+# numpy 2.4 and scipy 1.17.1 only: a first run at n = 3 then peaks ~81 kB
 # under the estimate, a margin other interpreters or scipy versions may use up.
 _RUN_OVERHEAD_BYTES = 96 * 1024
 
@@ -82,8 +84,10 @@ class LatticeSpec:
     memory_cap: int | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if self.memory_cap is not None and not self.memory_cap > 0:
+            raise ValueError(f"memory_cap must be positive, got {self.memory_cap!r}")
         if self.dim > self.dim_cap:
             raise ResourceLimitError(
                 f"Hilbert dimension 2**{2 * self.n**2} exceeds the cap "
@@ -134,19 +138,41 @@ def _index_dtype(top):
     return np.int32 if top <= np.iinfo(np.int32).max else np.int64
 
 
-def _plate_operator(spec, site, local):
-    """Real ``local`` on one site of a plate, on the plate's 2^(n^2) space."""
-    right = 1 << (spec.sites_per_plate - site - 1)
-    term = sparse.kron(sparse.identity(1 << site), local.real, format="csr")
-    return sparse.kron(term, sparse.identity(right), format="csr")
-
-
 def _plate_summed(spec, sites, local):
-    total = None
+    """sum_x local(x) over ``sites`` of a plate, for a real 2x2 ``local``,
+    on the plate's 2^(n^2) space, as real CSR.
+
+    Read off the site bits of the plate states, site 0 the most
+    significant (kron order).  An off-diagonal entry local[i, j] at site
+    x joins each state r whose bit x is i to r with that bit set to j;
+    these entries are distinct across sites.  The diagonal is summed over
+    the sites in order, and its zeros are dropped.  The entries, values
+    and order are those of the per-site sum of kron(1, local, 1).
+    """
+    local = local.real
+    width = spec.sites_per_plate
+    states = np.arange(1 << width)
+    diagonal = np.zeros(states.size)
+    rows, cols, values = [], [], []
     for site in sites:
-        term = _plate_operator(spec, site, local)
-        total = term if total is None else total + term
-    return total
+        shift = width - site - 1
+        bit = (states >> shift) & 1
+        diagonal += local.diagonal()[bit]
+        for i, j in ((0, 1), (1, 0)):
+            if local[i, j] != 0.0:
+                row = states[bit == i]
+                rows.append(row)
+                cols.append(row ^ (1 << shift))
+                values.append(np.full(row.size, local[i, j]))
+    kept = np.flatnonzero(diagonal)
+    rows.append(kept)
+    cols.append(kept)
+    values.append(diagonal[kept])
+    coo = sparse.coo_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(states.size, states.size),
+    )
+    return coo.tocsr()
 
 
 def _contact_ladders(spec):

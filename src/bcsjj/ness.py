@@ -261,11 +261,15 @@ def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     point stops after the first step whose map defect max |f(x) - x| was
     below ``tol``, that step applied, or after ``max_iter`` steps, exactly
     as it would alone; it is ``converged`` when the defect of the returned
-    x is below ``tol``.  Never raises on non-convergence; warns once,
-    with :class:`WeakContactWarning`, if some contact is not weak.
+    x is below ``tol``.  ``max_iter`` must be at least 1.  Never raises
+    on non-convergence; warns once, with :class:`WeakContactWarning`, if
+    some contact is not weak.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    max_iter = int(max_iter)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     points = tuple(points)
     warn_strong_contact(points)
     lam, order, eps, bulk_vec, gamma = _plates(points)
@@ -280,7 +284,6 @@ def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     # where some point stops, after writing back the points that stop.
     left = np.arange(len(points))
     work = (x, order, gamma, *constants, constants[0].conj())  # ..., conj(m), a_z eps, eps^2, m
-    max_iter = int(max_iter)
     for step in range(1, max_iter + 1):
         xw = work[0]
         d = _newton_step(*work)
@@ -340,18 +343,11 @@ def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j):
     """
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}, expected one of {REGIONS}")
-    bulk = params.bulk_I if region.startswith("I_") else params.bulk_II
-    lam = gap_root(bulk.epsilon, bulk.beta)[0]
-    return _region_hamiltonian(region, params, lam, Lambda_b_I, Lambda_b_II)
-
-
-def _region_hamiltonian(region, params, lam, Lambda_b_I, Lambda_b_II):
-    """:func:`boundary_hamiltonian` with the region's bulk gap ``lam`` given."""
     if region.startswith("I_"):
         bulk, other = params.bulk_I, Lambda_b_II
     else:
         bulk, other = params.bulk_II, Lambda_b_I
-    field = lam * cmath.exp(1j * bulk.phi)
+    field = gap_root(bulk.epsilon, bulk.beta)[0] * cmath.exp(1j * bulk.phi)
     if region.endswith("_b"):
         field += params.gamma * complex(other)
     return effective_hamiltonian(bulk.epsilon, field)
@@ -370,27 +366,47 @@ def ness_map(guess, params):
     return (complex(f[0, 0]), complex(f[1, 0]))
 
 
+def _point_axis(points):
+    """(points as a tuple, whether a lone JunctionParams was given)."""
+    if isinstance(points, JunctionParams):
+        return (points,), True
+    return tuple(points), False
+
+
 def closed_form_rhs(guess, params):
     """Closed rational form of the self-consistency right-hand side.
 
     Valid on the ordered branch, where the bulk state satisfies
     tanh(beta mu) = 2 mu; agrees with :func:`ness_map` to rounding and
     is kept as an independent cross-check of the projection route.
+
+    Elementwise over points: ``guess`` (Lambda_b_I, Lambda_b_II) and one
+    :class:`JunctionParams` give the pair of values, and a ``(2, N)``
+    guess with N points gives a ``(2, N)`` array.  One point runs as a
+    batch of one, so a point's value is the same bits either way.  The
+    bare gap root runs once per distinct (epsilon, beta) plate.
     """
-    lb_i, lb_ii = complex(guess[0]), complex(guess[1])
-    out = []
-    for bulk, other in ((params.bulk_I, lb_ii), (params.bulk_II, lb_i)):
-        eps = bulk.epsilon
-        lam = gap_root(eps, bulk.beta)[0]
-        field = lam * cmath.exp(1j * bulk.phi) + params.gamma * other
-        aligned = (cmath.exp(-1j * bulk.phi) * field).real
-        numerator = eps * eps + lam * aligned
-        out.append(field * numerator / (eps * eps + abs(field) ** 2))
-    return (out[0], out[1])
+    points, single = _point_axis(params)
+    x = np.asarray(guess, dtype=complex).reshape(2, len(points))
+    gaps = {}
+    lam, eps, phi = (np.empty((2, len(points))) for _ in range(3))
+    for k, p in enumerate(points):
+        for row, bulk in enumerate((p.bulk_I, p.bulk_II)):
+            key = (bulk.epsilon, bulk.beta)
+            if key not in gaps:
+                gaps[key] = gap_root(*key)[0]
+            lam[row, k], eps[row, k], phi[row, k] = gaps[key], bulk.epsilon, bulk.phi
+    gamma = np.array([p.gamma for p in points], dtype=float)
+    field = lam * np.exp(1j * phi) + gamma * x[::-1]
+    aligned = (np.exp(-1j * phi) * field).real
+    eps_sq = eps * eps
+    field_abs = np.hypot(field.real, field.imag)
+    out = field * (eps_sq + lam * aligned) / (eps_sq + field_abs * field_abs)
+    return (complex(out[0, 0]), complex(out[1, 0])) if single else out
 
 
 def verify_steady(sol, params=None):
-    """Steady-state defect of one point's solution, rebuilt from scratch.
+    """Steady-state defect of a solution, rebuilt from scratch on 2x2 matrices.
 
     Sums the worst commutator max-norm [h_x, rho_x] over the four
     regions with the worst contact self-consistency defect
@@ -398,17 +414,40 @@ def verify_steady(sol, params=None):
     states: perturbing a converged Lambda_b by 1e-3 pushes this above
     1e-5 immediately.  This is the 2x2 matrix reference for the Bloch
     form that :func:`solve_batch` reports as ``residual``.
+
+    Elementwise over the point axis: a batch gives one defect per point
+    and one point (``batch[k]``) a float, computed as a batch of one, so
+    ``verify_steady(batch)[k] == verify_steady(batch[k])`` bit for bit.
+    The Hamiltonians and states are ``(4, N, 2, 2)`` stacks (regions
+    I_a, II_a, I_b, II_b), the commutators matrix products, and the bulk
+    states come from one :func:`solve_gap` per distinct plate.
     """
-    p = params if params is not None else sol.params
-    gap_i, gap_ii = solve_gap(p.bulk_I), solve_gap(p.bulk_II)
-    lam_b = (sol.Lambda_b_I, sol.Lambda_b_II)
-    regions = (
-        (_region_hamiltonian("I_a", p, gap_i.lam, *lam_b), gap_i.rho),
-        (_region_hamiltonian("II_a", p, gap_ii.lam, *lam_b), gap_ii.rho),
-        (_region_hamiltonian("I_b", p, gap_i.lam, *lam_b), sol.rho_b_I),
-        (_region_hamiltonian("II_b", p, gap_ii.lam, *lam_b), sol.rho_b_II),
+    points, single = _point_axis(params if params is not None else sol.points)
+    n_points = len(points)
+    lam_b = sol.Lambda_b.reshape(2, n_points)
+    bulk = {}
+    lam, eps, phi = (np.empty((2, n_points)) for _ in range(3))
+    rho_bulk = np.empty((2, n_points, 2, 2), dtype=complex)
+    for k, p in enumerate(points):
+        for row, plate in enumerate((p.bulk_I, p.bulk_II)):
+            if plate not in bulk:
+                bulk[plate] = solve_gap(plate)
+            gap = bulk[plate]
+            lam[row, k], eps[row, k], phi[row, k] = gap.lam, plate.epsilon, plate.phi
+            rho_bulk[row, k] = gap.rho
+    gamma = np.array([p.gamma for p in points], dtype=float)
+    order = lam * np.exp(1j * phi)
+    field = np.concatenate((order, order + gamma * lam_b[::-1]))[..., None, None]
+    hamiltonians = (
+        np.concatenate((eps, eps))[..., None, None] * spin.SIGMA_Z
+        - field.conj() * spin.SIGMA_PLUS
+        - field * spin.SIGMA_MINUS
     )
-    worst_comm = max(spin.max_abs(spin.commutator(h, rho)) for h, rho in regions)
-    defect_i = abs(sol.Lambda_b_I - spin.expectation(sol.rho_b_I, spin.SIGMA_PLUS))
-    defect_ii = abs(sol.Lambda_b_II - spin.expectation(sol.rho_b_II, spin.SIGMA_PLUS))
-    return float(worst_comm + max(defect_i, defect_ii))
+    rho_b = _from_bloch(0.5, sol.contact.reshape(3, 2, n_points))
+    states = np.concatenate((rho_bulk, rho_b))
+    commutators = hamiltonians @ states - states @ hamiltonians
+    worst_comm = np.hypot(commutators.real, commutators.imag).max(axis=(0, 2, 3))
+    # Tr(rho sigma_plus) is the (1, 0) entry of rho
+    defect = lam_b - rho_b[..., 1, 0]
+    worst = worst_comm + np.hypot(defect.real, defect.imag).max(axis=0)
+    return float(worst[0]) if single else worst

@@ -19,6 +19,7 @@ from bcsjj.lattice import (
     _on_plate_i,
     _on_plate_ii,
     _plate_part,
+    _plate_summed,
     _propagate,
     LatticeSpec,
     ResourceLimitError,
@@ -151,10 +152,12 @@ def test_memory_cap():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        LatticeSpec(0)
-    with pytest.raises(ValueError):
-        LatticeSpec(2.5)
+    for n in (0, 2.5, True, False):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            LatticeSpec(n)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="memory_cap must be positive"):
+            LatticeSpec(1, memory_cap=cap)
 
 
 def test_operators_hermitian():
@@ -299,6 +302,35 @@ def test_plate_joins_match_sparse_kron():
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert got.data.tobytes() == want.data.tobytes()
+
+
+def per_site_kron_sum(spec, sites, local):
+    """sum_x local(x) on one plate's space, a sparse.kron chain per site."""
+    total = None
+    for site in sites:
+        right = sparse.identity(1 << (spec.sites_per_plate - site - 1))
+        term = sparse.kron(sparse.identity(1 << site), local.real, format="csr")
+        term = sparse.kron(term, right, format="csr")
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_plate_summed_matches_per_site_kron(n):
+    spec = LatticeSpec(n)
+    every_site = range(spec.sites_per_plate)
+    cases = (
+        (every_site, SIGMA_Z),
+        (every_site, SIGMA_PLUS),
+        (every_site, SIGMA_PLUS @ SIGMA_PLUS.conj().T),
+        (range(n), SIGMA_PLUS),  # the contact row
+    )
+    for sites, local in cases:
+        got, want = _plate_summed(spec, sites, local), per_site_kron_sum(spec, sites, local)
+        assert got.format == "csr" and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
 
 
 def test_finite_n_report_matches_the_literal_algebra():

@@ -222,6 +222,9 @@ def test_empty_batch_evaluates_the_map_at_most_twice(monkeypatch):
 def test_solver_argument_validation():
     with pytest.raises(ValueError):
         solve_ness(STANDARD, tol=-1.0)
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            ness.solve_batch([STANDARD], max_iter=max_iter)
 
 
 def test_weak_contact_warning(recwarn):

@@ -195,6 +195,23 @@ def test_batch_point_equals_single_solve(points, seed):
                 assert _same_bits(value, getattr(expected, name)), (pair.region, name)
 
 
+@PROPERTY
+@hypothesis.seed(110)
+@given(points=st.lists(junctions(), min_size=1, max_size=6), seed=SEED)
+@example(points=[ROUNDING_POINT], seed=None)
+def test_batch_references_equal_per_point_references(points, seed):
+    """verify_steady and closed_form_rhs on a whole batch give each
+    point's lone value bit for bit."""
+    batch = solve_batch(points, seed=seed)
+    steady = verify_steady(batch)
+    rhs = closed_form_rhs(batch.Lambda_b, batch.points)
+    assert steady.shape == (len(points),) and rhs.shape == (2, len(points))
+    for k, params in enumerate(points):
+        sol = batch[k]
+        assert _same_bits(steady[k], verify_steady(sol))
+        assert _same_bits(rhs[:, k], closed_form_rhs(sol.Lambda_b, params))
+
+
 # The undamped map's iterates settle into a 2-cycle here and never meet
 # the tolerance; a weak point beside it stops after a few steps.
 TWO_CYCLE_POINT = JunctionParams(BulkParams(0.3, 1e4, math.pi), BulkParams(0.3, 1e4), 1.0)

@@ -618,6 +618,24 @@ def test_cli_finite_n_memory_cap(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ness", "--max-iter", "0"), "max_iter must be at least 1, got 0"),
+        (("ness", "--max-iter", "-3"), "max_iter must be at least 1, got -3"),
+        (("sweep", "--count", "2", "--max-iter", "0"), "max_iter must be at least 1"),
+        (("check", "--only", "ness.steady", "--max-iter", "0"), "max_iter must be at least 1"),
+        (("check", "--only", "finite-n", "--memory-cap", "0"), "memory_cap must be positive, got 0"),
+        (("finite-n", "--n", "1", "--memory-cap", "-5"), "memory_cap must be positive, got -5"),
+    ],
+)
+def test_cli_rejects_an_iteration_cap_or_memory_cap_below_one(argv, message, capsys):
+    """A cap that admits no step or no byte is a usage error, not a
+    non-convergence or a resource limit."""
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_finite_n_peak_matches_estimate(capsys):
     """The estimate covers the commutator check, not only the operators."""
     tracemalloc.start()

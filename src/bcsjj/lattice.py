@@ -12,27 +12,33 @@ can be checked against literal operator algebra:
     J = i [H, Q] = -(2 i gamma / N)(B_minus_I B_plus_II - B_plus_I B_minus_II)
 
 with S the plate-summed and B the contact-row-summed ladder operators.
-Each plate's operators (eps sum sigma_z - S_plus S_minus / N, B_plus and
-the pair number) are built once on the plate's own 2^(N^2)-dimensional
-space, each site sum read off the site bits of the plate states in one
-COO to CSR conversion (:func:`_plate_summed`; site 0 is the most
-significant bit, as in kron order).  They are joined across the plates,
-plate I holding the high bits: kron(A, 1) and kron(1, A) by writing the
-CSR arrays directly, the tunnelling products by ``sparse.kron``.  H is
-the plate part (H at gamma = 0) minus the tunnelling part.  H and Q are
-real float64 CSR; only J is complex.
+Each plate's operators (sum_x sigma_z, S_plus S_minus / N, B_plus and
+the pair number) are built once per N on the plate's own
+2^(N^2)-dimensional space, each site sum read off the site bits of the
+plate states in one COO to CSR conversion (:func:`_plate_summed`; site 0
+is the most significant bit, as in kron order).  H, Q and J are sums of
+kron products of plate operators, plate I holding the high bits, and
+each is written straight into its final CSR arrays a few plate-I rows at
+a time (:func:`_assemble`): no full-space temporary, kron product or
+sparse sum is made, and the entries, their order and their values are
+those of the ``sparse.kron`` sums bit for bit.  H and Q are real float64
+CSR; only J is complex.
 
 The identities i[H, Q] = J and [H(gamma = 0), Q] = 0 are checked
 entrywise without forming H @ Q or Q @ H: Q is diagonal, so
 [H, Q]_ab = h_ab q_b - q_a h_ab is read off H's stored entries against
-Q's diagonal (:func:`commutator_defect`).  Expectations in product
-states contract over the sparse entries a group of sites at a time,
-never building the 4^(N^2) density matrix.
+Q's diagonal, a block of rows at a time (:func:`commutator_defect`).
+H(gamma = 0) is H's entries that leave one plate's state unchanged, so
+both checks read one H.  Expectations in product states contract over
+the sparse entries a group of sites at a time, never building the
+4^(N^2) density matrix.
 """
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -49,15 +55,25 @@ from .equilibrium import solve_gap
 DEFAULT_DIM_CAP = 2**20
 DENSE_EVOLUTION_DIM = 2**10
 _MAX_PRODUCT_TERMS = 4096
-# What a finite-n run allocates besides its full-space arrays: the Python
-# objects around each array, the plate-space operators (2^(n^2) states,
-# freed before the peak) and the commutator check's per-block pieces.
-# Measured at most 66 kB over the arrays (n = 2) once a process has run,
-# and ~80 kB on its first run (the interpreter's free lists fill).  abc's
-# caches are filled on import (below) and the argument parser is built
-# on import, so neither is part of a run.  Measured on Python 3.11 with
-# numpy 2.4 and scipy 1.17.1 only: a first run at n = 3 then peaks ~81 kB
-# under the estimate, a margin other interpreters or scipy versions may use up.
+# the builders' work per step of a few plate-I rows, in entries placed
+# plus slots of their per-row place tables; a step's temporaries are a
+# few arrays of that many int64s (~0.25 MB each)
+_STEP_ENTRIES = 2**15
+# stored entries per block of rows in the checks that scan H
+# (commutators, Gershgorin sums); a block's temporaries are a few arrays
+# of that many entries
+_BLOCK_ENTRIES = 2**15
+# What a finite-n run allocates besides what estimated_bytes sizes from
+# the lattice: the Python objects around each array, the plate-space
+# operators (2^(n^2) states) and the report's other small pieces.
+# Measured at most ~35 kB over the sized part, on a process's first run
+# at n = 1 (the interpreter's free lists fill); at n = 2 and 3 the block
+# term of the estimate covers them too.  abc's caches are filled on
+# import (below) and the argument parser is built on import, so neither
+# is part of a run.  Measured on Python 3.11 with numpy 2.4 and scipy
+# 1.17.1 only: a first run then peaks ~63 kB, ~111 kB and ~0.27 MB under
+# the estimate at n = 1, 2, 3, margins other interpreters or scipy
+# versions may use up.
 _RUN_OVERHEAD_BYTES = 96 * 1024
 
 # scipy's sparse type checks fill abc's per-class caches (~30 kB) the
@@ -115,22 +131,23 @@ class LatticeSpec:
     def estimated_bytes(self):
         """Upper bound on the peak memory of a ``finite-n`` run.
 
-        The peak comes where H = plate part - tunnelling part is formed:
-        those three and Q are held at once, as real CSR (12 B per entry,
-        an int32 row pointer each).  The plate part is the sum of the two
-        plates' joins, and its arrays keep the room scipy allocated for
-        both: one entry per row more than it stores, where the two
-        diagonals merged.  The commutator checks keep only the nonzero
-        entries of [H, Q], J-sized, and stay below it.  On top comes
-        ``_RUN_OVERHEAD_BYTES`` for what is not a full-space array.
+        The peak comes in the identity check i[H, Q] = J, with H, Q and J
+        held at once.  Each is CSR written straight into its final arrays:
+        a value (8 B, 16 B for the complex J) and an index per entry, and
+        an index per row.  H is counted with every entry it can hold (a
+        diagonal sum that cancels is not stored).  Beside them are Q's
+        diagonal and the check's temporaries for one block of rows
+        (:func:`_row_blocks`), at most 48 B per entry.  On top comes
+        ``_RUN_OVERHEAD_BYTES`` for what is not sized by the lattice.
         """
-        n2 = self.sites_per_plate
-        nnz_plate = self.dim * (1 + n2 * (n2 - 1) // 2)
-        nnz_tunnelling = self.dim * n2 // 2
-        nnz_h = nnz_plate + nnz_tunnelling
-        nnz_q = self.dim - math.comb(2 * n2, n2)
-        entries = (nnz_plate + self.dim) + nnz_tunnelling + nnz_h + nnz_q
-        return _RUN_OVERHEAD_BYTES + 12 * entries + 4 * 4 * (self.dim + 1)
+        n2, dim = self.sites_per_plate, self.dim
+        nnz_j = dim * n2 // 2
+        nnz_h = dim * (1 + n2 * (n2 - 1) // 2) + nnz_j
+        nnz_q = dim - math.comb(2 * n2, n2)
+        index = np.dtype(_index_dtype(max(dim, nnz_h))).itemsize
+        operators = (8 + index) * (nnz_h + nnz_q) + (16 + index) * nnz_j + 3 * index * (dim + 1)
+        block = min(nnz_h, _BLOCK_ENTRIES)
+        return _RUN_OVERHEAD_BYTES + operators + 8 * dim + 48 * block
 
 
 def _index_dtype(top):
@@ -138,9 +155,9 @@ def _index_dtype(top):
     return np.int32 if top <= np.iinfo(np.int32).max else np.int64
 
 
-def _plate_summed(spec, sites, local):
-    """sum_x local(x) over ``sites`` of a plate, for a real 2x2 ``local``,
-    on the plate's 2^(n^2) space, as real CSR.
+def _plate_summed(width, sites, local):
+    """sum_x local(x) over ``sites`` of a plate of ``width`` sites, for a
+    real 2x2 ``local``, on the plate's 2^width space, as real CSR.
 
     Read off the site bits of the plate states, site 0 the most
     significant (kron order).  An off-diagonal entry local[i, j] at site
@@ -150,7 +167,6 @@ def _plate_summed(spec, sites, local):
     and order are those of the per-site sum of kron(1, local, 1).
     """
     local = local.real
-    width = spec.sites_per_plate
     states = np.arange(1 << width)
     diagonal = np.zeros(states.size)
     rows, cols, values = [], [], []
@@ -175,144 +191,322 @@ def _plate_summed(spec, sites, local):
     return coo.tocsr()
 
 
-def _contact_ladders(spec):
-    """B_plus and B_minus of one plate: its row-1 sites, the first n."""
-    b_plus = _plate_summed(spec, range(spec.n), spin.SIGMA_PLUS)
-    return b_plus, b_plus.T.tocsr()
+class _PlateOperators(NamedTuple):
+    """One n x n plate's operators on its 2^(n^2) states, real CSR."""
+
+    sz: sparse.csr_matrix  # sum_x sigma_z(x)
+    pairing: sparse.csr_matrix  # S_plus S_minus / n
+    number: sparse.csr_matrix  # the pair number
+    b_plus: sparse.csr_matrix  # B_plus, the contact row's (first n sites') sum
+    b_minus: sparse.csr_matrix
 
 
-def _on_plate_i(op):
-    """kron(op, 1) for a plate-I operator, its CSR arrays written directly.
-
-    Row (r, k) of the result is row r of ``op`` with each column c moved
-    to c * dim + k, so row r of ``op`` fills one (dim, count) block.
-    Columns come out sorted, as ``sparse.kron`` leaves them.
-    """
-    op = op.sorted_indices()
-    dim = op.shape[0]
-    counts = np.diff(op.indptr)
-    idx = _index_dtype(max(dim * dim, dim * op.nnz))
-    lanes = np.arange(dim, dtype=idx)
-    indptr = np.empty(dim * dim + 1, dtype=idx)
-    indptr[:-1] = ((dim * op.indptr[:-1].astype(idx))[:, None] + counts[:, None] * lanes).ravel()
-    indptr[-1] = dim * op.nnz
-    indices = np.empty(dim * op.nnz, dtype=idx)
-    data = np.empty(dim * op.nnz, dtype=op.dtype)
-    for r in range(dim):
-        lo, hi = op.indptr[r], op.indptr[r + 1]
-        block = slice(dim * lo, dim * hi)
-        np.add(dim * op.indices[lo:hi].astype(idx), lanes[:, None],
-               out=indices[block].reshape(dim, hi - lo))
-        data[block].reshape(dim, hi - lo)[:] = op.data[lo:hi]
-    return sparse.csr_matrix((data, indices, indptr), shape=(dim * dim, dim * dim))
-
-
-def _on_plate_ii(op):
-    """kron(1, op) for a plate-II operator, its CSR arrays written directly:
-    ``op`` repeated down the diagonal, one dim-sized block per plate-I
-    state, its columns sorted.
-    """
-    op = op.sorted_indices()
-    dim = op.shape[0]
-    idx = _index_dtype(max(dim * dim, dim * op.nnz))
-    blocks = np.arange(dim, dtype=idx)[:, None]
-    indptr = np.empty(dim * dim + 1, dtype=idx)
-    indptr[:-1] = (op.indptr[:-1].astype(idx) + op.nnz * blocks).ravel()
-    indptr[-1] = dim * op.nnz
-    indices = (op.indices.astype(idx) + dim * blocks).ravel()
-    data = np.tile(op.data, dim)
-    return sparse.csr_matrix((data, indices, indptr), shape=(dim * dim, dim * dim))
-
-
-def _across(plate_i, plate_ii):
-    """An operator of plate I times one of plate II; plate I holds the high bits."""
-    return sparse.kron(plate_i, plate_ii, format="csr")
-
-
-def _plate_part(spec, params):
-    """H at gamma = 0: each plate's eps sum sigma_z - S_plus S_minus / n."""
-    sites = range(spec.sites_per_plate)
-    sz = _plate_summed(spec, sites, spin.SIGMA_Z)
-    raise_all = _plate_summed(spec, sites, spin.SIGMA_PLUS)
-    pairing = raise_all @ raise_all.T / spec.n
-    return (
-        _on_plate_i(params.bulk_I.epsilon * sz - pairing)
-        + _on_plate_ii(params.bulk_II.epsilon * sz - pairing)
+@functools.cache
+def _plate_operators(n):
+    """The plate operators of an n x n plate, built once per n and shared
+    by every builder call: callers must not modify them."""
+    width = n * n
+    every_site = range(width)
+    raise_all = _plate_summed(width, every_site, spin.SIGMA_PLUS)
+    b_plus = _plate_summed(width, range(n), spin.SIGMA_PLUS)
+    return _PlateOperators(
+        sz=_plate_summed(width, every_site, spin.SIGMA_Z),
+        pairing=raise_all @ raise_all.T / n,
+        number=_plate_summed(width, every_site, spin.SIGMA_PLUS @ spin.SIGMA_MINUS),
+        b_plus=b_plus,
+        b_minus=b_plus.T.tocsr(),
     )
 
 
-def _tunnelling_part(spec, gamma):
-    """(gamma/n) (B_plus_I B_minus_II + B_minus_I B_plus_II)."""
-    b_plus, b_minus = _contact_ladders(spec)
-    return (gamma / spec.n) * (_across(b_plus, b_minus) + _across(b_minus, b_plus))
+class _Rows(NamedTuple):
+    """A plate operator's entries in row order: per row its entry count, and
+    per entry its row, its place in that row, its column and its value
+    (None for a 0/1 operator)."""
+
+    count: np.ndarray
+    row: np.ndarray
+    slot: np.ndarray
+    col: np.ndarray
+    value: np.ndarray | None
+
+
+def _rows(dim, row, col, value=None):
+    count = np.bincount(row, minlength=dim)
+    return _Rows(count, row, np.arange(row.size) - (np.cumsum(count) - count)[row], col, value)
+
+
+def _entries(op):
+    """(row, column, value) of a plate CSR's entries, columns sorted in each row."""
+    op = op.sorted_indices()
+    return np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)), op.indices, op.data
+
+
+def _assemble(plates, terms, dtype):
+    """kron(a, 1) + kron(1, b) + sum_t value_t kron(left_t, right_t) on the
+    two plates' joint space, plate I holding the high bits, as CSR whose
+    arrays are allocated once and written in place, a few plate-I rows at
+    a time.
+
+    ``plates`` is (a, b), or None for no plate part; a and b store no
+    zeros.  ``terms`` are (left, right, value) with left and right 0/1
+    plate operators (the contact ladders), whose rows' columns are
+    disjoint from each other's and from a's off-diagonal ones.  Row
+    (r, k) is then, in column order, one block per plate-I column c:
+    a[r, c] at (c, k) for c != r; for c = r, row k of b with
+    a[r, r] + b[k, k] on its diagonal, dropped where it is zero; and
+    value_t times row k of right_t where left_t[r, c] = 1.  Entries,
+    values, dropped zeros and column order are those of the
+    ``sparse.kron`` sums (H, Q and J below), bit for bit.
+
+    A block is one entry wide in every row k (a[r, c] 1) or as wide as
+    row k of its plate-II operator.  An entry's place in row (r, k) is
+    the number of one-wide blocks before its block, plus the widths in
+    row k of the wide blocks before it, plus its place in the block; so
+    one cumulative sum over the wide blocks of a few plate-I rows places
+    all their entries.
+    """
+    dim = (plates[0] if plates else terms[0][0]).shape[0]
+    every = np.arange(dim)
+    # Block kinds: 0 a[r, c] 1 for c != r; the c = r block as 1 b's lower
+    # part, 2 the diagonal (kept per plate-I row), 3 b's upper part;
+    # 4 + t term t.  A wide kind's row-k entries are in its _Rows.
+    kinds = [None] * 4
+    blocks = []  # (plate-I row, plate-I column, kind, value) of each block
+    nnz = 0
+    if plates:
+        a_row, a_col, a_value = _entries(plates[0])
+        b_row, b_col, b_value = _entries(plates[1])
+        a_diag, b_diag = np.zeros(dim), np.zeros(dim)
+        a_diag[a_row[a_row == a_col]] = a_value[a_row == a_col]
+        b_diag[b_row[b_row == b_col]] = b_value[b_row == b_col]
+        off = a_row != a_col
+        blocks.append((a_row[off], a_col[off], np.zeros(np.count_nonzero(off), dtype=int), a_value[off]))
+        blocks.append((every, every, np.full(dim, 2), np.zeros(dim)))
+        for kind, part in ((1, b_col < b_row), (3, b_col > b_row)):
+            if part.any():
+                kinds[kind] = _rows(dim, b_row[part], b_col[part], b_value[part])
+                blocks.append((every, every, np.full(dim, kind), np.zeros(dim)))
+        nnz += dim * (np.count_nonzero(off) + np.count_nonzero(b_row != b_col))
+        nnz += sum(np.count_nonzero(a_diag[r] + b_diag) for r in range(dim))
+    for t, (left, right, value) in enumerate(terms):
+        left_row, left_col, _ = _entries(left)
+        right_row, right_col, _ = _entries(right)
+        kinds.append(_rows(dim, right_row, right_col))
+        blocks.append((left_row, left_col, np.full(left_row.size, 4 + t), np.full(left_row.size, value)))
+        nnz += left.nnz * right.nnz
+    row, col, kind, value = (np.concatenate(part) for part in zip(*blocks))
+    order = np.lexsort((kind, col, row))
+    row, col, kind, value = row[order], col[order], kind[order], value.astype(dtype)[order]
+    # per block, the one-wide and the wide blocks before it in its row
+    wide = kind > 0
+    first = np.searchsorted(row, every)
+    ones_before = np.cumsum(~wide) - ~wide
+    ones_before -= ones_before[first[row]]
+    wide_before = np.cumsum(wide) - wide
+    wide_before -= wide_before[first[row]]
+    ones_per_row = np.bincount(row[~wide], minlength=dim)
+    wide_per_row = np.bincount(row[wide], minlength=dim)
+    # the blocks by kind, then row and column
+    order = np.argsort(kind, kind="stable")
+    row, col, kind, value = row[order], col[order], kind[order], value[order]
+    ones_before, wide_before = ones_before[order], wide_before[order]
+    # by_kind[k, r]: the first block of kind k in plate-I row r or after it
+    kind_first = np.searchsorted(kind, np.arange(len(kinds) + 1))
+    by_kind = np.array([lo + np.searchsorted(row[lo:hi], np.arange(dim + 1))
+                        for lo, hi in zip(kind_first, kind_first[1:])])
+
+    idx = _index_dtype(max(dim * dim, nnz))
+    base = (col * dim).astype(idx)  # each block's first full-space column
+    every_col = every.astype(idx)
+    kinds = [rows and rows._replace(col=rows.col.astype(idx)) for rows in kinds]
+    indptr = np.empty(dim * dim + 1, dtype=idx)
+    indptr[0] = 0
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz, dtype=dtype)
+    step = max(1, _STEP_ENTRIES // (nnz // dim + dim * (int(wide_per_row.max()) + 3)))
+    for r0 in range(0, dim, step):
+        r1 = min(r0 + step, dim)
+        mine = by_kind[:, [r0, r1]]
+        # places[r, i, k]: where in row (r, k) the i-th wide block of plate-I row r starts,
+        # counting wide entries only; its last layer is the row's wide entries
+        places = np.zeros((r1 - r0, wide_per_row[r0:r1].max() + 1, dim), dtype=int)
+        if plates:
+            diagonal = a_diag[r0:r1, None] + b_diag
+            kept = diagonal != 0
+        for k, (lo, hi) in enumerate(mine[1:], 1):
+            if lo < hi:
+                places[row[lo:hi] - r0, wide_before[lo:hi] + 1] = kept if k == 2 else kinds[k].count
+        np.cumsum(places, axis=1, out=places)
+        lengths = places[:, -1] + ones_per_row[r0:r1, None]
+        indptr[r0 * dim + 1 : r1 * dim + 1] = indptr[r0 * dim] + np.cumsum(lengths)
+        places += indptr[r0 * dim : r1 * dim].reshape(r1 - r0, 1, dim)
+        for k, (lo, hi) in enumerate(mine):
+            if lo == hi:
+                continue
+            starts = places[row[lo:hi] - r0, wide_before[lo:hi]] + ones_before[lo:hi, None]
+            if k == 0:
+                dest = starts
+                cols = base[lo:hi, None] + every_col
+                values = np.repeat(value[lo:hi], dim).reshape(dest.shape)
+            elif k == 2:
+                dest = starts[kept]
+                cols = (base[lo:hi, None] + every_col)[kept]
+                values = diagonal[kept]
+            else:
+                rows = kinds[k]
+                dest = starts[:, rows.row] + rows.slot
+                cols = base[lo:hi, None] + rows.col
+                if rows.value is None:
+                    values = np.repeat(value[lo:hi], rows.row.size).reshape(dest.shape)
+                else:
+                    values = np.tile(rows.value, (hi - lo, 1))
+            indices[dest] = cols
+            data[dest] = values
+    return sparse.csr_matrix((data, indices, indptr), shape=(dim * dim, dim * dim))
 
 
 def build_hamiltonian(spec, params):
-    """Full lattice Hamiltonian for the given junction parameters, real CSR."""
-    return _plate_part(spec, params) - _tunnelling_part(spec, params.gamma)
+    """Full lattice Hamiltonian for the given junction parameters, real CSR:
+    each plate's eps sum sigma_z - S_plus S_minus / n, minus
+    (gamma/n) (B_plus_I B_minus_II + B_minus_I B_plus_II)."""
+    ops = _plate_operators(spec.n)
+    plates = tuple(bulk.epsilon * ops.sz - ops.pairing for bulk in (params.bulk_I, params.bulk_II))
+    hop = -(params.gamma / spec.n)
+    # a zero hop stores no entry, as the sparse difference plate - tunnelling drops it
+    terms = [(ops.b_plus, ops.b_minus, hop), (ops.b_minus, ops.b_plus, hop)] if hop else []
+    return _assemble(plates, terms, float)
 
 
 def build_relative_number(spec):
     """Pair-number imbalance between the plates, real CSR."""
-    number = _plate_summed(
-        spec, range(spec.sites_per_plate), spin.SIGMA_PLUS @ spin.SIGMA_MINUS
-    )
-    return _on_plate_i(number) - _on_plate_ii(number)
+    number = _plate_operators(spec.n).number
+    return _assemble((number, -number), [], float)
 
 
 def build_current(spec, gamma):
     """Pair current operator J = i [H, Q], in closed form, complex CSR."""
-    b_plus, b_minus = _contact_ladders(spec)
-    return (-2j * gamma / spec.n) * (_across(b_minus, b_plus) - _across(b_plus, b_minus))
+    ops = _plate_operators(spec.n)
+    # the closed form's +-1 entries times its scale, in numpy's complex
+    # arithmetic (signed zeros included); zero entries are kept
+    plus, minus = np.array([1.0, -1.0]) * (-2j * gamma / spec.n)
+    return _assemble(None, [(ops.b_minus, ops.b_plus, plus), (ops.b_plus, ops.b_minus, minus)], complex)
 
 
-def _nonzero_commutator(op, q):
-    """[op, Q] for Q = diag(q), as CSR holding only its nonzero entries.
+def _row_blocks(indptr):
+    """(start, stop) of consecutive blocks of rows holding about
+    ``_BLOCK_ENTRIES`` stored entries each, by the mean row length."""
+    rows = len(indptr) - 1
+    step = max(1, _BLOCK_ENTRIES * rows // max(int(indptr[-1]), 1))
+    return [(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _canonical(op):
+    """``op`` as CSR with sorted columns and no duplicates (summed into a copy if it has any)."""
+    op = sparse.csr_matrix(op)
+    if not op.has_canonical_format:
+        op = op.copy()
+        op.sum_duplicates()
+    return op
+
+
+def _commutator_entries(op, q):
+    """The nonzero entries of [op, Q] for Q = diag(q) and a canonical CSR
+    ``op``, a block of rows at a time (:func:`_row_blocks`): yields (first row,
+    end row, rows, columns, values), in row and column order.
 
     [op, Q]_ab = op_ab q_b - q_a op_ab lives on the stored entries of
-    ``op`` and is formed there, in op's own arithmetic, in blocks of
-    about sqrt(dim) rows, so the temporaries stay small.  Its values are
-    those of the literal sparse products op @ Q - Q @ op.
+    ``op`` and is formed there, in op's own arithmetic, so nothing of
+    op's size is made.  Its values are those of the literal sparse
+    products op @ Q - Q @ op.
     """
-    dim = op.shape[0]
-    step = max(1, math.isqrt(dim))
-    counts, cols, values = [], [], []
-    for start in range(0, dim, step):
-        stop = min(start + step, dim)
+    for start, stop in _row_blocks(op.indptr):
         lo, ends = op.indptr[start], op.indptr[start + 1 : stop + 1]
         h = op.data[lo : ends[-1]]
         col = op.indices[lo : ends[-1]]
-        q_row = np.repeat(q[start:stop], np.diff(op.indptr[start : stop + 1]))
-        entry = h * q.take(col) - q_row * h
-        keep = np.flatnonzero(entry != 0)
-        rows = np.searchsorted(ends, lo + keep, side="right")
-        counts.append(np.bincount(rows, minlength=stop - start))
-        cols.append(col[keep])
-        values.append(entry[keep])
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return sparse.csr_matrix(
-        (np.concatenate(values), np.concatenate(cols), indptr), shape=op.shape
+        value = h * q.take(col) - np.repeat(q[start:stop], np.diff(op.indptr[start : stop + 1])) * h
+        keep = np.flatnonzero(value != 0)
+        row = start + np.searchsorted(ends - lo, keep, side="right")
+        yield start, stop, row, col[keep], value[keep]
+
+
+def _target_defect(start, stop, row, col, value, target):
+    """max_ab |i [op, Q]_ab - target_ab| over rows start to stop, from the
+    commutator's nonzero entries there (as :func:`_commutator_entries`
+    yields them) and a canonical CSR ``target``.  Each target entry meets
+    the commutator entry at its (row, column), if there is one: both run
+    in that order."""
+    dim = target.shape[1]
+    lo, hi = target.indptr[start], target.indptr[stop]
+    key = np.repeat(np.arange(start, stop), np.diff(target.indptr[start : stop + 1])) * dim
+    key += target.indices[lo:hi]
+    at_key = row * dim + col
+    at = np.searchsorted(at_key, key)
+    met = at < at_key.size
+    met[met] = at_key[at[met]] == key[met]
+    entry = target.data[lo:hi]
+    alone = np.ones(value.size, dtype=bool)
+    alone[at[met]] = False
+    return max(
+        float(np.abs(1j * value[at[met]] - entry[met]).max(initial=0.0)),
+        float(np.abs(entry[~met]).max(initial=0.0)),
+        float(np.abs(value[alone]).max(initial=0.0)),
     )
+
+
+def _charge_diagonal(op, charge):
+    """Q's diagonal, after checking that Q is diagonal and of op's shape."""
+    entries = sparse.coo_matrix(charge)
+    if np.any(entries.row != entries.col):
+        raise ValueError("the charge must be diagonal: it has an off-diagonal entry")
+    if op.shape != entries.shape:
+        raise ValueError(f"operator shape {op.shape} does not match charge {entries.shape}")
+    del entries
+    return sparse.csr_matrix(charge).diagonal()
 
 
 def commutator_defect(op, charge, target=None):
     """max_ab |i[op, Q] - target|_ab, or max_ab |[op, Q]|_ab without a target.
 
     Q must be diagonal.  Neither op @ Q nor Q @ op is made: the
-    commutator is read off the stored entries of ``op`` against Q's
-    diagonal, and only its nonzero entries meet ``target``, so for a
-    real ``op`` no complex array of op's size is built.
+    commutator's nonzero entries are read off the stored entries of
+    ``op`` against Q's diagonal, a block of rows at a time, and met there
+    with the target's entries in the same rows, so nothing of op's or
+    the target's size is built.  The values compared are those of
+    i (op @ Q - Q @ op) - target in sparse arithmetic.
     """
-    charge = sparse.coo_matrix(charge)
-    if np.any(charge.row != charge.col):
-        raise ValueError("the charge must be diagonal: it has an off-diagonal entry")
-    op = sparse.csr_matrix(op)
-    if op.shape != charge.shape:
-        raise ValueError(f"operator shape {op.shape} does not match charge {charge.shape}")
-    commutator = _nonzero_commutator(op, charge.diagonal())
-    if target is None:
-        return float(abs(commutator).max())
-    return float(abs(1j * commutator - target).max())
+    op = _canonical(op)
+    q = _charge_diagonal(op, charge)
+    if target is not None:
+        target = _canonical(target)
+    worst = 0.0
+    for start, stop, row, col, value in _commutator_entries(op, q):
+        if target is None:
+            worst = max(worst, float(np.abs(value).max(initial=0.0)))
+        else:
+            worst = max(worst, _target_defect(start, stop, row, col, value, target))
+    return worst
+
+
+def _identity_and_conservation(hamiltonian, charge, current, width):
+    """i[H, Q] = J's defect (:func:`commutator_defect`) and
+    max_ab |[H(gamma = 0), Q]_ab|, from one pass over [H, Q].
+
+    H(gamma = 0) is read off H.  The tunnelling term moves a pair across
+    the contact, so each of its entries changes both plates' states;
+    H(gamma = 0) changes at most one.  The two parts share no entry, so
+    H(gamma = 0) is, bit for bit, H's entries whose row and column agree
+    on one plate's ``width`` bits.
+    """
+    hamiltonian, current = _canonical(hamiltonian), _canonical(current)
+    q = _charge_diagonal(hamiltonian, charge)
+    plate_ii = (1 << width) - 1
+    identity = conservation = 0.0
+    for start, stop, row, col, value in _commutator_entries(hamiltonian, q):
+        identity = max(identity, _target_defect(start, stop, row, col, value, current))
+        moved = row ^ col
+        within = ((moved >> width) == 0) | ((moved & plate_ii) == 0)
+        conservation = max(conservation, float(np.abs(value[within]).max(initial=0.0)))
+    return identity, conservation
 
 
 def _site_groups(n_sites):
@@ -398,18 +592,14 @@ class FiniteNReport:
 def finite_n_report(spec, params):
     """i[H, Q] = J entrywise, [H(gamma = 0), Q] = 0 and the product-state sine law.
 
-    The plate part of H is H at gamma = 0 bit for bit, so it is built
-    once: the conservation check reads it, and H is formed from it by
-    subtracting the tunnelling part.  The current is
+    H is built once, and both commutators are read off it in one pass
+    (:func:`_identity_and_conservation`).  The current is
     :func:`product_state_current`.
     """
     charge = build_relative_number(spec)
-    plate = _plate_part(spec, params)
-    conservation = commutator_defect(plate, charge)
-    hamiltonian = plate - _tunnelling_part(spec, params.gamma)
-    del plate
+    hamiltonian = build_hamiltonian(spec, params)
     current = build_current(spec, params.gamma)
-    identity = commutator_defect(hamiltonian, charge, current)
+    identity, conservation = _identity_and_conservation(hamiltonian, charge, current, spec.sites_per_plate)
     del hamiltonian
 
     measured, expected = product_state_current(spec, params, current)
@@ -496,16 +686,19 @@ def _spectral_interval(hamiltonian):
 
     By Gershgorin, every eigenvalue of the Hermitian H lies within
     sum_{j != i} |h_ij| of some diagonal entry h_ii.  The row sums are
-    read from the stored entries (CSR ``data`` and ``indptr``) or the
-    dense rows; H itself is not copied.
+    read from the stored entries (CSR ``data`` and ``indptr``), a block
+    of rows at a time (:func:`_row_blocks`), or from the dense rows;
+    nothing of H's size is made.
     """
     diag = hamiltonian.diagonal().real
     if sparse.issparse(hamiltonian):
         indptr = hamiltonian.indptr
-        rows = np.flatnonzero(np.diff(indptr))
         abs_sums = np.zeros(len(diag))
-        if rows.size:
-            abs_sums[rows] = np.add.reduceat(np.abs(hamiltonian.data), indptr[rows])
+        for start, stop in _row_blocks(indptr):
+            rows = start + np.flatnonzero(np.diff(indptr[start : stop + 1]))
+            if rows.size:
+                lo, hi = indptr[start], indptr[stop]
+                abs_sums[rows] = np.add.reduceat(np.abs(hamiltonian.data[lo:hi]), indptr[rows] - lo)
     else:
         abs_sums = np.abs(hamiltonian).sum(axis=1)
     radii = abs_sums - np.abs(diag)
@@ -591,11 +784,14 @@ def _propagate(hamiltonian, vectors, t):
         prev = np.array(vec, dtype=complex)
         total = coeffs[0] * prev
         if len(coeffs) > 1:
-            cur = step(prev) / 2
+            cur = step(prev)
+            cur /= 2
             total += -2j * coeffs[1] * cur
             phase = -1j
             for coeff in coeffs[2:]:
-                prev, cur = cur, step(cur) - prev
+                following = step(cur)  # T_{k+1} = 2 A T_k - T_{k-1}, formed in place
+                following -= prev
+                prev, cur = cur, following
                 phase *= -1j
                 total += (2 * phase * coeff) * cur
         yield np.exp(-1j * t * center) * total

@@ -29,13 +29,13 @@ def test_suite_solves_each_grid_and_builds_each_lattice_once(monkeypatch):
     _clear_caches()
     batches = _counting(monkeypatch, checks, "solve_batch")
     batches_first_order = _counting(monkeypatch, perturbation, "solve_batch")
-    plates = _counting(monkeypatch, lattice, "_plate_part")
+    hamiltonians = _counting(monkeypatch, lattice, "build_hamiltonian")
     results = run_checks()
     assert len(results) == 17 and all(r.passed for r in results)
     # standard grid, gauge, swap, proportionality, law grid, ccr, dynamics
     assert len(batches) == 7
     assert len(batches_first_order) == 3  # one per perturbation.slopes point
-    assert [spec.n for spec, _ in plates] == [1, 2]
+    assert [spec.n for spec, _ in hamiltonians] == [1, 2]
 
 
 def test_certification_solves_each_plate_once(monkeypatch):

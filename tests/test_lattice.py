@@ -1,24 +1,27 @@
 """Small-lattice oracle: exact operator identities and contractions."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import bcsjj
 from bcsjj import lattice
 from bcsjj.equilibrium import BulkParams, solve_gap
 from bcsjj.lattice import (
     DENSE_EVOLUTION_DIM,
     _bessel_j,
+    _assemble,
     _chebyshev_order,
-    _on_plate_i,
-    _on_plate_ii,
-    _plate_part,
+    _identity_and_conservation,
     _plate_summed,
     _propagate,
     LatticeSpec,
@@ -276,32 +279,164 @@ def test_commutator_defect_needs_a_diagonal_charge():
         commutator_defect(h, off_diagonal.tocsr())
 
 
+def within_plate_entries(spec, op):
+    """``op`` without its entries that change both plates' states."""
+    coo = op.tocoo()
+    moved = coo.row ^ coo.col
+    width = spec.sites_per_plate
+    keep = ((moved >> width) == 0) | ((moved & ((1 << width) - 1)) == 0)
+    return sparse.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=op.shape)
+
+
 def test_plate_part_is_the_decoupled_hamiltonian():
+    """H's entries that leave one plate's state unchanged are H at gamma = 0,
+    bit for bit: the report's conservation check reads them off H."""
     for n in (1, 2, 3):
         spec = LatticeSpec(n)
-        p = junction(gamma=2e-3, delta=0.4)
-        plate = _plate_part(spec, p)
+        plate = within_plate_entries(spec, build_hamiltonian(spec, junction(gamma=2e-3, delta=0.4)))
         decoupled = build_hamiltonian(spec, junction(gamma=0.0, delta=0.4))
         for name in ("indptr", "indices", "data"):
             got, want = getattr(plate, name), getattr(decoupled, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f"n={n}: {name}"
 
 
+def test_conservation_reads_only_the_plate_part():
+    """The report's [H(gamma = 0), Q] check sees a planted entry that moves a
+    pair on one plate, and not one that changes both plates' states."""
+    spec = LatticeSpec(2)
+    width = spec.sites_per_plate
+    p = junction(gamma=1e-2)
+    h, q, j = build_hamiltonian(spec, p), build_relative_number(spec), build_current(spec, p.gamma)
+    assert _identity_and_conservation(h, q, j, width)[1] == 0.0
+    plate_i_moved = h.tolil()
+    plate_i_moved[0b0001_0000, 0b0000_0000] = 1e-9
+    assert q.diagonal()[0b0001_0000] != q.diagonal()[0]
+    assert _identity_and_conservation(plate_i_moved.tocsr(), q, j, width)[1] >= 1e-9
+    both_moved = h.tolil()
+    both_moved[0b0001_0000, 0b0000_0001] = 0.5
+    identity, conservation = _identity_and_conservation(both_moved.tocsr(), q, j, width)
+    assert conservation == 0.0 and identity >= 0.5
+
+
+def kron_formula(spec, params):
+    """H, Q and J as sums of ``sparse.kron`` products of the plate operators:
+    the builders' reference, formed as the sums are written."""
+    n, width = spec.n, spec.sites_per_plate
+    every_site = range(width)
+    sz = _plate_summed(width, every_site, SIGMA_Z)
+    raise_all = _plate_summed(width, every_site, SIGMA_PLUS)
+    pairing = raise_all @ raise_all.T / n
+    number = _plate_summed(width, every_site, SIGMA_PLUS @ SIGMA_PLUS.conj().T)
+    b_plus = _plate_summed(width, range(n), SIGMA_PLUS)
+    b_minus = b_plus.T.tocsr()
+    one = sparse.identity(1 << width, format="csr")
+
+    def on_i(op):
+        return sparse.kron(op, one, format="csr")
+
+    def on_ii(op):
+        return sparse.kron(one, op, format="csr")
+
+    def across(plate_i, plate_ii):
+        return sparse.kron(plate_i, plate_ii, format="csr")
+
+    plate = on_i(params.bulk_I.epsilon * sz - pairing) + on_ii(params.bulk_II.epsilon * sz - pairing)
+    h = plate - (params.gamma / n) * (across(b_plus, b_minus) + across(b_minus, b_plus))
+    q = on_i(number) - on_ii(number)
+    j = (-2j * params.gamma / n) * (across(b_minus, b_plus) - across(b_plus, b_minus))
+    return h, q, j
+
+
+def assert_builders_equal_kron_formula(spec, params):
+    built = (
+        build_hamiltonian(spec, params),
+        build_relative_number(spec),
+        build_current(spec, params.gamma),
+    )
+    for name, got, want in zip("HQJ", built, kron_formula(spec, params)):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"{name}.{part}"
+
+
+# (eps_I, eps_II, gamma, phi_I): the standard point, a decoupled one, a
+# negative coupling, and plates whose diagonals cancel (a[r, r] + b[k, k] = 0
+# at n = 1 and 2, and b[k, k] = 0 at n = 2), so H drops those entries
+FORMULA_POINTS = [
+    (0.3, 0.3, 1e-2, 0.7),
+    (0.3, 0.3, 0.0, 0.7),
+    (0.2, 0.35, -3e-3, -2.0),
+    (0.25, 1.25, 1e-3, 0.1),
+    (0.25, 0.75, 2e-3, 1.0),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_builders_equal_the_kron_formula_bit_for_bit(n):
+    points = FORMULA_POINTS if n < 3 else FORMULA_POINTS[:2]
+    for eps_i, eps_ii, gamma, phi in points:
+        params = JunctionParams(BulkParams(eps_i, 1e4, phi), BulkParams(eps_ii, 1e4, 0.0), gamma)
+        assert_builders_equal_kron_formula(LatticeSpec(n), params)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@hypothesis.seed(111)
+@given(
+    n=st.sampled_from([1, 2]),
+    eps_i=st.floats(0.15, 0.45),
+    eps_ii=st.floats(0.15, 0.45),
+    gamma=st.floats(-0.098 * 0.15, 0.098 * 0.15),
+    phi=st.floats(-math.pi, math.pi),
+)
+def test_builders_equal_the_kron_formula_property(n, eps_i, eps_ii, gamma, phi):
+    params = JunctionParams(BulkParams(eps_i, 1e4, phi), BulkParams(eps_ii, 1e4, 0.0), gamma)
+    assert_builders_equal_kron_formula(LatticeSpec(n), params)
+
+
 def test_plate_joins_match_sparse_kron():
+    """The join of random plate operators equals the sparse.kron sums."""
     rng = np.random.default_rng(67)
     for dim in (1, 2, 16, 64):
-        left = sparse.csr_matrix(rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.2))
-        op = left @ left.T  # a sparse product, as the plate operators are: columns unsorted
+        def plate():
+            left = sparse.csr_matrix(rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.2))
+            return left @ left.T  # a sparse product, as the plate operators are: columns unsorted
+
+        a, b = plate(), plate()
         one = sparse.identity(dim, format="csr")
-        for got, want in (
-            (_on_plate_i(op), sparse.kron(op, one, format="csr")),
-            (_on_plate_ii(op), sparse.kron(one, op, format="csr")),
-        ):
+        ladder = sparse.csr_matrix(np.triu(rng.random((dim, dim)) < 0.1, 1).astype(float))
+        pairs = (
+            (_assemble((a, b), [], float), sparse.kron(a, one, format="csr") + sparse.kron(one, b, format="csr")),
+            (_assemble(None, [(ladder, ladder.T.tocsr(), 0.5)], float), 0.5 * sparse.kron(ladder, ladder.T, format="csr")),
+        )
+        for got, want in pairs:
             assert got.shape == want.shape
             assert got.indices.dtype == want.indices.dtype == np.int32
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_builders_allocate_only_their_operators():
+    """A fresh process building H, Q and J at n = 3 peaks at their own
+    bytes plus 2 MB, the step temporaries (~1 MB) and the plate operators:
+    no full-space temporary is made."""
+    src = os.path.dirname(os.path.dirname(bcsjj.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import tracemalloc\n"
+        "from bcsjj import BulkParams, JunctionParams, LatticeSpec\n"
+        "from bcsjj import build_current, build_hamiltonian, build_relative_number\n"
+        "p = JunctionParams(BulkParams(0.3, 1e4, 0.7), BulkParams(0.3, 1e4, 0.0), 1e-3)\n"
+        "spec = LatticeSpec(3)\n"
+        "tracemalloc.start()\n"
+        "ops = build_hamiltonian(spec, p), build_relative_number(spec), build_current(spec, p.gamma)\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "print(peak, sum(a.nbytes for op in ops for a in (op.indptr, op.indices, op.data)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    peak, final = map(int, proc.stdout.split())
+    assert peak <= final + 2 * 2**20, f"peak {peak} B, operators {final} B"
 
 
 def per_site_kron_sum(spec, sites, local):
@@ -326,7 +461,8 @@ def test_plate_summed_matches_per_site_kron(n):
         (range(n), SIGMA_PLUS),  # the contact row
     )
     for sites, local in cases:
-        got, want = _plate_summed(spec, sites, local), per_site_kron_sum(spec, sites, local)
+        got = _plate_summed(spec.sites_per_plate, sites, local)
+        want = per_site_kron_sum(spec, sites, local)
         assert got.format == "csr" and got.shape == want.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)

@@ -722,8 +722,7 @@ def test_cli_finite_n_memory_cap_before_build(capsys, monkeypatch):
         raise AssertionError("operators built past the memory cap")
 
     for name in (
-        "build_hamiltonian", "build_relative_number", "build_current",
-        "_plate_part", "_tunnelling_part",
+        "build_hamiltonian", "build_relative_number", "build_current", "_assemble",
     ):
         monkeypatch.setattr(lattice, name, never)
     cap = lattice.LatticeSpec(3).estimated_bytes - 1

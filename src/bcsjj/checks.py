@@ -7,10 +7,11 @@ per entry; tests call :func:`run_checks` directly.
 Each junction grid is solved by one :func:`~bcsjj.ness.solve_batch`
 call, and the observables (current, mode frequencies, commutator
 values) run on the whole batch at once.  So do the independent 2x2
-routes, the closed form and :func:`~bcsjj.ness.verify_steady`, which
-work elementwise on 2x2 matrices, never on the solver's Bloch algebra;
-the rebuilt contact Hamiltonians of the mode dynamics run per point on
-``batch[k]``.  No check compares the solver with itself.
+routes, which work elementwise on stacks of 2x2 matrices, never on the
+solver's Bloch algebra: the closed form, :func:`~bcsjj.ness.verify_steady`
+and the mode dynamics, whose contact Hamiltonians
+:func:`~bcsjj.ness.boundary_hamiltonian` rebuilds for the whole batch,
+one call per contact row.  No check compares the solver with itself.
 
 Nothing is computed twice in a run: the standard grid (three checks)
 and the law grid (two) sit in one-entry caches keyed on the frozen
@@ -30,6 +31,7 @@ from .constants import (
 )
 from .equilibrium import BulkParams, critical_beta, gap_map, solve_gap
 from .ness import JunctionParams, boundary_hamiltonian, closed_form_rhs, gauge_shift, solve_batch, verify_steady
+from .spin import _dot
 
 STANDARD_EPSILONS = (0.2, 0.3)
 STANDARD_BETA = 1e4
@@ -245,24 +247,19 @@ def check_ccr(opts):
 
 
 def check_dynamics(opts):
-    worst_resid = 0.0
-    worst_geo = 0.0
     batch = _solve_all(
         [_standard_params(eps, gamma, 0.5) for eps in STANDARD_EPSILONS for gamma in (0.0, 1e-3)],
         opts,
     )
-    for k in range(len(batch.points)):
-        sol = batch[k]
-        for region in ("I_b", "II_b"):
-            pair = observables.goldstone_operators(region, sol)
-            h = boundary_hamiltonian(region, sol.params, *sol.Lambda_b)
-            period = 2.0 * math.pi / pair.frequency
-            times = np.linspace(0.0, 2.0 * period, 32)
-            resid = observables.goldstone_dynamics_residual(pair, h, times)
-            q, p, n = pair.q, pair.p, spin.pauli_components(h)[1].real
-            geo = (np.dot(q, p), np.dot(q, n), np.dot(p, n), np.linalg.norm(q) - np.linalg.norm(p))
-            worst_resid = max(worst_resid, resid)
-            worst_geo = max(worst_geo, *(abs(float(v)) for v in geo))
+    resid, geo = [], []
+    for region in ("I_b", "II_b"):
+        pair = observables.goldstone_operators(region, batch)
+        h = boundary_hamiltonian(region, batch.points, *batch.Lambda_b)
+        times = np.linspace(0.0, 4.0 * math.pi / pair.frequency, 32, axis=-1)  # two periods
+        resid.append(observables.goldstone_dynamics_residual(pair, h, times))
+        q, p, n = pair.q, pair.p, spin.pauli_components(h)[1].real
+        geo += [_dot(q, p), _dot(q, n), _dot(p, n), np.sqrt(_dot(q, q)) - np.sqrt(_dot(p, p))]
+    worst_resid, worst_geo = float(np.max(resid)), float(np.abs(geo).max())
     passed = worst_resid < 1e-10 and worst_geo < 1e-12
     return CheckResult(
         "observables.dynamics", passed, worst_resid, 1e-10,

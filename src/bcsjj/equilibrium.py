@@ -52,13 +52,12 @@ class BulkSolution:
 
 
 def effective_hamiltonian(epsilon, field):
-    """One-site mean-field Hamiltonian for a complex pairing field."""
-    f = complex(field)
-    return (
-        epsilon * spin.SIGMA_Z
-        - np.conj(f) * spin.SIGMA_PLUS
-        - f * spin.SIGMA_MINUS
-    )
+    """One-site mean-field Hamiltonian for a complex pairing field.
+
+    Elementwise: arrays of epsilons and fields give a ``(..., 2, 2)`` stack.
+    """
+    eps, f = (np.asarray(v)[..., None, None] for v in (epsilon, field))
+    return eps * spin.SIGMA_Z - f.conj() * spin.SIGMA_PLUS - f * spin.SIGMA_MINUS
 
 
 def gap_map(lam, params):

@@ -41,6 +41,7 @@ arg(field).
 """
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -334,23 +335,47 @@ def solve_ness(params, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     return solve_batch([params], tol, max_iter, seed)[0]
 
 
+def _gather(points):
+    """Both plates of every point: bulk gaps, epsilons and phases as ``(2, N)``
+    arrays, the ``(N,)`` couplings, and the distinct plates (a dict, in the
+    order first seen) with each plate's ``(2, N)`` index among them.  The
+    bare gap root runs once per distinct (epsilon, beta).
+    """
+    root, plates, data, index = functools.cache(gap_root), {}, [], []
+    for plate in [p.bulk_I for p in points] + [p.bulk_II for p in points]:
+        index.append(plates.setdefault(plate, len(plates)))
+        if len(data) < len(plates):  # a plate not seen before
+            data.append((root(plate.epsilon, plate.beta)[0], plate.epsilon, plate.phi))
+    index = np.array(index, dtype=int).reshape(2, len(points))
+    lam, eps, phi = np.array(data).reshape(-1, 3).T[:, index]
+    return lam, eps, phi, np.array([p.gamma for p in points], dtype=float), plates, index
+
+
+def _region_hamiltonians(lam, eps, phi, gamma, lam_b):
+    """``(4, N, 2, 2)`` Hamiltonians of the regions I_a, II_a (bulk field) and I_b,
+    II_b (bulk field plus gamma times the other plate's contact order parameter)."""
+    order = lam * np.exp(1j * phi)
+    field = np.concatenate((order, order + gamma * lam_b[::-1]))
+    return effective_hamiltonian(np.concatenate((eps, eps)), field)
+
+
 def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j):
     """Effective one-site Hamiltonian of the given region.
 
     Interior regions (``I_a``, ``II_a``) see only their bulk field, for
     any gamma.  Contact regions (``I_b``, ``II_b``) see their bulk field
-    plus gamma times the opposite contact order parameter.
+    plus gamma times the opposite contact order parameter.  Elementwise:
+    one :class:`JunctionParams` gives the 2x2 matrix, and N points with
+    ``(N,)`` order parameters the ``(N, 2, 2)`` stack, a point's matrix
+    the same bits either way.
     """
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}, expected one of {REGIONS}")
-    if region.startswith("I_"):
-        bulk, other = params.bulk_I, Lambda_b_II
-    else:
-        bulk, other = params.bulk_II, Lambda_b_I
-    field = gap_root(bulk.epsilon, bulk.beta)[0] * cmath.exp(1j * bulk.phi)
-    if region.endswith("_b"):
-        field += params.gamma * complex(other)
-    return effective_hamiltonian(bulk.epsilon, field)
+    points, single = _point_axis(params)
+    lam, eps, phi, gamma, _, _ = _gather(points)
+    lam_b = np.array(np.broadcast_arrays(Lambda_b_I, Lambda_b_II, gamma)[:2], dtype=complex)
+    h = _region_hamiltonians(lam, eps, phi, gamma, lam_b)[("I_a", "II_a", "I_b", "II_b").index(region)]
+    return h[0] if single else h
 
 
 def ness_map(guess, params):
@@ -388,15 +413,7 @@ def closed_form_rhs(guess, params):
     """
     points, single = _point_axis(params)
     x = np.asarray(guess, dtype=complex).reshape(2, len(points))
-    gaps = {}
-    lam, eps, phi = (np.empty((2, len(points))) for _ in range(3))
-    for k, p in enumerate(points):
-        for row, bulk in enumerate((p.bulk_I, p.bulk_II)):
-            key = (bulk.epsilon, bulk.beta)
-            if key not in gaps:
-                gaps[key] = gap_root(*key)[0]
-            lam[row, k], eps[row, k], phi[row, k] = gaps[key], bulk.epsilon, bulk.phi
-    gamma = np.array([p.gamma for p in points], dtype=float)
+    lam, eps, phi, gamma, _, _ = _gather(points)
     field = lam * np.exp(1j * phi) + gamma * x[::-1]
     aligned = (np.exp(-1j * phi) * field).real
     eps_sq = eps * eps
@@ -425,24 +442,9 @@ def verify_steady(sol, params=None):
     points, single = _point_axis(params if params is not None else sol.points)
     n_points = len(points)
     lam_b = sol.Lambda_b.reshape(2, n_points)
-    bulk = {}
-    lam, eps, phi = (np.empty((2, n_points)) for _ in range(3))
-    rho_bulk = np.empty((2, n_points, 2, 2), dtype=complex)
-    for k, p in enumerate(points):
-        for row, plate in enumerate((p.bulk_I, p.bulk_II)):
-            if plate not in bulk:
-                bulk[plate] = solve_gap(plate)
-            gap = bulk[plate]
-            lam[row, k], eps[row, k], phi[row, k] = gap.lam, plate.epsilon, plate.phi
-            rho_bulk[row, k] = gap.rho
-    gamma = np.array([p.gamma for p in points], dtype=float)
-    order = lam * np.exp(1j * phi)
-    field = np.concatenate((order, order + gamma * lam_b[::-1]))[..., None, None]
-    hamiltonians = (
-        np.concatenate((eps, eps))[..., None, None] * spin.SIGMA_Z
-        - field.conj() * spin.SIGMA_PLUS
-        - field * spin.SIGMA_MINUS
-    )
+    *plate_arrays, plates, index = _gather(points)
+    hamiltonians = _region_hamiltonians(*plate_arrays, lam_b)
+    rho_bulk = np.array([solve_gap(plate).rho for plate in plates]).reshape(-1, 2, 2)[index]
     rho_b = _from_bloch(0.5, sol.contact.reshape(3, 2, n_points))
     states = np.concatenate((rho_bulk, rho_b))
     commutators = hamiltonians @ states - states @ hamiltonians

@@ -23,8 +23,8 @@ Every function here reads the solver's own arrays (``Lambda_b``,
 ``field``, ``mu_t``, the contact axis n and the contact Bloch vector b of
 :class:`~bcsjj.ness.NessSolution`) and works elementwise, on one point or
 on a whole batch.  Q and P are 2x2 only when read; only
-:func:`goldstone_dynamics_residual` takes a 2x2 matrix, the caller's
-contact Hamiltonian, as the independent side of the mode dynamics.
+:func:`goldstone_dynamics_residual` takes 2x2 matrices, the caller's
+contact Hamiltonians, as the independent side of the mode dynamics.
 """
 
 from dataclasses import dataclass
@@ -131,28 +131,30 @@ def ccr_defect(pair):
 
 
 def goldstone_dynamics_residual(pair, hamiltonian, times):
-    """Worst deviation of one point's pair from (Q, P)-plane rotation over the times.
+    """Worst deviation of the pair from (Q, P)-plane rotation over the times.
 
-    The rotation orientation is computed from the Bloch geometry, not
-    assumed: s is the sign making dQ/dt = s * nu * P at t = 0.
-    Zero operators (normal phase) give zero residual trivially.
+    A one-point pair and its 2x2 Hamiltonian give a float; N points, their
+    ``(N, 2, 2)`` stack and ``(T,)`` or ``(N, T)`` times, one residual per
+    point.  The rotation orientation is computed from the Bloch geometry:
+    s makes dQ/dt = s * nu * P at t = 0 (dQ/dt = -nu n_hat x q).  Zero
+    operators (normal phase) give zero residual trivially.
     """
     q, p = pair.q, pair.p
-    n = spin.pauli_components(np.asarray(hamiltonian, dtype=complex))[1].real
-    if not (q.any() or p.any()):
-        return 0.0
-    if not n.any():
+    hamiltonian = np.asarray(hamiltonian, dtype=complex)
+    n = spin.pauli_components(hamiltonian)[1].real
+    if (~n.any(axis=0) & (q.any(axis=0) | p.any(axis=0))).any():
         raise ValueError("contact Hamiltonian must have a nonzero axis")
-    s = 1.0 if _dot(np.cross(q, n), p) >= 0.0 else -1.0  # dQ/dt = -nu n_hat x q
-    q_op, p_op = pair.Q, pair.P
-    times = np.asarray(times, dtype=float)
-    theta = (pair.frequency * times)[:, None, None]
+    s = np.where(_dot(np.cross(q, n, axis=0), p) >= 0.0, 1.0, -1.0)[..., None, None, None]
+    q_op, p_op = pair.Q[..., None, :, :], pair.P[..., None, :, :]  # a time axis before the matrix
+    theta = (np.asarray(pair.frequency)[..., None] * times)[..., None, None]
     cos, sin = np.cos(theta), np.sin(theta)
     q_ref = q_op * cos + s * p_op * sin
     p_ref = -s * q_op * sin + p_op * cos
+    hamiltonian = hamiltonian[..., None, :, :]
     q_t = spin.evolve_heisenberg(q_op, hamiltonian, times)
     p_t = spin.evolve_heisenberg(p_op, hamiltonian, times)
-    return float(max(np.abs(q_t - q_ref).max(initial=0.0), np.abs(p_t - p_ref).max(initial=0.0)))
+    worst = np.abs(np.stack((q_t - q_ref, p_t - p_ref))).max(axis=(0, -3, -2, -1), initial=0.0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def goldstone_frequencies(sol):

@@ -128,11 +128,11 @@ def certify_first_order(params, gammas=(1e-4, 1e-3, 1e-2)):
     """Certify the analytic gamma-slopes against the full solver.
 
     Central differences at gamma = 0 (step scaled from
-    ``CENTRAL_DIFF_STEP``) give the numeric slopes; the probed
+    ``CENTRAL_DIFF_STEP``) give the numeric slopes; the probed nonzero
     ``gammas`` bound the quadratic remainder of each linearization.
     """
-    if not gammas:
-        raise ValueError("need at least one gamma to probe the remainder")
+    if not gammas or not all(gammas):
+        raise ValueError(f"need nonzero gammas to probe the remainder, got {gammas}")
     zeroth, analytic, printed = _expansion(params)
     step = CENTRAL_DIFF_STEP * max(1.0, *(abs(g) for g in gammas))
     probes = np.array((step, -step, 0.0, *gammas), dtype=float)

@@ -69,23 +69,25 @@ def max_abs(op):
 
 
 def is_hermitian(op, atol=VALIDATION_ATOL):
+    """Whether a matrix, or every matrix of a stack, is Hermitian to ``atol``."""
     op = np.asarray(op)
-    return bool(np.max(np.abs(op - op.conj().T)) <= atol)
+    return bool(np.max(np.abs(op - np.swapaxes(op.conj(), -1, -2))) <= atol)
 
 
-def _require_hermitian(op, what):
+def _require_hermitian(op, what, stack=False):
     op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"{what} must be a 2x2 matrix, got shape {op.shape}")
+    if op.shape[-2:] != (2, 2) or (op.ndim > 2 and not stack):
+        raise ValueError(f"{what} must be a 2x2 matrix{' stack' if stack else ''}, got shape {op.shape}")
     if not is_hermitian(op):
         raise ValueError(f"{what} must be Hermitian")
     return op
 
 
 def pauli_components(op):
-    """Complex (scalar, vector) Pauli components of any 2x2 matrix."""
-    a, b = op[0, 0], op[0, 1]
-    c, d = op[1, 0], op[1, 1]
+    """Complex (scalar, vector) Pauli components of any 2x2 matrix, or of a
+    ``(..., 2, 2)`` stack as ``(...)`` scalars and ``(3, ...)`` vectors."""
+    a, b = op[..., 0, 0], op[..., 0, 1]
+    c, d = op[..., 1, 0], op[..., 1, 1]
     s = 0.5 * (a + d)
     v = np.array([0.5 * (b + c), 0.5j * (b - c), 0.5 * (a - d)], dtype=complex)
     return s, v
@@ -177,25 +179,22 @@ def evolve_heisenberg(op, hamiltonian, t):
 
     The adjoint action of exp(-i t H) rotates the Pauli coefficient
     vector of ``op`` about the H axis; the formula extends linearly to
-    complex coefficient vectors, so ``op`` need not be Hermitian.  An
-    array of times gives the ``t.shape + (2, 2)`` stack from one rotation.
+    complex coefficient vectors, so ``op`` need not be Hermitian.  ``op``
+    and ``hamiltonian`` may be ``(..., 2, 2)`` stacks; their stack shapes
+    and ``t``'s broadcast into the result's ``(..., 2, 2)``.
     """
-    hamiltonian = _require_hermitian(hamiltonian, "Hamiltonian")
-    op = np.asarray(op, dtype=complex)
-    t = np.asarray(t, dtype=float)
-    s, a = pauli_components(op)
-    _, w = pauli_components(hamiltonian)
-    n = w.real
-    norm = float(np.linalg.norm(n))
-    if norm == 0.0:
-        return np.broadcast_to(op, t.shape + (2, 2)).copy()
-    n_hat = n / norm
-    theta = (2.0 * norm * t)[..., None]
+    hamiltonian = _require_hermitian(hamiltonian, "Hamiltonian", stack=True)
+    s, a = pauli_components(np.asarray(op, dtype=complex))
+    n = pauli_components(hamiltonian)[1].real
+    norm = np.sqrt(_dot(n, n))
+    n_hat = n / np.where(norm == 0.0, 1.0, norm)  # a zero axis: n_hat = 0, theta = 0, op unchanged
+    axial = _dot(n_hat, a)[..., None]  # bilinear, no conjugation
+    theta = 2.0 * norm * np.asarray(t, dtype=float)
+    cos, sin = np.cos(theta)[..., None], np.sin(theta)[..., None]
     # d a / d t = -2 n x a  =>  rotation by -theta about n_hat
-    cross = np.cross(n_hat, a)
-    axial = np.dot(n_hat, a) * n_hat  # bilinear, no conjugation
-    rotated = a * np.cos(theta) - cross * np.sin(theta) + axial * (1.0 - np.cos(theta))
-    return _assemble(s, rotated)
+    a, n_hat = np.moveaxis(a, 0, -1), np.moveaxis(n_hat, 0, -1)
+    rotated = a * cos - np.cross(n_hat, a) * sin + axial * n_hat * (1.0 - cos)
+    return _assemble(s[..., None, None], rotated)
 
 
 def expectation(rho, op):

@@ -171,6 +171,11 @@ def test_normal_phase_gives_zero_modes():
         assert np.max(np.abs(pair.P)) < 1e-13
         assert abs(pair.ccr_exact) < 1e-13
         assert pair.var_Q < 1e-13
+        # zero operators rotate trivially, even under a Hamiltonian with zero axis
+        assert goldstone_dynamics_residual(pair, spin.IDENTITY, np.linspace(0.0, 9.0, 8)) == 0.0
+    ordered = goldstone_operators("I_b", solve_ness(junction()))
+    with np.testing.assert_raises_regex(ValueError, "nonzero axis"):
+        goldstone_dynamics_residual(ordered, spin.IDENTITY, [0.0, 1.0])
 
 
 def test_modes_live_on_contact_rows_only():

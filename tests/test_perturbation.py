@@ -128,6 +128,13 @@ def test_normal_phase_rejected():
         certify_first_order(p)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gammas", [(), (0.0, 1e-3), (1e-3, -0.0)])
+def test_certification_rejects_empty_or_zero_probes(gammas):
+    with pytest.raises(ValueError, match="gamma"):
+        certify_first_order(standard(), gammas=gammas)
+
+
 def test_linear_report_values_match_functions():
     p = standard(delta=0.4)
     report = certify_first_order(p)

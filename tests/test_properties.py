@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 
 from bcsjj.equilibrium import BulkParams, critical_beta, gap_root, solve_gap
 from bcsjj.ness import (
+    REGIONS,
     JunctionParams,
     NessSolution,
+    boundary_hamiltonian,
     closed_form_rhs,
     gauge_shift,
     solve_batch,
@@ -31,10 +33,12 @@ from bcsjj.ness import (
 from bcsjj.observables import (
     GoldstonePair,
     ccr_defect,
+    goldstone_dynamics_residual,
     goldstone_frequencies,
     goldstone_operators,
     josephson_current,
 )
+from bcsjj.spin import evolve_heisenberg
 from bcsjj.sweep import (
     SWEEP_AXES,
     _seed_from_config,
@@ -210,6 +214,33 @@ def test_batch_references_equal_per_point_references(points, seed):
         sol = batch[k]
         assert _same_bits(steady[k], verify_steady(sol))
         assert _same_bits(rhs[:, k], closed_form_rhs(sol.Lambda_b, params))
+
+
+@PROPERTY
+@hypothesis.seed(112)
+@given(points=st.lists(junctions(), min_size=1, max_size=6), seed=SEED)
+@example(points=[ROUNDING_POINT], seed=None)
+def test_mode_dynamics_route_equals_per_point_calls(points, seed):
+    """boundary_hamiltonian, goldstone_dynamics_residual and evolve_heisenberg
+    on a whole batch give each point's lone value bit for bit."""
+    batch = solve_batch(points, seed=seed)
+    for region in REGIONS:
+        stack = boundary_hamiltonian(region, batch.points, *batch.Lambda_b)
+        assert stack.shape == (len(points), 2, 2)
+        for k, params in enumerate(points):
+            assert _same_bits(stack[k], boundary_hamiltonian(region, params, *batch[k].Lambda_b))
+    for region in ("I_b", "II_b"):
+        pair = goldstone_operators(region, batch)
+        h = boundary_hamiltonian(region, batch.points, *batch.Lambda_b)
+        times = np.linspace(0.0, 4.0 * math.pi / pair.frequency, 32, axis=-1)
+        residual = goldstone_dynamics_residual(pair, h, times)
+        evolved = evolve_heisenberg(pair.P[:, None], h[:, None], times)
+        assert residual.shape == (len(points),) and evolved.shape == (len(points), 32, 2, 2)
+        for k, params in enumerate(points):
+            lone = goldstone_operators(region, batch[k])
+            h_k = boundary_hamiltonian(region, params, *batch[k].Lambda_b)
+            assert _same_bits(residual[k], goldstone_dynamics_residual(lone, h_k, times[k]))
+            assert _same_bits(evolved[k], evolve_heisenberg(lone.P, h_k, times[k]))
 
 
 # The undamped map's iterates settle into a 2-cycle here and never meet

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -91,6 +92,16 @@ def test_gibbs_matches_matrix_exponential():
 def test_gibbs_degenerate_hamiltonian_is_maximally_mixed():
     rho = gibbs_state(2.7 * IDENTITY, 3.0)
     assert np.allclose(rho, IDENTITY / 2)
+
+
+def test_one_matrix_functions_reject_stacks():
+    stack = np.stack((SIGMA_Z, SIGMA_X))
+    with pytest.raises(ValueError, match="2x2 matrix,"):
+        gibbs_state(stack, 1.0)
+    with pytest.raises(ValueError, match="2x2 matrix,"):
+        commutant_projection(0.5 * IDENTITY, stack)
+    with pytest.raises(ValueError, match="2x2 matrix stack,"):
+        evolve_heisenberg(SIGMA_X, np.ones(4), 1.0)
 
 
 def test_gibbs_rejects_bad_beta():
@@ -197,3 +208,35 @@ def test_heisenberg_over_times_is_the_stack_of_single_times(op, axis, shift, zer
     for t, evolved in zip(times, stacked):
         assert np.array_equal(evolved, evolve_heisenberg(op, h, t))
     assert evolve_heisenberg(op, h, 1.5).shape == (2, 2)
+
+
+_MATRIX = st.lists(_FINITE, min_size=8, max_size=8)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@hypothesis.seed(113)
+@given(
+    ops=st.lists(_MATRIX, min_size=1, max_size=5),
+    axes=st.lists(st.lists(_FINITE, min_size=4, max_size=4), min_size=5, max_size=5),
+    zero_axis=st.lists(st.booleans(), min_size=5, max_size=5),
+    times=st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=5, max_size=5),
+)
+def test_heisenberg_on_stacks_is_the_one_matrix_call(ops, axes, zero_axis, times):
+    """Stacks of operators, Hamiltonians (some with zero axis) and times
+    evolve elementwise: each element is the one-matrix call, bit for bit."""
+    count = len(ops)
+    op = np.array(ops)[:, :4].reshape(count, 2, 2) + 1j * np.array(ops)[:, 4:].reshape(count, 2, 2)
+    h = np.array([
+        shift * IDENTITY + (0.0 if zero else 1.0) * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+        for (shift, x, y, z), zero in zip(axes[:count], zero_axis)
+    ])
+    t = np.array(times[:count])
+    stacked = evolve_heisenberg(op, h, t)
+    assert stacked.shape == (count, 2, 2)
+    for k in range(count):
+        assert np.array_equal(stacked[k], evolve_heisenberg(op[k], h[k], t[k]))
+    # one Hamiltonian shared by the stack, and a time grid per operator
+    grid = evolve_heisenberg(op[:, None], h[0], np.outer(t, [0.5, 1.0, 2.0]))
+    assert grid.shape == (count, 3, 2, 2)
+    for k in range(count):
+        assert np.array_equal(grid[k], evolve_heisenberg(op[k], h[0], t[k] * np.array([0.5, 1.0, 2.0])))

@@ -6,12 +6,13 @@ per entry; tests call :func:`run_checks` directly.
 
 Each junction grid is solved by one :func:`~bcsjj.ness.solve_batch`
 call, and the observables (current, mode frequencies, commutator
-values) run on the whole batch at once.  So do the independent 2x2
-routes, which work elementwise on stacks of 2x2 matrices, never on the
-solver's Bloch algebra: the closed form, :func:`~bcsjj.ness.verify_steady`
-and the mode dynamics, whose contact Hamiltonians
-:func:`~bcsjj.ness.boundary_hamiltonian` rebuilds for the whole batch,
-one call per contact row.  No check compares the solver with itself.
+values) run on the whole batch at once.  So do the 2x2 references,
+which work elementwise on stacks of 2x2 matrices: the closed form,
+:func:`~bcsjj.ness.verify_steady` and the mode dynamics, whose contact
+Hamiltonians :func:`~bcsjj.ness.boundary_hamiltonian` rebuilds for the
+whole batch, one call per contact row.  Their states come from the
+solver's Bloch vectors; the Hamiltonians and commutators are rebuilt as
+2x2 matrices, not read off the solver's Bloch algebra.
 
 Nothing is computed twice in a run: the standard grid (three checks)
 and the law grid (two) sit in one-entry caches keyed on the frozen

@@ -65,27 +65,16 @@ _STEP_ENTRIES = 2**15
 _BLOCK_ENTRIES = 2**15
 # What a finite-n run allocates besides what estimated_bytes sizes from
 # the lattice: the Python objects around each array, the plate-space
-# operators (2^(n^2) states) and the report's other small pieces.
-# Measured at most ~35 kB over the sized part, on a process's first run
-# at n = 1 (the interpreter's free lists fill); at n = 2 and 3 the block
-# term of the estimate covers them too.  abc's caches are filled on
-# import (below) and the argument parser is built on import, so neither
-# is part of a run.  Measured on Python 3.11 with numpy 2.4 and scipy
-# 1.17.1 only: a first run then peaks ~63 kB, ~111 kB and ~0.27 MB under
-# the estimate at n = 1, 2, 3, margins other interpreters or scipy
-# versions may use up.
+# operators (2^(n^2) states), the report's other small pieces and, on a
+# process's first run, the ~20 kB of caches that abc fills the first time
+# scipy's sparse type checks see each type.  Measured at most ~55 kB over
+# the sized part, on a process's first run at n = 1; at n = 2 and 3 the
+# block term of the estimate covers them too.  The argument parser is
+# built on import, so it is not part of a run.  Measured on Python 3.11
+# with numpy 2.4 and scipy 1.17.1 only: a first run then peaks ~44 kB,
+# ~92 kB and ~0.25 MB under the estimate at n = 1, 2, 3, margins other
+# interpreters or scipy versions may use up (CI prints them for its own).
 _RUN_OVERHEAD_BYTES = 96 * 1024
-
-# scipy's sparse type checks fill abc's per-class caches (~30 kB) the
-# first time they see each type.  In scipy 1.17.1 these are numpy arrays,
-# tuples, ints and the CSR, CSC and DIA formats; one check of each here
-# keeps them out of every finite-n run.  Other scipy versions may check
-# other types, whose caches then fill inside a process's first run.
-for _sample in (np.empty(0), (), 0, sparse.csr_matrix((1, 1)), sparse.csc_matrix((1, 1)),
-                sparse.dia_matrix((1, 1)), sparse.dia_array((1, 1))):
-    sparse.issparse(_sample)
-del _sample
-
 
 class ResourceLimitError(RuntimeError):
     """Requested lattice exceeds the configured dimension or memory budget."""
@@ -96,7 +85,6 @@ class LatticeSpec:
     """Geometry and resource budget of the finite two-plate lattice."""
 
     n: int
-    dim_cap: int = DEFAULT_DIM_CAP
     memory_cap: int | None = None
 
     def __post_init__(self):
@@ -104,10 +92,10 @@ class LatticeSpec:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if self.memory_cap is not None and not self.memory_cap > 0:
             raise ValueError(f"memory_cap must be positive, got {self.memory_cap!r}")
-        if self.dim > self.dim_cap:
+        if self.dim > DEFAULT_DIM_CAP:
             raise ResourceLimitError(
                 f"Hilbert dimension 2**{2 * self.n**2} exceeds the cap "
-                f"{self.dim_cap}; raise dim_cap explicitly to go bigger"
+                f"{DEFAULT_DIM_CAP}; n = 3 is the largest lattice this oracle builds"
             )
         if self.memory_cap is not None and self.estimated_bytes > self.memory_cap:
             raise ResourceLimitError(
@@ -621,7 +609,7 @@ def finite_n_report(spec, params):
     )
 
 
-def _dominant_product_terms(site_states, tol, cap=_MAX_PRODUCT_TERMS):
+def _dominant_product_terms(site_states, tol):
     """Product eigenstate expansion of a mixed product state, best first.
 
     Yields (weight, statevector) until the neglected mass drops below
@@ -658,10 +646,10 @@ def _dominant_product_terms(site_states, tol, cap=_MAX_PRODUCT_TERMS):
     mass = 0.0
     out = []
     while heap and mass < 1.0 - tol:
-        if len(out) >= cap:
+        if len(out) >= _MAX_PRODUCT_TERMS:
             raise ResourceLimitError(
                 "product state too mixed: the eigenstate expansion needs "
-                f"more than {cap} terms to reach mass 1 - {tol}"
+                f"more than {_MAX_PRODUCT_TERMS} terms to reach mass 1 - {tol}"
             )
         neg_w, choice = heapq.heappop(heap)
         w = -neg_w

@@ -41,16 +41,14 @@ arg(field).
 """
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import spin
 from .constants import NESS_CHANGE_TOL
-from .equilibrium import BulkParams, effective_hamiltonian, gap_root, solve_gap
+from .equilibrium import BulkParams, effective_hamiltonian, gap_root
 from .spin import _from_bloch
 
 REGIONS = ("I_a", "I_b", "II_b", "II_a")
@@ -335,26 +333,9 @@ def solve_ness(params, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     return solve_batch([params], tol, max_iter, seed)[0]
 
 
-def _gather(points):
-    """Both plates of every point: bulk gaps, epsilons and phases as ``(2, N)``
-    arrays, the ``(N,)`` couplings, and the distinct plates (a dict, in the
-    order first seen) with each plate's ``(2, N)`` index among them.  The
-    bare gap root runs once per distinct (epsilon, beta).
-    """
-    root, plates, data, index = functools.cache(gap_root), {}, [], []
-    for plate in [p.bulk_I for p in points] + [p.bulk_II for p in points]:
-        index.append(plates.setdefault(plate, len(plates)))
-        if len(data) < len(plates):  # a plate not seen before
-            data.append((root(plate.epsilon, plate.beta)[0], plate.epsilon, plate.phi))
-    index = np.array(index, dtype=int).reshape(2, len(points))
-    lam, eps, phi = np.array(data).reshape(-1, 3).T[:, index]
-    return lam, eps, phi, np.array([p.gamma for p in points], dtype=float), plates, index
-
-
-def _region_hamiltonians(lam, eps, phi, gamma, lam_b):
+def _region_hamiltonians(order, eps, gamma, lam_b):
     """``(4, N, 2, 2)`` Hamiltonians of the regions I_a, II_a (bulk field) and I_b,
     II_b (bulk field plus gamma times the other plate's contact order parameter)."""
-    order = lam * np.exp(1j * phi)
     field = np.concatenate((order, order + gamma * lam_b[::-1]))
     return effective_hamiltonian(np.concatenate((eps, eps)), field)
 
@@ -367,14 +348,15 @@ def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j):
     plus gamma times the opposite contact order parameter.  Elementwise:
     one :class:`JunctionParams` gives the 2x2 matrix, and N points with
     ``(N,)`` order parameters the ``(N, 2, 2)`` stack, a point's matrix
-    the same bits either way.
+    the same bits either way.  The plates come from the solver's gather,
+    which runs the bare gap root once per distinct (epsilon, beta).
     """
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}, expected one of {REGIONS}")
     points, single = _point_axis(params)
-    lam, eps, phi, gamma, _, _ = _gather(points)
+    _, order, eps, _, gamma = _plates(points)
     lam_b = np.array(np.broadcast_arrays(Lambda_b_I, Lambda_b_II, gamma)[:2], dtype=complex)
-    h = _region_hamiltonians(lam, eps, phi, gamma, lam_b)[("I_a", "II_a", "I_b", "II_b").index(region)]
+    h = _region_hamiltonians(order, eps, gamma, lam_b)[("I_a", "II_a", "I_b", "II_b").index(region)]
     return h[0] if single else h
 
 
@@ -409,21 +391,23 @@ def closed_form_rhs(guess, params):
     :class:`JunctionParams` give the pair of values, and a ``(2, N)``
     guess with N points gives a ``(2, N)`` array.  One point runs as a
     batch of one, so a point's value is the same bits either way.  The
-    bare gap root runs once per distinct (epsilon, beta) plate.
+    plates come from the solver's gather (one bare gap root per distinct
+    (epsilon, beta)), and lam Re(exp(-i phi) field) is read off the bulk
+    order parameter as Re(conj(order) field).
     """
     points, single = _point_axis(params)
     x = np.asarray(guess, dtype=complex).reshape(2, len(points))
-    lam, eps, phi, gamma, _, _ = _gather(points)
-    field = lam * np.exp(1j * phi) + gamma * x[::-1]
-    aligned = (np.exp(-1j * phi) * field).real
+    _, order, eps, _, gamma = _plates(points)
+    field = order + gamma * x[::-1]
+    aligned = (order.conj() * field).real
     eps_sq = eps * eps
     field_abs = np.hypot(field.real, field.imag)
-    out = field * (eps_sq + lam * aligned) / (eps_sq + field_abs * field_abs)
+    out = field * (eps_sq + aligned) / (eps_sq + field_abs * field_abs)
     return (complex(out[0, 0]), complex(out[1, 0])) if single else out
 
 
-def verify_steady(sol, params=None):
-    """Steady-state defect of a solution, rebuilt from scratch on 2x2 matrices.
+def verify_steady(sol):
+    """Steady-state defect of a solution, checked on 2x2 matrices.
 
     Sums the worst commutator max-norm [h_x, rho_x] over the four
     regions with the worst contact self-consistency defect
@@ -435,21 +419,22 @@ def verify_steady(sol, params=None):
     Elementwise over the point axis: a batch gives one defect per point
     and one point (``batch[k]``) a float, computed as a batch of one, so
     ``verify_steady(batch)[k] == verify_steady(batch[k])`` bit for bit.
-    The Hamiltonians and states are ``(4, N, 2, 2)`` stacks (regions
-    I_a, II_a, I_b, II_b), the commutators matrix products, and the bulk
-    states come from one :func:`solve_gap` per distinct plate.
+    The states are the solver's Bloch vectors made 2x2: the bulk ones
+    from the solver's plate gather (one bare gap root per distinct
+    (epsilon, beta)), the contact ones ``sol.contact``.  The Hamiltonians
+    are rebuilt from the points and ``sol.Lambda_b``.  Both are
+    ``(4, N, 2, 2)`` stacks (regions I_a, II_a, I_b, II_b), and the
+    commutators are matrix products.
     """
-    points, single = _point_axis(params if params is not None else sol.points)
+    points, single = _point_axis(sol.points)
     n_points = len(points)
     lam_b = sol.Lambda_b.reshape(2, n_points)
-    *plate_arrays, plates, index = _gather(points)
-    hamiltonians = _region_hamiltonians(*plate_arrays, lam_b)
-    rho_bulk = np.array([solve_gap(plate).rho for plate in plates]).reshape(-1, 2, 2)[index]
-    rho_b = _from_bloch(0.5, sol.contact.reshape(3, 2, n_points))
-    states = np.concatenate((rho_bulk, rho_b))
+    _, order, eps, bulk_vec, gamma = _plates(points)
+    hamiltonians = _region_hamiltonians(order, eps, gamma, lam_b)
+    states = _from_bloch(0.5, np.concatenate((bulk_vec, sol.contact.reshape(3, 2, n_points)), axis=1))
     commutators = hamiltonians @ states - states @ hamiltonians
     worst_comm = np.hypot(commutators.real, commutators.imag).max(axis=(0, 2, 3))
-    # Tr(rho sigma_plus) is the (1, 0) entry of rho
-    defect = lam_b - rho_b[..., 1, 0]
+    # Tr(rho sigma_plus) is the (1, 0) entry of rho; rows 2 and 3 are the contacts
+    defect = lam_b - states[2:, :, 1, 0]
     worst = worst_comm + np.hypot(defect.real, defect.imag).max(axis=0)
     return float(worst[0]) if single else worst

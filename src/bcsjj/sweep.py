@@ -141,16 +141,16 @@ DEFAULT_CONFIG = RunConfig()
 DELTA_PHI_RANGE = (-math.pi / 2, math.pi / 2)
 
 
-def config_from_mapping(mapping, base=DEFAULT_CONFIG):
+def config_from_mapping(mapping):
     """Build a RunConfig from a dict, e.g. a parsed JSON config file.
 
     Unknown keys are rejected here and mistyped values by RunConfig;
-    ``base`` supplies defaults for missing ones.
+    missing ones take their ``DEFAULT_CONFIG`` values.
     """
     unknown = set(mapping) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return replace(base, **mapping)
+    return replace(DEFAULT_CONFIG, **mapping)
 
 
 def _seed_from_config(config):

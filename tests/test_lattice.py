@@ -144,8 +144,6 @@ def test_dimension_cap():
     LatticeSpec(3)  # 2^18 fits under the default cap
     with pytest.raises(ResourceLimitError):
         LatticeSpec(4)  # 2^32 does not
-    with pytest.raises(ResourceLimitError):
-        LatticeSpec(2, dim_cap=255)
 
 
 def test_memory_cap():

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bcsjj import ness
-from bcsjj.equilibrium import BulkParams, solve_gap
+from bcsjj import equilibrium, ness
+from bcsjj.equilibrium import BulkParams, gap_root
 from bcsjj.ness import (
     JunctionParams,
     WeakContactWarning,
@@ -125,17 +125,31 @@ def test_verify_steady_detects_perturbation():
     assert verify_steady(broken) > 1e-7
 
 
-def test_verify_steady_solves_each_plate_once(monkeypatch):
-    sol = solve_ness(STANDARD)
+def test_references_root_each_plate_once(monkeypatch):
+    """verify_steady, closed_form_rhs and boundary_hamiltonian each run the
+    bare gap root once per distinct (epsilon, beta), also when the points'
+    plates differ in phase and the points in gamma."""
+    batch = ness.solve_batch(
+        JunctionParams(BulkParams(eps, 1e4, phi), BulkParams(0.2, 1e4, 0.0), gamma)
+        for eps in (0.2, 0.3) for phi in (-0.4, 0.0, 1.1) for gamma in (1e-4, 1e-3)
+    )
     calls = []
 
-    def counting(bulk):
-        calls.append(bulk)
-        return solve_gap(bulk)
+    def counting(epsilon, beta):
+        calls.append((epsilon, beta))
+        return gap_root(epsilon, beta)
 
-    monkeypatch.setattr(ness, "solve_gap", counting)
-    verify_steady(sol)
-    assert calls == [STANDARD.bulk_I, STANDARD.bulk_II]
+    # solve_gap reads the root from equilibrium, the gather from ness
+    monkeypatch.setattr(ness, "gap_root", counting)
+    monkeypatch.setattr(equilibrium, "gap_root", counting)
+    for reference in (
+        lambda: verify_steady(batch),
+        lambda: closed_form_rhs(batch.Lambda_b, batch.points),
+        lambda: boundary_hamiltonian("I_b", batch.points, *batch.Lambda_b),
+    ):
+        calls.clear()
+        reference()
+        assert sorted(calls) == [(0.2, 1e4), (0.3, 1e4)]
 
 
 def test_gauge_covariance():

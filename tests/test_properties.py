@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bcsjj import ness
 from bcsjj.equilibrium import BulkParams, critical_beta, gap_root, solve_gap
 from bcsjj.ness import (
     REGIONS,
@@ -38,7 +39,7 @@ from bcsjj.observables import (
     goldstone_operators,
     josephson_current,
 )
-from bcsjj.spin import evolve_heisenberg
+from bcsjj.spin import evolve_heisenberg, pauli_components
 from bcsjj.sweep import (
     SWEEP_AXES,
     _seed_from_config,
@@ -359,3 +360,16 @@ def test_solve_gap_takes_its_gap_from_the_bare_root(plate):
     lam, mu, superconducting = gap_root(plate.epsilon, plate.beta)
     assert _same_bits(sol.lam, lam) and _same_bits(sol.mu, mu)
     assert sol.superconducting is superconducting
+
+
+@PROPERTY
+@hypothesis.seed(114)
+@given(plate_i=plates(), plate_ii=plates())
+@example(plate_i=BulkParams(0.3, 1e4, 0.7), plate_ii=BulkParams(0.3, 1.0, -2.0))  # ordered, normal
+def test_gathered_bulk_states_are_the_gap_solutions(plate_i, plate_ii):
+    """The solver's bulk Bloch vectors, which verify_steady assembles into
+    its bulk states, are those of solve_gap's 2x2 states."""
+    bulk_vec = ness._plates([JunctionParams(plate_i, plate_ii)])[3][..., 0]
+    for row, plate in enumerate((plate_i, plate_ii)):
+        _, vector = pauli_components(solve_gap(plate).rho)
+        assert np.abs(bulk_vec[:, row] - vector.real).max() <= 1e-15

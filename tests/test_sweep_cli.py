@@ -695,8 +695,8 @@ def test_cli_first_finite_n_run_peaks_within_estimate():
 
 def test_cli_first_finite_n_run_at_n_2_peaks_within_estimate():
     """A process's first `finite-n --n 2`, the size where the commutator
-    check sets the peak, stays within estimated_bytes: abc's caches are
-    filled on import, outside the traced run."""
+    check sets the peak, stays within estimated_bytes, abc's caches
+    included."""
     src = os.path.dirname(os.path.dirname(bcsjj.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

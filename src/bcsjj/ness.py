@@ -24,11 +24,15 @@ a = -1/2 tanh(beta |n|) n / |n|.  Dephasing keeps the part
 
     -(a.n) F / (eps^2 + |F|^2).
 
-:func:`solve_batch` finds this fixed point on arrays of junction points
-by Newton steps, with the map's Jacobian in closed form, and returns one
-:class:`NessSolution` holding the solver's arrays with a trailing point
-axis; :func:`solve_ness` is ``solve_batch([params])[0]``.  2x2 matrices
-(the contact states ``rho_b_*``) are built only when read.
+:func:`solve_batch` finds this fixed point by Newton steps, with the
+map's Jacobian in closed form.  Its kernel is written once, in real
+arithmetic on each plate's real and imaginary parts with only
+``+ - * /`` and ``sqrt``, which round alike on Python floats and on
+numpy float arrays.  Exactly one point runs on Python floats, any other
+number of points on ``(2, N)`` arrays of plate rows, and either way the
+result is one :class:`NessSolution` holding the solver's arrays with a
+trailing point axis; :func:`solve_ness` is ``solve_batch([params])[0]``.
+2x2 matrices (the contact states ``rho_b_*``) are built only when read.
 
 The same fixed point has a closed rational form (used as a
 cross-check, never as the defining construction):
@@ -42,6 +46,8 @@ arg(field).
 
 import cmath
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -62,7 +68,8 @@ def warn_strong_contact(points):
     """One WeakContactWarning for the points with |gamma| > 0.1 min(epsilon).
 
     Names the worst point, the one with the largest |gamma| / min(epsilon),
-    and how many of ``points`` are over the bound.
+    and how many of ``points`` are over the bound.  The warning points at
+    the first caller outside bcsjj.
     """
 
     def eps_min(p):
@@ -77,8 +84,26 @@ def warn_strong_contact(points):
         f"gamma = {worst.gamma} is not small against min(epsilon) = "
         f"{eps_min(worst)}{count}; the junction treatment assumes a weak contact",
         WeakContactWarning,
-        stacklevel=3,  # the caller of solve_batch
+        stacklevel=_outside_stacklevel(),
     )
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_stacklevel():
+    """The ``stacklevel`` that names the first frame outside bcsjj (or
+    ``python -m bcsjj``'s ``__main__``), for a warning issued by this
+    function's caller: the default filter then shows it once per call
+    site in the user's code, not once per bcsjj line."""
+    frame, level = sys._getframe(2), 2
+    while (
+        frame.f_back is not None
+        and frame.f_code.co_filename.startswith(_PACKAGE_DIR)
+        and frame.f_globals.get("__name__") != "__main__"
+    ):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -159,110 +184,197 @@ def gauge_shift(params, delta):
     )
 
 
-def _axis(field, epsilon):
-    """Bloch axis (-Re F, -Im F, eps) of the Hamiltonian with field F."""
-    return np.array([-field.real, -field.imag, epsilon])
+def _axis(field_r, field_i, epsilon):
+    """Bloch axis (-Re F, -Im F, eps) of the Hamiltonian with field F, as a 3-tuple."""
+    return (-field_r, -field_i, epsilon)
 
 
-def _commutator_norm(n, v):
+def _commutator_norm(n, v, sqrt, maximum):
     """Entrywise max-norm of [n.sigma, v.sigma] = 2i (n x v).sigma."""
     cx = n[1] * v[2] - n[2] * v[1]
     cy = n[2] * v[0] - n[0] * v[2]
     cz = n[0] * v[1] - n[1] * v[0]
-    return 2.0 * np.maximum(np.abs(cz), np.sqrt(cx * cx + cy * cy))
+    return 2.0 * maximum(abs(cz), sqrt(cx * cx + cy * cy))
+
+
+def _modulus(re, im, sqrt):
+    """|re + i im|, rounded alike on floats and arrays (unlike hypot)."""
+    return sqrt(re * re + im * im)
+
+
+class _BulkScales(dict):
+    """A plate's bulk gap and Bloch scale s = -tanh(beta |n|) / (2 |n|),
+    |n| = hypot(epsilon, gap), by (epsilon, beta); the bare gap root runs
+    once per key."""
+
+    def __missing__(self, key):
+        gap = gap_root(*key)[0]
+        norm = math.hypot(key[0], gap)
+        value = self[key] = (gap, -0.5 * math.tanh(key[1] * norm) / norm)
+        return value
+
+
+def _plate_rows(points):
+    """Bulk data of both plates at every point, as Python numbers.
+
+    Returns the bulk gaps, the bulk order parameters, the epsilons and
+    the bulk Bloch scales s, each a pair of lists (plate I, plate II)
+    over the points, and the list of couplings.  A plate's bulk Bloch
+    vector is s (-Re order, -Im order, eps).  The bare gap root runs once
+    per distinct (epsilon, beta) plate.
+    """
+    table = _BulkScales()
+    rows = []
+    for bulks in ([p.bulk_I for p in points], [p.bulk_II for p in points]):
+        data = [table[b.epsilon, b.beta] for b in bulks]
+        rows.append((
+            [gap for gap, _ in data],
+            [cmath.rect(gap, b.phi) for (gap, _), b in zip(data, bulks)],
+            [b.epsilon for b in bulks],
+            [s for _, s in data],
+        ))
+    lam, order, eps, scale = zip(*rows)
+    return lam, order, eps, scale, [p.gamma for p in points]
 
 
 def _plates(points):
     """Bulk data of both plates at every point, as ``(2, N)`` arrays.
 
     Returns the bulk gaps, the bulk order parameters, the epsilons, the
-    ``(3, 2, N)`` bulk Bloch vectors and the ``(N,)`` couplings.  The
-    bare gap root runs once per distinct (epsilon, beta) plate.
+    ``(3, 2, N)`` bulk Bloch vectors and the ``(N,)`` couplings of
+    :func:`_plate_rows`.
     """
-    gaps = {}
-    lam, order, eps, scale = [], [], [], []
-    for p in points:
-        for bulk in (p.bulk_I, p.bulk_II):
-            key = (bulk.epsilon, bulk.beta)
-            if key not in gaps:
-                gap = gap_root(*key)[0]
-                norm = math.hypot(bulk.epsilon, gap)
-                gaps[key] = (gap, -0.5 * math.tanh(bulk.beta * norm) / norm)
-            gap, s = gaps[key]
-            lam.append(gap)
-            order.append(cmath.rect(gap, bulk.phi))
-            eps.append(bulk.epsilon)
-            scale.append(s)
-    lam, order, eps, scale = (
-        np.array(v).reshape(len(points), 2).T for v in (lam, order, eps, scale)
-    )
-    gamma = np.array([p.gamma for p in points], dtype=float)
-    return lam, order, eps, scale * _axis(order, eps), gamma
+    lam, order, eps, scale, gamma = _plate_rows(points)
+    order, eps = np.array(order, dtype=complex), np.array(eps, dtype=float)
+    bulk_vec = np.array(scale, dtype=float) * np.array(_axis(order.real, order.imag, eps))
+    return np.array(lam, dtype=float), order, eps, bulk_vec, np.array(gamma, dtype=float)
+
+
+def _point_plates(point):
+    """One point's bulk data by plate, as Python floats: the gaps, the
+    epsilons, the bulk Bloch vectors and the contact map's constants."""
+    lam, order, eps, scale, gamma = _plate_rows((point,))
+    eps = (eps[0][0], eps[1][0])
+    bulk_vecs, plates = [], []
+    for (z,), e, (s,) in zip(order, eps, scale):
+        bulk_vec = tuple(s * v for v in _axis(z.real, z.imag, e))
+        bulk_vecs.append(bulk_vec)
+        plates.append((z.real, z.imag, gamma[0], *_map_constants(bulk_vec, e)))
+    return lam, eps, bulk_vecs, plates
 
 
 def _map_constants(bulk_vec, eps):
-    """The contact map's per-point constants conj(m), m = -(a_x + i a_y), a_z eps and eps^2."""
-    return bulk_vec[1] * 1j - bulk_vec[0], bulk_vec[2] * eps, eps * eps
+    """The contact map's constants Re m, Im m for m = -(a_x + i a_y), a_z eps
+    and eps^2, for bulk Bloch vectors a."""
+    return -bulk_vec[0], -bulk_vec[1], bulk_vec[2] * eps, eps * eps
 
 
-def _contact_map(x, order, gamma, conj_m, az_eps, eps_sq):
-    """<sigma_plus> of the contact states for contact order parameters x.
+# The solver's kernel, _contact_map, _linearize and _newton_delta, works on
+# the real and imaginary parts of each plate with + - * / only, so one plate
+# of one point (Python floats) and rows of plates (float arrays) round alike.
+# A plate's operands are its own values and the other plate's (``o``).
 
-    Returns it with the contact fields F, F conj(m), the factor c = (a.n) / |n|^2
-    that makes c n the contact Bloch vector, and |n|^2, for the axes
-    n = (-Re F, -Im F, eps); a.n = Re(F conj(m)) + a_z eps.
+
+def _contact_map(xo_r, xo_i, order_r, order_i, gamma, m_r, m_i, az_eps, eps_sq):
+    """<sigma_plus> f of one plate's contact state at the other plate's
+    contact order parameter x_o.
+
+    Returns f as (Re f, Im f) with the contact field F = order + gamma x_o,
+    the factor c = (a.n) / |n|^2 that makes c n the contact Bloch vector,
+    and |n|^2, for the axis n = (-Re F, -Im F, eps); a.n = Re(F conj(m)) +
+    a_z eps, and f = -c F.
     """
-    field = order + gamma * x[::-1]
-    fm = field * conj_m
-    norm_sq = (field * field.conj()).real + eps_sq
-    c = (fm.real + az_eps) / norm_sq
-    return -c * field, field, fm, c, norm_sq
+    field_r = order_r + gamma * xo_r
+    field_i = order_i + gamma * xo_i
+    norm_sq = field_r * field_r + field_i * field_i + eps_sq
+    c = (field_r * m_r + field_i * m_i + az_eps) / norm_sq
+    neg_c = -c
+    return neg_c * field_r, neg_c * field_i, field_r, field_i, c, norm_sq
 
 
-def _newton_step(x, order, gamma, conj_m, az_eps, eps_sq, m):
-    """One Newton step on x - f(x): returns d = f(x) - x and adds to x, in
-    place, the delta that solves (I - Df) delta = d.
+def _linearize(x_r, x_i, xo_r, xo_i, *plate):
+    """One plate's map defect d = f(x) - x and its block B of Df.
 
-    A plate's f reads x only through F = order + gamma x_other, so Df maps
-    the other plate's dx to p dx + q conj(dx), with p = -(gamma/2)
-    (F conj(m) + 2 c eps^2) / |n|^2 and q = -(gamma/2) F (m - 2 c F) / |n|^2.
-    Eliminating the other plate's delta leaves alpha delta - beta conj(delta)
-    = r in each row (``[::-1]`` swaps the plates), solved in closed form; a
-    singular I - Df has its determinant read as 1.
+    f reads x only through F = order + gamma x_o.  On (Re, Im) parts,
+    df/dF = -c I - F w^T / |n|^2 with w = m - 2 c F = m + 2 f, so the block
+    of Df acting on the other plate's dx_o is B = gamma df/dF.  Returns d
+    and then B row by row, six real numbers or arrays.
     """
-    f, field, fm, c, norm_sq = _contact_map(x, order, gamma, conj_m, az_eps, eps_sq)
-    d = f - x
-    scale = -0.5 * gamma / norm_sq
-    p = scale * (fm + (c + c) * eps_sq)
-    q = scale * field * (m + f + f)
-    p_o, q_o = p[::-1], q[::-1]
-    alpha = 1.0 - (p * p_o + q * q_o.conj())
-    beta = p * q_o + q * p_o.conj()
-    r = d + p * d[::-1] + q * d[::-1].conj()
-    alpha_c = alpha.conj()
-    det = (alpha * alpha_c - beta * beta.conj()).real
-    det[det == 0.0] = 1.0
-    x += (alpha_c * r + beta * r.conj()) / det
-    return d
+    _, _, gamma, m_r, m_i, _, _ = plate
+    f_r, f_i, field_r, field_i, c, norm_sq = _contact_map(xo_r, xo_i, *plate)
+    scale = -gamma / norm_sq
+    s_r = scale * field_r
+    s_i = scale * field_i
+    w_r = m_r + f_r + f_r
+    w_i = m_i + f_i + f_i
+    gc = gamma * c
+    return f_r - x_r, f_i - x_i, s_r * w_r - gc, s_r * w_i, s_i * w_r, s_i * w_i - gc
 
 
-def _map_defect(d):
-    """max |d| over both plates, per point."""
-    return np.maximum(*np.abs(d))
+def _newton_delta(d_r, d_i, b00, b01, b10, b11, do_r, do_i, o00, o01, o10, o11):
+    """One plate's Newton update delta, from its (d, B) and the other
+    plate's (d_o, B_o), B_o's entries named o.
+
+    The updates solve delta = d + B delta_o and delta_o = d_o + B_o delta,
+    so (I - B B_o) delta = d + B d_o, a real 2x2 system solved in closed
+    form; a singular I - B B_o has its determinant read as 1.
+    """
+    r_r = d_r + (b00 * do_r + b01 * do_i)
+    r_i = d_i + (b10 * do_r + b11 * do_i)
+    # I - B B_o = [[m00, -p01], [-p10, m11]]
+    m00 = 1.0 - (b00 * o00 + b01 * o10)
+    p01 = b00 * o01 + b01 * o11
+    p10 = b10 * o00 + b11 * o10
+    m11 = 1.0 - (b10 * o01 + b11 * o11)
+    det = m00 * m11 - p01 * p10
+    det = det + (det == 0.0)  # 1 where singular
+    return (m11 * r_r + p01 * r_i) / det, (m00 * r_i + p10 * r_r) / det
+
+
+def _contact_state(x_r, x_i, xo_r, xo_i, bulk_vec, eps, plate, sqrt, maximum):
+    """One plate's solution data at its contact order parameter x.
+
+    Returns the contact field (Re, Im), mu_t = |n|, the contact axis n and
+    Bloch vector c n as 3-tuples, the map defect |f(x) - x|, and the
+    stationarity of the bulk and contact states, the larger commutator
+    norm [n.sigma, v.sigma] of the two.
+    """
+    f_r, f_i, field_r, field_i, c, norm_sq = _contact_map(xo_r, xo_i, *plate)
+    n = _axis(field_r, field_i, eps)
+    contact = (c * n[0], c * n[1], c * n[2])
+    stationarity = maximum(
+        _commutator_norm(_axis(plate[0], plate[1], eps), bulk_vec, sqrt, maximum),
+        _commutator_norm(n, contact, sqrt, maximum),
+    )
+    defect = _modulus(f_r - x_r, f_i - x_i, sqrt)
+    return field_r, field_i, sqrt(norm_sq), n, contact, defect, stationarity
+
+
+def _complex(re, im):
+    """The complex array re + i im, bit for bit."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     """Solve the junction fixed point at every point of a sequence.
 
-    Takes Newton steps (:func:`_newton_step`) on the contact order
-    parameters of all points at once, from the bulk order parameters or
-    a caller ``seed`` (Lambda_b_I, Lambda_b_II) shared by all points.  A
-    point stops after the first step whose map defect max |f(x) - x| was
-    below ``tol``, that step applied, or after ``max_iter`` steps, exactly
-    as it would alone; it is ``converged`` when the defect of the returned
-    x is below ``tol``.  ``max_iter`` must be at least 1.  Never raises
-    on non-convergence; warns once, with :class:`WeakContactWarning`, if
-    some contact is not weak.
+    Takes Newton steps (:func:`_linearize`, :func:`_newton_delta`) on the
+    contact order parameters of all points at once, from the bulk order
+    parameters or a caller ``seed`` (Lambda_b_I, Lambda_b_II) shared by
+    all points.  A point stops after the first step whose map defect
+    max |f(x) - x| was below ``tol``, that step applied, or after
+    ``max_iter`` steps, exactly as it would alone; it is ``converged``
+    when the defect of the returned x is below ``tol``.  ``max_iter``
+    must be at least 1.  Never raises on non-convergence; warns once,
+    with :class:`WeakContactWarning`, if some contact is not weak.
+
+    The kernel is real arithmetic, so its operands may be Python floats
+    or float arrays with the same bits: exactly one point runs on floats
+    (no numpy dispatch in the loop), any other number of points on
+    ``(2, N)`` arrays of plate rows.  Either way the result is one
+    :class:`NessSolution` of arrays.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -271,53 +383,100 @@ def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     points = tuple(points)
     warn_strong_contact(points)
-    lam, order, eps, bulk_vec, gamma = _plates(points)
-    constants = _map_constants(bulk_vec, eps)
-    x = order.astype(complex)
     if seed is not None:
-        x[0], x[1] = complex(seed[0]), complex(seed[1])
+        seed = (complex(seed[0]), complex(seed[1]))
+    solve = _solve_point if len(points) == 1 else _solve_rows
+    return solve(points, tol, max_iter, seed)
+
+
+def _solve_point(points, tol, max_iter, seed):
+    """:func:`solve_batch` of one point, on Python floats."""
+    lam, eps, bulk_vecs, (plate_I, plate_II) = _point_plates(points[0])
+    x_I, x_II = seed or (complex(plate_I[0], plate_I[1]), complex(plate_II[0], plate_II[1]))
+    x0r, x0i, x1r, x1i = x_I.real, x_I.imag, x_II.real, x_II.imag
+    for step in range(1, max_iter + 1):
+        own = _linearize(x0r, x0i, x1r, x1i, *plate_I)
+        other = _linearize(x1r, x1i, x0r, x0i, *plate_II)
+        dx0r, dx0i = _newton_delta(*own, *other)
+        dx1r, dx1i = _newton_delta(*other, *own)
+        x0r, x0i, x1r, x1i = x0r + dx0r, x0i + dx0i, x1r + dx1r, x1i + dx1i
+        if max(_modulus(*own[:2], math.sqrt), _modulus(*other[:2], math.sqrt)) < tol:
+            break
+    state_I = _contact_state(x0r, x0i, x1r, x1i, bulk_vecs[0], eps[0], plate_I, math.sqrt, max)
+    state_II = _contact_state(x1r, x1i, x0r, x0i, bulk_vecs[1], eps[1], plate_II, math.sqrt, max)
+    field_r, field_i, mu_t, n, contact, map_defect, stationarity = zip(state_I, state_II)
+    map_defect = max(map_defect)
+    return NessSolution(
+        points=points,
+        lambda_bulk=np.array(lam, dtype=float),
+        Lambda_b=np.array([[complex(x0r, x0i)], [complex(x1r, x1i)]]),
+        field=np.array([[complex(field_r[0], field_i[0])], [complex(field_r[1], field_i[1])]]),
+        mu_t=np.array([[mu_t[0]], [mu_t[1]]]),
+        axis=np.array([[[v], [w]] for v, w in zip(*n)], dtype=float),
+        contact=np.array([[[v], [w]] for v, w in zip(*contact)], dtype=float),
+        residual=np.array([max(stationarity) + map_defect]),
+        iterations=np.array([step]),
+        converged=np.array([map_defect < tol]),
+    )
+
+
+def _newton_rows(x_r, x_i, *plate):
+    """One Newton step on ``(2, N)`` rows of plates: returns d = f(x) - x
+    and adds the Newton delta to x in place.  The other plate's operands
+    are contiguous swapped copies."""
+    own = np.array(_linearize(x_r, x_i, x_r[::-1].copy(), x_i[::-1].copy(), *plate))
+    delta_r, delta_i = _newton_delta(*own, *own[:, ::-1].copy())
+    x_r += delta_r
+    x_i += delta_i
+    return own[0], own[1]
+
+
+def _solve_rows(points, tol, max_iter, seed):
+    """:func:`solve_batch` on ``(2, N)`` float arrays, one row per plate."""
+    lam, order, eps, bulk_vec, gamma = _plates(points)
+    plate = (
+        order.real.copy(), order.imag.copy(), np.array((gamma, gamma)), *_map_constants(bulk_vec, eps)
+    )
+    x_r, x_i = plate[0].copy(), plate[1].copy()
+    if seed is not None:
+        x_r[0], x_i[0], x_r[1], x_i[1] = seed[0].real, seed[0].imag, seed[1].real, seed[1].imag
     iterations = np.zeros(len(points), dtype=int)
     # The points still iterating, by index, and their slices of the map's
     # inputs.  Until a point stops these are the full arrays, and x is
     # updated in place; the working set is compacted only on a step
     # where some point stops, after writing back the points that stop.
     left = np.arange(len(points))
-    work = (x, order, gamma, *constants, constants[0].conj())  # ..., conj(m), a_z eps, eps^2, m
+    work = (x_r, x_i, *plate)
     for step in range(1, max_iter + 1):
-        xw = work[0]
-        d = _newton_step(*work)
-        go_on = _map_defect(d) >= tol
+        xw_r, xw_i = work[0], work[1]
+        defect = _modulus(*_newton_rows(*work), np.sqrt)
+        go_on = np.maximum(defect[0], defect[1]) >= tol
         if step == max_iter:  # the cap stops every point left
             go_on[:] = False
         if left.size and go_on.all():
             continue
         stop = ~go_on
         iterations[left[stop]] = step
-        if xw is not x:
-            x[:, left[stop]] = xw[:, stop]
+        if xw_r is not x_r:
+            x_r[:, left[stop]], x_i[:, left[stop]] = xw_r[:, stop], xw_i[:, stop]
         if not go_on.any():
             break
         left = left[go_on]
         work = tuple(v[..., go_on] for v in work)
 
-    f, field, _, c, norm_sq = _contact_map(x, order, gamma, *constants)
-    n = _axis(field, eps)
-    contact = c * n
-    map_defect = _map_defect(f - x)
-    # Four-region stationarity; the contact self-consistency defect
-    # |Lambda_b - <sigma_plus>| is the map defect itself.
-    stationarity = np.maximum(
-        _commutator_norm(_axis(order, eps), bulk_vec), _commutator_norm(n, contact)
-    ).max(axis=0)
+    field_r, field_i, mu_t, n, contact, map_defect, stationarity = _contact_state(
+        x_r, x_i, x_r[::-1].copy(), x_i[::-1].copy(), bulk_vec, eps, plate, np.sqrt, np.maximum
+    )
+    map_defect = np.maximum(map_defect[0], map_defect[1])
     return NessSolution(
         points=points,
         lambda_bulk=lam,
-        Lambda_b=x,
-        field=field,
-        mu_t=np.sqrt(norm_sq),
-        axis=n,
-        contact=contact,
-        residual=stationarity + map_defect,
+        Lambda_b=_complex(x_r, x_i),
+        field=_complex(field_r, field_i),
+        mu_t=mu_t,
+        axis=np.array(n),
+        contact=np.array(contact),
+        residual=np.maximum(stationarity[0], stationarity[1]) + map_defect,
         iterations=iterations,
         converged=map_defect < tol,
     )
@@ -365,12 +524,15 @@ def ness_map(guess, params):
 
     Builds the contact fields from the guessed (Lambda_b_I,
     Lambda_b_II), dephases each plate's bulk state in them, and reads
-    back <sigma_plus>.  Fixed points are junction steady states.
+    back <sigma_plus>.  Fixed points are junction steady states.  Runs
+    the solver's own kernel on Python floats, so its bits are the
+    solver's map bits.
     """
-    _, order, eps, bulk_vec, gamma = _plates([params])
-    x = np.array([[complex(guess[0])], [complex(guess[1])]])
-    f = _contact_map(x, order, gamma, *_map_constants(bulk_vec, eps))[0]
-    return (complex(f[0, 0]), complex(f[1, 0]))
+    plate_I, plate_II = _point_plates(params)[3]
+    x_I, x_II = complex(guess[0]), complex(guess[1])
+    f_I = _contact_map(x_II.real, x_II.imag, *plate_I)
+    f_II = _contact_map(x_I.real, x_I.imag, *plate_II)
+    return complex(f_I[0], f_I[1]), complex(f_II[0], f_II[1])
 
 
 def _point_axis(points):

@@ -20,6 +20,7 @@ from bcsjj.ness import (
     verify_steady,
 )
 from bcsjj.spin import SIGMA_PLUS, commutator, expectation, max_abs
+from bcsjj.sweep import RunConfig, evaluate_point, run_sweep
 
 STANDARD = JunctionParams(
     bulk_I=BulkParams(0.3, 1e4, 0.3),
@@ -239,6 +240,42 @@ def test_solver_argument_validation():
     for max_iter in (0, -3):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             ness.solve_batch([STANDARD], max_iter=max_iter)
+
+
+def test_one_point_runs_the_kernel_on_floats(monkeypatch):
+    """solve_batch hands the kernel Python floats for exactly one point and
+    float arrays for any other count; ness_map runs it on floats."""
+    kinds, contact_map = [], ness._contact_map
+
+    def recording(*args):
+        kinds.append({type(a) for a in args})
+        return contact_map(*args)
+
+    monkeypatch.setattr(ness, "_contact_map", recording)
+    for count, kind in ((1, float), (0, np.ndarray), (2, np.ndarray), (6, np.ndarray)):
+        kinds.clear()
+        ness.solve_batch([STANDARD] * count)
+        assert kinds and all(k == {kind} for k in kinds), count
+    kinds.clear()
+    ness_map((0.4 + 0.1j, 0.4), STANDARD)
+    assert kinds == [{float}, {float}]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        solve_ness,
+        lambda p: ness.solve_batch([p, STANDARD]),
+        evaluate_point,
+        lambda p: run_sweep(RunConfig(gamma=p.gamma, axis="delta_phi", count=3)),
+    ],
+    ids=["solve_ness", "solve_batch", "evaluate_point", "run_sweep"],
+)
+def test_weak_contact_warning_names_the_caller(call):
+    strong = JunctionParams(BulkParams(0.3, 1e4), BulkParams(0.3, 1e4), 0.2)
+    with pytest.warns(WeakContactWarning) as record:
+        call(strong)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_weak_contact_warning(recwarn):

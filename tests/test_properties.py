@@ -168,10 +168,23 @@ ROUNDING_POINT = JunctionParams(
 )
 
 
+# Beside another point, so that the batch runs on arrays and the lone
+# solves on floats: a decoupled junction, a negative coupling, and two
+# normal plates at their threshold, where x = 0 is an exact fixed point
+# at which I - Df is singular.
+ZERO_GAMMA_POINT = JunctionParams(BulkParams(0.3, 1e4, 0.7), BulkParams(0.25, 50.0, -1.0), 0.0)
+NEGATIVE_GAMMA_POINT = JunctionParams(BulkParams(0.3, 1e4, 0.7), BulkParams(0.2, 1e4, -2.0), -0.01)
+SINGULAR_POINT = JunctionParams(*[BulkParams(0.40625, 2.7922258970072176)] * 2, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
 @PROPERTY
 @hypothesis.seed(103)
 @given(points=st.lists(junctions(), min_size=1, max_size=6), seed=SEED)
 @example(points=[ROUNDING_POINT], seed=None)
+@example(points=[ZERO_GAMMA_POINT, ROUNDING_POINT], seed=None)
+@example(points=[NEGATIVE_GAMMA_POINT, ROUNDING_POINT], seed=(0.3 + 0.1j, -0.2j))
+@example(points=[SINGULAR_POINT, ROUNDING_POINT], seed=None)
 def test_batch_point_equals_single_solve(points, seed):
     """solve_batch(points)[k] is solve_ness(points[k]) bit for bit, and the
     observables of the whole batch are their per-point values."""
@@ -273,6 +286,9 @@ def capped_batches(draw):
 @hypothesis.seed(108)
 @given(batch=capped_batches(), seed=SEED)
 @example(batch=([TWO_CYCLE_POINT, WEAK_POINT], 50), seed=None)
+@example(batch=([ZERO_GAMMA_POINT, WEAK_POINT], 100_000), seed=None)
+@example(batch=([NEGATIVE_GAMMA_POINT, WEAK_POINT], 2), seed=(0.3 + 0.1j, -0.2j))
+@example(batch=([SINGULAR_POINT, WEAK_POINT, TWO_CYCLE_POINT], 7), seed=None)
 def test_batch_stops_each_point_as_it_would_alone(batch, seed):
     """A batch whose points stop at different steps, or run out of
     steps, returns each point's lone solution bit for bit."""

@@ -26,12 +26,13 @@ a = -1/2 tanh(beta |n|) n / |n|.  Dephasing keeps the part
 
 :func:`solve_batch` finds this fixed point by Newton steps, with the
 map's Jacobian in closed form.  Its kernel is written once, in real
-arithmetic on each plate's real and imaginary parts with only
-``+ - * /`` and ``sqrt``, which round alike on Python floats and on
-numpy float arrays.  Exactly one point runs on Python floats, any other
-number of points on ``(2, N)`` arrays of plate rows, and either way the
-result is one :class:`NessSolution` holding the solver's arrays with a
-trailing point axis; :func:`solve_ness` is ``solve_batch([params])[0]``.
+arithmetic with only ``+ - * /`` and ``sqrt`` on each plate's real and
+imaginary parts, read from one operand table.  Exactly one point runs on
+Python floats, any other number on ``(2, N)`` arrays of plate rows; both
+round alike and fail alike (a defect turned NaN stops a point, unconverged;
+a NaN's sign may differ).  Seeds must be finite and epsilon^2 nonzero.
+The result is one :class:`NessSolution` holding the solver's arrays
+with a trailing point axis; :func:`solve_ness` is ``solve_batch([params])[0]``.
 2x2 matrices (the contact states ``rho_b_*``) are built only when read.
 
 The same fixed point has a closed rational form (used as a
@@ -184,11 +185,6 @@ def gauge_shift(params, delta):
     )
 
 
-def _axis(field_r, field_i, epsilon):
-    """Bloch axis (-Re F, -Im F, eps) of the Hamiltonian with field F, as a 3-tuple."""
-    return (-field_r, -field_i, epsilon)
-
-
 def _commutator_norm(n, v, sqrt, maximum):
     """Entrywise max-norm of [n.sigma, v.sigma] = 2i (n x v).sigma."""
     cx = n[1] * v[2] - n[2] * v[1]
@@ -202,12 +198,19 @@ def _modulus(re, im, sqrt):
     return sqrt(re * re + im * im)
 
 
+def _nan_max(a, b):
+    """max(a, b) of two floats, NaN if either is NaN, as np.maximum."""
+    return a if a >= b or a != a else b
+
+
 class _BulkScales(dict):
     """A plate's bulk gap and Bloch scale s = -tanh(beta |n|) / (2 |n|),
     |n| = hypot(epsilon, gap), by (epsilon, beta); the bare gap root runs
-    once per key."""
+    once per key.  It rejects a plate whose epsilon^2 underflows to 0."""
 
     def __missing__(self, key):
+        if key[0] * key[0] == 0.0:
+            raise ValueError(f"junction epsilon = {key[0]} is too small: its square underflows to 0")
         gap = gap_root(*key)[0]
         norm = math.hypot(key[0], gap)
         value = self[key] = (gap, -0.5 * math.tanh(key[1] * norm) / norm)
@@ -219,9 +222,9 @@ def _plate_rows(points):
 
     Returns the bulk gaps, the bulk order parameters, the epsilons and
     the bulk Bloch scales s, each a pair of lists (plate I, plate II)
-    over the points, and the list of couplings.  A plate's bulk Bloch
-    vector is s (-Re order, -Im order, eps).  The bare gap root runs once
-    per distinct (epsilon, beta) plate.
+    over the points, and the list of couplings: the one operand table
+    that :func:`_operands` reads.  The bare gap root runs once per
+    distinct (epsilon, beta) plate.
     """
     table = _BulkScales()
     rows = []
@@ -237,42 +240,36 @@ def _plate_rows(points):
     return lam, order, eps, scale, [p.gamma for p in points]
 
 
+def _operands(order_r, order_i, eps, scale, gamma):
+    """A plate's bulk Bloch vector a = s (-Re order, -Im order, eps) and its
+    :func:`_contact_map` operands (order, gamma, m = -(a_x + i a_y), a_z eps,
+    eps^2) in (Re, Im) parts, on one plate's floats or on ``(2, N)`` rows."""
+    m_r, m_i, a_z = scale * order_r, scale * order_i, scale * eps
+    return (-m_r, -m_i, a_z), (order_r, order_i, gamma, m_r, m_i, a_z * eps, eps * eps)
+
+
 def _plates(points):
     """Bulk data of both plates at every point, as ``(2, N)`` arrays.
 
     Returns the bulk gaps, the bulk order parameters, the epsilons, the
-    ``(3, 2, N)`` bulk Bloch vectors and the ``(N,)`` couplings of
-    :func:`_plate_rows`.
+    ``(3, 2, N)`` bulk Bloch vectors, the ``(N,)`` couplings and the
+    contact map's operands of :func:`_operands`.
     """
     lam, order, eps, scale, gamma = _plate_rows(points)
-    order, eps = np.array(order, dtype=complex), np.array(eps, dtype=float)
-    bulk_vec = np.array(scale, dtype=float) * np.array(_axis(order.real, order.imag, eps))
-    return np.array(lam, dtype=float), order, eps, bulk_vec, np.array(gamma, dtype=float)
-
-
-def _point_plates(point):
-    """One point's bulk data by plate, as Python floats: the gaps, the
-    epsilons, the bulk Bloch vectors and the contact map's constants."""
-    lam, order, eps, scale, gamma = _plate_rows((point,))
-    eps = (eps[0][0], eps[1][0])
-    bulk_vecs, plates = [], []
-    for (z,), e, (s,) in zip(order, eps, scale):
-        bulk_vec = tuple(s * v for v in _axis(z.real, z.imag, e))
-        bulk_vecs.append(bulk_vec)
-        plates.append((z.real, z.imag, gamma[0], *_map_constants(bulk_vec, e)))
-    return lam, eps, bulk_vecs, plates
-
-
-def _map_constants(bulk_vec, eps):
-    """The contact map's constants Re m, Im m for m = -(a_x + i a_y), a_z eps
-    and eps^2, for bulk Bloch vectors a."""
-    return -bulk_vec[0], -bulk_vec[1], bulk_vec[2] * eps, eps * eps
+    order, gamma = np.array(order, dtype=complex), np.array(gamma, dtype=float)
+    eps, scale = np.array(eps, dtype=float), np.array(scale, dtype=float)
+    bulk_vec, plate = _operands(order.real.copy(), order.imag.copy(), eps, scale, np.array((gamma, gamma)))
+    return np.array(lam, dtype=float), order, eps, np.array(bulk_vec), gamma, plate
 
 
 # The solver's kernel, _contact_map, _linearize and _newton_delta, works on
-# the real and imaginary parts of each plate with + - * / only, so one plate
-# of one point (Python floats) and rows of plates (float arrays) round alike.
-# A plate's operands are its own values and the other plate's (``o``).
+# each plate's real and imaginary parts with + - * / only, on operands from
+# one table (_plate_rows, then _operands).  So one point (Python floats) and
+# rows of plates (float arrays) round alike, and they fail alike: maxima are
+# _nan_max or np.maximum, so a NaN defect stops a point, unconverged, on the
+# same step (a NaN's sign may differ).  Seeds must be finite, and a plate's
+# epsilon^2 nonzero, the one divisor that can vanish.  A plate's operands are
+# its own values and the other plate's (``o``).
 
 
 def _contact_map(xo_r, xo_i, order_r, order_i, gamma, m_r, m_i, az_eps, eps_sq):
@@ -340,10 +337,10 @@ def _contact_state(x_r, x_i, xo_r, xo_i, bulk_vec, eps, plate, sqrt, maximum):
     norm [n.sigma, v.sigma] of the two.
     """
     f_r, f_i, field_r, field_i, c, norm_sq = _contact_map(xo_r, xo_i, *plate)
-    n = _axis(field_r, field_i, eps)
+    n = (-field_r, -field_i, eps)
     contact = (c * n[0], c * n[1], c * n[2])
     stationarity = maximum(
-        _commutator_norm(_axis(plate[0], plate[1], eps), bulk_vec, sqrt, maximum),
+        _commutator_norm((-plate[0], -plate[1], eps), bulk_vec, sqrt, maximum),
         _commutator_norm(n, contact, sqrt, maximum),
     )
     defect = _modulus(f_r - x_r, f_i - x_i, sqrt)
@@ -364,17 +361,18 @@ def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     contact order parameters of all points at once, from the bulk order
     parameters or a caller ``seed`` (Lambda_b_I, Lambda_b_II) shared by
     all points.  A point stops after the first step whose map defect
-    max |f(x) - x| was below ``tol``, that step applied, or after
-    ``max_iter`` steps, exactly as it would alone; it is ``converged``
-    when the defect of the returned x is below ``tol``.  ``max_iter``
-    must be at least 1.  Never raises on non-convergence; warns once,
-    with :class:`WeakContactWarning`, if some contact is not weak.
+    max |f(x) - x| was not at or above ``tol`` (below it, or NaN), that
+    step applied, or after ``max_iter`` steps, exactly as it would alone;
+    it is ``converged`` when the defect of the returned x is below
+    ``tol``.  Never raises on non-convergence; warns once, with
+    :class:`WeakContactWarning`, if some contact is not weak.  Raises
+    ValueError on a ``max_iter`` below 1, a non-finite ``seed``, or a
+    plate whose epsilon^2 underflows to 0.
 
-    The kernel is real arithmetic, so its operands may be Python floats
-    or float arrays with the same bits: exactly one point runs on floats
-    (no numpy dispatch in the loop), any other number of points on
-    ``(2, N)`` arrays of plate rows.  Either way the result is one
-    :class:`NessSolution` of arrays.
+    Exactly one point runs on Python floats (no numpy dispatch in the
+    loop), any other number of points on ``(2, N)`` arrays of plate rows;
+    both read one operand table, round alike and fail alike.  Either way
+    the result is one :class:`NessSolution` of arrays.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -385,14 +383,19 @@ def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     warn_strong_contact(points)
     if seed is not None:
         seed = (complex(seed[0]), complex(seed[1]))
+        if not (cmath.isfinite(seed[0]) and cmath.isfinite(seed[1])):
+            raise ValueError(f"seed must be finite, got {seed}")
     solve = _solve_point if len(points) == 1 else _solve_rows
     return solve(points, tol, max_iter, seed)
 
 
 def _solve_point(points, tol, max_iter, seed):
     """:func:`solve_batch` of one point, on Python floats."""
-    lam, eps, bulk_vecs, (plate_I, plate_II) = _point_plates(points[0])
-    x_I, x_II = seed or (complex(plate_I[0], plate_I[1]), complex(plate_II[0], plate_II[1]))
+    lam, order, eps, scale, (gamma,) = _plate_rows(points)
+    (bulk_I, plate_I), (bulk_II, plate_II) = (
+        _operands(z.real, z.imag, e, s, gamma) for (z,), (e,), (s,) in zip(order, eps, scale)
+    )
+    x_I, x_II = seed or (order[0][0], order[1][0])
     x0r, x0i, x1r, x1i = x_I.real, x_I.imag, x_II.real, x_II.imag
     for step in range(1, max_iter + 1):
         own = _linearize(x0r, x0i, x1r, x1i, *plate_I)
@@ -400,12 +403,12 @@ def _solve_point(points, tol, max_iter, seed):
         dx0r, dx0i = _newton_delta(*own, *other)
         dx1r, dx1i = _newton_delta(*other, *own)
         x0r, x0i, x1r, x1i = x0r + dx0r, x0i + dx0i, x1r + dx1r, x1i + dx1i
-        if max(_modulus(*own[:2], math.sqrt), _modulus(*other[:2], math.sqrt)) < tol:
+        if not _nan_max(_modulus(*own[:2], math.sqrt), _modulus(*other[:2], math.sqrt)) >= tol:
             break
-    state_I = _contact_state(x0r, x0i, x1r, x1i, bulk_vecs[0], eps[0], plate_I, math.sqrt, max)
-    state_II = _contact_state(x1r, x1i, x0r, x0i, bulk_vecs[1], eps[1], plate_II, math.sqrt, max)
+    state_I = _contact_state(x0r, x0i, x1r, x1i, bulk_I, eps[0][0], plate_I, math.sqrt, _nan_max)
+    state_II = _contact_state(x1r, x1i, x0r, x0i, bulk_II, eps[1][0], plate_II, math.sqrt, _nan_max)
     field_r, field_i, mu_t, n, contact, map_defect, stationarity = zip(state_I, state_II)
-    map_defect = max(map_defect)
+    map_defect = _nan_max(*map_defect)
     return NessSolution(
         points=points,
         lambda_bulk=np.array(lam, dtype=float),
@@ -414,29 +417,15 @@ def _solve_point(points, tol, max_iter, seed):
         mu_t=np.array([[mu_t[0]], [mu_t[1]]]),
         axis=np.array([[[v], [w]] for v, w in zip(*n)], dtype=float),
         contact=np.array([[[v], [w]] for v, w in zip(*contact)], dtype=float),
-        residual=np.array([max(stationarity) + map_defect]),
+        residual=np.array([_nan_max(*stationarity) + map_defect]),
         iterations=np.array([step]),
         converged=np.array([map_defect < tol]),
     )
 
 
-def _newton_rows(x_r, x_i, *plate):
-    """One Newton step on ``(2, N)`` rows of plates: returns d = f(x) - x
-    and adds the Newton delta to x in place.  The other plate's operands
-    are contiguous swapped copies."""
-    own = np.array(_linearize(x_r, x_i, x_r[::-1].copy(), x_i[::-1].copy(), *plate))
-    delta_r, delta_i = _newton_delta(*own, *own[:, ::-1].copy())
-    x_r += delta_r
-    x_i += delta_i
-    return own[0], own[1]
-
-
 def _solve_rows(points, tol, max_iter, seed):
     """:func:`solve_batch` on ``(2, N)`` float arrays, one row per plate."""
-    lam, order, eps, bulk_vec, gamma = _plates(points)
-    plate = (
-        order.real.copy(), order.imag.copy(), np.array((gamma, gamma)), *_map_constants(bulk_vec, eps)
-    )
+    lam, _, eps, bulk_vec, _, plate = _plates(points)
     x_r, x_i = plate[0].copy(), plate[1].copy()
     if seed is not None:
         x_r[0], x_i[0], x_r[1], x_i[1] = seed[0].real, seed[0].imag, seed[1].real, seed[1].imag
@@ -445,11 +434,16 @@ def _solve_rows(points, tol, max_iter, seed):
     # inputs.  Until a point stops these are the full arrays, and x is
     # updated in place; the working set is compacted only on a step
     # where some point stops, after writing back the points that stop.
+    # The other plate's operands are contiguous swapped copies.
     left = np.arange(len(points))
     work = (x_r, x_i, *plate)
     for step in range(1, max_iter + 1):
         xw_r, xw_i = work[0], work[1]
-        defect = _modulus(*_newton_rows(*work), np.sqrt)
+        own = np.array(_linearize(xw_r, xw_i, xw_r[::-1].copy(), xw_i[::-1].copy(), *work[2:]))
+        delta_r, delta_i = _newton_delta(*own, *own[:, ::-1].copy())
+        xw_r += delta_r
+        xw_i += delta_i
+        defect = _modulus(own[0], own[1], np.sqrt)
         go_on = np.maximum(defect[0], defect[1]) >= tol
         if step == max_iter:  # the cap stops every point left
             go_on[:] = False
@@ -513,7 +507,7 @@ def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j):
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}, expected one of {REGIONS}")
     points, single = _point_axis(params)
-    _, order, eps, _, gamma = _plates(points)
+    _, order, eps, _, gamma, _ = _plates(points)
     lam_b = np.array(np.broadcast_arrays(Lambda_b_I, Lambda_b_II, gamma)[:2], dtype=complex)
     h = _region_hamiltonians(order, eps, gamma, lam_b)[("I_a", "II_a", "I_b", "II_b").index(region)]
     return h[0] if single else h
@@ -528,7 +522,10 @@ def ness_map(guess, params):
     the solver's own kernel on Python floats, so its bits are the
     solver's map bits.
     """
-    plate_I, plate_II = _point_plates(params)[3]
+    _, order, eps, scale, (gamma,) = _plate_rows((params,))
+    (_, plate_I), (_, plate_II) = (
+        _operands(z.real, z.imag, e, s, gamma) for (z,), (e,), (s,) in zip(order, eps, scale)
+    )
     x_I, x_II = complex(guess[0]), complex(guess[1])
     f_I = _contact_map(x_II.real, x_II.imag, *plate_I)
     f_II = _contact_map(x_I.real, x_I.imag, *plate_II)
@@ -559,7 +556,7 @@ def closed_form_rhs(guess, params):
     """
     points, single = _point_axis(params)
     x = np.asarray(guess, dtype=complex).reshape(2, len(points))
-    _, order, eps, _, gamma = _plates(points)
+    _, order, eps, _, gamma, _ = _plates(points)
     field = order + gamma * x[::-1]
     aligned = (order.conj() * field).real
     eps_sq = eps * eps
@@ -591,7 +588,7 @@ def verify_steady(sol):
     points, single = _point_axis(sol.points)
     n_points = len(points)
     lam_b = sol.Lambda_b.reshape(2, n_points)
-    _, order, eps, bulk_vec, gamma = _plates(points)
+    _, order, eps, bulk_vec, gamma, _ = _plates(points)
     hamiltonians = _region_hamiltonians(order, eps, gamma, lam_b)
     states = _from_bloch(0.5, np.concatenate((bulk_vec, sol.contact.reshape(3, 2, n_points)), axis=1))
     commutators = hamiltonians @ states - states @ hamiltonians

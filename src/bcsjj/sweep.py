@@ -121,7 +121,8 @@ _ACCEPTED = {float: (int, float), int: (int,), str: (str,), tuple: (int, float)}
 def _typed(key, value):
     """``value`` for the field ``key``, or a ValueError naming the key.
 
-    The seeds take one number or a list of them and become a tuple of floats.
+    The seeds take one finite number or a list of them and become a tuple
+    of floats.
     """
     kinds = _FIELD_TYPES[key]
     if value is None and type(None) in kinds:
@@ -133,6 +134,8 @@ def _typed(key, value):
         if not isinstance(v, accepted) or isinstance(v, bool):
             names = " or ".join(t.__name__ for t in accepted)
             raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+        if seeds and not math.isfinite(v):
+            raise ValueError(f"config key {key!r} must be finite, got {value!r}")
     return tuple(map(float, items)) if seeds else value
 
 

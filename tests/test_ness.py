@@ -240,6 +240,29 @@ def test_solver_argument_validation():
     for max_iter in (0, -3):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             ness.solve_batch([STANDARD], max_iter=max_iter)
+    for seed in ((math.nan, 0j), (0j, complex(0.1, math.inf)), (-math.inf, 0.1)):
+        for points in ([STANDARD], [STANDARD, STANDARD]):
+            with pytest.raises(ValueError, match="seed must be finite"):
+                ness.solve_batch(points, seed=seed)
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+def test_plates_whose_epsilon_squared_underflows_are_rejected():
+    """The contact map divides by |F|^2 + epsilon^2, which is 0 at a normal
+    plate whose epsilon^2 underflows; such a plate is rejected on both
+    routes and by the references that gather plates."""
+    tiny = JunctionParams(BulkParams(1e-170, 1.0), BulkParams(0.3, 1e4), 1e-3)
+    for call in (
+        lambda: solve_ness(tiny),
+        lambda: ness.solve_batch([tiny, STANDARD]),
+        lambda: ness.ness_map((0j, 0j), tiny),
+        lambda: ness.closed_form_rhs((0j, 0j), tiny),
+    ):
+        with pytest.raises(ValueError, match="its square underflows to 0"):
+            call()
+    # an epsilon whose square is subnormal but not 0 still solves, on both routes
+    small = JunctionParams(BulkParams(3e-162, 1.0), BulkParams(0.3, 1e4), 1e-3)
+    assert solve_ness(small).converged and ness.solve_batch([small, STANDARD]).converged.all()
 
 
 def test_one_point_runs_the_kernel_on_floats(monkeypatch):

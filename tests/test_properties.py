@@ -270,6 +270,34 @@ def test_two_cycle_point_converges():
     assert verify_steady(sol) <= 1e-12
 
 
+# the Newton step's gamma^2 terms overflow, x turns NaN on step 2 and the map defect on step 3
+OVERFLOW_POINT = JunctionParams(BulkParams(0.3, 1e4), BulkParams(0.3, 1e4), 1e155)
+
+
+def _parts(value):
+    """A field as an array, complex values split into (re, im)."""
+    value = np.asarray(value)
+    return np.stack((value.real, value.imag)) if value.dtype.kind == "c" else value
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+def test_overflowing_point_stops_alike_alone_and_in_a_batch():
+    """A point whose defect turns NaN stops, unconverged, on the same step on
+    Python floats (alone) and on arrays (beside a weak point): its finite
+    fields agree bit for bit and its NaNs sit in the same places.  NaN
+    signs may differ between the routes, so NaN masks are compared."""
+    alone = solve_ness(OVERFLOW_POINT)
+    beside = solve_batch([OVERFLOW_POINT, WEAK_POINT])[0]
+    assert alone.iterations == beside.iterations == 3
+    assert not alone.converged and not beside.converged
+    assert math.isnan(alone.residual)
+    for f in fields(NessSolution)[1:]:
+        value, expected = _parts(getattr(beside, f.name)), _parts(getattr(alone, f.name))
+        nan = np.isnan(expected.astype(float))
+        assert np.array_equal(np.isnan(value.astype(float)), nan), f.name
+        assert _same_bits(value[~nan], expected[~nan]), f.name
+
+
 @st.composite
 def capped_batches(draw):
     """(points, max_iter): under a small cap, contacts up to gamma = 30,

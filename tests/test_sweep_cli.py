@@ -284,6 +284,8 @@ def test_cli_finite_n_config_file_picks_json(tmp_path, capsys):
         ("ness", {"tolerance": "1e-3"}),
         ("ness", {"max_iter": "3"}),
         ("ness", {"seed_lambda": [0.1, True]}),
+        ("ness", {"seed_lambda": [0.1, float("nan")]}),
+        ("ness", {"seed_phi": float("-inf")}),
         ("sweep", {"count": True}),
         ("finite-n", {"memory_cap": "5"}),
         ("finite-n", {"lattice_n": 1.0}),
@@ -458,6 +460,37 @@ def test_cli_ness_iteration_cap_exit(capsys):
     assert payload["converged"] is False
     assert payload["iterations"] == 1
     assert payload["residual"] > 1e-12
+
+
+@pytest.mark.parametrize("flag", ["--seed-lambda", "--seed-phi"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_seeds(flag, value, capsys):
+    # "=" keeps argparse from reading -inf as a flag
+    assert run_cli("ness", f"{flag}={value}") == 2
+    key = flag[2:].replace("-", "_")
+    assert f"config key {key!r} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+def test_cli_rejects_junction_plates_whose_epsilon_squared_underflows(capsys):
+    tiny = ("--epsilon-i", "1e-170", "--epsilon-ii", "1e-170", "--beta-i", "1", "--beta-ii", "1")
+    for command in ("ness", "sweep"):
+        assert run_cli(command, *tiny) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epsilon = 1e-170 is too small" in captured.err
+    # one plate alone, and the lattice, still take such an epsilon
+    assert run_cli("gap", "--epsilon", "1e-170", "--beta", "1") == 0
+    assert run_cli("finite-n", "--n", "1", *tiny) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+def test_cli_ness_overflowing_contact_stops_at_once(capsys):
+    # the Newton step's gamma^2 terms overflow: the defect turns NaN and the point stops unconverged
+    assert run_cli("ness", "--gamma", "1e155", "--format", "json") == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is False and payload["iterations"] == 3
+    assert math.isnan(payload["residual"])
 
 
 def test_cli_sweep_stdout(capsys):

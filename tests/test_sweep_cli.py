@@ -284,11 +284,11 @@ def test_cli_finite_n_config_file_picks_json(tmp_path, capsys):
         ("ness", {"tolerance": "1e-3"}),
         ("ness", {"max_iter": "3"}),
         ("ness", {"seed_lambda": [0.1, True]}),
-        ("ness", {"seed_lambda": [0.1, float("nan")]}),
-        ("ness", {"seed_phi": float("-inf")}),
         ("sweep", {"count": True}),
         ("finite-n", {"memory_cap": "5"}),
         ("finite-n", {"lattice_n": 1.0}),
+        ("ness", {"seed_lambda": [0.1, float("nan")]}),
+        ("ness", {"seed_phi": float("-inf")}),
     ],
 )
 def test_cli_rejects_mistyped_config_values(command, mapping, tmp_path, capsys):

@@ -29,6 +29,7 @@ from .sweep import (
     RunConfig,
     config_from_mapping,
     evaluate_point,
+    json_number,
     params_at,
     render,
     run_sweep,
@@ -213,12 +214,12 @@ def cmd_ness(args):
     else:
         # a shallow dict: the fields are plain numbers, which asdict would deep-copy one by one;
         # the row's residual is the steady-state defect of the one solve
-        payload = {f.name: getattr(row, f.name) for f in fields(row)}
-        payload["steady_residual"] = row.residual
-        # The payload is one flat object of numbers and booleans, so these
-        # separators give the bytes of indent=2 exactly; unlike any indent,
-        # they keep json on its C encoder.
-        text = "{\n  " + json.dumps(payload, separators=(",\n  ", ": "))[1:-1] + "\n}\n"
+        payload = {f.name: json_number(getattr(row, f.name)) for f in fields(row)}
+        payload["steady_residual"] = payload["residual"]
+        # The payload is one flat object of numbers, nulls and booleans, so
+        # these separators give the bytes of indent=2 exactly; unlike any
+        # indent, they keep json on its C encoder.
+        text = "{\n  " + json.dumps(payload, separators=(",\n  ", ": "), allow_nan=False)[1:-1] + "\n}\n"
     _emit(text, config.output)
     return EXIT_OK if row.converged else EXIT_SOLVER
 

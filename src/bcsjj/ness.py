@@ -28,9 +28,10 @@ a = -1/2 tanh(beta |n|) n / |n|.  Dephasing keeps the part
 map's Jacobian in closed form.  Its kernel is written once, in real
 arithmetic with only ``+ - * /`` and ``sqrt`` on each plate's real and
 imaginary parts, read from one operand table.  Exactly one point runs on
-Python floats, any other number on ``(2, N)`` arrays of plate rows; both
-round alike and fail alike (a defect turned NaN stops a point, unconverged;
-a NaN's sign may differ).  Seeds must be finite and epsilon^2 nonzero.
+Python floats, any other number in one masked loop over ``(2, N)`` arrays of
+plate rows; both round alike, fail alike (every maximum propagates NaN, so a
+defect turned NaN stops a point, unconverged; a NaN's sign may differ) and
+print no warning on overflow.  Seeds must be finite and epsilon^2 nonzero.
 The result is one :class:`NessSolution` holding the solver's arrays
 with a trailing point axis; :func:`solve_ness` is ``solve_batch([params])[0]``.
 2x2 matrices (the contact states ``rho_b_*``) are built only when read.
@@ -262,16 +263,6 @@ def _plates(points):
     return np.array(lam, dtype=float), order, eps, np.array(bulk_vec), gamma, plate
 
 
-# The solver's kernel, _contact_map, _linearize and _newton_delta, works on
-# each plate's real and imaginary parts with + - * / only, on operands from
-# one table (_plate_rows, then _operands).  So one point (Python floats) and
-# rows of plates (float arrays) round alike, and they fail alike: maxima are
-# _nan_max or np.maximum, so a NaN defect stops a point, unconverged, on the
-# same step (a NaN's sign may differ).  Seeds must be finite, and a plate's
-# epsilon^2 nonzero, the one divisor that can vanish.  A plate's operands are
-# its own values and the other plate's (``o``).
-
-
 def _contact_map(xo_r, xo_i, order_r, order_i, gamma, m_r, m_i, az_eps, eps_sq):
     """<sigma_plus> f of one plate's contact state at the other plate's
     contact order parameter x_o.
@@ -367,26 +358,22 @@ def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     ``tol``.  Never raises on non-convergence; warns once, with
     :class:`WeakContactWarning`, if some contact is not weak.  Raises
     ValueError on a ``max_iter`` below 1, a non-finite ``seed``, or a
-    plate whose epsilon^2 underflows to 0.
-
-    Exactly one point runs on Python floats (no numpy dispatch in the
-    loop), any other number of points on ``(2, N)`` arrays of plate rows;
-    both read one operand table, round alike and fail alike.  Either way
-    the result is one :class:`NessSolution` of arrays.
+    plate whose epsilon^2 underflows to 0, before any warning.  One point
+    runs on Python floats, any other number on ``(2, N)`` arrays.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     max_iter = int(max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    points = tuple(points)
-    warn_strong_contact(points)
     if seed is not None:
         seed = (complex(seed[0]), complex(seed[1]))
         if not (cmath.isfinite(seed[0]) and cmath.isfinite(seed[1])):
             raise ValueError(f"seed must be finite, got {seed}")
-    solve = _solve_point if len(points) == 1 else _solve_rows
-    return solve(points, tol, max_iter, seed)
+    points = tuple(points)
+    solution = (_solve_point if len(points) == 1 else _solve_rows)(points, tol, max_iter, seed)
+    warn_strong_contact(points)
+    return solution
 
 
 def _solve_point(points, tol, max_iter, seed):
@@ -424,43 +411,34 @@ def _solve_point(points, tol, max_iter, seed):
 
 
 def _solve_rows(points, tol, max_iter, seed):
-    """:func:`solve_batch` on ``(2, N)`` float arrays, one row per plate."""
+    """:func:`solve_batch` on ``(2, N)`` float arrays, one row per plate.
+
+    One masked loop: each step is computed at every point (the other
+    plate's operands as contiguous swapped copies) and taken by the points
+    still ``going``.  Stopped points may overflow, so numpy's overflow and
+    invalid warnings are off, as on Python floats.
+    """
     lam, _, eps, bulk_vec, _, plate = _plates(points)
     x_r, x_i = plate[0].copy(), plate[1].copy()
     if seed is not None:
         x_r[0], x_i[0], x_r[1], x_i[1] = seed[0].real, seed[0].imag, seed[1].real, seed[1].imag
-    iterations = np.zeros(len(points), dtype=int)
-    # The points still iterating, by index, and their slices of the map's
-    # inputs.  Until a point stops these are the full arrays, and x is
-    # updated in place; the working set is compacted only on a step
-    # where some point stops, after writing back the points that stop.
-    # The other plate's operands are contiguous swapped copies.
-    left = np.arange(len(points))
-    work = (x_r, x_i, *plate)
-    for step in range(1, max_iter + 1):
-        xw_r, xw_i = work[0], work[1]
-        own = np.array(_linearize(xw_r, xw_i, xw_r[::-1].copy(), xw_i[::-1].copy(), *work[2:]))
-        delta_r, delta_i = _newton_delta(*own, *own[:, ::-1].copy())
-        xw_r += delta_r
-        xw_i += delta_i
-        defect = _modulus(own[0], own[1], np.sqrt)
-        go_on = np.maximum(defect[0], defect[1]) >= tol
-        if step == max_iter:  # the cap stops every point left
-            go_on[:] = False
-        if left.size and go_on.all():
-            continue
-        stop = ~go_on
-        iterations[left[stop]] = step
-        if xw_r is not x_r:
-            x_r[:, left[stop]], x_i[:, left[stop]] = xw_r[:, stop], xw_i[:, stop]
-        if not go_on.any():
-            break
-        left = left[go_on]
-        work = tuple(v[..., go_on] for v in work)
-
-    field_r, field_i, mu_t, n, contact, map_defect, stationarity = _contact_state(
-        x_r, x_i, x_r[::-1].copy(), x_i[::-1].copy(), bulk_vec, eps, plate, np.sqrt, np.maximum
-    )
+    iterations = np.full(len(points), max_iter)
+    going = np.ones(len(points), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, max_iter + 1):
+            own = np.array(_linearize(x_r, x_i, x_r[::-1].copy(), x_i[::-1].copy(), *plate))
+            delta_r, delta_i = _newton_delta(*own, *own[:, ::-1].copy())
+            x_r = np.where(going, x_r + delta_r, x_r)
+            x_i = np.where(going, x_i + delta_i, x_i)
+            defect = _modulus(own[0], own[1], np.sqrt)
+            going_on = np.maximum(defect[0], defect[1]) >= tol
+            iterations[going & ~going_on] = step
+            going &= going_on
+            if not going.any():
+                break
+        field_r, field_i, mu_t, n, contact, map_defect, stationarity = _contact_state(
+            x_r, x_i, x_r[::-1].copy(), x_i[::-1].copy(), bulk_vec, eps, plate, np.sqrt, np.maximum
+        )
     map_defect = np.maximum(map_defect[0], map_defect[1])
     return NessSolution(
         points=points,

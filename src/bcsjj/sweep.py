@@ -287,9 +287,15 @@ def render_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def json_number(value):
+    """A finite number as is, and NaN or +-inf as None, which JSON prints as
+    null: strict JSON has no token for them."""
+    return value if math.isfinite(value) else None
+
+
 def render_json(rows):
-    payload = [{col: getattr(row, col) for col in CSV_COLUMNS} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    payload = [{col: json_number(getattr(row, col)) for col in CSV_COLUMNS} for row in rows]
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def render(rows, fmt):

@@ -475,22 +475,47 @@ def test_cli_rejects_non_finite_seeds(flag, value, capsys):
 def test_cli_rejects_junction_plates_whose_epsilon_squared_underflows(capsys):
     tiny = ("--epsilon-i", "1e-170", "--epsilon-ii", "1e-170", "--beta-i", "1", "--beta-ii", "1")
     for command in ("ness", "sweep"):
-        assert run_cli(command, *tiny) == 2
+        # the input checks run before the weak-contact warning: the error is all that prints
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(command, *tiny) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "epsilon = 1e-170 is too small" in captured.err
+        assert caught == [] and captured.out == ""
+        assert captured.err == "error: junction epsilon = 1e-170 is too small: its square underflows to 0\n"
     # one plate alone, and the lattice, still take such an epsilon
     assert run_cli("gap", "--epsilon", "1e-170", "--beta", "1") == 0
     assert run_cli("finite-n", "--n", "1", *tiny) == 0
     capsys.readouterr()
 
 
+def _strict_json(text):
+    """JSON parsed as RFC 8259 has it: a bare NaN, Infinity or -Infinity fails."""
+
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
 def test_cli_ness_overflowing_contact_stops_at_once(capsys):
     # the Newton step's gamma^2 terms overflow: the defect turns NaN and the point stops unconverged
     assert run_cli("ness", "--gamma", "1e155", "--format", "json") == 3
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["converged"] is False and payload["iterations"] == 3
-    assert math.isnan(payload["residual"])
+    assert payload["residual"] is None and payload["steady_residual"] is None
+
+
+def test_cli_sweep_overflowing_contact_prints_strict_json(capsys):
+    """The array route stops the points alike, warns only of the strong
+    contact, and prints its NaNs as null."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("sweep", "--gamma", "1e155", "--count", "2", "--format", "json") == 3
+    assert [w.category for w in caught] == [WeakContactWarning]
+    rows = _strict_json(capsys.readouterr().out)
+    assert [(r["converged"], r["residual"], r["current"]) for r in rows] == [(False, None, None)] * 2
+    assert all(isinstance(r["lambda_I"], float) for r in rows)
 
 
 def test_cli_sweep_stdout(capsys):

@@ -212,9 +212,9 @@ def cmd_ness(args):
     if config.format == "csv":
         text = render([row], "csv")
     else:
-        # a shallow dict: the fields are plain numbers, which asdict would deep-copy one by one;
-        # the row's residual is the steady-state defect of the one solve
-        payload = {f.name: json_number(getattr(row, f.name)) for f in fields(row)}
+        # a shallow dict, in field order: the fields are plain numbers, which asdict would
+        # deep-copy one by one; the row's residual is the steady-state defect of the one solve
+        payload = {name: json_number(value) for name, value in vars(row).items()}
         payload["steady_residual"] = payload["residual"]
         # The payload is one flat object of numbers, nulls and booleans, so
         # these separators give the bytes of indent=2 exactly; unlike any

@@ -34,6 +34,8 @@ defect turned NaN stops a point, unconverged; a NaN's sign may differ) and
 print no warning on overflow.  Seeds must be finite and epsilon^2 nonzero.
 The result is one :class:`NessSolution` holding the solver's arrays
 with a trailing point axis; :func:`solve_ness` is ``solve_batch([params])[0]``.
+A lone point's fields stay Python numbers until :func:`solve_batch` packs
+them, so :mod:`bcsjj.sweep` builds a lone point's row without numpy.
 2x2 matrices (the contact states ``rho_b_*``) are built only when read.
 
 The same fixed point has a closed rational form (used as a
@@ -51,6 +53,7 @@ import math
 import os
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -361,6 +364,16 @@ def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     plate whose epsilon^2 underflows to 0, before any warning.  One point
     runs on Python floats, any other number on ``(2, N)`` arrays.
     """
+    solution = _solve(points, tol, max_iter, seed)
+    return _packed(solution) if isinstance(solution, _PointSolution) else solution
+
+
+def _solve(points, tol, max_iter, seed):
+    """:func:`solve_batch`'s input checks, solve and warning, in that order.
+
+    Returns one point as a :class:`_PointSolution` of Python numbers and
+    any other number of points as a :class:`NessSolution`.
+    """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     max_iter = int(max_iter)
@@ -376,8 +389,19 @@ def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     return solution
 
 
+# One point's NessSolution fields as Python numbers: each (2, ...) array a
+# pair (plate I, plate II), each (3, 2, ...) array three such pairs, and
+# residual, iterations and converged plain numbers.
+_PointSolution = namedtuple("_PointSolution", [f.name for f in fields(NessSolution)])
+
+
+def _packed(point):
+    """A :class:`_PointSolution` as a :class:`NessSolution` of one point."""
+    return NessSolution(point.points, *(np.array(value)[..., None] for value in point[1:]))
+
+
 def _solve_point(points, tol, max_iter, seed):
-    """:func:`solve_batch` of one point, on Python floats."""
+    """:func:`solve_batch` of one point, on Python floats: a :class:`_PointSolution`."""
     lam, order, eps, scale, (gamma,) = _plate_rows(points)
     (bulk_I, plate_I), (bulk_II, plate_II) = (
         _operands(z.real, z.imag, e, s, gamma) for (z,), (e,), (s,) in zip(order, eps, scale)
@@ -396,17 +420,17 @@ def _solve_point(points, tol, max_iter, seed):
     state_II = _contact_state(x1r, x1i, x0r, x0i, bulk_II, eps[1][0], plate_II, math.sqrt, _nan_max)
     field_r, field_i, mu_t, n, contact, map_defect, stationarity = zip(state_I, state_II)
     map_defect = _nan_max(*map_defect)
-    return NessSolution(
+    return _PointSolution(
         points=points,
-        lambda_bulk=np.array(lam, dtype=float),
-        Lambda_b=np.array([[complex(x0r, x0i)], [complex(x1r, x1i)]]),
-        field=np.array([[complex(field_r[0], field_i[0])], [complex(field_r[1], field_i[1])]]),
-        mu_t=np.array([[mu_t[0]], [mu_t[1]]]),
-        axis=np.array([[[v], [w]] for v, w in zip(*n)], dtype=float),
-        contact=np.array([[[v], [w]] for v, w in zip(*contact)], dtype=float),
-        residual=np.array([_nan_max(*stationarity) + map_defect]),
-        iterations=np.array([step]),
-        converged=np.array([map_defect < tol]),
+        lambda_bulk=(lam[0][0], lam[1][0]),
+        Lambda_b=(complex(x0r, x0i), complex(x1r, x1i)),
+        field=(complex(field_r[0], field_i[0]), complex(field_r[1], field_i[1])),
+        mu_t=mu_t,
+        axis=tuple(zip(*n)),
+        contact=tuple(zip(*contact)),
+        residual=_nan_max(*stationarity) + map_defect,
+        iterations=step,
+        converged=map_defect < tol,
     )
 
 

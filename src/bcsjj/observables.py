@@ -25,6 +25,12 @@ Every function here reads the solver's own arrays (``Lambda_b``,
 on a whole batch.  Q and P are 2x2 only when read; only
 :func:`goldstone_dynamics_residual` takes 2x2 matrices, the caller's
 contact Hamiltonians, as the independent side of the mode dynamics.
+
+The current, the commutator data and the mode frequency are each written
+once, in ``+ - * /`` (:func:`_current`, :func:`_ccr`, :func:`_frequency`),
+so the same formula runs on arrays here and on one point's Python floats
+in :mod:`bcsjj.sweep`, where a lone point's row is computed without numpy;
+both round alike.
 """
 
 from dataclasses import dataclass
@@ -72,8 +78,12 @@ def josephson_current(sol, gamma):
     any branch-cut trouble at vanishing order parameters.  ``gamma`` is
     one coupling or one per point.
     """
-    lam_i, lam_ii = sol.Lambda_b
-    return CurrentValue(4.0 * gamma * (lam_i.real * lam_ii.imag - lam_i.imag * lam_ii.real))
+    return CurrentValue(_current(gamma, *sol.Lambda_b))
+
+
+def _current(gamma, lam_i, lam_ii):
+    """4 gamma Im(conj(Lambda_b_I) Lambda_b_II), on complex numbers or arrays."""
+    return 4.0 * gamma * (lam_i.real * lam_ii.imag - lam_i.imag * lam_ii.real)
 
 
 def ccr_values(sol):
@@ -85,11 +95,27 @@ def ccr_values(sol):
     so c = -4 |F|^2 (b.n) / mu_t^3.  The formulas are 4 |Lambda_b|^2 / mu_t
     and 4 |F|^2 / mu_t.
     """
-    n, lam_b, mu_t = sol.axis, sol.Lambda_b, sol.mu_t
+    return _ccr(sol.axis, sol.contact, sol.Lambda_b, sol.mu_t)
+
+
+def _ccr(n, b, lam_b, mu_t):
+    """:func:`ccr_values` from the contact axis n and Bloch vector b (3-sequences),
+    Lambda_b and mu_t, on one plate's numbers or elementwise on arrays."""
     field2 = n[0] * n[0] + n[1] * n[1]
-    exact = -4.0 * field2 * _dot(sol.contact, n) / (mu_t * mu_t * mu_t)
+    exact = -4.0 * field2 * _dot(b, n) / (mu_t * mu_t * mu_t)
     formula = 4.0 * (lam_b.real * lam_b.real + lam_b.imag * lam_b.imag) / mu_t
     return exact, formula, 4.0 * field2 / mu_t
+
+
+def _frequency(mu_t):
+    """Contact mode frequency nu_t = 2 mu_t."""
+    return 2.0 * mu_t
+
+
+def _hypot(z):
+    """|z| of a complex array, rounded as abs() rounds a Python complex (np.abs
+    may not); a NaN keeps its sign, where abs() gives +NaN."""
+    return np.hypot(z.real, z.imag)
 
 
 def goldstone_operators(region, sol):
@@ -107,7 +133,7 @@ def goldstone_operators(region, sol):
     # x * x and hypot, not x**2 and np.abs: those round one point otherwise than an array
     mu2 = mu_t * mu_t
     scale = sol.axis[2, row] / mu2
-    norm = np.hypot(f.real, f.imag)
+    norm = _hypot(f)
     q = np.array([scale * f.real, scale * f.imag, norm * norm / mu2])
     p = (1.0 / mu_t) * np.array([f.imag, -f.real, np.zeros_like(mu_t)])
     var_q, var_p = fluctuation_variances(q, p, sol.contact[:, row])
@@ -121,7 +147,7 @@ def goldstone_operators(region, sol):
         ccr_formula_field=formula_field,
         var_Q=var_q,
         var_P=var_p,
-        frequency=2.0 * mu_t,
+        frequency=_frequency(mu_t),
     )
 
 
@@ -159,7 +185,7 @@ def goldstone_dynamics_residual(pair, hamiltonian, times):
 
 def goldstone_frequencies(sol):
     """Contact mode frequencies (nu_t_I, nu_t_II) = 2 mu_t."""
-    return (2.0 * sol.mu_t_I, 2.0 * sol.mu_t_II)
+    return (_frequency(sol.mu_t_I), _frequency(sol.mu_t_II))
 
 
 def fluctuation_variances(q, p, b):

@@ -2,8 +2,11 @@
 
 One row per grid point: inputs, bulk and contact gaps, contact phases
 and spectral scales, pair current, mode frequencies, commutator defects
-and solver diagnostics.  Rendering is deterministic (17 significant
-digits, LF endings) so reruns of the same config are byte-identical.
+and solver diagnostics.  A lone point's row (``ness``, ``sweep --count 1``)
+is computed on Python floats, from the solve to the row, and a larger
+grid's from ``(N,)`` arrays, by the same formulas and to the same bits.
+Rendering is deterministic (17 significant digits, LF endings) so reruns
+of the same config are byte-identical.
 """
 
 import json
@@ -16,8 +19,8 @@ import numpy as np
 
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams
-from .ness import JunctionParams, solve_batch
-from .observables import ccr_values, goldstone_frequencies, josephson_current
+from .ness import JunctionParams, NessSolution, _solve
+from .observables import _ccr, _current, _frequency, _hypot
 
 SWEEP_AXES = (
     "delta_phi",
@@ -197,15 +200,20 @@ def params_at(config, value=None, base=None):
 
 
 def evaluate_point(params, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
-    """Full pipeline at one parameter point: :func:`run_sweep` of one point."""
+    """Full pipeline at one parameter point: :func:`run_sweep` of one point,
+    on Python floats."""
     return _evaluate([params], tolerance, max_iter, seed)[0]
 
 
 def run_sweep(config):
     """Evaluate the configured grid, in order, one SweepRow per point."""
-    grid = np.linspace(*_sweep_range(config), config.count)
+    start, stop = _sweep_range(config)
+    if config.count > 1:
+        grid = np.linspace(start, stop, config.count).tolist()
+    else:  # np.linspace's one value, on floats
+        grid = [0.0 * (stop - start) + start]
     base = params_at(config)
-    points = [params_at(config, float(value), base) for value in grid]
+    points = [params_at(config, value, base) for value in grid]
     seed = _seed_from_config(config)
     return _evaluate(points, config.tolerance, config.max_iter, seed)
 
@@ -227,50 +235,48 @@ def _sweep_range(config):
 
 
 def _evaluate(points, tolerance, max_iter, seed):
-    """One batched solve, then each SweepRow from the solution arrays."""
-    batch = solve_batch(points, tol=tolerance, max_iter=max_iter, seed=seed)
-    current = josephson_current(batch, np.array([p.gamma for p in batch.points], dtype=float)).j
-    exact, formula, _ = ccr_values(batch)
-    columns = zip(
-        batch.points,
-        batch.lambda_bulk.T.tolist(),
-        batch.Lambda_b.T.tolist(),
-        batch.mu_t.T.tolist(),
-        current.tolist(),
-        zip(*(nu.tolist() for nu in goldstone_frequencies(batch))),
-        np.abs(exact - formula).T.tolist(),  # ccr_defect of both contacts
-        batch.residual.tolist(),
-        batch.converged.tolist(),
-        batch.iterations.tolist(),
-    )
+    """One solve, then each SweepRow: a lone point's from Python numbers,
+    any other number's from the solution's ``(N,)`` arrays, by one set of
+    formulas (:func:`_row_columns`)."""
+    sol = _solve(points, tolerance, max_iter, seed)
+    if isinstance(sol, NessSolution):
+        gamma = np.array([p.gamma for p in sol.points], dtype=float)
+        rows = zip(*(column.tolist() for column in _row_columns(sol, gamma, _hypot, _atan2_each)))
+    else:
+        rows = [_row_columns(sol, sol.points[0].gamma, abs, math.atan2)]
     return [
         SweepRow(
-            epsilon_I=p.bulk_I.epsilon,
-            epsilon_II=p.bulk_II.epsilon,
-            beta_I=p.bulk_I.beta,
-            beta_II=p.bulk_II.beta,
-            gamma=p.gamma,
-            phi_I=p.bulk_I.phi,
-            phi_II=p.bulk_II.phi,
-            lambda_I=lam[0],
-            lambda_II=lam[1],
-            lambda_t_I=abs(lb[0]),
-            lambda_t_II=abs(lb[1]),
-            phi_t_I=math.atan2(lb[0].imag, lb[0].real),
-            phi_t_II=math.atan2(lb[1].imag, lb[1].real),
-            mu_t_I=mu[0],
-            mu_t_II=mu[1],
-            current=j,
-            nu_t_I=nu[0],
-            nu_t_II=nu[1],
-            ccr_defect_I=ccr_pair[0],
-            ccr_defect_II=ccr_pair[1],
-            residual=residual,
-            converged=converged,
-            iterations=iterations,
+            p.bulk_I.epsilon, p.bulk_II.epsilon, p.bulk_I.beta, p.bulk_II.beta,
+            p.gamma, p.bulk_I.phi, p.bulk_II.phi, *values,
         )
-        for p, lam, lb, mu, j, nu, ccr_pair, residual, converged, iterations in columns
+        for p, values in zip(sol.points, rows)
     ]
+
+
+# math.atan2 at each element of two arrays: np.arctan2 may round otherwise
+_atan2_each = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _row_columns(sol, gamma, modulus, atan2):
+    """The SweepRow fields after the seven inputs, in order.
+
+    Elementwise: ``sol`` is one point's :class:`~bcsjj.ness._PointSolution`
+    of Python numbers, with ``modulus`` abs and ``atan2`` math.atan2, or a
+    :class:`NessSolution`, with the array functions of the same rounding,
+    which gives one ``(N,)`` array per field.
+    """
+    lam_b, mu_t = sol.Lambda_b, sol.mu_t
+    lambda_t, phi_t, ccr_defect = [], [], []
+    for row in (0, 1):
+        n, b = [v[row] for v in sol.axis], [v[row] for v in sol.contact]
+        exact, formula, _ = _ccr(n, b, lam_b[row], mu_t[row])
+        lambda_t.append(modulus(lam_b[row]))
+        phi_t.append(atan2(lam_b[row].imag, lam_b[row].real))
+        ccr_defect.append(abs(exact - formula))
+    return (
+        *sol.lambda_bulk, *lambda_t, *phi_t, *mu_t, _current(gamma, *lam_b),
+        *map(_frequency, mu_t), *ccr_defect, sol.residual, sol.converged, sol.iterations,
+    )
 
 
 # One row: every number at 17 significant digits, then the last column,

@@ -175,3 +175,29 @@ def test_solve_gap_builds_no_hamiltonian_or_gibbs_matrix(monkeypatch):
     for eps, beta, phi in ((0.3, 1e4, 0.7), (0.45, 5.0, -2.5), (0.6, 50.0, 0.0)):
         sol = solve_gap(BulkParams(eps, beta, phi))
         assert sol.rho.shape == (2, 2)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="near T_c, lam = sqrt(mu^2 - eps^2) magnifies the 1e-14 bisection width on mu "
+    "into a 2.4e-5 relative error (ROADMAP item 3)",
+)
+def test_gap_near_the_threshold_matches_a_60_digit_bisection():
+    """Just above the ordering threshold, where mu - eps is ~7e-11, the bare
+    gap root's lambda agrees with a 60-digit bisection of tanh(beta mu) = 2 mu
+    on the same float inputs to 1e-8 relative.  It reads 8.3563933010474e-06
+    against the bisection's 8.35619466676866e-06."""
+    mpmath = pytest.importorskip("mpmath")
+    epsilon, beta = 0.499, 6.920596039795692
+    with mpmath.workdps(60):
+        eps = mpmath.mpf(epsilon)
+        lo, hi = eps, mpmath.mpf(0.5)
+        while hi - lo > mpmath.mpf(10) ** -55:
+            mid = (lo + hi) / 2
+            if mpmath.tanh(beta * mid) - 2 * mid > 0:
+                lo = mid
+            else:
+                hi = mid
+        mu = (lo + hi) / 2
+        lam = float(mpmath.sqrt(mu * mu - eps * eps))
+    assert abs(equilibrium.gap_root(epsilon, beta)[0] - lam) <= 1e-8 * lam

@@ -2,13 +2,15 @@
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bcsjj import equilibrium, ness
+from bcsjj import cli, equilibrium, ness, sweep
+from bcsjj.constants import NESS_CHANGE_TOL
 from bcsjj.equilibrium import BulkParams, gap_root
 from bcsjj.ness import (
     JunctionParams,
@@ -270,9 +272,19 @@ def test_plates_whose_epsilon_squared_underflows_are_rejected():
     assert solve_ness(small).converged and ness.solve_batch([small, STANDARD]).converged.all()
 
 
-def test_one_point_runs_the_kernel_on_floats(monkeypatch):
+def _leaf_types(values):
+    """The types of the non-sequence items of nested lists and tuples."""
+    types = set()
+    for value in values:
+        types |= _leaf_types(value) if isinstance(value, (list, tuple)) else {type(value)}
+    return types
+
+
+def test_one_point_runs_the_kernel_on_floats(monkeypatch, capsys):
     """solve_batch hands the kernel Python floats for exactly one point and
-    float arrays for any other count; ness_map runs it on floats."""
+    float arrays for any other count; ness_map runs it on floats.  The row
+    formulas follow the solve: a lone evaluate_point and a ``ness`` call hand
+    them Python numbers, and rows of 0, 2 or 6 points arrays."""
     kinds, contact_map = [], ness._contact_map
 
     def recording(*args):
@@ -287,6 +299,58 @@ def test_one_point_runs_the_kernel_on_floats(monkeypatch):
     kinds.clear()
     ness_map((0.4 + 0.1j, 0.4), STANDARD)
     assert kinds == [{float}, {float}]
+
+    row_kinds = []
+
+    def row_recording(helper):
+        def record(*args):
+            row_kinds.append(_leaf_types(args))
+            return helper(*args)
+
+        return record
+
+    for name in ("_ccr", "_current", "_frequency"):
+        monkeypatch.setattr(sweep, name, row_recording(getattr(sweep, name)))
+    lone_calls = (
+        lambda: evaluate_point(STANDARD),
+        lambda: cli.main(["ness", "--gamma", "2e-3", "--phi-i", "0.4"]),
+    )
+    for call in lone_calls:
+        kinds.clear()
+        row_kinds.clear()
+        call()
+        assert kinds and all(k == {float} for k in kinds)
+        # a lone point's kernel, and so its row, runs on Python floats
+        assert len(row_kinds) == 5 and all(k <= {float, complex} for k in row_kinds), row_kinds
+    capsys.readouterr()
+    for count in (0, 2, 6):
+        row_kinds.clear()
+        sweep._evaluate([STANDARD] * count, NESS_CHANGE_TOL, 100_000, None)
+        assert len(row_kinds) == 5 and all(k == {np.ndarray} for k in row_kinds), count
+
+
+def test_one_point_builds_no_array(monkeypatch, capsys):
+    """A lone point needs no numpy from its plates to its printed row: with
+    ``np`` unbound in every bcsjj module, evaluate_point, ``ness`` and
+    ``sweep --count 1`` give what they give with it."""
+    argvs = (
+        ["ness", "--gamma", "2e-3", "--phi-i", "0.4"],
+        ["ness", "--beta-ii", "1", "--format", "csv"],
+        ["sweep", "--count", "1", "--format", "json"],
+        ["sweep", "--count", "1", "--axis", "gamma", "--start", "1e-3", "--stop", "2e-3"],
+    )
+    expected = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        expected.append(capsys.readouterr().out)
+    row = evaluate_point(STANDARD)
+    for name, module in list(sys.modules.items()):
+        if (name == "bcsjj" or name.startswith("bcsjj.")) and hasattr(module, "np"):
+            monkeypatch.setattr(module, "np", None)
+    assert evaluate_point(STANDARD) == row
+    for argv, out in zip(argvs, expected):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out, argv
 
 
 @pytest.mark.parametrize(

@@ -115,53 +115,6 @@ def plates(draw):
     return BulkParams(epsilon, beta, draw(PHI))
 
 
-def _rotated(seed, delta):
-    if seed is None:
-        return None
-    return (seed[0] * cmath.exp(1j * delta), seed[1] * cmath.exp(1j * delta))
-
-
-@PROPERTY
-@hypothesis.seed(101)
-@given(config=sweep_configs())
-def test_sweep_rows_equal_single_point_rows(config):
-    seed = _seed_from_config(config)
-    expected = [
-        evaluate_point(
-            params_at(config, float(value)),
-            tolerance=config.tolerance,
-            max_iter=config.max_iter,
-            seed=seed,
-        )
-        for value in np.linspace(config.start, config.stop, config.count)
-    ]
-    assert run_sweep(config) == expected
-
-
-@PROPERTY
-@hypothesis.seed(102)
-@given(params=junctions(), seed=SEED)
-def test_row_matches_matrix_observables(params, seed):
-    row = evaluate_point(params, seed=seed)
-    sol = solve_ness(params, seed=seed)
-    assert row.current == josephson_current(sol, params.gamma).j
-    for side in ("I", "II"):
-        pair = goldstone_operators(f"{side}_b", sol)
-        assert getattr(row, f"nu_t_{side}") == pair.frequency
-        assert getattr(row, f"ccr_defect_{side}") == ccr_defect(pair)
-
-
-def _names(cls):
-    """Every dataclass field and every property of ``cls``."""
-    properties = [name for name, v in vars(cls).items() if isinstance(v, property)]
-    return [f.name for f in fields(cls)] + properties
-
-
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-
-
 # a point where pow(mu_t, 2) on one point rounds otherwise than mu_t * mu_t on arrays
 ROUNDING_POINT = JunctionParams(
     BulkParams(0.3333333333333333, 100.0), BulkParams(0.3924940264049931, 0.5), 0.004050263094858067
@@ -175,6 +128,104 @@ ROUNDING_POINT = JunctionParams(
 ZERO_GAMMA_POINT = JunctionParams(BulkParams(0.3, 1e4, 0.7), BulkParams(0.25, 50.0, -1.0), 0.0)
 NEGATIVE_GAMMA_POINT = JunctionParams(BulkParams(0.3, 1e4, 0.7), BulkParams(0.2, 1e4, -2.0), -0.01)
 SINGULAR_POINT = JunctionParams(*[BulkParams(0.40625, 2.7922258970072176)] * 2, 1.0)
+
+
+# The undamped map's iterates settle into a 2-cycle here and never meet
+# the tolerance; a weak point beside it stops after a few steps.
+TWO_CYCLE_POINT = JunctionParams(BulkParams(0.3, 1e4, math.pi), BulkParams(0.3, 1e4), 1.0)
+WEAK_POINT = JunctionParams(BulkParams(0.3, 1e4, 0.3), BulkParams(0.3, 1e4), 1e-3)
+
+
+# the Newton step's gamma^2 terms overflow, x turns NaN on step 2 and the map defect on step 3
+OVERFLOW_POINT = JunctionParams(BulkParams(0.3, 1e4), BulkParams(0.3, 1e4), 1e155)
+
+
+def _rotated(seed, delta):
+    if seed is None:
+        return None
+    return (seed[0] * cmath.exp(1j * delta), seed[1] * cmath.exp(1j * delta))
+
+
+def _swept(params, **sweep):
+    """The RunConfig of a junction point with the given sweep settings."""
+    return config_from_mapping({
+        "epsilon_I": params.bulk_I.epsilon,
+        "epsilon_II": params.bulk_II.epsilon,
+        "beta_I": params.bulk_I.beta,
+        "beta_II": params.bulk_II.beta,
+        "gamma": params.gamma,
+        "phi_I": params.bulk_I.phi,
+        "phi_II": params.bulk_II.phi,
+        **sweep,
+    })
+
+
+def _same_row(row, expected):
+    """Every SweepRow field of the same type and bits, or NaN in both: a
+    NaN's sign may differ between the float and array routes, as the
+    solver's does."""
+    for f in fields(row):
+        value, other = getattr(row, f.name), getattr(expected, f.name)
+        assert type(value) is type(other), f.name
+        assert _same_bits(value, other) or (math.isnan(value) and math.isnan(other)), f.name
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+@PROPERTY
+@hypothesis.seed(101)
+@given(config=sweep_configs())
+@example(config=_swept(OVERFLOW_POINT, axis="gamma", start=1e155, stop=1e-3, count=2))
+@example(config=_swept(TWO_CYCLE_POINT, axis="gamma", start=1.0, stop=1e-3, count=3))
+@example(config=_swept(ZERO_GAMMA_POINT, axis="beta_II", start=50.0, stop=1.0, count=2))
+@example(config=_swept(ROUNDING_POINT, axis="gamma", start=ROUNDING_POINT.gamma, stop=0.0, count=2))
+def test_sweep_rows_equal_single_point_rows(config):
+    """A grid's rows, built from the batch's arrays, are its points' lone
+    rows, built on Python floats, bit for bit."""
+    seed = _seed_from_config(config)
+    expected = [
+        evaluate_point(
+            params_at(config, float(value)),
+            tolerance=config.tolerance,
+            max_iter=config.max_iter,
+            seed=seed,
+        )
+        for value in np.linspace(config.start, config.stop, config.count)
+    ]
+    rows = run_sweep(config)
+    assert len(rows) == len(expected)
+    for row, lone in zip(rows, expected):
+        _same_row(row, lone)
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+@PROPERTY
+@hypothesis.seed(102)
+@given(params=junctions(), seed=SEED)
+@example(params=OVERFLOW_POINT, seed=None)
+@example(params=TWO_CYCLE_POINT, seed=None)
+@example(params=ZERO_GAMMA_POINT, seed=None)
+@example(params=ROUNDING_POINT, seed=None)
+def test_row_matches_matrix_observables(params, seed):
+    """A lone row, built on Python floats, holds the observables of the
+    solution's arrays bit for bit."""
+    row = evaluate_point(params, seed=seed)
+    sol = solve_ness(params, seed=seed)
+    assert _same_bits(row.current, josephson_current(sol, params.gamma).j)
+    for side in ("I", "II"):
+        pair = goldstone_operators(f"{side}_b", sol)
+        assert _same_bits(getattr(row, f"nu_t_{side}"), pair.frequency)
+        assert _same_bits(getattr(row, f"ccr_defect_{side}"), ccr_defect(pair))
+
+
+def _names(cls):
+    """Every dataclass field and every property of ``cls``."""
+    properties = [name for name, v in vars(cls).items() if isinstance(v, property)]
+    return [f.name for f in fields(cls)] + properties
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 @pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
@@ -257,21 +308,11 @@ def test_mode_dynamics_route_equals_per_point_calls(points, seed):
             assert _same_bits(evolved[k], evolve_heisenberg(lone.P, h_k, times[k]))
 
 
-# The undamped map's iterates settle into a 2-cycle here and never meet
-# the tolerance; a weak point beside it stops after a few steps.
-TWO_CYCLE_POINT = JunctionParams(BulkParams(0.3, 1e4, math.pi), BulkParams(0.3, 1e4), 1.0)
-WEAK_POINT = JunctionParams(BulkParams(0.3, 1e4, 0.3), BulkParams(0.3, 1e4), 1e-3)
-
-
 @pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
 def test_two_cycle_point_converges():
     sol = solve_ness(TWO_CYCLE_POINT)
     assert sol.converged and sol.iterations <= 10
     assert verify_steady(sol) <= 1e-12
-
-
-# the Newton step's gamma^2 terms overflow, x turns NaN on step 2 and the map defect on step 3
-OVERFLOW_POINT = JunctionParams(BulkParams(0.3, 1e4), BulkParams(0.3, 1e4), 1e155)
 
 
 def _parts(value):

@@ -26,11 +26,11 @@ on a whole batch.  Q and P are 2x2 only when read; only
 :func:`goldstone_dynamics_residual` takes 2x2 matrices, the caller's
 contact Hamiltonians, as the independent side of the mode dynamics.
 
-The current, the commutator data and the mode frequency are each written
-once, in ``+ - * /`` (:func:`_current`, :func:`_ccr`, :func:`_frequency`),
-so the same formula runs on arrays here and on one point's Python floats
-in :mod:`bcsjj.sweep`, where a lone point's row is computed without numpy;
-both round alike.
+The current, the commutator data and the mode frequencies are each
+written once, in ``+ - * /`` (:func:`josephson_current`, :func:`_ccr`,
+:func:`goldstone_frequencies`), so the same formula runs on arrays here
+and on one point's Python floats in :mod:`bcsjj.sweep`, where a lone
+point's row is computed without numpy; both round alike.
 """
 
 from dataclasses import dataclass
@@ -78,12 +78,8 @@ def josephson_current(sol, gamma):
     any branch-cut trouble at vanishing order parameters.  ``gamma`` is
     one coupling or one per point.
     """
-    return CurrentValue(_current(gamma, *sol.Lambda_b))
-
-
-def _current(gamma, lam_i, lam_ii):
-    """4 gamma Im(conj(Lambda_b_I) Lambda_b_II), on complex numbers or arrays."""
-    return 4.0 * gamma * (lam_i.real * lam_ii.imag - lam_i.imag * lam_ii.real)
+    lam_i, lam_ii = sol.Lambda_b
+    return CurrentValue(4.0 * gamma * (lam_i.real * lam_ii.imag - lam_i.imag * lam_ii.real))
 
 
 def ccr_values(sol):
@@ -107,17 +103,6 @@ def _ccr(n, b, lam_b, mu_t):
     return exact, formula, 4.0 * field2 / mu_t
 
 
-def _frequency(mu_t):
-    """Contact mode frequency nu_t = 2 mu_t."""
-    return 2.0 * mu_t
-
-
-def _hypot(z):
-    """|z| of a complex array, rounded as abs() rounds a Python complex (np.abs
-    may not); a NaN keeps its sign, where abs() gives +NaN."""
-    return np.hypot(z.real, z.imag)
-
-
 def goldstone_operators(region, sol):
     """Normal coordinates, commutator data and variances of one contact.
 
@@ -133,7 +118,7 @@ def goldstone_operators(region, sol):
     # x * x and hypot, not x**2 and np.abs: those round one point otherwise than an array
     mu2 = mu_t * mu_t
     scale = sol.axis[2, row] / mu2
-    norm = _hypot(f)
+    norm = np.hypot(f.real, f.imag)
     q = np.array([scale * f.real, scale * f.imag, norm * norm / mu2])
     p = (1.0 / mu_t) * np.array([f.imag, -f.real, np.zeros_like(mu_t)])
     var_q, var_p = fluctuation_variances(q, p, sol.contact[:, row])
@@ -147,7 +132,7 @@ def goldstone_operators(region, sol):
         ccr_formula_field=formula_field,
         var_Q=var_q,
         var_P=var_p,
-        frequency=_frequency(mu_t),
+        frequency=2.0 * mu_t,
     )
 
 
@@ -185,7 +170,8 @@ def goldstone_dynamics_residual(pair, hamiltonian, times):
 
 def goldstone_frequencies(sol):
     """Contact mode frequencies (nu_t_I, nu_t_II) = 2 mu_t."""
-    return (_frequency(sol.mu_t_I), _frequency(sol.mu_t_II))
+    mu_i, mu_ii = sol.mu_t
+    return (2.0 * mu_i, 2.0 * mu_ii)
 
 
 def fluctuation_variances(q, p, b):

@@ -2,11 +2,11 @@
 
 One row per grid point: inputs, bulk and contact gaps, contact phases
 and spectral scales, pair current, mode frequencies, commutator defects
-and solver diagnostics.  A lone point's row (``ness``, ``sweep --count 1``)
-is computed on Python floats, from the solve to the row, and a larger
-grid's from ``(N,)`` arrays, by the same formulas and to the same bits.
-Rendering is deterministic (17 significant digits, LF endings) so reruns
-of the same config are byte-identical.
+and solver diagnostics.  A lone point's row (``ness``, or a one-point
+sweep) is computed on Python floats, from the solve to the row, and a
+larger grid's from ``(N,)`` arrays, by the same formulas and to the same
+bits.  Rendering is deterministic (17 significant digits, LF endings) so
+reruns of the same config are byte-identical.
 """
 
 import json
@@ -20,7 +20,7 @@ import numpy as np
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams
 from .ness import JunctionParams, NessSolution, _solve
-from .observables import _ccr, _current, _frequency, _hypot
+from .observables import _ccr, goldstone_frequencies, josephson_current
 
 SWEEP_AXES = (
     "delta_phi",
@@ -207,11 +207,7 @@ def evaluate_point(params, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=Non
 
 def run_sweep(config):
     """Evaluate the configured grid, in order, one SweepRow per point."""
-    start, stop = _sweep_range(config)
-    if config.count > 1:
-        grid = np.linspace(start, stop, config.count).tolist()
-    else:  # np.linspace's one value, on floats
-        grid = [0.0 * (stop - start) + start]
+    grid = np.linspace(*_sweep_range(config), config.count).tolist()
     base = params_at(config)
     points = [params_at(config, value, base) for value in grid]
     seed = _seed_from_config(config)
@@ -235,36 +231,41 @@ def _sweep_range(config):
 
 
 def _evaluate(points, tolerance, max_iter, seed):
-    """One solve, then each SweepRow: a lone point's from Python numbers,
-    any other number's from the solution's ``(N,)`` arrays, by one set of
-    formulas (:func:`_row_columns`)."""
+    """One solve, then each SweepRow from :func:`_row_values`."""
     sol = _solve(points, tolerance, max_iter, seed)
-    if isinstance(sol, NessSolution):
-        gamma = np.array([p.gamma for p in sol.points], dtype=float)
-        rows = zip(*(column.tolist() for column in _row_columns(sol, gamma, _hypot, _atan2_each)))
-    else:
-        rows = [_row_columns(sol, sol.points[0].gamma, abs, math.atan2)]
     return [
         SweepRow(
             p.bulk_I.epsilon, p.bulk_II.epsilon, p.bulk_I.beta, p.bulk_II.beta,
             p.gamma, p.bulk_I.phi, p.bulk_II.phi, *values,
         )
-        for p, values in zip(sol.points, rows)
+        for p, values in zip(sol.points, _row_values(sol))
     ]
+
+
+def _hypot(z):
+    """|z| at each element of a complex array, rounded as abs() rounds a Python
+    complex (np.abs may not); a NaN keeps its sign, where abs() gives +NaN."""
+    return np.hypot(z.real, z.imag)
 
 
 # math.atan2 at each element of two arrays: np.arctan2 may round otherwise
 _atan2_each = np.frompyfunc(math.atan2, 2, 1)
 
 
-def _row_columns(sol, gamma, modulus, atan2):
-    """The SweepRow fields after the seven inputs, in order.
+def _row_values(sol):
+    """The SweepRow fields after the seven inputs, one tuple per point.
 
-    Elementwise: ``sol`` is one point's :class:`~bcsjj.ness._PointSolution`
-    of Python numbers, with ``modulus`` abs and ``atan2`` math.atan2, or a
-    :class:`NessSolution`, with the array functions of the same rounding,
-    which gives one ``(N,)`` array per field.
+    One set of formulas serves both routes of the solve: a lone point's
+    :class:`~bcsjj.ness._PointSolution` of Python numbers, read with abs and
+    math.atan2, and a :class:`NessSolution`'s ``(N,)`` rows, read with
+    their elementwise twins of the same rounding.
     """
+    batch = isinstance(sol, NessSolution)
+    if batch:
+        gamma = np.array([p.gamma for p in sol.points], dtype=float)
+        modulus, atan2 = _hypot, _atan2_each
+    else:
+        gamma, modulus, atan2 = sol.points[0].gamma, abs, math.atan2
     lam_b, mu_t = sol.Lambda_b, sol.mu_t
     lambda_t, phi_t, ccr_defect = [], [], []
     for row in (0, 1):
@@ -273,10 +274,11 @@ def _row_columns(sol, gamma, modulus, atan2):
         lambda_t.append(modulus(lam_b[row]))
         phi_t.append(atan2(lam_b[row].imag, lam_b[row].real))
         ccr_defect.append(abs(exact - formula))
-    return (
-        *sol.lambda_bulk, *lambda_t, *phi_t, *mu_t, _current(gamma, *lam_b),
-        *map(_frequency, mu_t), *ccr_defect, sol.residual, sol.converged, sol.iterations,
+    columns = (
+        *sol.lambda_bulk, *lambda_t, *phi_t, *mu_t, josephson_current(sol, gamma).j,
+        *goldstone_frequencies(sol), *ccr_defect, sol.residual, sol.converged, sol.iterations,
     )
+    return zip(*(column.tolist() for column in columns)) if batch else [columns]
 
 
 # One row: every number at 17 significant digits, then the last column,

@@ -302,15 +302,21 @@ def test_one_point_runs_the_kernel_on_floats(monkeypatch, capsys):
 
     row_kinds = []
 
-    def row_recording(helper):
+    def row_recording(helper, operands):
         def record(*args):
-            row_kinds.append(_leaf_types(args))
+            row_kinds.append(_leaf_types(operands(*args)))
             return helper(*args)
 
         return record
 
-    for name in ("_ccr", "_current", "_frequency"):
-        monkeypatch.setattr(sweep, name, row_recording(getattr(sweep, name)))
+    # each shared row formula, with the numbers it computes on
+    helpers = {
+        "_ccr": lambda *args: args,
+        "josephson_current": lambda sol, gamma: (sol.Lambda_b, gamma),
+        "goldstone_frequencies": lambda sol: sol.mu_t,
+    }
+    for name, operands in helpers.items():
+        monkeypatch.setattr(sweep, name, row_recording(getattr(sweep, name), operands))
     lone_calls = (
         lambda: evaluate_point(STANDARD),
         lambda: cli.main(["ness", "--gamma", "2e-3", "--phi-i", "0.4"]),
@@ -321,23 +327,21 @@ def test_one_point_runs_the_kernel_on_floats(monkeypatch, capsys):
         call()
         assert kinds and all(k == {float} for k in kinds)
         # a lone point's kernel, and so its row, runs on Python floats
-        assert len(row_kinds) == 5 and all(k <= {float, complex} for k in row_kinds), row_kinds
+        assert len(row_kinds) == 4 and all(k <= {float, complex} for k in row_kinds), row_kinds
     capsys.readouterr()
     for count in (0, 2, 6):
         row_kinds.clear()
         sweep._evaluate([STANDARD] * count, NESS_CHANGE_TOL, 100_000, None)
-        assert len(row_kinds) == 5 and all(k == {np.ndarray} for k in row_kinds), count
+        assert len(row_kinds) == 4 and all(k == {np.ndarray} for k in row_kinds), count
 
 
 def test_one_point_builds_no_array(monkeypatch, capsys):
     """A lone point needs no numpy from its plates to its printed row: with
-    ``np`` unbound in every bcsjj module, evaluate_point, ``ness`` and
-    ``sweep --count 1`` give what they give with it."""
+    ``np`` unbound in every bcsjj module, evaluate_point and ``ness`` give
+    what they give with it."""
     argvs = (
         ["ness", "--gamma", "2e-3", "--phi-i", "0.4"],
         ["ness", "--beta-ii", "1", "--format", "csv"],
-        ["sweep", "--count", "1", "--format", "json"],
-        ["sweep", "--count", "1", "--axis", "gamma", "--start", "1e-3", "--stop", "2e-3"],
     )
     expected = []
     for argv in argvs:

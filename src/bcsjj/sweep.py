@@ -5,15 +5,19 @@ and spectral scales, pair current, mode frequencies, commutator defects
 and solver diagnostics.  A lone point's row (``ness``, or a one-point
 sweep) is computed on Python floats, from the solve to the row, and a
 larger grid's from ``(N,)`` arrays, by the same formulas and to the same
-bits.  Rendering is deterministic (17 significant digits, LF endings) so
-reruns of the same config are byte-identical.
+bits.  A grid point changes only the swept field of the configured point.
+Rendering is deterministic (17 significant digits, LF endings) so reruns
+of the same config are byte-identical.  A CSV table formats a column that
+holds one finite nonzero value in every row once, as text in its row
+template: equal finite nonzero floats have one bit pattern, so the bytes
+are those of formatting every cell.
 """
 
 import json
 import math
 import operator
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -142,8 +146,6 @@ def _typed(key, value):
     return tuple(map(float, items)) if seeds else value
 
 
-# The defaults, validated once: a frozen instance is safe to share.
-DEFAULT_CONFIG = RunConfig()
 DELTA_PHI_RANGE = (-math.pi / 2, math.pi / 2)
 
 
@@ -151,12 +153,12 @@ def config_from_mapping(mapping):
     """Build a RunConfig from a dict, e.g. a parsed JSON config file.
 
     Unknown keys are rejected here and mistyped values by RunConfig;
-    missing ones take their ``DEFAULT_CONFIG`` values.
+    missing ones take the RunConfig defaults.
     """
     unknown = set(mapping) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return replace(DEFAULT_CONFIG, **mapping)
+    return RunConfig(**mapping)
 
 
 def _seed_from_config(config):
@@ -176,27 +178,32 @@ def _seed_from_config(config):
     )
 
 
-def params_at(config, value=None, base=None):
-    """Junction parameters at the configured point, or at ``value`` on its axis.
+def params_at(config, value=None):
+    """Junction parameters at the configured point, or at ``value`` on its axis."""
+    point = JunctionParams(
+        BulkParams(config.epsilon_I, config.beta_I, config.phi_I),
+        BulkParams(config.epsilon_II, config.beta_II, config.phi_II),
+        config.gamma,
+    )
+    return point if value is None else _axis_points(config.axis, point)(value)
 
-    ``base``, the configured point ``params_at(config)``, lends the
-    result each plate the axis leaves alone, so a grid builds only its
-    swept plate per value.
-    """
-    point = {key: getattr(config, key) for key in POINT_FIELDS}
-    swept = ""
-    if value is not None and config.axis == "delta_phi":
-        swept = "phi_II"
-        point[swept] = point["phi_I"] - value
-    elif value is not None:
-        swept = config.axis
-        point[swept] = value
-    bulk_I, bulk_II = (None, None) if base is None else (base.bulk_I, base.bulk_II)
-    if bulk_I is None or swept.endswith("_I"):
-        bulk_I = BulkParams(point["epsilon_I"], point["beta_I"], point["phi_I"])
-    if bulk_II is None or swept.endswith("_II"):
-        bulk_II = BulkParams(point["epsilon_II"], point["beta_II"], point["phi_II"])
-    return JunctionParams(bulk_I=bulk_I, bulk_II=bulk_II, gamma=point["gamma"])
+
+def _axis_points(axis, point):
+    """The function from a value on ``axis`` to ``point`` with only the swept
+    field changed: a new plate where the axis is a plate's, and ``point``'s
+    other plate and gamma as they are.  ``delta_phi`` holds phi_I and sets
+    phi_II = phi_I - value."""
+    bulk_I, bulk_II, gamma = point.bulk_I, point.bulk_II, point.gamma
+    eps_I, beta_I, phi_I = bulk_I.epsilon, bulk_I.beta, bulk_I.phi
+    eps_II, beta_II, phi_II = bulk_II.epsilon, bulk_II.beta, bulk_II.phi
+    return {
+        "delta_phi": lambda v: JunctionParams(bulk_I, BulkParams(eps_II, beta_II, phi_I - v), gamma),
+        "gamma": lambda v: JunctionParams(bulk_I, bulk_II, v),
+        "beta_I": lambda v: JunctionParams(BulkParams(eps_I, v, phi_I), bulk_II, gamma),
+        "beta_II": lambda v: JunctionParams(bulk_I, BulkParams(eps_II, v, phi_II), gamma),
+        "epsilon_I": lambda v: JunctionParams(BulkParams(v, beta_I, phi_I), bulk_II, gamma),
+        "epsilon_II": lambda v: JunctionParams(bulk_I, BulkParams(v, beta_II, phi_II), gamma),
+    }[axis]
 
 
 def evaluate_point(params, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
@@ -208,8 +215,7 @@ def evaluate_point(params, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=Non
 def run_sweep(config):
     """Evaluate the configured grid, in order, one SweepRow per point."""
     grid = np.linspace(*_sweep_range(config), config.count).tolist()
-    base = params_at(config)
-    points = [params_at(config, value, base) for value in grid]
+    points = list(map(_axis_points(config.axis, params_at(config)), grid))
     seed = _seed_from_config(config)
     return _evaluate(points, config.tolerance, config.max_iter, seed)
 
@@ -281,17 +287,34 @@ def _row_values(sol):
     return zip(*(column.tolist() for column in columns)) if batch else [columns]
 
 
-# One row: every number at 17 significant digits, then the last column,
-# converged, as true or false.
-_CSV_ROW = ",".join(["%.17g"] * (len(CSV_COLUMNS) - 1) + ["%s"])
-_CSV_NUMBERS = operator.attrgetter(*CSV_COLUMNS[:-1])
+_CSV_VALUES = operator.attrgetter(*CSV_COLUMNS)
 
 
 def render_csv(rows):
+    """The header, then one line per row: every number at 17 significant
+    digits and converged as true or false.
+
+    A number column whose first value is finite and nonzero and equal in
+    every row is formatted once, as text in the table's row template, and
+    ``%`` formats only the other columns.  Equal finite nonzero floats have
+    one bit pattern, so the bytes do not change.  0.0 and -0.0 compare
+    equal but print apart, so a zero column stays per row, as does a NaN or
+    infinite one.
+    """
     lines = [",".join(CSV_COLUMNS)]
-    lines += [
-        _CSV_ROW % (*_CSV_NUMBERS(row), "true" if row.converged else "false") for row in rows
-    ]
+    if rows:
+        *numbers, converged = zip(*map(_CSV_VALUES, rows))
+        cells, varying = [], []
+        for column in numbers:
+            first = column[0]
+            if first and math.isfinite(first) and column.count(first) == len(column):
+                cells.append("%.17g" % first)
+            else:
+                cells.append("%.17g")
+                varying.append(column)
+        template = ",".join(cells) + ",%s"
+        flags = ["true" if c else "false" for c in converged]
+        lines += map(template.__mod__, zip(*varying, flags))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,10 @@ import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bcsjj
 from bcsjj import cli, lattice, ness, spin, sweep
@@ -21,6 +24,7 @@ from bcsjj.sweep import (
     CSV_COLUMNS,
     SWEEP_AXES,
     RunConfig,
+    SweepRow,
     config_from_mapping,
     evaluate_point,
     params_at,
@@ -133,6 +137,84 @@ def test_csv_values_round_trip():
     current_col = CSV_COLUMNS.index("current")
     assert float(cells[current_col]) == rows[0].current
     assert cells[-1] in ("true", "false")
+
+
+NUMBER_COLUMNS = CSV_COLUMNS[:-1]
+
+
+def reference_csv(rows):
+    """render_csv spelled cell by cell: every number through "%.17g"."""
+    lines = [EXPECTED_HEADER]
+    for row in rows:
+        cells = ["%.17g" % getattr(row, col) for col in NUMBER_COLUMNS]
+        lines.append(",".join(cells + ["true" if row.converged else "false"]))
+    return "\n".join(lines) + "\n"
+
+
+def table(columns, converged=None):
+    """SweepRows whose number columns are ``columns`` (name -> one value per
+    row); the other number columns hold 0.25 in every row."""
+    count = len(next(iter(columns.values())))
+    flags = converged or [True] * count
+    return [
+        SweepRow(
+            **{col: columns[col][k] if col in columns else 0.25 for col in NUMBER_COLUMNS},
+            converged=flags[k],
+            iterations=3,
+        )
+        for k in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        table({"gamma": [1e-3]}),
+        [],
+        table({"gamma": np.linspace(0.0, -0.0, 2).tolist()}),
+        table({"lambda_I": [-0.0, -0.0, -0.0], "lambda_II": [0.0, 0.0, 0.0]}),
+        table({"current": [math.nan] * 3, "residual": [math.inf] * 3, "phi_t_I": [-math.inf] * 3}),
+        table({"current": [math.nan, 1.0, math.nan], "residual": [math.inf, 1.0, -math.inf]}),
+        table({"beta_I": [7.5, 7.5, 7.5, 2.0]}, converged=[True, False, True, True]),
+        table({"beta_I": [2.0, 7.5, 7.5, 7.5], "beta_II": [7.5, 7.5, 2.0, 7.5]}),
+        table({"epsilon_I": [0.1, 0.1, 0.1, 0.1]}, converged=[False] * 4),
+    ],
+    ids=[
+        "one-row", "no-rows", "zero-and-minus-zero", "signed-zero-columns", "nan-and-inf",
+        "nan-and-inf-mixed", "last-differs", "first-or-third-differs", "none-converged",
+    ],
+)
+def test_render_csv_matches_a_per_cell_reference(rows):
+    assert render(rows, "csv") == reference_csv(rows)
+
+
+CELL_POOL = [0.0, -0.0, 0.25, -0.25, 3, 3.0, 1e-300, 0.1 + 0.2, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), count=st.integers(0, 4))
+def test_render_csv_matches_a_per_cell_reference_on_repeated_cells(data, count):
+    cells = st.lists(st.sampled_from(CELL_POOL), min_size=count, max_size=count)
+    columns = {col: data.draw(cells) for col in NUMBER_COLUMNS}
+    flags = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    rows = table(columns, flags) if count else []
+    assert render(rows, "csv") == reference_csv(rows)
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_grid_point_changes_only_the_swept_field(axis):
+    config = small_config(axis=axis, phi_I=0.7, phi_II=-1.2, epsilon_II=0.2, beta_II=40.0)
+    point, value = params_at(config), 0.125
+    swept = params_at(config, value)
+    if axis == "gamma":
+        expected = replace(point, gamma=value)
+    elif axis == "delta_phi":
+        expected = replace(point, bulk_II=replace(point.bulk_II, phi=config.phi_I - value))
+    else:
+        field, plate = axis.rsplit("_", 1)
+        bulk = f"bulk_{plate}"
+        expected = replace(point, **{bulk: replace(getattr(point, bulk), **{field: value})})
+    assert swept == expected
 
 
 def test_json_shape():

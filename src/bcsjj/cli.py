@@ -19,9 +19,10 @@ import math
 import re
 import sys
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii
 
 from .checks import CheckOptions, run_checks
-from .equilibrium import BulkParams, critical_beta, solve_gap
+from .equilibrium import BulkParams, _plate, critical_beta
 from .lattice import LatticeSpec, ResourceLimitError, finite_n_report
 from .sweep import (
     FORMATS,
@@ -130,6 +131,39 @@ def _build_parser():
 _build_parser()
 
 
+# json encodes in C only without an indent; these item separators carry
+# the newline and the indent of indent=2 at the top level and one level down
+_TOP_LEVEL = json.JSONEncoder(separators=(",\n  ", ": "), allow_nan=False)
+_NESTED = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
+
+
+def _json_text(payload):
+    """The bytes of ``json.dumps(payload, indent=2, allow_nan=False) + "\\n"``
+    on json's C encoder.
+
+    ``payload`` is a non-empty dict of numbers, strings, booleans and
+    nulls, and of non-empty dicts of those: one level of nesting.  A
+    flat payload is one encoder call; each nested dict and each run of
+    plain items between them is one more.  A non-finite number raises
+    ``ValueError``, as ``allow_nan=False`` does: map it to null first.
+    """
+    if dict not in map(type, payload.values()):
+        return "{\n  " + _TOP_LEVEL.encode(payload)[1:-1] + "\n}\n"
+    parts, run = [], {}
+    for key, value in payload.items():
+        if type(value) is dict and value:
+            if run:
+                parts.append(_TOP_LEVEL.encode(run)[1:-1])
+                run = {}
+            inner = _NESTED.encode(value)[1:-1]
+            parts.append(f"{encode_basestring_ascii(key)}: {{\n    {inner}\n  }}")
+        else:
+            run[key] = value
+    if run:
+        parts.append(_TOP_LEVEL.encode(run)[1:-1])
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+
+
 def _emit(text, output):
     if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
@@ -167,24 +201,28 @@ def _merged_config(args, default_format=None):
 
 
 def cmd_gap(args):
+    """``bcsjj gap``: one plate's criterion, threshold, branches and defect.
+
+    The plate's numbers come from :func:`equilibrium._plate`, which
+    builds no 2x2 state, and the JSON, with a non-finite number as null
+    (a criterion whose 2 * epsilon overflows), from :func:`_json_text`.
+    """
     params = BulkParams(args.epsilon, args.beta, args.phi)
-    sol = solve_gap(params)
+    lam, mu, superconducting, _, residual = _plate(params)
     criterion = math.tanh(args.beta * args.epsilon) - 2.0 * args.epsilon
     beta_c = critical_beta(args.epsilon)
     payload = {
         "epsilon": args.epsilon,
         "beta": args.beta,
         "phi": args.phi,
-        "criterion": criterion,
-        "critical_beta": beta_c if math.isfinite(beta_c) else None,
+        "criterion": json_number(criterion),
+        "critical_beta": json_number(beta_c),
         "normal_branch": {"lambda": 0.0, "mu": args.epsilon},
-        "superconducting_branch": (
-            {"lambda": sol.lam, "mu": sol.mu} if sol.superconducting else None
-        ),
-        "fixed_point_defect": sol.residual,
+        "superconducting_branch": {"lambda": lam, "mu": mu} if superconducting else None,
+        "fixed_point_defect": json_number(residual),
     }
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     else:
         lines = [
             f"epsilon = {args.epsilon:.17g}, beta = {args.beta:.17g}, phi = {args.phi:.17g}",
@@ -193,11 +231,9 @@ def cmd_gap(args):
             + (f"{beta_c:.17g}" if math.isfinite(beta_c) else "none (epsilon >= 1/2)"),
             f"normal branch:          lambda = 0, mu = {args.epsilon:.17g}",
         ]
-        if sol.superconducting:
-            lines.append(
-                f"superconducting branch: lambda = {sol.lam:.17g}, mu = {sol.mu:.17g}"
-            )
-            lines.append(f"fixed-point defect = {sol.residual:.3e}")
+        if superconducting:
+            lines.append(f"superconducting branch: lambda = {lam:.17g}, mu = {mu:.17g}")
+            lines.append(f"fixed-point defect = {residual:.3e}")
         else:
             lines.append("superconducting branch: absent")
         text = "\n".join(lines) + "\n"
@@ -216,10 +252,7 @@ def cmd_ness(args):
         # deep-copy one by one; the row's residual is the steady-state defect of the one solve
         payload = {name: json_number(value) for name, value in vars(row).items()}
         payload["steady_residual"] = payload["residual"]
-        # The payload is one flat object of numbers, nulls and booleans, so
-        # these separators give the bytes of indent=2 exactly; unlike any
-        # indent, they keep json on its C encoder.
-        text = "{\n  " + json.dumps(payload, separators=(",\n  ", ": "), allow_nan=False)[1:-1] + "\n}\n"
+        text = _json_text(payload)
     _emit(text, config.output)
     return EXIT_OK if row.converged else EXIT_SOLVER
 

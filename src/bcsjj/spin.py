@@ -13,6 +13,7 @@ axis rotations), so no generic eigensolver enters anywhere and every
 result is deterministic to floating-point rounding.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -127,11 +128,22 @@ def _dot(u, v):
 
 
 def _thermal_bloch(n, beta):
-    """a = -1/2 tanh(beta |n|) n/|n| of exp(-beta n.sigma)/Z = 1/2 + a.sigma (0 at n = 0)."""
-    norm = float(np.linalg.norm(n))
+    """a = -1/2 tanh(beta |n|) n/|n| of exp(-beta n.sigma)/Z = 1/2 + a.sigma (0 at n = 0).
+
+    |n| = sqrt(n.n) has the bits of ``np.linalg.norm`` without its Python
+    wrapper.  ``np.vdot`` is the BLAS kernel of ``n.dot(n)`` without
+    numpy's floating-point check, so a square that overflows (|n| past
+    ~1.34e154) warns nothing.  Only such an n is rescaled, to
+    max |n_i| = 1, which keeps the polarized state of a huge field.
+    """
+    scale, norm = 1.0, math.sqrt(np.vdot(n, n))
+    if norm == math.inf:
+        scale = float(np.abs(n).max())
+        n = n / scale
+        norm = math.sqrt(np.vdot(n, n))
     if norm == 0.0:
         return np.zeros(3)
-    return -0.5 * np.tanh(beta * norm) * (n / norm)
+    return -0.5 * np.tanh(beta * (scale * norm)) * (n / norm)
 
 
 def gibbs_state(hamiltonian, beta):

@@ -140,6 +140,14 @@ def test_residual_is_the_gap_map_defect_of_its_own_state(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_huge_epsilon_gives_the_polarized_normal_state():
+    for eps in (1e200, 1e308):
+        sol = solve_gap(BulkParams(eps, 1.0, 0.7))
+        assert not sol.superconducting and sol.residual == 0.0
+        assert np.array_equal(sol.rho, np.diag([0.0, 1.0]))
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         BulkParams(-0.1, 10.0)

@@ -9,6 +9,9 @@ past example set hit are kept as ``@example``.
 """
 
 import cmath
+import contextlib
+import io
+import json
 import math
 from dataclasses import fields
 
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcsjj import ness
+from bcsjj import cli, ness
 from bcsjj.equilibrium import BulkParams, critical_beta, gap_root, solve_gap
 from bcsjj.ness import (
     REGIONS,
@@ -451,6 +454,29 @@ def test_solve_gap_takes_its_gap_from_the_bare_root(plate):
     lam, mu, superconducting = gap_root(plate.epsilon, plate.beta)
     assert _same_bits(sol.lam, lam) and _same_bits(sol.mu, mu)
     assert sol.superconducting is superconducting
+
+
+@PROPERTY
+@hypothesis.seed(115)
+@given(plate=plates())
+@example(plate=BulkParams(0.3, 1e4, -2.5e-05))  # ordered
+@example(plate=BulkParams(0.3, 1.0, 0.7))  # normal, below the threshold
+@example(plate=BulkParams(0.6, 1e4, 0.0))  # no ordered phase at any beta
+def test_printed_fixed_point_defect_is_the_solve_gap_residual(plate):
+    """``bcsjj gap`` takes its numbers without solve_gap's 2x2 state and
+    prints the same residual, bit for bit."""
+    argv = ["gap", "--epsilon", repr(plate.epsilon), "--beta", repr(plate.beta),
+            "--phi", repr(plate.phi), "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    printed = json.loads(out.getvalue())
+    sol = solve_gap(plate)
+    assert _same_bits(printed["fixed_point_defect"], sol.residual)
+    branch = printed["superconducting_branch"]
+    assert (branch is not None) is sol.superconducting
+    if branch is not None:
+        assert _same_bits(branch["lambda"], sol.lam) and _same_bits(branch["mu"], sol.mu)
 
 
 @PROPERTY

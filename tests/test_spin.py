@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from bcsjj import spin
 from bcsjj.spin import (
     IDENTITY,
     SIGMA_X,
@@ -92,6 +93,29 @@ def test_gibbs_matches_matrix_exponential():
 def test_gibbs_degenerate_hamiltonian_is_maximally_mixed():
     rho = gibbs_state(2.7 * IDENTITY, 3.0)
     assert np.allclose(rho, IDENTITY / 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gibbs_state_of_a_field_whose_square_overflows_is_polarized():
+    """|n|^2 overflows past |n| ~ 1.34e154: the state stays the polarized
+    one along n, as at any field far above the temperature."""
+    for field in (1e155, 1e200, 1e300):
+        assert np.array_equal(gibbs_state(np.diag([field, -field]), 1.0), np.diag([0.0, 1.0]))
+    tilted = gibbs_state(1e200 * (SIGMA_X - 0.5 * SIGMA_Y + SIGMA_Z), 1.0)
+    assert np.allclose(tilted, gibbs_state(SIGMA_X - 0.5 * SIGMA_Y + SIGMA_Z, 1e4), rtol=0.0, atol=1e-15)
+
+
+def test_thermal_bloch_keeps_the_bits_of_the_linalg_norm_below_overflow():
+    """Contiguous vectors and strided views (gibbs_state passes the real
+    part of a complex vector) over 300 decades of |n|."""
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        n = rng.standard_normal(3) * 10.0 ** rng.uniform(-150.0, 150.0, 3)
+        beta = float(10.0 ** rng.uniform(-3.0, 3.0))
+        for vector in (n, (n + 0.5j).real):
+            norm = float(np.linalg.norm(vector))
+            expected = -0.5 * np.tanh(beta * norm) * (vector / norm)
+            assert np.array_equal(spin._thermal_bloch(vector, beta), expected)
 
 
 def test_one_matrix_functions_reject_stacks():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import bcsjj
 from bcsjj import cli, lattice, ness, spin, sweep
 from bcsjj.checks import CheckResult, run_checks
-from bcsjj.equilibrium import BulkParams, gap_root
+from bcsjj.equilibrium import BulkParams, critical_beta, gap_root, solve_gap
 from bcsjj.ness import JunctionParams, WeakContactWarning
 from bcsjj.sweep import (
     CSV_COLUMNS,
@@ -283,6 +283,90 @@ def test_cli_gap_requires_parameters(capsys):
 def test_cli_gap_rejects_csv(capsys):
     assert run_cli("gap", "--epsilon", "0.3", "--beta", "10", "--format", "csv") == 2
     capsys.readouterr()
+
+
+# an ordered plate, a normal one below its threshold, and epsilon >= 1/2 (no threshold)
+GAP_PLATES = ((0.3, 1e4, -2.5e-05), (0.3, 2.0, 0.7), (0.6, 1e4, 0.0))
+
+
+def _gap_reference(epsilon, beta, phi):
+    """``gap``'s JSON and text, each built from solve_gap's 2x2 solution
+    and dumped with json's indent=2 encoder."""
+    sol = solve_gap(BulkParams(epsilon, beta, phi))
+    criterion = math.tanh(beta * epsilon) - 2.0 * epsilon
+    beta_c = critical_beta(epsilon)
+    payload = {
+        "epsilon": epsilon,
+        "beta": beta,
+        "phi": phi,
+        "criterion": criterion,
+        "critical_beta": beta_c if math.isfinite(beta_c) else None,
+        "normal_branch": {"lambda": 0.0, "mu": epsilon},
+        "superconducting_branch": {"lambda": sol.lam, "mu": sol.mu} if sol.superconducting else None,
+        "fixed_point_defect": sol.residual,
+    }
+    lines = [
+        f"epsilon = {epsilon:.17g}, beta = {beta:.17g}, phi = {phi:.17g}",
+        f"branch criterion tanh(beta*epsilon) - 2*epsilon = {criterion:.17g}",
+        "critical beta = " + (f"{beta_c:.17g}" if math.isfinite(beta_c) else "none (epsilon >= 1/2)"),
+        f"normal branch:          lambda = 0, mu = {epsilon:.17g}",
+    ]
+    if sol.superconducting:
+        lines.append(f"superconducting branch: lambda = {sol.lam:.17g}, mu = {sol.mu:.17g}")
+        lines.append(f"fixed-point defect = {sol.residual:.3e}")
+    else:
+        lines.append("superconducting branch: absent")
+    return json.dumps(payload, indent=2) + "\n", "\n".join(lines) + "\n"
+
+
+def test_cli_gap_prints_the_bytes_of_the_solve_gap_payload(capsys):
+    for epsilon, beta, phi in GAP_PLATES:
+        flags = ("--epsilon", repr(epsilon), "--beta", repr(beta), "--phi", repr(phi))
+        json_text, text = _gap_reference(epsilon, beta, phi)
+        assert run_cli("gap", *flags, "--format", "json") == 0
+        assert capsys.readouterr().out == json_text, flags
+        assert run_cli("gap", *flags) == 0
+        assert capsys.readouterr().out == text, flags
+
+
+def test_cli_gap_builds_no_2x2_matrix(monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("gap built a 2x2 matrix")
+
+    monkeypatch.setattr(spin, "bloch_reconstruct", forbidden)
+    monkeypatch.setattr(spin, "_assemble", forbidden)
+    for epsilon, beta, phi in GAP_PLATES:
+        flags = ("--epsilon", repr(epsilon), "--beta", repr(beta), "--phi", repr(phi))
+        assert run_cli("gap", *flags, "--format", "json") == 0
+        assert run_cli("gap", *flags) == 0
+    capsys.readouterr()
+
+
+def test_cli_gap_prints_strict_json(capsys):
+    """The criterion's 2 * epsilon overflows at epsilon = 1e308: it prints as null."""
+    assert run_cli("gap", "--epsilon", "1e308", "--beta", "1", "--format", "json") == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["criterion"] is None and payload["critical_beta"] is None
+    assert payload["superconducting_branch"] is None and payload["fixed_point_defect"] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_gap_on_a_huge_epsilon_warns_nothing(capsys):
+    assert run_cli("gap", "--epsilon", "1e200", "--beta", "1") == 0
+    assert "superconducting branch: absent" in capsys.readouterr().out
+
+
+def test_json_text_is_the_indent_2_dump():
+    payloads = [
+        {"a": 1.5, "b": None, "c": True, "d": -0.0, "e": 7, "f": 'q"\né'},
+        {"a": {"x": 0.1, "y": None}, "b": 2.0, "c": {}, "d": None, "e": {"z": 1e-300}},
+        {"only": {"x": 3}},
+    ]
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n", payload
+    for bad in ({"a": math.nan}, {"a": {"x": -math.inf}}):
+        with pytest.raises(ValueError):
+            cli._json_text(bad)
 
 
 # flags a subcommand does not read; each must exit 2 whatever its value

@@ -10,7 +10,6 @@ from .equilibrium import (
     BulkSolution,
     critical_beta,
     effective_hamiltonian,
-    equilibrium_state,
     gap_map,
     solve_gap,
 )
@@ -59,14 +58,10 @@ from .perturbation import (
     printed_first_order,
 )
 from .spin import (
-    bloch_decompose,
-    bloch_reconstruct,
     commutant_projection,
-    commutator,
     evolve_heisenberg,
     expectation,
     gibbs_state,
-    pauli,
 )
 from .sweep import RunConfig, SweepRow, run_sweep
 
@@ -86,8 +81,6 @@ __all__ = [
     "RunConfig",
     "SweepRow",
     "WeakContactWarning",
-    "bloch_decompose",
-    "bloch_reconstruct",
     "boundary_hamiltonian",
     "build_current",
     "build_hamiltonian",
@@ -97,12 +90,10 @@ __all__ = [
     "certify_first_order",
     "closed_form_rhs",
     "commutant_projection",
-    "commutator",
     "commutator_defect",
     "critical_beta",
     "current_first_order",
     "effective_hamiltonian",
-    "equilibrium_state",
     "evolve_heisenberg",
     "expectation",
     "finite_n_report",
@@ -117,7 +108,6 @@ __all__ = [
     "josephson_current",
     "lambda_first_order",
     "ness_map",
-    "pauli",
     "printed_first_order",
     "product_state_current",
     "product_state_expectation",

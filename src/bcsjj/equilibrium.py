@@ -132,10 +132,6 @@ def solve_gap(params):
     lam, mu, superconducting, a, residual = _plate(params)
     return BulkSolution(
         lam=lam, mu=mu, superconducting=superconducting,
-        rho=spin._assemble(0.5, a), residual=residual,
+        rho=spin._from_bloch(0.5, a), residual=residual,
     )
 
-
-def equilibrium_state(params):
-    """Self-consistent thermal one-site state of the plate."""
-    return solve_gap(params).rho

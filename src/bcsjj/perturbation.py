@@ -40,18 +40,12 @@ class FirstOrderReport:
     ``current``, ``nu_t_I``, ``nu_t_II``) to d/dgamma at gamma = 0;
     ``derivative_defects`` are |analytic - numeric|;
     ``remainder_constants`` bound |full - linear| / gamma^2 over the
-    probed gammas.  ``slopes_printed`` carries the two legacy contact-gap
-    slopes for side-by-side comparison.
+    probed gammas.  The linearized values are what the
+    ``*_first_order`` functions return.
     """
 
-    lambda_t_I_lin: float
-    lambda_t_II_lin: float
-    current_lin: float
-    nu_t_I_lin: float
-    nu_t_II_lin: float
     slopes_analytic: dict
     slopes_numeric: dict
-    slopes_printed: dict
     derivative_defects: dict
     remainder_constants: dict
 
@@ -133,7 +127,7 @@ def certify_first_order(params, gammas=(1e-4, 1e-3, 1e-2)):
     """
     if not gammas or not all(gammas):
         raise ValueError(f"need nonzero gammas to probe the remainder, got {gammas}")
-    zeroth, analytic, printed = _expansion(params)
+    _, analytic, _ = _expansion(params)
     step = CENTRAL_DIFF_STEP * max(1.0, *(abs(g) for g in gammas))
     probes = np.array((step, -step, 0.0, *gammas), dtype=float)
     batch = solve_batch([replace(params, gamma=float(g)) for g in probes])
@@ -149,10 +143,8 @@ def certify_first_order(params, gammas=(1e-4, 1e-3, 1e-2)):
     }
 
     return FirstOrderReport(
-        *_linear(zeroth, analytic, params.gamma, *analytic),  # the *_lin fields, in key order
         slopes_analytic=analytic,
         slopes_numeric=numeric,
-        slopes_printed=printed,
         derivative_defects=defects,
         remainder_constants=remainders,
     )

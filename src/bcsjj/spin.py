@@ -14,7 +14,6 @@ result is deterministic to floating-point rounding.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,47 +25,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
-
-_BY_NAME = {
-    "plus": SIGMA_PLUS,
-    "minus": SIGMA_MINUS,
-    "x": SIGMA_X,
-    "y": SIGMA_Y,
-    "z": SIGMA_Z,
-    "id": IDENTITY,
-}
-
-
-class BlochForm(NamedTuple):
-    """Half-trace and Pauli coefficient vector of a Hermitian 2x2 matrix."""
-
-    scalar: float
-    vector: np.ndarray  # shape (3,), real
-
-
-def pauli(name):
-    """Return a fresh copy of the named basis matrix.
-
-    Parameters
-    ----------
-    name : str
-        One of ``plus``, ``minus``, ``x``, ``y``, ``z``, ``id``.
-    """
-    try:
-        return _BY_NAME[name].copy()
-    except KeyError:
-        raise ValueError(
-            f"unknown operator name {name!r}, expected one of {sorted(_BY_NAME)}"
-        ) from None
-
-
-def commutator(a, b):
-    return a @ b - b @ a
-
-
-def max_abs(op):
-    """Entrywise max-norm, the operator norm used for defect reporting."""
-    return float(np.max(np.abs(op)))
 
 
 def is_hermitian(op, atol=VALIDATION_ATOL):
@@ -87,39 +45,20 @@ def _require_hermitian(op, what, stack=False):
 def pauli_components(op):
     """Complex (scalar, vector) Pauli components of any 2x2 matrix, or of a
     ``(..., 2, 2)`` stack as ``(...)`` scalars and ``(3, ...)`` vectors."""
-    a, b = op[..., 0, 0], op[..., 0, 1]
-    c, d = op[..., 1, 0], op[..., 1, 1]
-    s = 0.5 * (a + d)
-    v = np.array([0.5 * (b + c), 0.5j * (b - c), 0.5 * (a - d)], dtype=complex)
-    return s, v
-
-
-def bloch_decompose(op):
-    """Decompose a Hermitian 2x2 matrix into its ``BlochForm``.
-
-    Raises ``ValueError`` when the input is not Hermitian (the real form
-    would silently drop the anti-Hermitian part otherwise).
-    """
-    op = _require_hermitian(op, "operator")
-    s, v = pauli_components(op)
-    return BlochForm(float(s.real), v.real.copy())
-
-
-def bloch_reconstruct(form):
-    """Inverse of :func:`bloch_decompose`."""
-    return _assemble(float(form.scalar), np.asarray(form.vector, dtype=float))
-
-
-def _assemble(scalar, vector):
-    # complex-coefficient variant of bloch_reconstruct, no validation;
-    # a (..., 3) stack of vectors gives a (..., 2, 2) stack of matrices
-    x, y, z = (np.asarray(vector)[..., k, None, None] for k in range(3))
-    return scalar * IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+    half = 0.5 * op  # halved first, so that sums of entries near the float maximum fit
+    a, b = half[..., 0, 0], half[..., 0, 1]
+    c, d = half[..., 1, 0], half[..., 1, 1]
+    v = np.array([b + c, 1j * (b - c), a - d], dtype=complex)
+    return a + d, v
 
 
 def _from_bloch(scalar, v):
-    """scalar * 1 + v.sigma for vectors ``v`` of shape ``(3, ...)``, as ``(..., 2, 2)``."""
-    return _assemble(scalar, np.moveaxis(v, 0, -1))
+    """scalar * 1 + v.sigma for Bloch vectors ``v`` of shape ``(3, ...)``, as ``(..., 2, 2)``.
+
+    No validation; ``v`` may be complex.
+    """
+    x, y, z = (np.asarray(v)[k, ..., None, None] for k in range(3))
+    return scalar * IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
 
 def _dot(u, v):
@@ -127,20 +66,29 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _thermal_bloch(n, beta):
-    """a = -1/2 tanh(beta |n|) n/|n| of exp(-beta n.sigma)/Z = 1/2 + a.sigma (0 at n = 0).
+def _scaled_norm(n):
+    """``(scale, n / scale, |n / scale|)`` of a real 3-vector ``n``.
 
     |n| = sqrt(n.n) has the bits of ``np.linalg.norm`` without its Python
     wrapper.  ``np.vdot`` is the BLAS kernel of ``n.dot(n)`` without
     numpy's floating-point check, so a square that overflows (|n| past
     ~1.34e154) warns nothing.  Only such an n is rescaled, to
-    max |n_i| = 1, which keeps the polarized state of a huge field.
+    max |n_i| = 1, which keeps its direction; otherwise ``scale`` is 1.
     """
-    scale, norm = 1.0, math.sqrt(np.vdot(n, n))
-    if norm == math.inf:
-        scale = float(np.abs(n).max())
-        n = n / scale
-        norm = math.sqrt(np.vdot(n, n))
+    norm = math.sqrt(np.vdot(n, n))
+    if norm != math.inf:
+        return 1.0, n, norm
+    scale = float(np.abs(n).max())
+    n = n / scale
+    return scale, n, math.sqrt(np.vdot(n, n))
+
+
+def _thermal_bloch(n, beta):
+    """a = -1/2 tanh(beta |n|) n/|n| of exp(-beta n.sigma)/Z = 1/2 + a.sigma (0 at n = 0).
+
+    A field whose square overflows keeps its polarized state.
+    """
+    scale, n, norm = _scaled_norm(n)
     if norm == 0.0:
         return np.zeros(3)
     return -0.5 * np.tanh(beta * (scale * norm)) * (n / norm)
@@ -157,7 +105,7 @@ def gibbs_state(hamiltonian, beta):
     if not (np.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
     _, v = pauli_components(hamiltonian)
-    return _assemble(0.5, _thermal_bloch(v.real, beta))
+    return _from_bloch(0.5, _thermal_bloch(v.real, beta))
 
 
 def commutant_projection(rho, hamiltonian):
@@ -176,14 +124,12 @@ def commutant_projection(rho, hamiltonian):
         raise ValueError("density matrix must have unit trace")
     if s.real - float(np.linalg.norm(a)) < -VALIDATION_ATOL:
         raise ValueError("density matrix must be positive semidefinite")
-    _, w = pauli_components(hamiltonian)
-    n = w.real
-    norm = float(np.linalg.norm(n))
+    _, n, norm = _scaled_norm(pauli_components(hamiltonian)[1].real)
     if norm == 0.0:
         return rho.copy()
     n_hat = n / norm
     projected = np.dot(a, n_hat) * n_hat
-    return _assemble(s.real, projected)
+    return _from_bloch(s.real, projected)
 
 
 def evolve_heisenberg(op, hamiltonian, t):
@@ -206,7 +152,7 @@ def evolve_heisenberg(op, hamiltonian, t):
     # d a / d t = -2 n x a  =>  rotation by -theta about n_hat
     a, n_hat = np.moveaxis(a, 0, -1), np.moveaxis(n_hat, 0, -1)
     rotated = a * cos - np.cross(n_hat, a) * sin + axial * n_hat * (1.0 - cos)
-    return _assemble(s[..., None, None], rotated)
+    return _from_bloch(s[..., None, None], np.moveaxis(rotated, -1, 0))
 
 
 def expectation(rho, op):

@@ -17,7 +17,7 @@ from bcsjj.equilibrium import BulkParams, critical_beta, gap_map, solve_gap
 from bcsjj.lattice import LatticeSpec, build_current, build_hamiltonian, build_relative_number, product_state_expectation
 from bcsjj.ness import JunctionParams, boundary_hamiltonian, closed_form_rhs, gauge_shift, ness_map, solve_ness, verify_steady
 from bcsjj.observables import ccr_defect, goldstone_dynamics_residual, goldstone_operators, josephson_current
-from bcsjj.perturbation import certify_first_order
+from bcsjj.perturbation import certify_first_order, lambda_first_order, printed_first_order
 from bcsjj.spin import pauli_components
 
 BETA = 1e4
@@ -163,15 +163,9 @@ def test_criterion_06_first_order_certification():
         for key, defect in report.derivative_defects.items():
             scale = max(abs(report.slopes_analytic[key]), 1e-3)
             worst = max(worst, defect / scale)
-    # the historical printed block must be tabulated and disagree
-    report = certify_first_order(junction(delta=0.0))
-    printed_far = (
-        abs(
-            report.slopes_printed["lambda_t_I"]
-            - report.slopes_analytic["lambda_t_I"]
-        )
-        > 0.1
-    )
+    # the historical printed block must be tabulated and its slope disagree
+    p = junction(delta=0.0)
+    printed_far = abs(printed_first_order(p)[0] - lambda_first_order(p)[0]) / p.gamma > 0.1
     ok = worst < 1e-6 and printed_far
     assert verdict(
         6, "first-order slopes", ok,

@@ -12,7 +12,6 @@ from bcsjj.equilibrium import (
     BulkParams,
     critical_beta,
     effective_hamiltonian,
-    equilibrium_state,
     gap_map,
     solve_gap,
 )
@@ -111,11 +110,6 @@ def test_gauge_independence_of_moduli():
         shifted = solve_gap(BulkParams(0.25, 80.0, phi))
         assert abs(shifted.lam - base.lam) < 1e-14
         assert abs(shifted.mu - base.mu) < 1e-14
-
-
-def test_equilibrium_state_matches_solution_rho():
-    p = BulkParams(0.2, 50.0, 1.2)
-    assert np.allclose(equilibrium_state(p), solve_gap(p).rho, atol=1e-14)
 
 
 def test_residual_is_the_gap_map_defect_of_its_own_state(monkeypatch):

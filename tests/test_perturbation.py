@@ -113,13 +113,6 @@ def test_printed_block_disagrees():
     assert abs(abs(sol.Lambda_b_I) - printed[0]) > 1e-3
 
 
-def test_printed_slopes_in_report():
-    report = certify_first_order(standard(delta=0.0))
-    assert set(report.slopes_printed) == {"lambda_t_I", "lambda_t_II"}
-    assert report.slopes_printed["lambda_t_I"] < 0.0
-    assert report.slopes_analytic["lambda_t_I"] > 0.0
-
-
 def test_normal_phase_rejected():
     p = JunctionParams(BulkParams(0.3, 2.0), BulkParams(0.3, 1e4), 1e-3)
     with pytest.raises(ValueError):
@@ -134,13 +127,3 @@ def test_certification_rejects_empty_or_zero_probes(gammas):
     with pytest.raises(ValueError, match="gamma"):
         certify_first_order(standard(), gammas=gammas)
 
-
-def test_linear_report_values_match_functions():
-    p = standard(delta=0.4)
-    report = certify_first_order(p)
-    lam_i, lam_ii = lambda_first_order(p)
-    assert report.lambda_t_I_lin == lam_i
-    assert report.lambda_t_II_lin == lam_ii
-    assert report.current_lin == current_first_order(p)
-    nu_i, nu_ii = frequency_first_order(p)
-    assert (report.nu_t_I_lin, report.nu_t_II_lin) == (nu_i, nu_ii)

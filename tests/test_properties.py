@@ -42,7 +42,7 @@ from bcsjj.observables import (
     goldstone_operators,
     josephson_current,
 )
-from bcsjj.spin import evolve_heisenberg, pauli_components
+from bcsjj.spin import commutant_projection, evolve_heisenberg, pauli_components
 from bcsjj.sweep import (
     SWEEP_AXES,
     _seed_from_config,
@@ -490,3 +490,20 @@ def test_gathered_bulk_states_are_the_gap_solutions(plate_i, plate_ii):
     for row, plate in enumerate((plate_i, plate_ii)):
         _, vector = pauli_components(solve_gap(plate).rho)
         assert np.abs(bulk_vec[:, row] - vector.real).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+@PROPERTY
+@hypothesis.seed(116)
+@given(params=junctions(), seed=SEED)
+@example(params=TWO_CYCLE_POINT, seed=None)
+@example(params=ROUNDING_POINT, seed=None)
+def test_contact_states_are_the_dephased_bulk_states(params, seed):
+    """Each contact state is its plate's bulk state projected onto the
+    commutant of its contact Hamiltonian, alone (Python floats) and beside
+    another point (arrays)."""
+    for sol in (solve_ness(params, seed=seed), solve_batch([params, WEAK_POINT], seed=seed)[0]):
+        for side, bulk in (("I", params.bulk_I), ("II", params.bulk_II)):
+            h = boundary_hamiltonian(f"{side}_b", params, *sol.Lambda_b)
+            dephased = commutant_projection(solve_gap(bulk).rho, h)
+            assert np.abs(getattr(sol, f"rho_b_{side}") - dephased).max() <= 1e-14, side

@@ -12,17 +12,13 @@ from bcsjj.spin import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Y,
+    SIGMA_PLUS,
     SIGMA_Z,
-    bloch_decompose,
-    bloch_reconstruct,
     commutant_projection,
-    commutator,
     evolve_heisenberg,
     expectation,
     gibbs_state,
     is_hermitian,
-    max_abs,
-    pauli,
     pauli_components,
 )
 
@@ -44,21 +40,18 @@ def gibbs_oracle(h, beta):
 
 
 def test_pauli_algebra():
-    assert np.allclose(commutator(SIGMA_X, SIGMA_Y), 2j * SIGMA_Z)
-    assert np.allclose(commutator(SIGMA_Y, SIGMA_Z), 2j * SIGMA_X)
-    assert np.allclose(commutator(SIGMA_Z, SIGMA_X), 2j * SIGMA_Y)
+    for a, b, c in ((SIGMA_X, SIGMA_Y, SIGMA_Z), (SIGMA_Y, SIGMA_Z, SIGMA_X), (SIGMA_Z, SIGMA_X, SIGMA_Y)):
+        assert np.allclose(a @ b - b @ a, 2j * c)
     assert np.allclose(SIGMA_X @ SIGMA_X, IDENTITY)
-    assert np.allclose(pauli("plus"), (SIGMA_X + 1j * SIGMA_Y) / 2)
-    with pytest.raises(ValueError):
-        pauli("w")
+    assert np.allclose(SIGMA_PLUS, (SIGMA_X + 1j * SIGMA_Y) / 2)
 
 
 def test_bloch_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(50):
         op = random_hermitian(rng)
-        form = bloch_decompose(op)
-        assert np.allclose(bloch_reconstruct(form), op, atol=1e-14)
+        s, v = pauli_components(op)
+        assert np.allclose(spin._from_bloch(s.real, v.real), op, atol=1e-14)
         # components multiply back for arbitrary (non-Hermitian) input too
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         s, v = pauli_components(raw)
@@ -66,9 +59,34 @@ def test_bloch_round_trip():
         assert np.allclose(rebuilt, raw, atol=1e-14)
 
 
-def test_bloch_decompose_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        bloch_decompose(pauli("plus"))
+@pytest.mark.filterwarnings("error")
+def test_pauli_components_of_entries_near_the_float_maximum():
+    """Entries whose sums overflow while their halves fit: the components
+    are finite, and a state in that field is the polarized one."""
+    op = np.array([[1e308, 1e308], [1e308, -1e308]])
+    s, v = pauli_components(op)
+    assert s == 0.0 and np.array_equal(v, [1e308, 0.0, 1e308])
+    polarized = gibbs_state(op, 1e-300)
+    assert np.allclose(polarized, gibbs_state(SIGMA_X + SIGMA_Z, 1e4), rtol=0.0, atol=1e-15)
+
+
+def test_pauli_components_keep_the_bits_of_the_unhalved_sums():
+    """Halving each entry first is exact wherever the halves are normal
+    floats, so the components are those of 0.5 * (a + d) and the like."""
+    rng = np.random.default_rng(31)
+    for exponent in range(-300, 307, 2):
+        for _ in range(20):
+            op = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * 10.0**exponent
+            (a, b), (c, d) = op
+            s, v = pauli_components(op)
+            expected = [0.5 * (b + c), 0.5j * (b - c), 0.5 * (a - d)]
+            assert s.tobytes() == (0.5 * (a + d)).tobytes()
+            assert v.tobytes() == np.array(expected, dtype=complex).tobytes()
+
+
+def test_gibbs_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="Hermitian"):
+        gibbs_state(SIGMA_PLUS, 1.0)
 
 
 def test_gibbs_example_deep_quench():
@@ -148,7 +166,7 @@ def test_projection_properties():
         h = random_hermitian(rng)
         projected = commutant_projection(rho, h)
         # lands in the commutant, preserves trace and the conserved part
-        assert max_abs(commutator(projected, h)) < 1e-13
+        assert np.abs(projected @ h - h @ projected).max() < 1e-13
         assert abs(np.trace(projected) - np.trace(rho)) < 1e-13
         assert abs(expectation(projected, h) - expectation(rho, h)) < 1e-13
         # idempotent
@@ -163,6 +181,17 @@ def test_projection_fixes_commuting_states():
         beta = float(rng.uniform(0.5, 5.0))
         rho = gibbs_state(h, beta)
         assert np.allclose(commutant_projection(rho, h), rho, atol=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", [1e155, 1e200, 1e300])
+def test_projection_onto_an_axis_whose_square_overflows(field):
+    """|n|^2 overflows past |n| ~ 1.34e154: the state is projected onto
+    the H axis as for any smaller field along it."""
+    rho = np.array([[0.8, 0.1], [0.1, 0.2]])
+    projected = commutant_projection(rho, np.diag([field, -field]))
+    assert np.array_equal(projected, commutant_projection(rho, SIGMA_Z))
+    assert np.allclose(projected, np.diag([0.8, 0.2]), rtol=0.0, atol=1e-15)
 
 
 def test_projection_degenerate_hamiltonian_returns_state():

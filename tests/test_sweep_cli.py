@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcsjj
-from bcsjj import cli, lattice, ness, spin, sweep
+from bcsjj import cli, lattice, ness, observables, spin, sweep
 from bcsjj.checks import CheckResult, run_checks
 from bcsjj.equilibrium import BulkParams, critical_beta, gap_root, solve_gap
 from bcsjj.ness import JunctionParams, WeakContactWarning
@@ -98,7 +98,8 @@ def test_sweep_solves_each_plate_once_on_bloch_vectors(axis, monkeypatch):
         roots.append((epsilon, beta))
         return gap_root(epsilon, beta)
 
-    monkeypatch.setattr(spin, "_assemble", forbidden)
+    for module in (spin, ness, observables):
+        monkeypatch.setattr(module, "_from_bloch", forbidden)
     monkeypatch.setattr(ness, "gap_root", counted)
     start, stop = AXIS_RANGES[axis]
     rows = run_sweep(small_config(axis=axis, start=start, stop=stop, count=7))
@@ -333,8 +334,8 @@ def test_cli_gap_builds_no_2x2_matrix(monkeypatch, capsys):
     def forbidden(*args):
         raise AssertionError("gap built a 2x2 matrix")
 
-    monkeypatch.setattr(spin, "bloch_reconstruct", forbidden)
-    monkeypatch.setattr(spin, "_assemble", forbidden)
+    for module in (spin, ness, observables):
+        monkeypatch.setattr(module, "_from_bloch", forbidden)
     for epsilon, beta, phi in GAP_PLATES:
         flags = ("--epsilon", repr(epsilon), "--beta", repr(beta), "--phi", repr(phi))
         assert run_cli("gap", *flags, "--format", "json") == 0

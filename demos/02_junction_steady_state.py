@@ -50,7 +50,7 @@ lam2 = sol.lambda_bulk_I * sol.lambda_bulk_II
 print(f"{'dphi':>8}  {'current':>13}  {'sine law':>13}  {'defect':>9}")
 for delta in np.linspace(-math.pi / 2, math.pi / 2, 9):
     s = solve_ness(junction(float(delta)))
-    j = josephson_current(s, gamma).j
+    j = josephson_current(s, gamma)
     law = -4.0 * gamma * lam2 * math.sin(delta)
     print(f"{delta:>8.3f}  {j:>13.6e}  {law:>13.6e}  {abs(j - law):>9.1e}")
 print()
@@ -60,5 +60,5 @@ print()
 swapped = JunctionParams(
     bulk_I=junction(0.3).bulk_II, bulk_II=junction(0.3).bulk_I, gamma=gamma
 )
-print(f"swap antisymmetry: {josephson_current(sol, gamma).j:+.6e} vs "
-      f"{josephson_current(solve_ness(swapped), gamma).j:+.6e}")
+print(f"swap antisymmetry: {josephson_current(sol, gamma):+.6e} vs "
+      f"{josephson_current(solve_ness(swapped), gamma):+.6e}")

@@ -20,7 +20,6 @@ from .lattice import (
     build_current,
     build_hamiltonian,
     build_relative_number,
-    commutator_defect,
     finite_n_report,
     product_state_current,
     product_state_expectation,
@@ -39,10 +38,8 @@ from .ness import (
     verify_steady,
 )
 from .observables import (
-    CurrentValue,
     GoldstonePair,
     ccr_defect,
-    ccr_values,
     fluctuation_variances,
     goldstone_dynamics_residual,
     goldstone_frequencies,
@@ -70,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BulkParams",
     "BulkSolution",
-    "CurrentValue",
     "FiniteNReport",
     "FirstOrderReport",
     "GoldstonePair",
@@ -86,11 +82,9 @@ __all__ = [
     "build_hamiltonian",
     "build_relative_number",
     "ccr_defect",
-    "ccr_values",
     "certify_first_order",
     "closed_form_rhs",
     "commutant_projection",
-    "commutator_defect",
     "critical_beta",
     "current_first_order",
     "effective_hamiltonian",

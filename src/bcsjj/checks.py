@@ -65,17 +65,24 @@ def _standard_params(eps, gamma, delta, beta=STANDARD_BETA):
     )
 
 
+def _worst(defects):
+    """The largest of ``defects`` as a float, NaN if any is NaN (Python's
+    ``max`` drops a NaN that comes after a number)."""
+    return float(np.max(defects))
+
+
 def _solve_all(points, opts):
     return solve_batch(points, tol=opts.tolerance, max_iter=opts.max_iter)
 
 
 def check_equilibrium_fixed_point(opts):
-    worst = 0.0
+    defects = []
     for eps in (0.1, 0.2, 0.3, 0.4, 0.45):
         for beta in (5.0, 50.0, STANDARD_BETA):
             p = BulkParams(eps, beta)
             sol = solve_gap(p)
-            worst = max(worst, abs(gap_map(sol.lam, p) - sol.lam))
+            defects.append(abs(gap_map(sol.lam, p) - sol.lam))
+    worst = _worst(defects)
     return CheckResult("equilibrium.fixed_point", worst < 1e-11, worst, 1e-11)
 
 
@@ -97,12 +104,13 @@ def check_equilibrium_threshold(opts):
 
 
 def check_equilibrium_gauge(opts):
-    worst = 0.0
+    defects = []
     for eps in STANDARD_EPSILONS:
         reference = solve_gap(BulkParams(eps, STANDARD_BETA, 0.0))
         for phi in (0.4, 2.0, -1.1):
             shifted = solve_gap(BulkParams(eps, STANDARD_BETA, phi))
-            worst = max(worst, abs(shifted.lam - reference.lam), abs(shifted.mu - reference.mu))
+            defects += [abs(shifted.lam - reference.lam), abs(shifted.mu - reference.mu)]
+    worst = _worst(defects)
     return CheckResult("equilibrium.gauge", worst < 1e-13, worst, 1e-13)
 
 
@@ -140,11 +148,11 @@ def check_ness_gauge(opts):
     batch = _solve_all([base] + [gauge_shift(base, float(d)) for d in deltas], opts)
     lam_b, shifted = batch.Lambda_b[:, :1], batch.Lambda_b[:, 1:]
     mu_t, shifted_mu_t = batch.mu_t[:, :1], batch.mu_t[:, 1:]
-    worst = float(max(
+    worst = _worst([
         np.abs(np.abs(shifted) - np.abs(lam_b)).max(),
         np.abs(shifted_mu_t - mu_t).max(),
         np.abs(shifted * np.exp(-1j * deltas) - lam_b).max(),
-    ))
+    ])
     return CheckResult("ness.gauge_covariance", worst < 1e-11, worst, 1e-11)
 
 
@@ -156,10 +164,10 @@ def check_ness_swap(opts):
     )
     swapped = replace(params, bulk_I=params.bulk_II, bulk_II=params.bulk_I)
     batch = _solve_all([params, swapped], opts)
-    worst = float(max(
+    worst = _worst([
         np.abs(batch.Lambda_b[:, 0] - batch.Lambda_b[::-1, 1]).max(),
         np.abs(batch.mu_t[:, 0] - batch.mu_t[::-1, 1]).max(),
-    ))
+    ])
     return CheckResult("ness.swap_symmetry", worst < 1e-12, worst, 1e-12)
 
 
@@ -189,13 +197,14 @@ def check_ness_phase_proportionality(opts):
 
 
 def check_perturbation_slopes(opts):
-    worst = 0.0
+    defects = []
     for eps, delta in ((0.3, 0.3), (0.2, 0.8), (0.3, -0.4)):
         params = _standard_params(eps, 1e-3, delta)
         report = perturbation.certify_first_order(params)
         for key, defect in report.derivative_defects.items():
             scale = max(abs(report.slopes_analytic[key]), 1e-3)
-            worst = max(worst, defect / scale)
+            defects.append(defect / scale)
+    worst = _worst(defects)
     return CheckResult("perturbation.slopes", worst < 1e-6, worst, 1e-6)
 
 
@@ -209,7 +218,7 @@ def _law_errors(opts):
         _standard_params(eps, gamma, float(d)) for eps in STANDARD_EPSILONS for d in _DELTA_GRID_33
     ]
     batch = _solve_all(points, opts)
-    currents = observables.josephson_current(batch, gamma).j.reshape(shape)
+    currents = observables.josephson_current(batch, gamma).reshape(shape)
     bulks = [solve_gap(BulkParams(eps, STANDARD_BETA)) for eps in STANDARD_EPSILONS]
     lam2 = np.array([[bulk.lam * bulk.lam] for bulk in bulks])
     nu0 = np.array([[2.0 * bulk.mu] for bulk in bulks])
@@ -240,7 +249,7 @@ def check_ccr(opts):
     rel = np.array([observables.ccr_defect(pair) / np.abs(pair.ccr_formula) for pair in pairs])
     worst_rel = float((rel[:, 1:] / [bound for _, bound in bounds]).max())
     passed = zero_defect < 1e-12 and worst_rel <= 1.0
-    measured = max(zero_defect / 1e-12, worst_rel)
+    measured = _worst([zero_defect / 1e-12, worst_rel])
     return CheckResult(
         "observables.ccr", passed, measured, 1.0,
         note="measured is the worst bound ratio (gamma = 0 and linear-vanishing)",
@@ -273,15 +282,15 @@ def _finite_n_defects(memory_cap):
     """Worst (commutator, conservation, current) defects over n = 1, 2:
     one finite_n_report per size (its conservation defect is read off the
     plate part, H(gamma = 0) bit for bit), and a second product current."""
-    commutator = conservation = current = 0.0
+    commutator, conservation, current = [], [], []
     for n in (1, 2):
         spec = lattice.LatticeSpec(n, memory_cap=memory_cap)
         report = lattice.finite_n_report(spec, _standard_params(0.3, 1e-3, 0.3))
         measured, expected = lattice.product_state_current(spec, _standard_params(0.2, 1e-2, -0.7))
-        commutator = max(commutator, report.commutator_defect)
-        conservation = max(conservation, report.bulk_conservation_defect)
-        current = max(current, report.current_defect, abs(measured - expected))
-    return commutator, conservation, current
+        commutator.append(report.commutator_defect)
+        conservation.append(report.bulk_conservation_defect)
+        current += [report.current_defect, abs(measured - expected)]
+    return _worst(commutator), _worst(conservation), _worst(current)
 
 
 def check_finite_n_commutator(opts):

@@ -269,7 +269,9 @@ def cmd_check(args):
     if not results:
         raise ValueError(f"no checks match --only {args.only!r}")
     if args.format == "json":
-        text = json.dumps([asdict(r) for r in results], indent=2) + "\n"
+        # a NaN defect, which fails its check, prints as null
+        payload = [{**asdict(r), "measured": json_number(r.measured)} for r in results]
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         lines = []
         for r in results:
@@ -291,7 +293,7 @@ def cmd_finite_n(args):
     spec = LatticeSpec(config.lattice_n, memory_cap=config.memory_cap)
     report = finite_n_report(spec, params_at(config))
     if config.format == "json":
-        text = json.dumps(asdict(report), indent=2) + "\n"
+        text = _json_text({name: json_number(value) for name, value in vars(report).items()})
     else:
         lines = [
             f"lattice: {spec.n}x{spec.n} per plate, {spec.n_sites} sites, dimension {spec.dim}",

@@ -27,11 +27,12 @@ CSR; only J is complex.
 The identities i[H, Q] = J and [H(gamma = 0), Q] = 0 are checked
 entrywise without forming H @ Q or Q @ H: Q is diagonal, so
 [H, Q]_ab = h_ab q_b - q_a h_ab is read off H's stored entries against
-Q's diagonal, a block of rows at a time (:func:`commutator_defect`).
-H(gamma = 0) is H's entries that leave one plate's state unchanged, so
-both checks read one H.  Expectations in product states contract over
-the sparse entries a group of sites at a time, never building the
-4^(N^2) density matrix.
+Q's diagonal, a block of rows at a time.  H(gamma = 0) is H's entries
+that leave one plate's state unchanged, so both checks read one pass
+over H (:func:`_identity_and_conservation`).  Expectations in product
+states contract over the sparse entries a group of sites at a time,
+never building the 4^(N^2) density matrix.  Time evolution takes the
+real CSR H that :func:`build_hamiltonian` returns, and no other form.
 """
 
 import functools
@@ -388,41 +389,12 @@ def _row_blocks(indptr):
     return [(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
-def _canonical(op):
-    """``op`` as CSR with sorted columns and no duplicates (summed into a copy if it has any)."""
-    op = sparse.csr_matrix(op)
-    if not op.has_canonical_format:
-        op = op.copy()
-        op.sum_duplicates()
-    return op
-
-
-def _commutator_entries(op, q):
-    """The nonzero entries of [op, Q] for Q = diag(q) and a canonical CSR
-    ``op``, a block of rows at a time (:func:`_row_blocks`): yields (first row,
-    end row, rows, columns, values), in row and column order.
-
-    [op, Q]_ab = op_ab q_b - q_a op_ab lives on the stored entries of
-    ``op`` and is formed there, in op's own arithmetic, so nothing of
-    op's size is made.  Its values are those of the literal sparse
-    products op @ Q - Q @ op.
-    """
-    for start, stop in _row_blocks(op.indptr):
-        lo, ends = op.indptr[start], op.indptr[start + 1 : stop + 1]
-        h = op.data[lo : ends[-1]]
-        col = op.indices[lo : ends[-1]]
-        value = h * q.take(col) - np.repeat(q[start:stop], np.diff(op.indptr[start : stop + 1])) * h
-        keep = np.flatnonzero(value != 0)
-        row = start + np.searchsorted(ends - lo, keep, side="right")
-        yield start, stop, row, col[keep], value[keep]
-
-
 def _target_defect(start, stop, row, col, value, target):
-    """max_ab |i [op, Q]_ab - target_ab| over rows start to stop, from the
-    commutator's nonzero entries there (as :func:`_commutator_entries`
-    yields them) and a canonical CSR ``target``.  Each target entry meets
-    the commutator entry at its (row, column), if there is one: both run
-    in that order."""
+    """max_ab |i [H, Q]_ab - target_ab| over rows start to stop, from the
+    commutator's nonzero entries there, in row and column order, and a
+    canonical CSR ``target``; NaN if any value compared is NaN.  Each
+    target entry meets the commutator entry at its (row, column), if
+    there is one: both run in that order."""
     dim = target.shape[1]
     lo, hi = target.indptr[start], target.indptr[stop]
     key = np.repeat(np.arange(start, stop), np.diff(target.indptr[start : stop + 1])) * dim
@@ -434,50 +406,22 @@ def _target_defect(start, stop, row, col, value, target):
     entry = target.data[lo:hi]
     alone = np.ones(value.size, dtype=bool)
     alone[at[met]] = False
-    return max(
-        float(np.abs(1j * value[at[met]] - entry[met]).max(initial=0.0)),
-        float(np.abs(entry[~met]).max(initial=0.0)),
-        float(np.abs(value[alone]).max(initial=0.0)),
-    )
-
-
-def _charge_diagonal(op, charge):
-    """Q's diagonal, after checking that Q is diagonal and of op's shape."""
-    entries = sparse.coo_matrix(charge)
-    if np.any(entries.row != entries.col):
-        raise ValueError("the charge must be diagonal: it has an off-diagonal entry")
-    if op.shape != entries.shape:
-        raise ValueError(f"operator shape {op.shape} does not match charge {entries.shape}")
-    del entries
-    return sparse.csr_matrix(charge).diagonal()
-
-
-def commutator_defect(op, charge, target=None):
-    """max_ab |i[op, Q] - target|_ab, or max_ab |[op, Q]|_ab without a target.
-
-    Q must be diagonal.  Neither op @ Q nor Q @ op is made: the
-    commutator's nonzero entries are read off the stored entries of
-    ``op`` against Q's diagonal, a block of rows at a time, and met there
-    with the target's entries in the same rows, so nothing of op's or
-    the target's size is built.  The values compared are those of
-    i (op @ Q - Q @ op) - target in sparse arithmetic.
-    """
-    op = _canonical(op)
-    q = _charge_diagonal(op, charge)
-    if target is not None:
-        target = _canonical(target)
-    worst = 0.0
-    for start, stop, row, col, value in _commutator_entries(op, q):
-        if target is None:
-            worst = max(worst, float(np.abs(value).max(initial=0.0)))
-        else:
-            worst = max(worst, _target_defect(start, stop, row, col, value, target))
-    return worst
+    return np.max((
+        np.abs(1j * value[at[met]] - entry[met]).max(initial=0.0),
+        np.abs(entry[~met]).max(initial=0.0),
+        np.abs(value[alone]).max(initial=0.0),
+    ))
 
 
 def _identity_and_conservation(hamiltonian, charge, current, width):
-    """i[H, Q] = J's defect (:func:`commutator_defect`) and
-    max_ab |[H(gamma = 0), Q]_ab|, from one pass over [H, Q].
+    """max_ab |i[H, Q] - J|_ab and max_ab |[H(gamma = 0), Q]_ab| from one
+    pass over [H, Q], for the builders' canonical CSR H, Q and J; a NaN
+    compared makes its defect NaN.
+
+    Q is diagonal, so [H, Q]_ab = h_ab q_b - q_a h_ab lives on H's stored
+    entries.  It is formed there, in H's own arithmetic (the values of the
+    literal sparse products), a block of rows at a time, and its nonzero
+    entries meet J's in the same rows (:func:`_target_defect`).
 
     H(gamma = 0) is read off H.  The tunnelling term moves a pair across
     the contact, so each of its entries changes both plates' states;
@@ -485,16 +429,21 @@ def _identity_and_conservation(hamiltonian, charge, current, width):
     H(gamma = 0) is, bit for bit, H's entries whose row and column agree
     on one plate's ``width`` bits.
     """
-    hamiltonian, current = _canonical(hamiltonian), _canonical(current)
-    q = _charge_diagonal(hamiltonian, charge)
+    indptr, q = hamiltonian.indptr, charge.diagonal()
     plate_ii = (1 << width) - 1
     identity = conservation = 0.0
-    for start, stop, row, col, value in _commutator_entries(hamiltonian, q):
-        identity = max(identity, _target_defect(start, stop, row, col, value, current))
+    for start, stop in _row_blocks(indptr):
+        lo, hi = indptr[start], indptr[stop]
+        h, col = hamiltonian.data[lo:hi], hamiltonian.indices[lo:hi]
+        value = h * q.take(col) - np.repeat(q[start:stop], np.diff(indptr[start : stop + 1])) * h
+        keep = np.flatnonzero(value != 0)
+        row = start + np.searchsorted(indptr[start + 1 : stop + 1] - lo, keep, side="right")
+        col, value = col[keep], value[keep]
+        identity = np.maximum(identity, _target_defect(start, stop, row, col, value, current))
         moved = row ^ col
         within = ((moved >> width) == 0) | ((moved & plate_ii) == 0)
-        conservation = max(conservation, float(np.abs(value[within]).max(initial=0.0)))
-    return identity, conservation
+        conservation = np.maximum(conservation, np.abs(value[within]).max(initial=0.0))
+    return float(identity), float(conservation)
 
 
 def _site_groups(n_sites):
@@ -582,15 +531,18 @@ def finite_n_report(spec, params):
 
     H is built once, and both commutators are read off it in one pass
     (:func:`_identity_and_conservation`).  The current is
-    :func:`product_state_current`.
+    :func:`product_state_current`.  A coupling whose products overflow
+    gives NaN defects, and a failed report, without a warning.
     """
-    charge = build_relative_number(spec)
-    hamiltonian = build_hamiltonian(spec, params)
-    current = build_current(spec, params.gamma)
-    identity, conservation = _identity_and_conservation(hamiltonian, charge, current, spec.sites_per_plate)
-    del hamiltonian
-
-    measured, expected = product_state_current(spec, params, current)
+    with np.errstate(over="ignore", invalid="ignore"):
+        charge = build_relative_number(spec)
+        hamiltonian = build_hamiltonian(spec, params)
+        current = build_current(spec, params.gamma)
+        identity, conservation = _identity_and_conservation(
+            hamiltonian, charge, current, spec.sites_per_plate
+        )
+        del hamiltonian
+        measured, expected = product_state_current(spec, params, current)
     current_defect = abs(measured - expected)
     return FiniteNReport(
         n=spec.n,
@@ -672,23 +624,19 @@ def _dominant_product_terms(site_states, tol):
 def _spectral_interval(hamiltonian):
     """Center c and half-width r of an interval holding the spectrum of H.
 
-    By Gershgorin, every eigenvalue of the Hermitian H lies within
+    By Gershgorin, every eigenvalue of the symmetric H lies within
     sum_{j != i} |h_ij| of some diagonal entry h_ii.  The row sums are
-    read from the stored entries (CSR ``data`` and ``indptr``), a block
-    of rows at a time (:func:`_row_blocks`), or from the dense rows;
-    nothing of H's size is made.
+    read from the stored CSR entries (``data`` and ``indptr``), a block
+    of rows at a time (:func:`_row_blocks`); nothing of H's size is made.
     """
-    diag = hamiltonian.diagonal().real
-    if sparse.issparse(hamiltonian):
-        indptr = hamiltonian.indptr
-        abs_sums = np.zeros(len(diag))
-        for start, stop in _row_blocks(indptr):
-            rows = start + np.flatnonzero(np.diff(indptr[start : stop + 1]))
-            if rows.size:
-                lo, hi = indptr[start], indptr[stop]
-                abs_sums[rows] = np.add.reduceat(np.abs(hamiltonian.data[lo:hi]), indptr[rows] - lo)
-    else:
-        abs_sums = np.abs(hamiltonian).sum(axis=1)
+    diag = hamiltonian.diagonal()
+    indptr = hamiltonian.indptr
+    abs_sums = np.zeros(len(diag))
+    for start, stop in _row_blocks(indptr):
+        rows = start + np.flatnonzero(np.diff(indptr[start : stop + 1]))
+        if rows.size:
+            lo, hi = indptr[start], indptr[stop]
+            abs_sums[rows] = np.add.reduceat(np.abs(hamiltonian.data[lo:hi]), indptr[rows] - lo)
     radii = abs_sums - np.abs(diag)
     low = float(np.min(diag - radii))
     high = float(np.max(diag + radii))
@@ -747,23 +695,17 @@ def _propagate(hamiltonian, vectors, t):
 
         exp(-itH) v = e^{-itc} sum_k (2 - delta_k0) (-i)^k J_k(tr) T_k((H - c)/r) v
 
-    with [c - r, c + r] the Gershgorin interval of the Hermitian H, summed
-    until the rigorous tail bound drops below double-precision roundoff.
-    A real H acts on the (re, im) pair of the iterate as one real (dim, 2)
-    product, so no complex copy of H is ever formed; a complex H acts by a
-    plain ``h @ v``.
+    with [c - r, c + r] the Gershgorin interval of the real symmetric CSR
+    H, summed until the rigorous tail bound drops below double-precision
+    roundoff.  H acts on the (re, im) pair of the iterate as one real
+    (dim, 2) product, so no complex copy of H is ever formed.
     """
     center, radius = _spectral_interval(hamiltonian)
     coeffs = _bessel_j(_chebyshev_order(t * radius), t * radius)
-    if np.iscomplexobj(hamiltonian):
-        apply = hamiltonian.__matmul__
-    else:
-        def apply(v):
-            return (hamiltonian @ v.view(float).reshape(-1, 2)).view(complex).ravel()
 
     def step(v):
         """2 (H - c)/r applied to v."""
-        out = apply(v)
+        out = (hamiltonian @ v.view(float).reshape(-1, 2)).view(complex).ravel()
         out -= center * v
         out *= 2 / radius
         return out
@@ -796,10 +738,8 @@ def _value_key(array):
 
 
 def _to_eigenbasis(basis, block):
-    """basis^dagger @ block.  A real basis acts on the (re, im) columns of
-    a complex block as one real product, as in :func:`_propagate`."""
-    if np.iscomplexobj(basis):
-        return basis.conj().T @ block
+    """basis^T @ block for H's real eigenbasis.  It acts on the (re, im)
+    columns of a complex block as one real product, as in :func:`_propagate`."""
     if not np.iscomplexobj(block):
         return basis.T @ block
     return (basis.T @ np.ascontiguousarray(block).view(float)).view(complex)
@@ -826,8 +766,7 @@ def _spectral_weights(op, hamiltonian, site_states):
     W is kept with its diagonal zeroed, and <op> is contracted in the
     product state directly.
     """
-    h_dense = np.asarray(hamiltonian.toarray() if sparse.issparse(hamiltonian) else hamiltonian)
-    energies, basis = np.linalg.eigh(h_dense)
+    energies, basis = np.linalg.eigh(hamiltonian.toarray())
     op_basis = _to_eigenbasis(basis, op @ basis)
     rho_basis = _to_eigenbasis(basis, _apply_product_state(site_states, basis))
     coherences = rho_basis.T * op_basis
@@ -857,10 +796,14 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
     eigenstates, dropping a total weight below ``KRYLOV_TOL``, and each
     is propagated by the Chebyshev series of :func:`_propagate`, summed
     to double-precision roundoff; ``KRYLOV_TOL`` bounds only the dropped
-    weight.  A real H stays real throughout; a dense ``ndarray`` or
-    complex Hermitian H is accepted as it is.
+    weight.  H must be real float64 sparse, as :func:`build_hamiltonian`
+    returns it, and stays real throughout; any other form raises
+    ``ValueError``.
     """
     global _spectral_memo
+    if not (sparse.issparse(hamiltonian) and hamiltonian.dtype == np.float64):
+        kind = f"{type(hamiltonian).__name__} of {getattr(hamiltonian, 'dtype', 'no dtype')}"
+        raise ValueError(f"the Hamiltonian must be a real float64 sparse matrix, got {kind}")
     dim = hamiltonian.shape[0]
     if dim <= dense_dim:
         key = (
@@ -882,7 +825,7 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
         return complex(static + shifts @ coherences @ phases.conj() + column_sums @ shifts.conj())
 
     terms = _dominant_product_terms(site_states, KRYLOV_TOL)
-    h = sparse.csr_matrix(hamiltonian) if sparse.issparse(hamiltonian) else np.asarray(hamiltonian)
+    h = sparse.csr_matrix(hamiltonian)
     op_csr = sparse.csr_matrix(op)
     total = 0.0 + 0.0j
     for (w, _), moved in zip(terms, _propagate(h, [vec for _, vec in terms], t)):

@@ -16,8 +16,8 @@ of the gauge generator sigma_z perpendicular to the contact Hamiltonian
 axis, so the Heisenberg motion is a pure rotation in the (Q, P) plane at
 frequency nu_t = 2 mu_t.  Both have zero mean in the contact state; the
 expected commutator tends to 4i lambda_b^2 / mu_t as gamma -> 0 and is
-reported exactly, alongside that formula and its effective-field
-variant, because the two readings split at first order in gamma.
+reported exactly, alongside that formula, because the two split at
+first order in gamma.
 
 Every function here reads the solver's own arrays (``Lambda_b``,
 ``field``, ``mu_t``, the contact axis n and the contact Bloch vector b of
@@ -41,13 +41,6 @@ from . import spin
 from .spin import _dot, _from_bloch
 
 
-@dataclass(frozen=True)
-class CurrentValue:
-    """Pair current per contact site, positive toward plate I."""
-
-    j: float
-
-
 @dataclass(frozen=True, eq=False)
 class GoldstonePair:
     """Soft-mode normal coordinates of one contact row.
@@ -61,7 +54,6 @@ class GoldstonePair:
     p: np.ndarray
     ccr_exact: complex
     ccr_formula: complex
-    ccr_formula_field: complex
     var_Q: float
     var_P: float
     frequency: float
@@ -71,7 +63,8 @@ class GoldstonePair:
 
 
 def josephson_current(sol, gamma):
-    """Steady pair current per contact site, elementwise over the points.
+    """Steady pair current per contact site, positive toward plate I,
+    elementwise over the points: a float for one point, an array for many.
 
     Evaluates 4 gamma Im(conj(Lambda_b_I) Lambda_b_II), which equals
     -4 gamma |Lambda_b_I||Lambda_b_II| sin(phi_b_I - phi_b_II) without
@@ -79,28 +72,21 @@ def josephson_current(sol, gamma):
     one coupling or one per point.
     """
     lam_i, lam_ii = sol.Lambda_b
-    return CurrentValue(4.0 * gamma * (lam_i.real * lam_ii.imag - lam_i.imag * lam_ii.real))
-
-
-def ccr_values(sol):
-    """Tr(rho_b [Q, P]) = i c of both contacts, and c by its two formulas.
-
-    Returns the real (exact, formula, formula_field), each of shape
-    ``(2, ...)``.  For rho_b = 1/2 + b.sigma the exact mean is
-    4i b.(q x p), and q x p = -(|F|^2 / mu_t^3) n on the contact axis n,
-    so c = -4 |F|^2 (b.n) / mu_t^3.  The formulas are 4 |Lambda_b|^2 / mu_t
-    and 4 |F|^2 / mu_t.
-    """
-    return _ccr(sol.axis, sol.contact, sol.Lambda_b, sol.mu_t)
+    return 4.0 * gamma * (lam_i.real * lam_ii.imag - lam_i.imag * lam_ii.real)
 
 
 def _ccr(n, b, lam_b, mu_t):
-    """:func:`ccr_values` from the contact axis n and Bloch vector b (3-sequences),
-    Lambda_b and mu_t, on one plate's numbers or elementwise on arrays."""
-    field2 = n[0] * n[0] + n[1] * n[1]
-    exact = -4.0 * field2 * _dot(b, n) / (mu_t * mu_t * mu_t)
+    """Tr(rho_b [Q, P]) = i c of one contact, as the real (exact, formula).
+
+    From the contact axis n and Bloch vector b (3-sequences), Lambda_b and
+    mu_t, on one plate's numbers or elementwise on arrays.  For
+    rho_b = 1/2 + b.sigma the exact mean is 4i b.(q x p), and
+    q x p = -(|F|^2 / mu_t^3) n, so c = -4 |F|^2 (b.n) / mu_t^3.  The
+    formula is 4 |Lambda_b|^2 / mu_t.
+    """
+    exact = -4.0 * (n[0] * n[0] + n[1] * n[1]) * _dot(b, n) / (mu_t * mu_t * mu_t)
     formula = 4.0 * (lam_b.real * lam_b.real + lam_b.imag * lam_b.imag) / mu_t
-    return exact, formula, 4.0 * field2 / mu_t
+    return exact, formula
 
 
 def goldstone_operators(region, sol):
@@ -121,15 +107,15 @@ def goldstone_operators(region, sol):
     norm = np.hypot(f.real, f.imag)
     q = np.array([scale * f.real, scale * f.imag, norm * norm / mu2])
     p = (1.0 / mu_t) * np.array([f.imag, -f.real, np.zeros_like(mu_t)])
-    var_q, var_p = fluctuation_variances(q, p, sol.contact[:, row])
-    exact, formula, formula_field = (1j * value[row] for value in ccr_values(sol))
+    b = sol.contact[:, row]
+    var_q, var_p = fluctuation_variances(q, p, b)
+    exact, formula = _ccr(sol.axis[:, row], b, sol.Lambda_b[row], mu_t)
     return GoldstonePair(
         region=region,
         q=q,
         p=p,
-        ccr_exact=exact,
-        ccr_formula=formula,
-        ccr_formula_field=formula_field,
+        ccr_exact=1j * exact,
+        ccr_formula=1j * formula,
         var_Q=var_q,
         var_P=var_p,
         frequency=2.0 * mu_t,

@@ -133,7 +133,7 @@ def certify_first_order(params, gammas=(1e-4, 1e-3, 1e-2)):
     batch = solve_batch([replace(params, gamma=float(g)) for g in probes])
     lambda_t = np.hypot(batch.Lambda_b.real, batch.Lambda_b.imag)  # |z| as abs(z) rounds it
     values = dict(zip(analytic, (  # each quantity at every probe, in key order
-        *lambda_t, josephson_current(batch, probes).j, *goldstone_frequencies(batch)
+        *lambda_t, josephson_current(batch, probes), *goldstone_frequencies(batch)
     )))
     numeric = {k: float((v[0] - v[1]) / (2.0 * step)) for k, v in values.items()}
     defects = {k: abs(analytic[k] - numeric[k]) for k in analytic}

@@ -276,12 +276,12 @@ def _row_values(sol):
     lambda_t, phi_t, ccr_defect = [], [], []
     for row in (0, 1):
         n, b = [v[row] for v in sol.axis], [v[row] for v in sol.contact]
-        exact, formula, _ = _ccr(n, b, lam_b[row], mu_t[row])
+        exact, formula = _ccr(n, b, lam_b[row], mu_t[row])
         lambda_t.append(modulus(lam_b[row]))
         phi_t.append(atan2(lam_b[row].imag, lam_b[row].real))
         ccr_defect.append(abs(exact - formula))
     columns = (
-        *sol.lambda_bulk, *lambda_t, *phi_t, *mu_t, josephson_current(sol, gamma).j,
+        *sol.lambda_bulk, *lambda_t, *phi_t, *mu_t, josephson_current(sol, gamma),
         *goldstone_frequencies(sol), *ccr_defect, sol.residual, sol.converged, sol.iterations,
     )
     return zip(*(column.tolist() for column in columns)) if batch else [columns]

@@ -104,7 +104,7 @@ def _law_deviation(eps, gamma):
     currents, current_law, shifts, shift_law = [], [], [], []
     for delta in DELTA_GRID_33:
         sol = solve_ness(junction(eps=eps, gamma=gamma, delta=float(delta)))
-        currents.append(josephson_current(sol, gamma).j)
+        currents.append(josephson_current(sol, gamma))
         current_law.append(-4.0 * gamma * lam2 * math.sin(delta))
         shifts.append(2.0 * sol.mu_t_I - nu0)
         shift_law.append(4.0 * gamma * lam2 * math.cos(delta) / nu0)
@@ -289,8 +289,8 @@ def test_criterion_10_gauge_covariance():
             abs(shifted.mu_t_I - base.mu_t_I),
             abs(shifted.mu_t_II - base.mu_t_II),
             abs(
-                josephson_current(shifted, 1e-3).j
-                - josephson_current(base, 1e-3).j
+                josephson_current(shifted, 1e-3)
+                - josephson_current(base, 1e-3)
             ),
             abs(abs(pair.ccr_exact) - abs(base_pair.ccr_exact)),
         )

@@ -1,4 +1,8 @@
-"""The check suite computes each shared input once."""
+"""The check suite computes each shared input once, and a NaN defect fails its check."""
+
+import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -69,3 +73,53 @@ def test_each_check_runs_alone_from_cleared_caches(name):
     _clear_caches()
     (result,) = run_checks(only=name)
     assert result.name == name and result.passed
+
+
+@pytest.fixture
+def cleared_caches():
+    """Empty check caches before the test and after it, so that a planted
+    fault stays in its own test."""
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+def test_a_nan_fixed_point_defect_fails(monkeypatch, capsys, cleared_caches):
+    gap_map = checks.gap_map
+    monkeypatch.setattr(checks, "gap_map", lambda lam, p: math.nan if p.epsilon == 0.3 else gap_map(lam, p))
+    result = checks.check_equilibrium_fixed_point(CheckOptions())
+    assert not result.passed and math.isnan(result.measured), result
+    # check JSON stays strict: the NaN prints as null
+    assert main(["check", "--only", "equilibrium.fixed", "--format", "json"]) == 1
+    (entry,) = json.loads(capsys.readouterr().out, parse_constant=lambda token: pytest.fail(f"bare {token}"))
+    assert entry["measured"] is None and entry["passed"] is False
+
+
+def test_a_nan_derivative_defect_fails(monkeypatch, cleared_caches):
+    certify = perturbation.certify_first_order
+    reports = []
+
+    def planted(params):
+        report = certify(params)
+        if reports:  # the NaN comes after the first point's numbers
+            report = replace(report, derivative_defects={**report.derivative_defects, "current": math.nan})
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(perturbation, "certify_first_order", planted)
+    result = checks.check_perturbation_slopes(CheckOptions())
+    assert len(reports) == 3
+    assert not result.passed and math.isnan(result.measured), result
+
+
+def test_a_nan_in_the_current_operator_fails(monkeypatch, cleared_caches):
+    build_current = lattice.build_current
+
+    def planted(spec, gamma):
+        current = build_current(spec, gamma)
+        current.data[-1] = math.nan
+        return current
+
+    monkeypatch.setattr(lattice, "build_current", planted)
+    result = checks.check_finite_n_commutator(CheckOptions())
+    assert not result.passed and math.isnan(result.measured), result

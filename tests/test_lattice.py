@@ -29,7 +29,6 @@ from bcsjj.lattice import (
     build_current,
     build_hamiltonian,
     build_relative_number,
-    commutator_defect,
     finite_n_report,
     product_state_expectation,
     time_evolve_expectation,
@@ -222,59 +221,61 @@ def test_decoupled_charge_conserved():
     gamma=st.floats(-0.098 * 0.15, 0.098 * 0.15),
     phi=st.floats(-math.pi, math.pi),
 )
-def test_commutator_defect_matches_literal_products(n, eps_i, eps_ii, gamma, phi):
+def test_identity_check_matches_literal_products(n, eps_i, eps_ii, gamma, phi):
     spec = LatticeSpec(n)
     params = JunctionParams(BulkParams(eps_i, 1e4, phi), BulkParams(eps_ii, 1e4, 0.0), gamma)
     h = build_hamiltonian(spec, params)
     q = build_relative_number(spec)
     j = build_current(spec, gamma)
-    literal = abs(1j * (h @ q - q @ h) - j).max()
-    assert abs(commutator_defect(h, q, j) - literal) <= 1e-15
-    assert abs(commutator_defect(h, q) - abs(h @ q - q @ h).max()) <= 1e-15
+    identity, conservation = _identity_and_conservation(h, q, j, spec.sites_per_plate)
+    assert abs(identity - abs(1j * (h @ q - q @ h) - j).max()) <= 1e-15
+    plate = within_plate_entries(spec, h)
+    assert abs(conservation - abs(plate @ q - q @ plate).max()) <= 1e-15
 
 
-def test_commutator_defect_reports_a_planted_error():
+def test_identity_check_reports_a_planted_error():
     spec = LatticeSpec(2)
+    width = spec.sites_per_plate
     p = junction(gamma=1e-2)
     q = build_relative_number(spec)
     j = build_current(spec, p.gamma)
     h = build_hamiltonian(spec, p)
-    assert commutator_defect(h, q, j) < 1e-13
+    assert _identity_and_conservation(h, q, j, width)[0] < 1e-13
     moved = h.tocoo()
     hops = np.flatnonzero(q.diagonal()[moved.row] != q.diagonal()[moved.col])
     planted = h.copy()
     planted[moved.row[hops[7]], moved.col[hops[7]]] += 1e-9
-    assert commutator_defect(planted, q, j) >= 1e-9
+    assert _identity_and_conservation(planted, q, j, width)[0] >= 1e-9
     # a new entry between two pair numbers, on the plate part
     plate = build_hamiltonian(spec, junction(gamma=0.0)).tolil()
     plate[0, np.flatnonzero(q.diagonal() != q.diagonal()[0])[0]] = 1e-9
-    assert commutator_defect(plate.tocsr(), q) >= 1e-9
+    identity, conservation = _identity_and_conservation(plate.tocsr(), q, build_current(spec, 0.0), width)
+    assert identity >= 1e-9 and conservation >= 1e-9
 
 
-def test_commutator_defect_sums_duplicate_entries():
-    spec = LatticeSpec(1)
-    h = build_hamiltonian(spec, junction(gamma=1e-2))
+@pytest.mark.parametrize("gamma", [1e-2, 0.0])
+@pytest.mark.parametrize("where", ["current", "hamiltonian"])
+def test_identity_check_propagates_a_planted_nan(monkeypatch, gamma, where):
+    """A NaN in J or H, in the first or the last of many row blocks, makes
+    both folds NaN where it lands: J's entries meet nonzero commutator
+    entries at gamma != 0 and none at gamma = 0 (J's stored zeros)."""
+    monkeypatch.setattr(lattice, "_BLOCK_ENTRIES", 64)
+    spec = LatticeSpec(2)
+    width = spec.sites_per_plate
+    p = junction(gamma=gamma)
     q = build_relative_number(spec)
-    j = build_current(spec, 1e-2)
-    # every stored entry split in two duplicates that sum to it
-    half = h.data / 2
-    split = sparse.csr_matrix(
-        (np.stack([half, h.data - half], axis=1).ravel(), h.indices.repeat(2), 2 * h.indptr),
-        shape=h.shape,
-    )
-    assert not split.has_canonical_format
-    literal = abs(1j * (split @ q - q @ split) - j).max()
-    assert abs(commutator_defect(split, q, j) - literal) <= 1e-15
-    assert abs(commutator_defect(split, q) - abs(split @ q - q @ split).max()) <= 1e-15
-
-
-def test_commutator_defect_needs_a_diagonal_charge():
-    spec = LatticeSpec(1)
-    h = build_hamiltonian(spec, junction())
-    off_diagonal = build_relative_number(spec).tolil()
-    off_diagonal[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        commutator_defect(h, off_diagonal.tocsr())
+    assert len(lattice._row_blocks(build_hamiltonian(spec, p).indptr)) > 10
+    for entry in (0, -1):
+        h, j = build_hamiltonian(spec, p), build_current(spec, gamma)
+        if where == "current":
+            j.data[entry] = np.nan
+        else:
+            diagonal = np.flatnonzero(h.indices == np.repeat(np.arange(spec.dim), np.diff(h.indptr)))
+            h.data[diagonal[entry]] = np.nan
+        identity, conservation = _identity_and_conservation(h, q, j, width)
+        assert math.isnan(identity), (entry, identity)
+        # a NaN on H's diagonal is a plate entry; J has no part in conservation
+        assert math.isnan(conservation) == (where == "hamiltonian"), (entry, conservation)
 
 
 def within_plate_entries(spec, op):
@@ -654,13 +655,7 @@ def _memo_pool():
     rng = np.random.default_rng(79)
     spec = LatticeSpec(1)
     h = build_hamiltonian(spec, junction(gamma=1e-2))
-    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    hamiltonians = [
-        h,
-        build_hamiltonian(spec, junction(gamma=3e-2, delta=-1.1)),
-        h.toarray(),  # h's value as a dense ndarray
-        (raw + raw.conj().T) / 4,  # complex Hermitian
-    ]
+    hamiltonians = [h, build_hamiltonian(spec, junction(gamma=3e-2, delta=-1.1)), h.copy()]
     ops = [
         build_relative_number(spec),
         build_current(spec, 1e-2),
@@ -675,7 +670,7 @@ def _memo_pool():
 @given(
     calls=st.lists(
         st.tuples(
-            st.integers(0, 3),
+            st.integers(0, 2),
             st.integers(0, 2),
             st.integers(0, 2),
             st.sampled_from([0.0, 0.4, 0.4, 3.1, -7.5]),
@@ -810,18 +805,16 @@ def test_propagated_vector_keeps_unit_norm():
         assert abs(np.linalg.norm(moved) - 1.0) <= 1e-13, f"t={t}"
 
 
-def test_complex_and_dense_hamiltonians_on_the_chebyshev_path():
-    """Complex Hermitian and real H, as CSR or ndarray, run the same series."""
-    rng = np.random.default_rng(59)
-    raw = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    op = sparse.csr_matrix(np.diag(rng.normal(size=16)))
-    states = [random_mixed_site_state(rng, 0.1) for _ in range(4)]
-    for h in ((raw + raw.conj().T) / 4, (raw.real + raw.real.T) / 4):
-        for t in (0.3, 4.0):
-            dense = time_evolve_expectation(op, h, states, t)
-            for form in (sparse.csr_matrix(h), h):
-                got = time_evolve_expectation(op, form, states, t, dense_dim=0)
-                assert abs(got - dense) < 1e-9, f"t={t}, {form.dtype} {type(form).__name__}"
+def test_time_evolution_takes_only_a_real_sparse_hamiltonian():
+    """A dense, complex or single-precision H is refused on both paths."""
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction(gamma=1e-2))
+    q = build_relative_number(spec)
+    states = [np.eye(2) / 2] * spec.n_sites
+    for form in (h.toarray(), h.astype(complex), h.toarray().astype(complex), h.astype(np.float32)):
+        for dense_dim in (DENSE_EVOLUTION_DIM, 0):
+            with pytest.raises(ValueError, match="real float64 sparse"):
+                time_evolve_expectation(q, form, states, 0.5, dense_dim=dense_dim)
 
 
 def test_chebyshev_matches_expm_multiply_at_n3():

@@ -30,7 +30,7 @@ def junction(gamma=1e-3, delta=0.3, eps=0.3, beta=1e4):
 def test_current_sign_and_magnitude():
     p = junction(delta=0.3)
     sol = solve_ness(p)
-    j = josephson_current(sol, p.gamma).j
+    j = josephson_current(sol, p.gamma)
     # leading order: -4 gamma lam^2 sin(delta), negative for delta > 0
     expected = -4.0 * p.gamma * 0.4 * 0.4 * math.sin(0.3)
     assert j < 0.0
@@ -41,26 +41,26 @@ def test_current_is_odd_in_bias():
     for delta in (0.2, 0.9, 1.4):
         fwd = solve_ness(junction(delta=delta))
         bwd = solve_ness(junction(delta=-delta))
-        j_f = josephson_current(fwd, 1e-3).j
-        j_b = josephson_current(bwd, 1e-3).j
+        j_f = josephson_current(fwd, 1e-3)
+        j_b = josephson_current(bwd, 1e-3)
         assert abs(j_f + j_b) < 1e-14
 
 
 def test_current_vanishes_at_alignment():
     sol = solve_ness(junction(delta=0.0))
-    assert abs(josephson_current(sol, 1e-3).j) < 1e-15
+    assert abs(josephson_current(sol, 1e-3)) < 1e-15
 
 
 def test_current_antisymmetric_between_plates():
     # what flows out of plate I flows into plate II
     sol = solve_ness(junction(delta=0.5))
-    j = josephson_current(sol, 1e-3).j
+    j = josephson_current(sol, 1e-3)
     swapped = JunctionParams(
         bulk_I=junction(delta=0.5).bulk_II,
         bulk_II=junction(delta=0.5).bulk_I,
         gamma=1e-3,
     )
-    assert abs(josephson_current(solve_ness(swapped), 1e-3).j + j) < 1e-14
+    assert abs(josephson_current(solve_ness(swapped), 1e-3) + j) < 1e-14
 
 
 def test_ccr_decoupled_value():

@@ -49,7 +49,7 @@ def test_expansions_match_solver_to_first_order():
         assert abs(abs(sol.Lambda_b_II) - lam_ii) < 5e-8
         nu_i, _ = frequency_first_order(p)
         assert abs(2.0 * sol.mu_t_I - nu_i) < 5e-8
-        j = josephson_current(sol, p.gamma).j
+        j = josephson_current(sol, p.gamma)
         assert abs(j - current_first_order(p)) < 5e-8
 
 
@@ -69,7 +69,7 @@ def test_remainder_ratio_brackets_quadratic():
         remainders[gamma] = {
             "lambda_t_I": abs(abs(sol.Lambda_b_I) - lambda_first_order(p)[0]),
             "current": abs(
-                josephson_current(sol, gamma).j - current_first_order(p)
+                josephson_current(sol, gamma) - current_first_order(p)
             ),
             "nu_t_I": abs(2.0 * sol.mu_t_I - frequency_first_order(p)[0]),
         }
@@ -85,7 +85,7 @@ def test_remainder_constants_bound_unprobed_gamma():
     sol = solve_ness(p)
     probes = {
         "lambda_t_I": abs(sol.Lambda_b_I),
-        "current": josephson_current(sol, gamma).j,
+        "current": josephson_current(sol, gamma),
         "nu_t_I": 2.0 * sol.mu_t_I,
     }
     linear = {

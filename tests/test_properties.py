@@ -213,7 +213,7 @@ def test_row_matches_matrix_observables(params, seed):
     solution's arrays bit for bit."""
     row = evaluate_point(params, seed=seed)
     sol = solve_ness(params, seed=seed)
-    assert _same_bits(row.current, josephson_current(sol, params.gamma).j)
+    assert _same_bits(row.current, josephson_current(sol, params.gamma))
     for side in ("I", "II"):
         pair = goldstone_operators(f"{side}_b", sol)
         assert _same_bits(getattr(row, f"nu_t_{side}"), pair.frequency)
@@ -243,7 +243,7 @@ def test_batch_point_equals_single_solve(points, seed):
     """solve_batch(points)[k] is solve_ness(points[k]) bit for bit, and the
     observables of the whole batch are their per-point values."""
     batch = solve_batch(points, seed=seed)
-    current = josephson_current(batch, np.array([p.gamma for p in points])).j
+    current = josephson_current(batch, np.array([p.gamma for p in points]))
     frequencies = goldstone_frequencies(batch)
     pairs = [goldstone_operators(region, batch) for region in ("I_b", "II_b")]
     for k, params in enumerate(points):
@@ -254,7 +254,7 @@ def test_batch_point_equals_single_solve(points, seed):
                 assert value == expected
             else:
                 assert _same_bits(value, expected), name
-        assert _same_bits(current[k], josephson_current(sol, params.gamma).j)
+        assert _same_bits(current[k], josephson_current(sol, params.gamma))
         for nu, expected in zip(frequencies, goldstone_frequencies(sol)):
             assert _same_bits(nu[k], expected)
         for pair in pairs:

@@ -827,9 +827,23 @@ def test_cli_finite_n_report(capsys):
 
 def test_cli_finite_n_json(capsys):
     assert run_cli("finite-n", "--n", "1", "--format", "json") == 0
-    payload = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    payload = json.loads(text)
     assert payload["passed"] is True
     assert payload["commutator_defect"] < 1e-13
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def test_cli_finite_n_json_is_strict_at_an_overflowing_coupling(capsys):
+    """A coupling whose products overflow fails, prints its NaN defects as
+    null in strict JSON, and warns nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("finite-n", "--n", "1", "--gamma", "1e308", "--format", "json") == 1
+    text = capsys.readouterr().out
+    payload = json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token}"))
+    assert payload["commutator_defect"] is None and payload["passed"] is False
+    assert text == json.dumps(payload, indent=2) + "\n"
 
 
 def test_cli_finite_n_resource_exit(capsys):

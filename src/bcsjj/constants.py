@@ -19,11 +19,11 @@ NESS_CHANGE_TOL = 1e-13
 # Central-difference step for derivative certification at gamma = 0.
 CENTRAL_DIFF_STEP = 1e-5
 
-# Allowed truncated mass when the sparse path of lattice time evolution
-# expands a mixed product state into pure product terms; it bounds only
-# that dropped mass.  Each term is then propagated by a Chebyshev series
-# that stops once its rigorous tail bound is below double-precision
-# roundoff, independent of this tolerance.
+# Weight a product state may leave outside its one product vector (the
+# sites' top eigenvectors joined) when lattice time evolution runs on the
+# sparse path; a state leaving more raises.  The vector is propagated by a
+# Chebyshev series that stops once its rigorous tail bound is below
+# double-precision roundoff, independent of this tolerance.
 KRYLOV_TOL = 1e-10
 
 # Finite-lattice identities (`finite-n`, finite_n.* checks): entrywise defects of

@@ -36,7 +36,6 @@ real CSR H that :func:`build_hamiltonian` returns, and no other form.
 """
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,7 +54,6 @@ from .equilibrium import solve_gap
 
 DEFAULT_DIM_CAP = 2**20
 DENSE_EVOLUTION_DIM = 2**10
-_MAX_PRODUCT_TERMS = 4096
 # the builders' work per step of a few plate-I rows, in entries placed
 # plus slots of their per-row place tables; a step's temporaries are a
 # few arrays of that many int64s (~0.25 MB each)
@@ -561,66 +559,6 @@ def finite_n_report(spec, params):
     )
 
 
-def _dominant_product_terms(site_states, tol):
-    """Product eigenstate expansion of a mixed product state, best first.
-
-    Yields (weight, statevector) until the neglected mass drops below
-    ``tol``.  For nearly pure site states (large beta) one term suffices;
-    a genuinely mixed state on many sites trips the term cap instead of
-    silently truncating.  Each distinct site state (compared by value)
-    is diagonalized once.
-    """
-    spectra = {}
-    probs = []
-    vectors = []
-    for rho in site_states:
-        rho = np.asarray(rho, dtype=complex)
-        key = (rho.shape, rho.tobytes())
-        if key not in spectra:
-            w, v = np.linalg.eigh(rho)
-            order = np.argsort(w)[::-1]
-            spectra[key] = (np.clip(w[order], 0.0, None), v[:, order])
-        p, v = spectra[key]
-        probs.append(p)
-        vectors.append(v)
-
-    n_sites = len(site_states)
-
-    def weight(choice):
-        total = 1.0
-        for x, c in zip(range(n_sites), choice):
-            total *= probs[x][c]
-        return total
-
-    start = (0,) * n_sites
-    heap = [(-weight(start), start)]
-    seen = {start}
-    mass = 0.0
-    out = []
-    while heap and mass < 1.0 - tol:
-        if len(out) >= _MAX_PRODUCT_TERMS:
-            raise ResourceLimitError(
-                "product state too mixed: the eigenstate expansion needs "
-                f"more than {_MAX_PRODUCT_TERMS} terms to reach mass 1 - {tol}"
-            )
-        neg_w, choice = heapq.heappop(heap)
-        w = -neg_w
-        if w <= 0.0:
-            break
-        vec = vectors[0][:, choice[0]]
-        for x in range(1, n_sites):
-            vec = np.multiply.outer(vec, vectors[x][:, choice[x]]).ravel()
-        out.append((w, vec))
-        mass += w
-        for x in range(n_sites):
-            if choice[x] == 0:
-                nxt = choice[:x] + (1,) + choice[x + 1 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    heapq.heappush(heap, (-weight(nxt), nxt))
-    return out
-
-
 def _spectral_interval(hamiltonian):
     """Center c and half-width r of an interval holding the spectrum of H.
 
@@ -648,11 +586,14 @@ def _chebyshev_order(x):
 
     Uses |J_k(x)| <= (|x|/2)^k / k!; once k + 2 > |x|/2 the terms fall
     at least geometrically, so term K+1 over one minus the ratio
-    bounds the tail.
+    bounds the tail.  Where that ratio rounds to 1 (|x| past ~3.6e16,
+    or not finite) nothing is bounded, and ``ValueError`` is raised.
     """
     half = abs(x) / 2
     if half == 0.0:
         return 0
+    if not half / (half + 2) < 1:
+        raise ValueError(f"t is too large: no Chebyshev tail bound at t times H's half-width, {x!r}")
     log_eps = math.log(np.finfo(float).eps)
     order = int(half)
     while True:
@@ -689,16 +630,18 @@ def _bessel_j(order, x):
     return values
 
 
-def _propagate(hamiltonian, vectors, t):
-    """exp(-itH) v for each v of ``vectors``, one at a time, by the
-    Chebyshev series of Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984):
+def _propagate(hamiltonian, vec, t):
+    """exp(-itH) vec by the Chebyshev series of Tal-Ezer and Kosloff,
+    J. Chem. Phys. 81, 3967 (1984):
 
         exp(-itH) v = e^{-itc} sum_k (2 - delta_k0) (-i)^k J_k(tr) T_k((H - c)/r) v
 
     with [c - r, c + r] the Gershgorin interval of the real symmetric CSR
     H, summed until the rigorous tail bound drops below double-precision
     roundoff.  H acts on the (re, im) pair of the iterate as one real
-    (dim, 2) product, so no complex copy of H is ever formed.
+    (dim, 2) product, so no complex copy of H is ever formed.  The
+    recurrence only reads ``vec``, so its first T_0 is ``vec`` itself,
+    not a copy.
     """
     center, radius = _spectral_interval(hamiltonian)
     coeffs = _bessel_j(_chebyshev_order(t * radius), t * radius)
@@ -710,21 +653,33 @@ def _propagate(hamiltonian, vectors, t):
         out *= 2 / radius
         return out
 
-    for vec in vectors:
-        prev = np.array(vec, dtype=complex)
-        total = coeffs[0] * prev
-        if len(coeffs) > 1:
-            cur = step(prev)
-            cur /= 2
-            total += -2j * coeffs[1] * cur
-            phase = -1j
-            for coeff in coeffs[2:]:
-                following = step(cur)  # T_{k+1} = 2 A T_k - T_{k-1}, formed in place
-                following -= prev
-                prev, cur = cur, following
-                phase *= -1j
-                total += (2 * phase * coeff) * cur
-        yield np.exp(-1j * t * center) * total
+    prev = np.ascontiguousarray(vec, dtype=complex)
+    total = coeffs[0] * prev
+    if len(coeffs) > 1:
+        cur = step(prev)
+        cur /= 2
+        total += -2j * coeffs[1] * cur
+        phase = -1j
+        for coeff in coeffs[2:]:
+            following = step(cur)  # T_{k+1} = 2 A T_k - T_{k-1}, formed in place
+            following -= prev
+            prev, cur = cur, following
+            phase *= -1j
+            total += (2 * phase * coeff) * cur
+    return np.exp(-1j * t * center) * total
+
+
+def _top_product_vector(site_states):
+    """Weight and vector of the product of each site's top eigenvector.
+
+    The vector joins the sites' top eigenvectors in kron order (site 0
+    most significant); its weight, the product of their top eigenvalues
+    clipped at 0, is the share of the product state it carries.
+    """
+    values, vectors = np.linalg.eigh(np.asarray(site_states, dtype=complex))
+    weight = math.prod(max(top, 0.0) for top in values[:, -1])
+    vec = functools.reduce(lambda left, right: np.multiply.outer(left, right).ravel(), vectors[:, :, -1])
+    return weight, vec
 
 
 def _value_key(array):
@@ -792,19 +747,25 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
     ~0.13 ms, the first ~17 ms.  Written in e^{i(E_a - E_b)t} - 1, the
     sum gives <op> exactly at t = 0, and at every t when W vanishes off
     the diagonal (Q under the decoupled n = 1 H).
-    Above ``dense_dim`` the state is expanded into dominant product
-    eigenstates, dropping a total weight below ``KRYLOV_TOL``, and each
-    is propagated by the Chebyshev series of :func:`_propagate`, summed
-    to double-precision roundoff; ``KRYLOV_TOL`` bounds only the dropped
-    weight.  H must be real float64 sparse, as :func:`build_hamiltonian`
-    returns it, and stays real throughout; any other form raises
-    ``ValueError``.
+    Above ``dense_dim`` the state must be pure to within ``KRYLOV_TOL``:
+    the product of the sites' top eigenvectors (:func:`_top_product_vector`)
+    must carry weight >= 1 - ``KRYLOV_TOL``.  That one vector is
+    propagated by the Chebyshev series of :func:`_propagate`, summed to
+    double-precision roundoff.  A mixed state raises ``ValueError``; the
+    dense path evolves it exactly.  H must be real float64 sparse, as
+    :func:`build_hamiltonian` returns it, and stays real throughout; any
+    other form, a non-finite t or a site-state count that does not match
+    H's dimension raises ``ValueError``.
     """
     global _spectral_memo
     if not (sparse.issparse(hamiltonian) and hamiltonian.dtype == np.float64):
         kind = f"{type(hamiltonian).__name__} of {getattr(hamiltonian, 'dtype', 'no dtype')}"
         raise ValueError(f"the Hamiltonian must be a real float64 sparse matrix, got {kind}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     dim = hamiltonian.shape[0]
+    if 1 << len(site_states) != dim:
+        raise ValueError(f"{len(site_states)} site states do not span H's dimension {dim}")
     if dim <= dense_dim:
         key = (
             _value_key(hamiltonian),
@@ -824,10 +785,12 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
         # sum_ab W_ab (p_a conj(p_b) - 1), with p_a conj(p_b) - 1 = s_a conj(p_b) + conj(s_b)
         return complex(static + shifts @ coherences @ phases.conj() + column_sums @ shifts.conj())
 
-    terms = _dominant_product_terms(site_states, KRYLOV_TOL)
-    h = sparse.csr_matrix(hamiltonian)
-    op_csr = sparse.csr_matrix(op)
-    total = 0.0 + 0.0j
-    for (w, _), moved in zip(terms, _propagate(h, [vec for _, vec in terms], t)):
-        total += w * np.vdot(moved, op_csr @ moved)
-    return complex(total)
+    weight, vec = _top_product_vector(site_states)
+    if weight < 1.0 - KRYLOV_TOL:
+        raise ValueError(
+            f"the product state leaves weight {1.0 - weight:.3g} outside its top product "
+            f"vector, over KRYLOV_TOL = {KRYLOV_TOL}: above dense_dim only a pure state "
+            "evolves; the dense path (dim <= dense_dim) evolves a mixed state exactly"
+        )
+    moved = _propagate(sparse.csr_matrix(hamiltonian), vec, t)
+    return complex(weight * np.vdot(moved, sparse.csr_matrix(op) @ moved))

@@ -15,6 +15,7 @@ from scipy import sparse
 
 import bcsjj
 from bcsjj import lattice
+from bcsjj.constants import KRYLOV_TOL
 from bcsjj.equilibrium import BulkParams, solve_gap
 from bcsjj.lattice import (
     DENSE_EVOLUTION_DIM,
@@ -119,6 +120,12 @@ def random_site_state(rng):
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = raw @ raw.conj().T
     return rho / np.trace(rho).real
+
+
+def random_pure_site_state(rng):
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
 
 
 def dense_product_state(site_states):
@@ -595,7 +602,7 @@ def test_krylov_matches_dense_propagator():
     h = build_hamiltonian(spec, p)
     q = build_relative_number(spec)
     j = build_current(spec, p.gamma)
-    states = [random_site_state(rng) for _ in range(spec.n_sites)]
+    states = [random_pure_site_state(rng) for _ in range(spec.n_sites)]
     for t in (0.3, 1.7):
         for op in (q, j):
             dense = time_evolve_expectation(op, h, states, t)
@@ -762,13 +769,6 @@ def test_default_dense_threshold_sane():
     assert DENSE_EVOLUTION_DIM >= 4
 
 
-def random_mixed_site_state(rng, mixing):
-    """A random pure site state mixed with weight ``mixing`` into 1/2."""
-    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    psi /= np.linalg.norm(psi)
-    return (1 - mixing) * np.outer(psi, psi.conj()) + mixing * np.eye(2) / 2
-
-
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(
     n=st.sampled_from([1, 2]),
@@ -776,22 +776,20 @@ def random_mixed_site_state(rng, mixing):
     gamma=st.floats(-0.098 * 0.3, 0.098 * 0.3),
     phi_i=st.floats(-math.pi, math.pi),
     phi_ii=st.floats(-math.pi, math.pi),
-    mixing=st.floats(0.0, 0.2),
     seed=st.integers(0, 2**32 - 1),
     current=st.booleans(),
 )
-def test_chebyshev_matches_dense_path(n, t, gamma, phi_i, phi_ii, mixing, seed, current):
-    """Chebyshev and spectral <Q(t)> or <J(t)> agree up to the dropped product mass."""
+def test_chebyshev_matches_dense_path(n, t, gamma, phi_i, phi_ii, seed, current):
+    """Chebyshev and spectral <Q(t)> or <J(t)> agree in a pure product state."""
     spec = LatticeSpec(n)
     params = JunctionParams(BulkParams(0.3, 1e4, phi_i), BulkParams(0.3, 1e4, phi_ii), gamma)
     h = build_hamiltonian(spec, params)
     op = build_current(spec, gamma) if current else build_relative_number(spec)
     rng = np.random.default_rng(seed)
-    states = [random_mixed_site_state(rng, mixing) for _ in range(spec.n_sites)]
+    states = [random_pure_site_state(rng) for _ in range(spec.n_sites)]
     norm = np.abs(np.linalg.eigvalsh(op.toarray())).max()
     dense = time_evolve_expectation(op, h, states, t)
     chebyshev = time_evolve_expectation(op, h, states, t, dense_dim=0)
-    # KRYLOV_TOL bounds the dropped mass of the product expansion
     assert abs(dense - chebyshev) <= 1e-10 * norm + 1e-12, f"t={t}: {dense} vs {chebyshev}"
 
 
@@ -801,8 +799,11 @@ def test_propagated_vector_keeps_unit_norm():
     for t in (0.0, 0.01, 0.7, 5.0, 20.0, -3.0):
         vec = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
         vec /= np.linalg.norm(vec)
-        (moved,) = _propagate(h, [vec], t)
+        vec.setflags(write=False)  # the recurrence reads its start vector, never writes it
+        start = vec.copy()
+        moved = _propagate(h, vec, t)
         assert abs(np.linalg.norm(moved) - 1.0) <= 1e-13, f"t={t}"
+        assert np.array_equal(vec, start)
 
 
 def test_time_evolution_takes_only_a_real_sparse_hamiltonian():
@@ -817,6 +818,78 @@ def test_time_evolution_takes_only_a_real_sparse_hamiltonian():
                 time_evolve_expectation(q, form, states, 0.5, dense_dim=dense_dim)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_chebyshev_path_refuses_a_mixed_state(monkeypatch, n):
+    """A mixed product state raises before any propagation; the dense path evolves it exactly."""
+    spec = LatticeSpec(n)
+    p = JunctionParams(BulkParams(0.3, 5.0, 0.8), BulkParams(0.3, 5.0, 0.0), 2e-2)
+    h = build_hamiltonian(spec, p)
+    ops = (build_relative_number(spec), build_current(spec, p.gamma))
+    rng = np.random.default_rng(83 + n)
+    bulk = [solve_gap(p.bulk_I).rho] * spec.sites_per_plate + [
+        solve_gap(p.bulk_II).rho
+    ] * spec.sites_per_plate
+    for states in ([random_site_state(rng) for _ in range(spec.n_sites)], bulk):
+        for op in ops:
+            with monkeypatch.context() as patched:
+                patched.setattr(lattice, "_propagate", None)  # a call would raise TypeError
+                with pytest.raises(ValueError, match="dense path"):
+                    time_evolve_expectation(op, h, states, 0.7, dense_dim=0)
+            got = time_evolve_expectation(op, h, states, 0.7)
+            want = literal_evolution(op, h, states, 0.7)
+            assert abs(got - want) <= 1e-13, f"{got} vs {want}"
+
+
+@pytest.mark.parametrize("share", [0.99, 1.01])
+def test_chebyshev_path_takes_a_state_within_the_tolerance(share):
+    """Weight left out just below KRYLOV_TOL is taken as the one product vector; just above raises."""
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction(gamma=2e-2, delta=0.6))
+    q = build_relative_number(spec)
+    left_out = share * KRYLOV_TOL
+    states = [np.diag([1.0 - left_out, left_out]), random_pure_site_state(np.random.default_rng(89))]
+    if share > 1:
+        with pytest.raises(ValueError, match="KRYLOV_TOL"):
+            time_evolve_expectation(q, h, states, 0.9, dense_dim=0)
+        return
+    chebyshev = time_evolve_expectation(q, h, states, 0.9, dense_dim=0)
+    dense = time_evolve_expectation(q, h, states, 0.9)
+    assert abs(chebyshev - dense) <= 2 * KRYLOV_TOL, f"{chebyshev} vs {dense}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dense_dim", [DENSE_EVOLUTION_DIM, 0])
+def test_time_evolution_checks_t_and_the_state_count(dense_dim):
+    """A non-finite t or a site-state count off H's dimension raises before any work."""
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction(gamma=1e-2))
+    q = build_relative_number(spec)
+    states = [random_pure_site_state(np.random.default_rng(97))] * spec.n_sites
+    memo = lattice._spectral_memo
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be finite"):
+            time_evolve_expectation(q, h, states, t, dense_dim=dense_dim)
+    for count in (1, 3):
+        with pytest.raises(ValueError, match="site states"):
+            time_evolve_expectation(q, h, [states[0]] * count, 0.5, dense_dim=dense_dim)
+    assert lattice._spectral_memo is memo
+
+
+@pytest.mark.filterwarnings("error")
+def test_chebyshev_path_refuses_a_t_it_cannot_bound():
+    """Past t r ~ 3.6e16 the tail bound's ratio rounds to 1: ValueError, not ZeroDivisionError."""
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction(gamma=1e-2))
+    q = build_relative_number(spec)
+    states = [random_pure_site_state(np.random.default_rng(101))] * spec.n_sites
+    for t in (1e20, -1e20, 1e300, 1.5e308):
+        with pytest.raises(ValueError, match="t is too large"):
+            time_evolve_expectation(q, h, states, t, dense_dim=0)
+    for x in (math.inf, math.nan, 1e17):
+        with pytest.raises(ValueError, match="t is too large"):
+            _chebyshev_order(x)
+
+
 def test_chebyshev_matches_expm_multiply_at_n3():
     from scipy.sparse.linalg import expm_multiply
 
@@ -825,7 +898,7 @@ def test_chebyshev_matches_expm_multiply_at_n3():
     vec = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
     vec /= np.linalg.norm(vec)
     t = 0.4
-    (moved,) = _propagate(h, [vec], t)
+    moved = _propagate(h, vec, t)
     defect = np.abs(moved - expm_multiply(-1j * t * h, vec)).max()
     assert defect <= 1e-12, f"{defect:.2e}"
 

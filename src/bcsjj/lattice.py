@@ -12,17 +12,18 @@ can be checked against literal operator algebra:
     J = i [H, Q] = -(2 i gamma / N)(B_minus_I B_plus_II - B_plus_I B_minus_II)
 
 with S the plate-summed and B the contact-row-summed ladder operators.
-Each plate's operators (sum_x sigma_z, S_plus S_minus / N, B_plus and
-the pair number) are built once per N on the plate's own
-2^(N^2)-dimensional space, each site sum read off the site bits of the
-plate states in one COO to CSR conversion (:func:`_plate_summed`; site 0
-is the most significant bit, as in kron order).  H, Q and J are sums of
-kron products of plate operators, plate I holding the high bits, and
+The core is plain numpy: each operator is held as its CSR arrays
+(:class:`_Csr`, under scipy's attribute names).  Each plate's operators
+(sum_x sigma_z, S_plus S_minus / N, B_plus and the pair number) are built
+once per N on the plate's own 2^(N^2)-dimensional space, each site sum
+read off the site bits of the plate states (:func:`_plate_summed`; site
+0 is the most significant bit, as in kron order).  H, Q and J are sums
+of kron products of plate operators, plate I holding the high bits, and
 each is written straight into its final CSR arrays a few plate-I rows at
 a time (:func:`_assemble`): no full-space temporary, kron product or
 sparse sum is made, and the entries, their order and their values are
-those of the ``sparse.kron`` sums bit for bit.  H and Q are real float64
-CSR; only J is complex.
+those of the ``scipy.sparse.kron`` sums bit for bit.  H and Q are real
+float64 CSR; only J is complex.
 
 The identities i[H, Q] = J and [H(gamma = 0), Q] = 0 are checked
 entrywise without forming H @ Q or Q @ H: Q is diagonal, so
@@ -31,8 +32,15 @@ Q's diagonal, a block of rows at a time.  H(gamma = 0) is H's entries
 that leave one plate's state unchanged, so both checks read one pass
 over H (:func:`_identity_and_conservation`).  Expectations in product
 states contract over the sparse entries a group of sites at a time,
-never building the 4^(N^2) density matrix.  Time evolution takes the
-real CSR H that :func:`build_hamiltonian` returns, and no other form.
+never building the 4^(N^2) density matrix.  :func:`finite_n_report` and
+:func:`product_state_current` run on the core alone, so ``finite-n`` and
+the ``finite_n.*`` checks never load scipy.
+
+scipy is imported only inside the public sparse API: the builders
+(:func:`build_hamiltonian` and its kin wrap the core's arrays in a
+``scipy.sparse.csr_matrix`` without a copy), :func:`product_state_expectation`
+and :func:`time_evolve_expectation`.  Time evolution takes the real CSR H
+that :func:`build_hamiltonian` returns, and no other form.
 """
 
 import functools
@@ -41,7 +49,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import spin
 from .constants import (
@@ -64,15 +71,15 @@ _STEP_ENTRIES = 2**15
 _BLOCK_ENTRIES = 2**15
 # What a finite-n run allocates besides what estimated_bytes sizes from
 # the lattice: the Python objects around each array, the plate-space
-# operators (2^(n^2) states), the report's other small pieces and, on a
-# process's first run, the ~20 kB of caches that abc fills the first time
-# scipy's sparse type checks see each type.  Measured at most ~55 kB over
-# the sized part, on a process's first run at n = 1; at n = 2 and 3 the
-# block term of the estimate covers them too.  The argument parser is
-# built on import, so it is not part of a run.  Measured on Python 3.11
-# with numpy 2.4 and scipy 1.17.1 only: a first run then peaks ~44 kB,
-# ~92 kB and ~0.25 MB under the estimate at n = 1, 2, 3, margins other
-# interpreters or scipy versions may use up (CI prints them for its own).
+# operators (2^(n^2) states) and the report's other small pieces.
+# Measured ~28 kB over the sized part on a process's first run at n = 1;
+# at n = 2 and 3 the block term of the estimate covers them too.  The
+# argument parser is built on import, so it is not part of a run, and a
+# run loads no scipy, so it fills none of the abc caches (~26 kB) that
+# scipy's sparse type checks once filled inside a first run.  Measured on
+# Python 3.11 with numpy 2.4 only: a first run then peaks ~70 kB, ~133 kB
+# and ~0.56 MB under the estimate at n = 1, 2, 3, margins other
+# interpreters or numpy versions may use up (CI prints them for its own).
 _RUN_OVERHEAD_BYTES = 96 * 1024
 
 class ResourceLimitError(RuntimeError):
@@ -142,6 +149,37 @@ def _index_dtype(top):
     return np.int32 if top <= np.iinfo(np.int32).max else np.int64
 
 
+class _Csr(NamedTuple):
+    """A square sparse matrix as its CSR arrays, under scipy's attribute
+    names: the core reads a scipy CSR matrix the same way."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+def _csr(dim, row, col, value):
+    """dim x dim CSR of distinct entries (row, col, value), columns sorted
+    in each row, as scipy's COO to CSR conversion gives them."""
+    order = np.lexsort((col, row))
+    idx = _index_dtype(max(dim, row.size))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=dim)))).astype(idx)
+    return _Csr(value[order], col[order].astype(idx), indptr, (dim, dim))
+
+
+def _rows_of(op):
+    """The row of each stored entry of a CSR ``op``, in storage order."""
+    return np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+
+
+def _entries(op):
+    """(row, column, value) of a CSR's entries, columns sorted in each row."""
+    row = _rows_of(op)
+    order = np.lexsort((op.indices, row))
+    return row[order], op.indices[order], op.data[order]
+
+
 def _plate_summed(width, sites, local):
     """sum_x local(x) over ``sites`` of a plate of ``width`` sites, for a
     real 2x2 ``local``, on the plate's 2^width space, as real CSR.
@@ -171,37 +209,58 @@ def _plate_summed(width, sites, local):
     rows.append(kept)
     cols.append(kept)
     values.append(diagonal[kept])
-    coo = sparse.coo_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(states.size, states.size),
-    )
-    return coo.tocsr()
+    return _csr(states.size, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
+
+
+def _scaled_difference(scale, a, b):
+    """scale * a - b for two CSR plate operators, as scipy's sparse
+    arithmetic gives it: on the union of their entries, a missing entry
+    read as 0, and the zeros of the difference dropped."""
+    dim = a.shape[0]
+    a_row, a_col, a_value = _entries(a)
+    b_row, b_col, b_value = _entries(b)
+    keys, where = np.unique(np.concatenate((a_row * dim + a_col, b_row * dim + b_col)), return_inverse=True)
+    first, second = np.zeros(keys.size), np.zeros(keys.size)
+    first[where[: a_row.size]] = scale * a_value
+    second[where[a_row.size :]] = b_value
+    value = first - second
+    kept = value != 0
+    return _csr(dim, keys[kept] // dim, keys[kept] % dim, value[kept])
 
 
 class _PlateOperators(NamedTuple):
     """One n x n plate's operators on its 2^(n^2) states, real CSR."""
 
-    sz: sparse.csr_matrix  # sum_x sigma_z(x)
-    pairing: sparse.csr_matrix  # S_plus S_minus / n
-    number: sparse.csr_matrix  # the pair number
-    b_plus: sparse.csr_matrix  # B_plus, the contact row's (first n sites') sum
-    b_minus: sparse.csr_matrix
+    sz: _Csr  # sum_x sigma_z(x)
+    pairing: _Csr  # S_plus S_minus / n
+    number: _Csr  # the pair number
+    b_plus: _Csr  # B_plus, the contact row's (first n sites') sum
+    b_minus: _Csr
 
 
 @functools.cache
 def _plate_operators(n):
     """The plate operators of an n x n plate, built once per n and shared
-    by every builder call: callers must not modify them."""
-    width = n * n
+    by every builder call: callers must not modify them.
+
+    S_plus S_minus is a dense product on the plate's at most 512 states,
+    a temporary: its entries count 0/1 products, so they are exact, and
+    the nonzero ones divided by n are those of the sparse product.
+    """
+    width, dim = n * n, 1 << (n * n)
     every_site = range(width)
     raise_all = _plate_summed(width, every_site, spin.SIGMA_PLUS)
+    dense = np.zeros((dim, dim))
+    dense[_rows_of(raise_all), raise_all.indices] = raise_all.data
+    counts = dense @ dense.T
+    row, col = np.nonzero(counts)
     b_plus = _plate_summed(width, range(n), spin.SIGMA_PLUS)
     return _PlateOperators(
         sz=_plate_summed(width, every_site, spin.SIGMA_Z),
-        pairing=raise_all @ raise_all.T / n,
+        pairing=_csr(dim, row, col, counts[row, col] * (1 / n)),  # scipy's / n: times 1 / n
         number=_plate_summed(width, every_site, spin.SIGMA_PLUS @ spin.SIGMA_MINUS),
         b_plus=b_plus,
-        b_minus=b_plus.T.tocsr(),
+        b_minus=_csr(dim, b_plus.indices, _rows_of(b_plus), b_plus.data),
     )
 
 
@@ -222,12 +281,6 @@ def _rows(dim, row, col, value=None):
     return _Rows(count, row, np.arange(row.size) - (np.cumsum(count) - count)[row], col, value)
 
 
-def _entries(op):
-    """(row, column, value) of a plate CSR's entries, columns sorted in each row."""
-    op = op.sorted_indices()
-    return np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)), op.indices, op.data
-
-
 def _assemble(plates, terms, dtype):
     """kron(a, 1) + kron(1, b) + sum_t value_t kron(left_t, right_t) on the
     two plates' joint space, plate I holding the high bits, as CSR whose
@@ -243,7 +296,7 @@ def _assemble(plates, terms, dtype):
     a[r, r] + b[k, k] on its diagonal, dropped where it is zero; and
     value_t times row k of right_t where left_t[r, c] = 1.  Entries,
     values, dropped zeros and column order are those of the
-    ``sparse.kron`` sums (H, Q and J below), bit for bit.
+    ``scipy.sparse.kron`` sums (H, Q and J below), bit for bit.
 
     A block is one entry wide in every row k (a[r, c] 1) or as wide as
     row k of its plate-II operator.  An entry's place in row (r, k) is
@@ -280,7 +333,7 @@ def _assemble(plates, terms, dtype):
         right_row, right_col, _ = _entries(right)
         kinds.append(_rows(dim, right_row, right_col))
         blocks.append((left_row, left_col, np.full(left_row.size, 4 + t), np.full(left_row.size, value)))
-        nnz += left.nnz * right.nnz
+        nnz += left.data.size * right.data.size
     row, col, kind, value = (np.concatenate(part) for part in zip(*blocks))
     order = np.lexsort((kind, col, row))
     row, col, kind, value = row[order], col[order], kind[order], value.astype(dtype)[order]
@@ -349,34 +402,59 @@ def _assemble(plates, terms, dtype):
                     values = np.tile(rows.value, (hi - lo, 1))
             indices[dest] = cols
             data[dest] = values
-    return sparse.csr_matrix((data, indices, indptr), shape=(dim * dim, dim * dim))
+    return _Csr(data, indices, indptr, (dim * dim, dim * dim))
 
 
-def build_hamiltonian(spec, params):
+def _hamiltonian(spec, params):
     """Full lattice Hamiltonian for the given junction parameters, real CSR:
     each plate's eps sum sigma_z - S_plus S_minus / n, minus
     (gamma/n) (B_plus_I B_minus_II + B_minus_I B_plus_II)."""
     ops = _plate_operators(spec.n)
-    plates = tuple(bulk.epsilon * ops.sz - ops.pairing for bulk in (params.bulk_I, params.bulk_II))
+    plates = tuple(_scaled_difference(bulk.epsilon, ops.sz, ops.pairing) for bulk in (params.bulk_I, params.bulk_II))
     hop = -(params.gamma / spec.n)
     # a zero hop stores no entry, as the sparse difference plate - tunnelling drops it
     terms = [(ops.b_plus, ops.b_minus, hop), (ops.b_minus, ops.b_plus, hop)] if hop else []
     return _assemble(plates, terms, float)
 
 
-def build_relative_number(spec):
+def _relative_number(spec):
     """Pair-number imbalance between the plates, real CSR."""
     number = _plate_operators(spec.n).number
-    return _assemble((number, -number), [], float)
+    return _assemble((number, number._replace(data=-number.data)), [], float)
 
 
-def build_current(spec, gamma):
+def _current(spec, gamma):
     """Pair current operator J = i [H, Q], in closed form, complex CSR."""
     ops = _plate_operators(spec.n)
     # the closed form's +-1 entries times its scale, in numpy's complex
     # arithmetic (signed zeros included); zero entries are kept
     plus, minus = np.array([1.0, -1.0]) * (-2j * gamma / spec.n)
     return _assemble(None, [(ops.b_minus, ops.b_plus, plus), (ops.b_plus, ops.b_minus, minus)], complex)
+
+
+def _scipy_csr(op):
+    """``op``'s arrays as a ``scipy.sparse.csr_matrix``, not copied."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
+
+
+def build_hamiltonian(spec, params):
+    """Full lattice Hamiltonian for the given junction parameters, as a
+    real ``scipy.sparse.csr_matrix`` around :func:`_hamiltonian`'s arrays."""
+    return _scipy_csr(_hamiltonian(spec, params))
+
+
+def build_relative_number(spec):
+    """Pair-number imbalance between the plates, as a real
+    ``scipy.sparse.csr_matrix`` around :func:`_relative_number`'s arrays."""
+    return _scipy_csr(_relative_number(spec))
+
+
+def build_current(spec, gamma):
+    """Pair current operator J = i [H, Q], in closed form, as a complex
+    ``scipy.sparse.csr_matrix`` around :func:`_current`'s arrays."""
+    return _scipy_csr(_current(spec, gamma))
 
 
 def _row_blocks(indptr):
@@ -427,7 +505,9 @@ def _identity_and_conservation(hamiltonian, charge, current, width):
     H(gamma = 0) is, bit for bit, H's entries whose row and column agree
     on one plate's ``width`` bits.
     """
-    indptr, q = hamiltonian.indptr, charge.diagonal()
+    indptr = hamiltonian.indptr
+    q = np.zeros(charge.shape[0])
+    q[charge.indices] = charge.data  # Q is diagonal: each entry's column is its row
     plate_ii = (1 << width) - 1
     identity = conservation = 0.0
     for start, stop in _row_blocks(indptr):
@@ -462,6 +542,30 @@ def _product_table(states):
     return table
 
 
+def _expectation(shape, row, col, value, site_states):
+    """Tr(rho op) for a product state rho, from op's ``shape`` and its
+    entries (``row``, ``col``, ``value``): the contraction of
+    :func:`product_state_expectation`, summed in the entries' order."""
+    dim = shape[0]
+    n_sites = dim.bit_length() - 1
+    if (1 << n_sites) != dim or shape[0] != shape[1]:
+        raise ValueError(f"operator shape {shape} is not a spin-chain square")
+    if len(site_states) != n_sites:
+        raise ValueError(
+            f"got {len(site_states)} site states for {n_sites} sites"
+        )
+    acc = value.astype(complex, copy=True)
+    for first, last in _site_groups(n_sites):
+        width = last - first
+        table = _product_table(site_states[first:last])
+        shift = n_sites - last
+        mask = (1 << width) - 1
+        index = ((col >> shift) & mask) << width
+        index |= (row >> shift) & mask
+        acc *= table.ravel()[index]
+    return complex(acc.sum())
+
+
 def product_state_expectation(op, site_states):
     """Tr(rho op) for rho a tensor product of one-site density matrices.
 
@@ -471,40 +575,28 @@ def product_state_expectation(op, site_states):
     in groups of at most six, and a group's factor is one lookup in the
     kron of its site states (at most 64 x 64), indexed by the group's
     column and row bits, so the cost is O(nnz * groups).  Site 0 is the
-    most significant bit (kron order).
+    most significant bit (kron order).  ``op`` is anything
+    ``scipy.sparse.coo_matrix`` takes.
     """
+    from scipy import sparse
+
     op = sparse.coo_matrix(op)
-    dim = op.shape[0]
-    n_sites = dim.bit_length() - 1
-    if (1 << n_sites) != dim or op.shape[0] != op.shape[1]:
-        raise ValueError(f"operator shape {op.shape} is not a spin-chain square")
-    if len(site_states) != n_sites:
-        raise ValueError(
-            f"got {len(site_states)} site states for {n_sites} sites"
-        )
-    acc = op.data.astype(complex, copy=True)
-    for first, last in _site_groups(n_sites):
-        width = last - first
-        table = _product_table(site_states[first:last])
-        shift = n_sites - last
-        mask = (1 << width) - 1
-        index = ((op.col >> shift) & mask) << width
-        index |= (op.row >> shift) & mask
-        acc *= table.ravel()[index]
-    return complex(acc.sum())
+    return _expectation(op.shape, op.row, op.col, op.data, site_states)
 
 
 def product_state_current(spec, params, current=None):
     """<J> per contact site in the product of the two plates' bulk gap
     states, and the sine law -4 gamma lam_I lam_II sin(delta_phi) it equals
-    at every n.  Builds J unless ``current`` is given.
+    at every n.  Builds J unless ``current``, J as CSR (a scipy CSR
+    matrix or the core's arrays), is given.
     """
     if current is None:
-        current = build_current(spec, params.gamma)
+        current = _current(spec, params.gamma)
     bulk_i = solve_gap(params.bulk_I)
     bulk_ii = solve_gap(params.bulk_II)
     states = [bulk_i.rho] * spec.sites_per_plate + [bulk_ii.rho] * spec.sites_per_plate
-    measured = product_state_expectation(current, states).real / spec.n
+    entries = (_rows_of(current), current.indices, current.data)
+    measured = _expectation(current.shape, *entries, states).real / spec.n
     expected = -4.0 * params.gamma * bulk_i.lam * bulk_ii.lam * math.sin(params.delta_phi)
     return measured, expected
 
@@ -533,9 +625,9 @@ def finite_n_report(spec, params):
     gives NaN defects, and a failed report, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        charge = build_relative_number(spec)
-        hamiltonian = build_hamiltonian(spec, params)
-        current = build_current(spec, params.gamma)
+        charge = _relative_number(spec)
+        hamiltonian = _hamiltonian(spec, params)
+        current = _current(spec, params.gamma)
         identity, conservation = _identity_and_conservation(
             hamiltonian, charge, current, spec.sites_per_plate
         )
@@ -609,8 +701,14 @@ def _bessel_j(order, x):
     Below |x| = 2 sqrt(eps) the leading power-series term (x/2)^k / k!
     is exact to roundoff.  Otherwise Miller's backward recurrence
     J_{k-1} = (2k/x) J_k - J_{k+1}, started well above both ``order``
-    and |x| and rescaled against overflow, normalized by
-    J_0 + 2 sum_k J_2k = 1.
+    and |x| and rescaled by 1e-250 whenever a value passes 1e250,
+    normalized by J_0 + 2 sum_k J_2k = 1.
+
+    A rescale scales at once only the two values the recurrence reads
+    next; each older value gets its share of the rescales after the
+    recurrence, in the same sequence of products, so the cost is linear
+    in ``order`` + |x|.  Three rescales take any double to zero, so no
+    value needs more than three.
     """
     if abs(x) < 2 * math.sqrt(np.finfo(float).eps):
         out = [1.0]
@@ -620,10 +718,21 @@ def _bessel_j(order, x):
     top = order + int(abs(x)) + 20
     values = [0.0] * (top + 2)
     values[top] = 1.0
+    rescales = []  # the index at each rescale, falling
     for k in range(top, 0, -1):
         values[k - 1] = (2 * k / abs(x)) * values[k] - values[k + 1]
         if abs(values[k - 1]) > 1e250:
-            values = [value * 1e-250 for value in values]
+            values[k - 1] *= 1e-250
+            values[k] *= 1e-250
+            rescales.append(k - 1)
+    if rescales:
+        # the value at i owes the rescales at i - 2 and below (those above
+        # it came while it was still 0)
+        owed = np.searchsorted(rescales[::-1], np.arange(len(values)) - 2, side="right")
+        values = np.array(values)
+        for done in range(min(3, len(rescales))):
+            values[owed > done] *= 1e-250
+        values = values.tolist()
     values = np.array(values[: order + 1]) / (values[0] + 2 * math.fsum(values[2::2]))
     if x < 0:
         values[1::2] *= -1
@@ -684,6 +793,8 @@ def _top_product_vector(site_states):
 
 def _value_key(array):
     """Shape, dtypes and bytes of a CSR or dense array: equal only for equal values."""
+    from scipy import sparse
+
     if sparse.issparse(array):
         array = sparse.csr_matrix(array)
         parts = (array.indptr, array.indices, array.data)
@@ -755,9 +866,13 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
     dense path evolves it exactly.  H must be real float64 sparse, as
     :func:`build_hamiltonian` returns it, and stays real throughout; any
     other form, a non-finite t or a site-state count that does not match
-    H's dimension raises ``ValueError``.
+    H's dimension raises ``ValueError``, and so does a t too large for
+    either path (t E overflows on the dense path; the Chebyshev tail
+    cannot be bounded on the other).
     """
     global _spectral_memo
+    from scipy import sparse
+
     if not (sparse.issparse(hamiltonian) and hamiltonian.dtype == np.float64):
         kind = f"{type(hamiltonian).__name__} of {getattr(hamiltonian, 'dtype', 'no dtype')}"
         raise ValueError(f"the Hamiltonian must be a real float64 sparse matrix, got {kind}")
@@ -780,6 +895,9 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
             weights = _spectral_weights(op, hamiltonian, site_states)
             _spectral_memo = (key, weights)
         static, energies, coherences, column_sums = weights
+        # eigh's energies rise, so the ends hold the largest |E|
+        if not math.isfinite(abs(t) * max(-float(energies[0]), float(energies[-1]))):
+            raise ValueError(f"t is too large: t times H's largest |energy| overflows, {t!r}")
         phases = np.exp(1j * t * energies)
         shifts = phases - 1.0
         # sum_ab W_ab (p_a conj(p_b) - 1), with p_a conj(p_b) - 1 = s_a conj(p_b) + conj(s_b)

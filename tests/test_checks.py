@@ -33,7 +33,7 @@ def test_suite_solves_each_grid_and_builds_each_lattice_once(monkeypatch):
     _clear_caches()
     batches = _counting(monkeypatch, checks, "solve_batch")
     batches_first_order = _counting(monkeypatch, perturbation, "solve_batch")
-    hamiltonians = _counting(monkeypatch, lattice, "build_hamiltonian")
+    hamiltonians = _counting(monkeypatch, lattice, "_hamiltonian")
     results = run_checks()
     assert len(results) == 17 and all(r.passed for r in results)
     # standard grid, gauge, swap, proportionality, law grid, ccr, dynamics
@@ -113,13 +113,13 @@ def test_a_nan_derivative_defect_fails(monkeypatch, cleared_caches):
 
 
 def test_a_nan_in_the_current_operator_fails(monkeypatch, cleared_caches):
-    build_current = lattice.build_current
+    build_current = lattice._current
 
     def planted(spec, gamma):
         current = build_current(spec, gamma)
         current.data[-1] = math.nan
         return current
 
-    monkeypatch.setattr(lattice, "build_current", planted)
+    monkeypatch.setattr(lattice, "_current", planted)
     result = checks.check_finite_n_commutator(CheckOptions())
     assert not result.passed and math.isnan(result.measured), result

@@ -2,9 +2,11 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
+import time
 
 import hypothesis
 import numpy as np
@@ -38,6 +40,11 @@ from bcsjj.ness import JunctionParams
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def arrays(op):
+    """A scipy CSR matrix's arrays in the lattice core's form, not copied."""
+    return lattice._Csr(op.data, op.indices, op.indptr, op.shape)
 
 
 def reference_site_operator(spec, site, local):
@@ -234,7 +241,7 @@ def test_identity_check_matches_literal_products(n, eps_i, eps_ii, gamma, phi):
     h = build_hamiltonian(spec, params)
     q = build_relative_number(spec)
     j = build_current(spec, gamma)
-    identity, conservation = _identity_and_conservation(h, q, j, spec.sites_per_plate)
+    identity, conservation = _identity_and_conservation(arrays(h), arrays(q), arrays(j), spec.sites_per_plate)
     assert abs(identity - abs(1j * (h @ q - q @ h) - j).max()) <= 1e-15
     plate = within_plate_entries(spec, h)
     assert abs(conservation - abs(plate @ q - q @ plate).max()) <= 1e-15
@@ -247,16 +254,18 @@ def test_identity_check_reports_a_planted_error():
     q = build_relative_number(spec)
     j = build_current(spec, p.gamma)
     h = build_hamiltonian(spec, p)
-    assert _identity_and_conservation(h, q, j, width)[0] < 1e-13
+    assert _identity_and_conservation(arrays(h), arrays(q), arrays(j), width)[0] < 1e-13
     moved = h.tocoo()
     hops = np.flatnonzero(q.diagonal()[moved.row] != q.diagonal()[moved.col])
     planted = h.copy()
     planted[moved.row[hops[7]], moved.col[hops[7]]] += 1e-9
-    assert _identity_and_conservation(planted, q, j, width)[0] >= 1e-9
+    assert _identity_and_conservation(arrays(planted), arrays(q), arrays(j), width)[0] >= 1e-9
     # a new entry between two pair numbers, on the plate part
     plate = build_hamiltonian(spec, junction(gamma=0.0)).tolil()
     plate[0, np.flatnonzero(q.diagonal() != q.diagonal()[0])[0]] = 1e-9
-    identity, conservation = _identity_and_conservation(plate.tocsr(), q, build_current(spec, 0.0), width)
+    identity, conservation = _identity_and_conservation(
+        arrays(plate.tocsr()), arrays(q), arrays(build_current(spec, 0.0)), width
+    )
     assert identity >= 1e-9 and conservation >= 1e-9
 
 
@@ -279,7 +288,7 @@ def test_identity_check_propagates_a_planted_nan(monkeypatch, gamma, where):
         else:
             diagonal = np.flatnonzero(h.indices == np.repeat(np.arange(spec.dim), np.diff(h.indptr)))
             h.data[diagonal[entry]] = np.nan
-        identity, conservation = _identity_and_conservation(h, q, j, width)
+        identity, conservation = _identity_and_conservation(arrays(h), arrays(q), arrays(j), width)
         assert math.isnan(identity), (entry, identity)
         # a NaN on H's diagonal is a plate entry; J has no part in conservation
         assert math.isnan(conservation) == (where == "hamiltonian"), (entry, conservation)
@@ -313,27 +322,39 @@ def test_conservation_reads_only_the_plate_part():
     width = spec.sites_per_plate
     p = junction(gamma=1e-2)
     h, q, j = build_hamiltonian(spec, p), build_relative_number(spec), build_current(spec, p.gamma)
-    assert _identity_and_conservation(h, q, j, width)[1] == 0.0
+    assert _identity_and_conservation(arrays(h), arrays(q), arrays(j), width)[1] == 0.0
     plate_i_moved = h.tolil()
     plate_i_moved[0b0001_0000, 0b0000_0000] = 1e-9
     assert q.diagonal()[0b0001_0000] != q.diagonal()[0]
-    assert _identity_and_conservation(plate_i_moved.tocsr(), q, j, width)[1] >= 1e-9
+    assert _identity_and_conservation(arrays(plate_i_moved.tocsr()), arrays(q), arrays(j), width)[1] >= 1e-9
     both_moved = h.tolil()
     both_moved[0b0001_0000, 0b0000_0001] = 0.5
-    identity, conservation = _identity_and_conservation(both_moved.tocsr(), q, j, width)
+    identity, conservation = _identity_and_conservation(arrays(both_moved.tocsr()), arrays(q), arrays(j), width)
     assert conservation == 0.0 and identity >= 0.5
 
 
+def per_site_kron_sum(spec, sites, local):
+    """sum_x local(x) on one plate's space, a sparse.kron chain per site."""
+    total = None
+    for site in sites:
+        right = sparse.identity(1 << (spec.sites_per_plate - site - 1))
+        term = sparse.kron(sparse.identity(1 << site), local.real, format="csr")
+        term = sparse.kron(term, right, format="csr")
+        total = term if total is None else total + term
+    return total
+
+
 def kron_formula(spec, params):
-    """H, Q and J as sums of ``sparse.kron`` products of the plate operators:
-    the builders' reference, formed as the sums are written."""
+    """H, Q and J as sums of ``sparse.kron`` products of the plate operators,
+    each a per-site kron sum, all in scipy's sparse arithmetic: the
+    builders' reference, formed as the sums are written."""
     n, width = spec.n, spec.sites_per_plate
     every_site = range(width)
-    sz = _plate_summed(width, every_site, SIGMA_Z)
-    raise_all = _plate_summed(width, every_site, SIGMA_PLUS)
+    sz = per_site_kron_sum(spec, every_site, SIGMA_Z)
+    raise_all = per_site_kron_sum(spec, every_site, SIGMA_PLUS)
     pairing = raise_all @ raise_all.T / n
-    number = _plate_summed(width, every_site, SIGMA_PLUS @ SIGMA_PLUS.conj().T)
-    b_plus = _plate_summed(width, range(n), SIGMA_PLUS)
+    number = per_site_kron_sum(spec, every_site, SIGMA_PLUS @ SIGMA_PLUS.conj().T)
+    b_plus = per_site_kron_sum(spec, range(n), SIGMA_PLUS)
     b_minus = b_plus.T.tocsr()
     one = sparse.identity(1 << width, format="csr")
 
@@ -360,6 +381,7 @@ def assert_builders_equal_kron_formula(spec, params):
         build_current(spec, params.gamma),
     )
     for name, got, want in zip("HQJ", built, kron_formula(spec, params)):
+        assert type(got) is sparse.csr_matrix, (name, type(got))
         assert got.dtype == want.dtype and got.shape == want.shape, name
         for part in ("indptr", "indices", "data"):
             a, b = getattr(got, part), getattr(want, part)
@@ -400,8 +422,34 @@ def test_builders_equal_the_kron_formula_property(n, eps_i, eps_ii, gamma, phi):
     assert_builders_equal_kron_formula(LatticeSpec(n), params)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_public_builders_wrap_the_core_arrays_in_scipy_csr(monkeypatch, n):
+    """build_hamiltonian, build_relative_number and build_current return
+    scipy CSR matrices holding the core builders' arrays, not copies, and
+    equal to the sparse.kron reference bit for bit."""
+    made = []
+
+    def keep(core):
+        def kept(*args):
+            made.append(core(*args))
+            return made[-1]
+        return kept
+
+    for name in ("_hamiltonian", "_relative_number", "_current"):
+        monkeypatch.setattr(lattice, name, keep(getattr(lattice, name)))
+    spec, params = LatticeSpec(n), junction(gamma=1e-2, delta=0.7)
+    built = (build_hamiltonian(spec, params), build_relative_number(spec), build_current(spec, params.gamma))
+    assert len(made) == 3
+    for name, got, core in zip("HQJ", built, made):
+        assert type(got) is sparse.csr_matrix and got.shape == core.shape, name
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(got, part), getattr(core, part)), f"{name}.{part}"
+    assert_builders_equal_kron_formula(spec, params)
+
+
 def test_plate_joins_match_sparse_kron():
-    """The join of random plate operators equals the sparse.kron sums."""
+    """The join of random plate operators, in the core's array form,
+    equals the sparse.kron sums."""
     rng = np.random.default_rng(67)
     for dim in (1, 2, 16, 64):
         def plate():
@@ -412,11 +460,13 @@ def test_plate_joins_match_sparse_kron():
         one = sparse.identity(dim, format="csr")
         ladder = sparse.csr_matrix(np.triu(rng.random((dim, dim)) < 0.1, 1).astype(float))
         pairs = (
-            (_assemble((a, b), [], float), sparse.kron(a, one, format="csr") + sparse.kron(one, b, format="csr")),
-            (_assemble(None, [(ladder, ladder.T.tocsr(), 0.5)], float), 0.5 * sparse.kron(ladder, ladder.T, format="csr")),
+            (_assemble((arrays(a), arrays(b)), [], float),
+             sparse.kron(a, one, format="csr") + sparse.kron(one, b, format="csr")),
+            (_assemble(None, [(arrays(ladder), arrays(ladder.T.tocsr()), 0.5)], float),
+             0.5 * sparse.kron(ladder, ladder.T, format="csr")),
         )
         for got, want in pairs:
-            assert got.shape == want.shape
+            assert isinstance(got, lattice._Csr) and got.shape == want.shape
             assert got.indices.dtype == want.indices.dtype == np.int32
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
@@ -426,11 +476,13 @@ def test_plate_joins_match_sparse_kron():
 def test_builders_allocate_only_their_operators():
     """A fresh process building H, Q and J at n = 3 peaks at their own
     bytes plus 2 MB, the step temporaries (~1 MB) and the plate operators:
-    no full-space temporary is made."""
+    no full-space temporary is made.  scipy, which the builders import on
+    their first call, is imported before the trace starts."""
     src = os.path.dirname(os.path.dirname(bcsjj.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
         "import tracemalloc\n"
+        "import scipy.sparse\n"
         "from bcsjj import BulkParams, JunctionParams, LatticeSpec\n"
         "from bcsjj import build_current, build_hamiltonian, build_relative_number\n"
         "p = JunctionParams(BulkParams(0.3, 1e4, 0.7), BulkParams(0.3, 1e4, 0.0), 1e-3)\n"
@@ -443,17 +495,6 @@ def test_builders_allocate_only_their_operators():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     peak, final = map(int, proc.stdout.split())
     assert peak <= final + 2 * 2**20, f"peak {peak} B, operators {final} B"
-
-
-def per_site_kron_sum(spec, sites, local):
-    """sum_x local(x) on one plate's space, a sparse.kron chain per site."""
-    total = None
-    for site in sites:
-        right = sparse.identity(1 << (spec.sites_per_plate - site - 1))
-        term = sparse.kron(sparse.identity(1 << site), local.real, format="csr")
-        term = sparse.kron(term, right, format="csr")
-        total = term if total is None else total + term
-    return total
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -469,7 +510,7 @@ def test_plate_summed_matches_per_site_kron(n):
     for sites, local in cases:
         got = _plate_summed(spec.sites_per_plate, sites, local)
         want = per_site_kron_sum(spec, sites, local)
-        assert got.format == "csr" and got.shape == want.shape
+        assert isinstance(got, lattice._Csr) and got.shape == want.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
@@ -890,6 +931,23 @@ def test_chebyshev_path_refuses_a_t_it_cannot_bound():
             _chebyshev_order(x)
 
 
+@pytest.mark.filterwarnings("error")
+def test_dense_path_refuses_a_t_whose_phases_overflow():
+    """A finite t whose t E overflows raises, naming t, before any numpy
+    warning; t = 1e300 still gives the spectral sum's value."""
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction(gamma=1e-2))
+    q = build_relative_number(spec)
+    states = [random_site_state(np.random.default_rng(103)) for _ in range(spec.n_sites)]
+    for t in (1.7e308, -1.7e308):
+        with pytest.raises(ValueError, match=f"t is too large.*{re.escape(repr(t))}"):
+            time_evolve_expectation(q, h, states, t)
+    for t in (1e300, -1e300):
+        got = time_evolve_expectation(q, h, states, t)
+        want = literal_evolution(q, h, states, t)
+        assert abs(got - want) <= 1e-12, f"t={t}: {got} vs {want}"
+
+
 def test_chebyshev_matches_expm_multiply_at_n3():
     from scipy.sparse.linalg import expm_multiply
 
@@ -912,6 +970,21 @@ def test_bessel_coefficients_match_mpmath():
         ks = range(0, order + 1, max(1, order // 40))
         worst = max(abs(got[k] - float(mpmath.besselj(k, x))) for k in ks)
         assert worst <= 1e-15, f"x={x}: {worst:.2e}"
+
+
+def test_bessel_coefficients_match_scipy_at_large_x():
+    """Orders 0 to the Chebyshev order at |x| = 1e3 and 1e4, where the
+    recurrence rescales many times; x = 1e5 takes well under a second."""
+    from scipy.special import jv
+
+    for x in (1e3, 1e4, -1e4):
+        order = _chebyshev_order(x)
+        got = _bessel_j(order, x)
+        worst = np.abs(got - jv(np.arange(order + 1), x)).max()
+        assert got.shape == (order + 1,) and worst <= 2e-13, f"x={x}: {worst:.2e}"
+    start = time.perf_counter()
+    _bessel_j(_chebyshev_order(1e5), 1e5)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_chebyshev_order_meets_the_tail_bound():

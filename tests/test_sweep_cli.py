@@ -558,20 +558,39 @@ def test_gamma_sweep_warns_once_naming_the_worst_gamma():
     assert caught == []
 
 
-def test_cli_import_leaves_out_sparse_linalg():
-    """`import bcsjj.cli` loads scipy.sparse, but neither scipy.sparse.linalg nor scipy.special."""
+def _scipy_modules_after(statements):
+    """The scipy modules a fresh process holds after ``statements``."""
     src = os.path.dirname(os.path.dirname(bcsjj.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = (
-        "import sys, bcsjj.cli; "
-        "print(*(m in sys.modules for m in "
-        "('scipy.sparse', 'scipy.sparse.linalg', 'scipy.special')))"
-    )
+    probe = statements + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.split() == ["True", "False", "False"]
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    """`import bcsjj.cli` (and so `import bcsjj`) loads no scipy module."""
+    assert _scipy_modules_after("import bcsjj.cli") == []
+
+
+def test_cli_commands_load_no_scipy():
+    """gap, ness, sweep, check and finite-n run on numpy alone: only the
+    public sparse builders and time evolution load scipy."""
+    statements = (
+        "import contextlib, io\n"
+        "from bcsjj.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in (['check'], ['gap', '--epsilon', '0.3', '--beta', '1e4'],\n"
+        "        ['ness', '--gamma', '1e-3'], ['sweep', '--count', '5'],\n"
+        "        ['finite-n', '--n', '1'], ['finite-n', '--n', '2', '--format', 'json'])]\n"
+        "assert codes == [0] * 6, codes"
+    )
+    assert _scipy_modules_after(statements) == []
+    assert "scipy.sparse" in _scipy_modules_after(
+        "from bcsjj import LatticeSpec, build_current\nbuild_current(LatticeSpec(1), 1e-3)"
+    )
 
 
 def test_cli_ness_json_dump(capsys):
@@ -961,7 +980,8 @@ def test_cli_finite_n_memory_cap_before_build(capsys, monkeypatch):
         raise AssertionError("operators built past the memory cap")
 
     for name in (
-        "build_hamiltonian", "build_relative_number", "build_current", "_assemble",
+        "build_hamiltonian", "build_relative_number", "build_current",
+        "_hamiltonian", "_relative_number", "_current", "_assemble",
     ):
         monkeypatch.setattr(lattice, name, never)
     cap = lattice.LatticeSpec(3).estimated_bytes - 1

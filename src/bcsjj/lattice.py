@@ -12,18 +12,20 @@ can be checked against literal operator algebra:
     J = i [H, Q] = -(2 i gamma / N)(B_minus_I B_plus_II - B_plus_I B_minus_II)
 
 with S the plate-summed and B the contact-row-summed ladder operators.
-The core is plain numpy: each operator is held as its CSR arrays
-(:class:`_Csr`, under scipy's attribute names).  Each plate's operators
-(sum_x sigma_z, S_plus S_minus / N, B_plus and the pair number) are built
-once per N on the plate's own 2^(N^2)-dimensional space, each site sum
-read off the site bits of the plate states (:func:`_plate_summed`; site
-0 is the most significant bit, as in kron order).  H, Q and J are sums
-of kron products of plate operators, plate I holding the high bits, and
-each is written straight into its final CSR arrays a few plate-I rows at
-a time (:func:`_assemble`): no full-space temporary, kron product or
-sparse sum is made, and the entries, their order and their values are
-those of the ``scipy.sparse.kron`` sums bit for bit.  H and Q are real
-float64 CSR; only J is complex.
+The core is plain numpy.  Each plate's operators are built once per N
+on the plate's own 2^(N^2) states and held by their structure
+(:func:`_plate_operators`): sum_x sigma_z and the pair number are
+diagonals, S_plus S_minus / N is its diagonal and its off-diagonal
+entries, and B_plus and B_minus are the index pairs of their unit
+entries, all read off dense plate-space temporaries (site 0 is the most
+significant bit, as in kron order).  H, Q and J are sums of kron
+products of plate operators, plate I holding the high bits, and each is
+written straight into its final CSR arrays (:class:`_Csr`, under scipy's
+attribute names) a few plate-I rows at a time (:func:`_assemble`): no
+full-space temporary, kron product or sparse sum is made, and the
+entries, their order and their values are those of the
+``scipy.sparse.kron`` sums bit for bit.  H and Q are real float64 CSR;
+only J is complex.
 
 The identities i[H, Q] = J and [H(gamma = 0), Q] = 0 are checked
 entrywise without forming H @ Q or Q @ H: Q is diagonal, so
@@ -50,7 +52,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import spin
 from .constants import (
     FINITE_N_COMMUTATOR_TOL,
     FINITE_N_CONSERVATION_TOL,
@@ -72,14 +73,15 @@ _BLOCK_ENTRIES = 2**15
 # What a finite-n run allocates besides what estimated_bytes sizes from
 # the lattice: the Python objects around each array, the plate-space
 # operators (2^(n^2) states) and the report's other small pieces.
-# Measured ~28 kB over the sized part on a process's first run at n = 1;
+# Measured ~25 kB over the sized part on a process's first run at n = 1;
 # at n = 2 and 3 the block term of the estimate covers them too.  The
 # argument parser is built on import, so it is not part of a run, and a
 # run loads no scipy, so it fills none of the abc caches (~26 kB) that
 # scipy's sparse type checks once filled inside a first run.  Measured on
-# Python 3.11 with numpy 2.4 only: a first run then peaks ~70 kB, ~133 kB
-# and ~0.56 MB under the estimate at n = 1, 2, 3, margins other
-# interpreters or numpy versions may use up (CI prints them for its own).
+# Python 3.11 with numpy 2.4 only: a first run then peaks ~73 kB, ~137 kB
+# and ~0.54 MB under the estimate at n = 1, 2, 3 (the plate operators held
+# as diagonals and int32 index arrays), margins other interpreters or
+# numpy versions may use up (CI prints them for its own).
 _RUN_OVERHEAD_BYTES = 96 * 1024
 
 class ResourceLimitError(RuntimeError):
@@ -159,83 +161,21 @@ class _Csr(NamedTuple):
     shape: tuple
 
 
-def _csr(dim, row, col, value):
-    """dim x dim CSR of distinct entries (row, col, value), columns sorted
-    in each row, as scipy's COO to CSR conversion gives them."""
-    order = np.lexsort((col, row))
-    idx = _index_dtype(max(dim, row.size))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=dim)))).astype(idx)
-    return _Csr(value[order], col[order].astype(idx), indptr, (dim, dim))
-
-
 def _rows_of(op):
     """The row of each stored entry of a CSR ``op``, in storage order."""
     return np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
 
 
-def _entries(op):
-    """(row, column, value) of a CSR's entries, columns sorted in each row."""
-    row = _rows_of(op)
-    order = np.lexsort((op.indices, row))
-    return row[order], op.indices[order], op.data[order]
-
-
-def _plate_summed(width, sites, local):
-    """sum_x local(x) over ``sites`` of a plate of ``width`` sites, for a
-    real 2x2 ``local``, on the plate's 2^width space, as real CSR.
-
-    Read off the site bits of the plate states, site 0 the most
-    significant (kron order).  An off-diagonal entry local[i, j] at site
-    x joins each state r whose bit x is i to r with that bit set to j;
-    these entries are distinct across sites.  The diagonal is summed over
-    the sites in order, and its zeros are dropped.  The entries, values
-    and order are those of the per-site sum of kron(1, local, 1).
-    """
-    local = local.real
-    states = np.arange(1 << width)
-    diagonal = np.zeros(states.size)
-    rows, cols, values = [], [], []
-    for site in sites:
-        shift = width - site - 1
-        bit = (states >> shift) & 1
-        diagonal += local.diagonal()[bit]
-        for i, j in ((0, 1), (1, 0)):
-            if local[i, j] != 0.0:
-                row = states[bit == i]
-                rows.append(row)
-                cols.append(row ^ (1 << shift))
-                values.append(np.full(row.size, local[i, j]))
-    kept = np.flatnonzero(diagonal)
-    rows.append(kept)
-    cols.append(kept)
-    values.append(diagonal[kept])
-    return _csr(states.size, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
-
-
-def _scaled_difference(scale, a, b):
-    """scale * a - b for two CSR plate operators, as scipy's sparse
-    arithmetic gives it: on the union of their entries, a missing entry
-    read as 0, and the zeros of the difference dropped."""
-    dim = a.shape[0]
-    a_row, a_col, a_value = _entries(a)
-    b_row, b_col, b_value = _entries(b)
-    keys, where = np.unique(np.concatenate((a_row * dim + a_col, b_row * dim + b_col)), return_inverse=True)
-    first, second = np.zeros(keys.size), np.zeros(keys.size)
-    first[where[: a_row.size]] = scale * a_value
-    second[where[a_row.size :]] = b_value
-    value = first - second
-    kept = value != 0
-    return _csr(dim, keys[kept] // dim, keys[kept] % dim, value[kept])
-
-
 class _PlateOperators(NamedTuple):
-    """One n x n plate's operators on its 2^(n^2) states, real CSR."""
+    """One n x n plate's operators on its 2^(n^2) states, each in its own
+    form.  Entry lists run in CSR order (by row, then column)."""
 
-    sz: _Csr  # sum_x sigma_z(x)
-    pairing: _Csr  # S_plus S_minus / n
-    number: _Csr  # the pair number
-    b_plus: _Csr  # B_plus, the contact row's (first n sites') sum
-    b_minus: _Csr
+    sz: np.ndarray  # the diagonal of sum_x sigma_z(x)
+    number: np.ndarray  # the diagonal of the pair number
+    pairing_diagonal: np.ndarray  # the diagonal of S_plus S_minus / n
+    pairing: tuple  # (row, col, value) of S_plus S_minus / n off its diagonal
+    b_plus: tuple  # (row, col) of B_plus's unit entries, the contact row's (first n sites') sum
+    b_minus: tuple
 
 
 @functools.cache
@@ -243,24 +183,37 @@ def _plate_operators(n):
     """The plate operators of an n x n plate, built once per n and shared
     by every builder call: callers must not modify them.
 
-    S_plus S_minus is a dense product on the plate's at most 512 states,
-    a temporary: its entries count 0/1 products, so they are exact, and
-    the nonzero ones divided by n are those of the sparse product.
+    S_plus is a dense 0/1 temporary on the plate's at most 512 states,
+    its entry (r, c) set where c is r with one pair removed (site 0 the
+    most significant bit, as in kron order).  S_plus S_minus is its dense
+    product, a temporary too: the entries count 0/1 products, so they are
+    exact, and each one divided by n is the sparse product's.  Every entry
+    list is read off one of them by ``np.nonzero``, in CSR order.
     """
     width, dim = n * n, 1 << (n * n)
-    every_site = range(width)
-    raise_all = _plate_summed(width, every_site, spin.SIGMA_PLUS)
-    dense = np.zeros((dim, dim))
-    dense[_rows_of(raise_all), raise_all.indices] = raise_all.data
-    counts = dense @ dense.T
+    states = np.arange(dim)
+    raising = np.zeros((dim, dim))
+    for shift in range(width):
+        free = states[(states >> shift) & 1 == 0]
+        raising[free, free | (1 << shift)] = 1.0
+    counts = raising @ raising.T
+    number = counts.diagonal().copy()  # the pairs a state holds: its zero bits
+    np.fill_diagonal(counts, 0.0)
     row, col = np.nonzero(counts)
-    b_plus = _plate_summed(width, range(n), spin.SIGMA_PLUS)
+    idx = _index_dtype(dim)
+
+    def contact(row, col):
+        """The entries whose flipped site is in the contact row (the top n bits)."""
+        kept = (row ^ col) >> (width - n) != 0
+        return row[kept].astype(idx), col[kept].astype(idx)
+
     return _PlateOperators(
-        sz=_plate_summed(width, every_site, spin.SIGMA_Z),
-        pairing=_csr(dim, row, col, counts[row, col] * (1 / n)),  # scipy's / n: times 1 / n
-        number=_plate_summed(width, every_site, spin.SIGMA_PLUS @ spin.SIGMA_MINUS),
-        b_plus=b_plus,
-        b_minus=_csr(dim, b_plus.indices, _rows_of(b_plus), b_plus.data),
+        sz=2.0 * number - width,  # sum_x sigma_z(x): pairs minus empty sites
+        number=number,
+        pairing_diagonal=number * (1 / n),  # scipy's / n: times 1 / n
+        pairing=(row.astype(idx), col.astype(idx), counts[row, col] * (1 / n)),
+        b_plus=contact(*np.nonzero(raising)),
+        b_minus=contact(*np.nonzero(raising.T)),
     )
 
 
@@ -281,17 +234,20 @@ def _rows(dim, row, col, value=None):
     return _Rows(count, row, np.arange(row.size) - (np.cumsum(count) - count)[row], col, value)
 
 
-def _assemble(plates, terms, dtype):
+def _assemble(dim, plates, terms, dtype):
     """kron(a, 1) + kron(1, b) + sum_t value_t kron(left_t, right_t) on the
-    two plates' joint space, plate I holding the high bits, as CSR whose
-    arrays are allocated once and written in place, a few plate-I rows at
-    a time.
+    joint space of two plates of ``dim`` states each, plate I holding the
+    high bits, as CSR whose arrays are allocated once and written in
+    place, a few plate-I rows at a time.
 
-    ``plates`` is (a, b), or None for no plate part; a and b store no
-    zeros.  ``terms`` are (left, right, value) with left and right 0/1
-    plate operators (the contact ladders), whose rows' columns are
-    disjoint from each other's and from a's off-diagonal ones.  Row
-    (r, k) is then, in column order, one block per plate-I column c:
+    ``plates`` is (a, b), or None for no plate part, each plate operator
+    given as its diagonal and its nonzero off-diagonal entries
+    (row, col, value).  ``terms`` are (left, right, value) with left and
+    right 0/1 plate operators (the contact ladders) given as the (row,
+    col) of their unit entries, whose rows' columns are disjoint from
+    each other's and from a's off-diagonal ones.  Entry lists run in CSR
+    order (by row, then column).  Row (r, k) is then, in column order,
+    one block per plate-I column c:
     a[r, c] at (c, k) for c != r; for c = r, row k of b with
     a[r, r] + b[k, k] on its diagonal, dropped where it is zero; and
     value_t times row k of right_t where left_t[r, c] = 1.  Entries,
@@ -305,7 +261,6 @@ def _assemble(plates, terms, dtype):
     one cumulative sum over the wide blocks of a few plate-I rows places
     all their entries.
     """
-    dim = (plates[0] if plates else terms[0][0]).shape[0]
     every = np.arange(dim)
     # Block kinds: 0 a[r, c] 1 for c != r; the c = r block as 1 b's lower
     # part, 2 the diagonal (kept per plate-I row), 3 b's upper part;
@@ -314,26 +269,19 @@ def _assemble(plates, terms, dtype):
     blocks = []  # (plate-I row, plate-I column, kind, value) of each block
     nnz = 0
     if plates:
-        a_row, a_col, a_value = _entries(plates[0])
-        b_row, b_col, b_value = _entries(plates[1])
-        a_diag, b_diag = np.zeros(dim), np.zeros(dim)
-        a_diag[a_row[a_row == a_col]] = a_value[a_row == a_col]
-        b_diag[b_row[b_row == b_col]] = b_value[b_row == b_col]
-        off = a_row != a_col
-        blocks.append((a_row[off], a_col[off], np.zeros(np.count_nonzero(off), dtype=int), a_value[off]))
+        (a_diag, (a_row, a_col, a_value)), (b_diag, (b_row, b_col, b_value)) = plates
+        blocks.append((a_row, a_col, np.zeros(a_row.size, dtype=int), a_value))
         blocks.append((every, every, np.full(dim, 2), np.zeros(dim)))
         for kind, part in ((1, b_col < b_row), (3, b_col > b_row)):
             if part.any():
                 kinds[kind] = _rows(dim, b_row[part], b_col[part], b_value[part])
                 blocks.append((every, every, np.full(dim, kind), np.zeros(dim)))
-        nnz += dim * (np.count_nonzero(off) + np.count_nonzero(b_row != b_col))
+        nnz += dim * (a_row.size + b_row.size)
         nnz += sum(np.count_nonzero(a_diag[r] + b_diag) for r in range(dim))
-    for t, (left, right, value) in enumerate(terms):
-        left_row, left_col, _ = _entries(left)
-        right_row, right_col, _ = _entries(right)
-        kinds.append(_rows(dim, right_row, right_col))
+    for t, ((left_row, left_col), right, value) in enumerate(terms):
+        kinds.append(_rows(dim, *right))
         blocks.append((left_row, left_col, np.full(left_row.size, 4 + t), np.full(left_row.size, value)))
-        nnz += left.data.size * right.data.size
+        nnz += left_row.size * right[0].size
     row, col, kind, value = (np.concatenate(part) for part in zip(*blocks))
     order = np.lexsort((kind, col, row))
     row, col, kind, value = row[order], col[order], kind[order], value.astype(dtype)[order]
@@ -356,7 +304,7 @@ def _assemble(plates, terms, dtype):
                         for lo, hi in zip(kind_first, kind_first[1:])])
 
     idx = _index_dtype(max(dim * dim, nnz))
-    base = (col * dim).astype(idx)  # each block's first full-space column
+    base = col.astype(idx) * dim  # each block's first full-space column
     every_col = every.astype(idx)
     kinds = [rows and rows._replace(col=rows.col.astype(idx)) for rows in kinds]
     indptr = np.empty(dim * dim + 1, dtype=idx)
@@ -410,17 +358,23 @@ def _hamiltonian(spec, params):
     each plate's eps sum sigma_z - S_plus S_minus / n, minus
     (gamma/n) (B_plus_I B_minus_II + B_minus_I B_plus_II)."""
     ops = _plate_operators(spec.n)
-    plates = tuple(_scaled_difference(bulk.epsilon, ops.sz, ops.pairing) for bulk in (params.bulk_I, params.bulk_II))
+    # scipy's eps * sz - pairing: sz has no off-diagonal entry, so 0.0 - p = -p there
+    row, col, value = ops.pairing
+    plates = tuple(
+        (bulk.epsilon * ops.sz - ops.pairing_diagonal, (row, col, -value))
+        for bulk in (params.bulk_I, params.bulk_II)
+    )
     hop = -(params.gamma / spec.n)
     # a zero hop stores no entry, as the sparse difference plate - tunnelling drops it
     terms = [(ops.b_plus, ops.b_minus, hop), (ops.b_minus, ops.b_plus, hop)] if hop else []
-    return _assemble(plates, terms, float)
+    return _assemble(ops.sz.size, plates, terms, float)
 
 
 def _relative_number(spec):
     """Pair-number imbalance between the plates, real CSR."""
     number = _plate_operators(spec.n).number
-    return _assemble((number, number._replace(data=-number.data)), [], float)
+    diagonal_only = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+    return _assemble(number.size, ((number, diagonal_only), (-number, diagonal_only)), [], float)
 
 
 def _current(spec, gamma):
@@ -429,7 +383,7 @@ def _current(spec, gamma):
     # the closed form's +-1 entries times its scale, in numpy's complex
     # arithmetic (signed zeros included); zero entries are kept
     plus, minus = np.array([1.0, -1.0]) * (-2j * gamma / spec.n)
-    return _assemble(None, [(ops.b_minus, ops.b_plus, plus), (ops.b_plus, ops.b_minus, minus)], complex)
+    return _assemble(ops.sz.size, None, [(ops.b_minus, ops.b_plus, plus), (ops.b_plus, ops.b_minus, minus)], complex)
 
 
 def _scipy_csr(op):

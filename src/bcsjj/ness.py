@@ -273,12 +273,14 @@ def _contact_map(xo_r, xo_i, order_r, order_i, gamma, m_r, m_i, az_eps, eps_sq):
     Returns f as (Re f, Im f) with the contact field F = order + gamma x_o,
     the factor c = (a.n) / |n|^2 that makes c n the contact Bloch vector,
     and |n|^2, for the axis n = (-Re F, -Im F, eps); a.n = Re(F conj(m)) +
-    a_z eps, and f = -c F.
+    a_z eps, and f = -c F.  A field whose square overflows gives an
+    infinite |n|^2 and a NaN c: the factor |n|^2 / |n|^2 is exactly 1 for
+    every finite |n|^2, and NaN for an infinite one.
     """
     field_r = order_r + gamma * xo_r
     field_i = order_i + gamma * xo_i
     norm_sq = field_r * field_r + field_i * field_i + eps_sq
-    c = (field_r * m_r + field_i * m_i + az_eps) / norm_sq
+    c = (field_r * m_r + field_i * m_i + az_eps) / norm_sq * (norm_sq / norm_sq)
     neg_c = -c
     return neg_c * field_r, neg_c * field_i, field_r, field_i, c, norm_sq
 

@@ -25,7 +25,7 @@ from bcsjj.lattice import (
     _assemble,
     _chebyshev_order,
     _identity_and_conservation,
-    _plate_summed,
+    _plate_operators,
     _propagate,
     LatticeSpec,
     ResourceLimitError,
@@ -447,23 +447,33 @@ def test_public_builders_wrap_the_core_arrays_in_scipy_csr(monkeypatch, n):
     assert_builders_equal_kron_formula(spec, params)
 
 
+def diagonal_and_entries(op):
+    """A scipy sparse plate operator as ``_assemble`` takes it: its diagonal,
+    and the (row, col, value) of its off-diagonal entries in CSR order."""
+    op = op.tocsr()
+    op.sort_indices()
+    row = np.repeat(np.arange(op.shape[0], dtype=op.indices.dtype), np.diff(op.indptr))
+    off = row != op.indices
+    return op.diagonal(), (row[off], op.indices[off], op.data[off])
+
+
 def test_plate_joins_match_sparse_kron():
-    """The join of random plate operators, in the core's array form,
+    """The join of random plate operators, in the core's plate form,
     equals the sparse.kron sums."""
     rng = np.random.default_rng(67)
     for dim in (1, 2, 16, 64):
         def plate():
             left = sparse.csr_matrix(rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.2))
-            return left @ left.T  # a sparse product, as the plate operators are: columns unsorted
+            return left @ left.T  # a sparse product, as the pairing is
 
         a, b = plate(), plate()
         one = sparse.identity(dim, format="csr")
-        ladder = sparse.csr_matrix(np.triu(rng.random((dim, dim)) < 0.1, 1).astype(float))
+        ladder = np.triu(rng.random((dim, dim)) < 0.1, 1).astype(float)
         pairs = (
-            (_assemble((arrays(a), arrays(b)), [], float),
+            (_assemble(dim, (diagonal_and_entries(a), diagonal_and_entries(b)), [], float),
              sparse.kron(a, one, format="csr") + sparse.kron(one, b, format="csr")),
-            (_assemble(None, [(arrays(ladder), arrays(ladder.T.tocsr()), 0.5)], float),
-             0.5 * sparse.kron(ladder, ladder.T, format="csr")),
+            (_assemble(dim, None, [(np.nonzero(ladder), np.nonzero(ladder.T), 0.5)], float),
+             0.5 * sparse.kron(sparse.csr_matrix(ladder), sparse.csr_matrix(ladder.T), format="csr")),
         )
         for got, want in pairs:
             assert isinstance(got, lattice._Csr) and got.shape == want.shape
@@ -498,22 +508,34 @@ def test_builders_allocate_only_their_operators():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_plate_summed_matches_per_site_kron(n):
+def test_plate_operators_match_per_site_kron(n):
+    """Every field of the cached plate operators holds, byte for byte, the
+    diagonal or the entries in CSR order of the per-site kron sums and of
+    raise_all @ raise_all.T / n."""
     spec = LatticeSpec(n)
     every_site = range(spec.sites_per_plate)
-    cases = (
-        (every_site, SIGMA_Z),
-        (every_site, SIGMA_PLUS),
-        (every_site, SIGMA_PLUS @ SIGMA_PLUS.conj().T),
-        (range(n), SIGMA_PLUS),  # the contact row
-    )
-    for sites, local in cases:
-        got = _plate_summed(spec.sites_per_plate, sites, local)
-        want = per_site_kron_sum(spec, sites, local)
-        assert isinstance(got, lattice._Csr) and got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
+    raise_all = per_site_kron_sum(spec, every_site, SIGMA_PLUS)
+    b_plus = per_site_kron_sum(spec, range(n), SIGMA_PLUS)  # the contact row
+    no_entries = diagonal_and_entries(sparse.csr_matrix(raise_all.shape))[1]
+    want = {
+        "sz": diagonal_and_entries(per_site_kron_sum(spec, every_site, SIGMA_Z)),
+        "number": diagonal_and_entries(per_site_kron_sum(spec, every_site, SIGMA_PLUS @ SIGMA_PLUS.conj().T)),
+        "pairing": diagonal_and_entries(raise_all @ raise_all.T / n),
+        "b_plus": diagonal_and_entries(b_plus),
+        "b_minus": diagonal_and_entries(b_plus.T),
+    }
+    ops = _plate_operators(n)
+    got = {
+        "sz": (ops.sz, no_entries),
+        "number": (ops.number, no_entries),
+        "pairing": (ops.pairing_diagonal, ops.pairing),
+        "b_plus": (np.zeros(ops.sz.size), (*ops.b_plus, np.ones(ops.b_plus[0].size))),
+        "b_minus": (np.zeros(ops.sz.size), (*ops.b_minus, np.ones(ops.b_minus[0].size))),
+    }
+    for name, (diagonal, entries) in want.items():
+        got_diagonal, got_entries = got[name]
+        for part, a, b in zip(("diagonal", "row", "col", "value"), (got_diagonal, *got_entries), (diagonal, *entries)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name, part)
 
 
 def test_finite_n_report_matches_the_literal_algebra():

@@ -76,6 +76,19 @@ def test_projection_map_and_closed_form_agree():
     assert worst < 1e-11, f"worst closed-form defect {worst:.3e}"
 
 
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+def test_map_of_a_contact_field_whose_square_overflows_is_nan():
+    """At gamma 1e155 plate I's contact field is ~4e154, whose square
+    overflows: its map reads NaN, not the 0 of c = a.n / inf.  Plate II
+    sees x_I = 0 and maps as at any finite coupling."""
+    p = JunctionParams(BulkParams(0.3, 1e4), BulkParams(0.3, 1e4), 1e155)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f_I, f_II = ness_map((0, 0.4), p)
+    assert cmath.isnan(f_I)
+    assert f_II == ness_map((0, 0.4), replace(p, gamma=1e150))[1]
+
+
 def test_steady_state_residual():
     for p in grid_points():
         sol = solve_ness(p)

@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii
 
 from .checks import CheckOptions, run_checks
-from .equilibrium import BulkParams, _plate, critical_beta
+from .equilibrium import BulkParams, critical_beta, solve_gap
 from .lattice import LatticeSpec, ResourceLimitError, finite_n_report
 from .sweep import (
     FORMATS,
@@ -203,12 +203,11 @@ def _merged_config(args, default_format=None):
 def cmd_gap(args):
     """``bcsjj gap``: one plate's criterion, threshold, branches and defect.
 
-    The plate's numbers come from :func:`equilibrium._plate`, which
-    builds no 2x2 state, and the JSON, with a non-finite number as null
-    (a criterion whose 2 * epsilon overflows), from :func:`_json_text`.
+    The plate's numbers come from :func:`equilibrium.solve_gap`, whose
+    2x2 state is never read, and the JSON, with a non-finite number as
+    null (a criterion whose 2 * epsilon overflows), from :func:`_json_text`.
     """
-    params = BulkParams(args.epsilon, args.beta, args.phi)
-    lam, mu, superconducting, _, residual = _plate(params)
+    sol = solve_gap(BulkParams(args.epsilon, args.beta, args.phi))
     criterion = math.tanh(args.beta * args.epsilon) - 2.0 * args.epsilon
     beta_c = critical_beta(args.epsilon)
     payload = {
@@ -218,8 +217,8 @@ def cmd_gap(args):
         "criterion": json_number(criterion),
         "critical_beta": json_number(beta_c),
         "normal_branch": {"lambda": 0.0, "mu": args.epsilon},
-        "superconducting_branch": {"lambda": lam, "mu": mu} if superconducting else None,
-        "fixed_point_defect": json_number(residual),
+        "superconducting_branch": {"lambda": sol.lam, "mu": sol.mu} if sol.superconducting else None,
+        "fixed_point_defect": json_number(sol.residual),
     }
     if args.format == "json":
         text = _json_text(payload)
@@ -231,9 +230,9 @@ def cmd_gap(args):
             + (f"{beta_c:.17g}" if math.isfinite(beta_c) else "none (epsilon >= 1/2)"),
             f"normal branch:          lambda = 0, mu = {args.epsilon:.17g}",
         ]
-        if superconducting:
-            lines.append(f"superconducting branch: lambda = {lam:.17g}, mu = {mu:.17g}")
-            lines.append(f"fixed-point defect = {residual:.3e}")
+        if sol.superconducting:
+            lines.append(f"superconducting branch: lambda = {sol.lam:.17g}, mu = {sol.mu:.17g}")
+            lines.append(f"fixed-point defect = {sol.residual:.3e}")
         else:
             lines.append("superconducting branch: absent")
         text = "\n".join(lines) + "\n"

@@ -42,13 +42,15 @@ class BulkParams:
 
 @dataclass(frozen=True, eq=False)
 class BulkSolution:
-    """Self-consistent bulk data: gap, spectral scale, thermal state."""
+    """Self-consistent bulk data: gap, spectral scale, thermal state's Bloch vector."""
 
     lam: float
     mu: float
     superconducting: bool
-    rho: np.ndarray
+    bloch: np.ndarray
     residual: float
+
+    rho = property(lambda self: spin._from_bloch(0.5, self.bloch), doc="2x2 state 1/2 + bloch.sigma")
 
 
 def effective_hamiltonian(epsilon, field):
@@ -106,32 +108,20 @@ def gap_root(epsilon, beta):
     return 0.0, epsilon, False
 
 
-def _plate(params):
-    """A plate's ``(lam, mu, superconducting, a, residual)``.
+def solve_gap(params):
+    """Solve the bulk self-consistency for one plate.
 
-    The gap is :func:`gap_root`'s; ``a`` is the Bloch vector of the
-    closed-form thermal state of the one-site Hamiltonian at that gap
-    (rho = 1/2 + a.sigma), and ``residual`` its gap-map defect
-    ||<sigma_plus>| - lam|.  No 2x2 matrix is built.
+    The gap is :func:`gap_root`'s; ``bloch`` is the Bloch vector of the
+    closed-form thermal state of the one-site Hamiltonian at that gap,
+    and ``residual`` its gap-map defect ||<sigma_plus>| - lam|.  No 2x2
+    matrix is built until ``rho`` is read.
     """
     eps, beta = params.epsilon, params.beta
     lam, mu, superconducting = gap_root(eps, beta)
     field = lam * np.exp(1j * params.phi)
     # the thermal state on the axis (-Re F, -Im F, eps); <sigma_plus> = a_x + i a_y
     a = spin._thermal_bloch(np.array([-field.real, -field.imag, eps]), beta)
-    return lam, mu, superconducting, a, abs(abs(complex(a[0], a[1])) - lam)
-
-
-def solve_gap(params):
-    """Solve the bulk self-consistency for one plate.
-
-    :func:`_plate`'s gap and residual, with ``rho`` the 2x2 thermal
-    state assembled once from its Bloch vector.  A caller that prints
-    only the numbers (``bcsjj gap``) takes :func:`_plate` alone.
-    """
-    lam, mu, superconducting, a, residual = _plate(params)
     return BulkSolution(
         lam=lam, mu=mu, superconducting=superconducting,
-        rho=spin._from_bloch(0.5, a), residual=residual,
+        bloch=a, residual=abs(abs(complex(a[0], a[1])) - lam),
     )
-

@@ -31,7 +31,7 @@ imaginary parts, read from one operand table.  Exactly one point runs on
 Python floats, any other number in one masked loop over ``(2, N)`` arrays of
 plate rows; both round alike, fail alike (every maximum propagates NaN, so a
 defect turned NaN stops a point, unconverged; a NaN's sign may differ) and
-print no warning on overflow.  Seeds must be finite and epsilon^2 nonzero.
+print no warning on overflow.  Seeds must be finite and epsilon^3 nonzero.
 The result is one :class:`NessSolution` holding the solver's arrays
 with a trailing point axis; :func:`solve_ness` is ``solve_batch([params])[0]``.
 A lone point's fields stay Python numbers until :func:`solve_batch` packs
@@ -210,11 +210,12 @@ def _nan_max(a, b):
 class _BulkScales(dict):
     """A plate's bulk gap and Bloch scale s = -tanh(beta |n|) / (2 |n|),
     |n| = hypot(epsilon, gap), by (epsilon, beta); the bare gap root runs
-    once per key.  It rejects a plate whose epsilon^2 underflows to 0."""
+    once per key.  It rejects a plate whose epsilon^3 underflows to 0 (the
+    contact map divides by epsilon^2 + |F|^2, the commutator by mu_t^3)."""
 
     def __missing__(self, key):
-        if key[0] * key[0] == 0.0:
-            raise ValueError(f"junction epsilon = {key[0]} is too small: its square underflows to 0")
+        if key[0] * key[0] * key[0] == 0.0:
+            raise ValueError(f"junction epsilon = {key[0]} is too small: its cube underflows to 0")
         gap = gap_root(*key)[0]
         norm = math.hypot(key[0], gap)
         value = self[key] = (gap, -0.5 * math.tanh(key[1] * norm) / norm)
@@ -363,7 +364,7 @@ def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     ``tol``.  Never raises on non-convergence; warns once, with
     :class:`WeakContactWarning`, if some contact is not weak.  Raises
     ValueError on a ``max_iter`` below 1, a non-finite ``seed``, or a
-    plate whose epsilon^2 underflows to 0, before any warning.  One point
+    plate whose epsilon^3 underflows to 0, before any warning.  One point
     runs on Python floats, any other number on ``(2, N)`` arrays.
     """
     solution = _solve(points, tol, max_iter, seed)
@@ -441,16 +442,17 @@ def _solve_rows(points, tol, max_iter, seed):
 
     One masked loop: each step is computed at every point (the other
     plate's operands as contiguous swapped copies) and taken by the points
-    still ``going``.  Stopped points may overflow, so numpy's overflow and
-    invalid warnings are off, as on Python floats.
+    still ``going``.  Stopped points, and the operands of huge plates, may
+    overflow, so numpy's overflow and invalid warnings are off, as on
+    Python floats.
     """
-    lam, _, eps, bulk_vec, _, plate = _plates(points)
-    x_r, x_i = plate[0].copy(), plate[1].copy()
-    if seed is not None:
-        x_r[0], x_i[0], x_r[1], x_i[1] = seed[0].real, seed[0].imag, seed[1].real, seed[1].imag
-    iterations = np.full(len(points), max_iter)
-    going = np.ones(len(points), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
+        lam, _, eps, bulk_vec, _, plate = _plates(points)
+        x_r, x_i = plate[0].copy(), plate[1].copy()
+        if seed is not None:
+            x_r[0], x_i[0], x_r[1], x_i[1] = seed[0].real, seed[0].imag, seed[1].real, seed[1].imag
+        iterations = np.full(len(points), max_iter)
+        going = np.ones(len(points), dtype=bool)
         for step in range(1, max_iter + 1):
             own = np.array(_linearize(x_r, x_i, x_r[::-1].copy(), x_i[::-1].copy(), *plate))
             delta_r, delta_i = _newton_delta(*own, *own[:, ::-1].copy())

@@ -13,6 +13,7 @@ template: equal finite nonzero floats have one bit pattern, so the bytes
 are those of formatting every cell.
 """
 
+import contextlib
 import json
 import math
 import operator
@@ -214,7 +215,9 @@ def evaluate_point(params, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=Non
 
 def run_sweep(config):
     """Evaluate the configured grid, in order, one SweepRow per point."""
-    grid = np.linspace(*_sweep_range(config), config.count).tolist()
+    start, stop = _sweep_range(config)
+    grid = np.linspace(start, stop, config.count).tolist()
+    grid[0] = start  # linspace forms start + 0 * step, which drops the sign of a -0.0 start
     points = list(map(_axis_points(config.axis, params_at(config)), grid))
     seed = _seed_from_config(config)
     return _evaluate(points, config.tolerance, config.max_iter, seed)
@@ -222,7 +225,8 @@ def run_sweep(config):
 
 def _sweep_range(config):
     """(start, stop) of the grid: as configured, or ``DELTA_PHI_RANGE``
-    filling in on the delta_phi axis."""
+    filling in on the delta_phi axis.  Both and their difference must be
+    finite, so that the grid is."""
     start, stop = config.start, config.stop
     if config.axis == "delta_phi":
         default_start, default_stop = DELTA_PHI_RANGE
@@ -233,6 +237,11 @@ def _sweep_range(config):
             f"a sweep on the {config.axis} axis needs both --start and --stop "
             "(only delta_phi has a default range)"
         )
+    for key, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"config key {key!r} must be finite, got {value!r}")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"config keys 'start' and 'stop' must differ by a finite amount, got {start!r} and {stop!r}")
     return start, stop
 
 
@@ -264,26 +273,29 @@ def _row_values(sol):
     One set of formulas serves both routes of the solve: a lone point's
     :class:`~bcsjj.ness._PointSolution` of Python numbers, read with abs and
     math.atan2, and a :class:`NessSolution`'s ``(N,)`` rows, read with
-    their elementwise twins of the same rounding.
+    their elementwise twins of the same rounding, with numpy's overflow
+    and invalid warnings off, as on Python floats.
     """
     batch = isinstance(sol, NessSolution)
     if batch:
         gamma = np.array([p.gamma for p in sol.points], dtype=float)
         modulus, atan2 = _hypot, _atan2_each
+        quiet = np.errstate(over="ignore", invalid="ignore")
     else:
-        gamma, modulus, atan2 = sol.points[0].gamma, abs, math.atan2
+        gamma, modulus, atan2, quiet = sol.points[0].gamma, abs, math.atan2, contextlib.nullcontext()
     lam_b, mu_t = sol.Lambda_b, sol.mu_t
     lambda_t, phi_t, ccr_defect = [], [], []
-    for row in (0, 1):
-        n, b = [v[row] for v in sol.axis], [v[row] for v in sol.contact]
-        exact, formula = _ccr(n, b, lam_b[row], mu_t[row])
-        lambda_t.append(modulus(lam_b[row]))
-        phi_t.append(atan2(lam_b[row].imag, lam_b[row].real))
-        ccr_defect.append(abs(exact - formula))
-    columns = (
-        *sol.lambda_bulk, *lambda_t, *phi_t, *mu_t, josephson_current(sol, gamma),
-        *goldstone_frequencies(sol), *ccr_defect, sol.residual, sol.converged, sol.iterations,
-    )
+    with quiet:
+        for row in (0, 1):
+            n, b = [v[row] for v in sol.axis], [v[row] for v in sol.contact]
+            exact, formula = _ccr(n, b, lam_b[row], mu_t[row])
+            lambda_t.append(modulus(lam_b[row]))
+            phi_t.append(atan2(lam_b[row].imag, lam_b[row].real))
+            ccr_defect.append(abs(exact - formula))
+        columns = (
+            *sol.lambda_bulk, *lambda_t, *phi_t, *mu_t, josephson_current(sol, gamma),
+            *goldstone_frequencies(sol), *ccr_defect, sol.residual, sol.converged, sol.iterations,
+        )
     return zip(*(column.tolist() for column in columns)) if batch else [columns]
 
 

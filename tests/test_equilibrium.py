@@ -179,6 +179,26 @@ def test_solve_gap_builds_no_hamiltonian_or_gibbs_matrix(monkeypatch):
         assert sol.rho.shape == (2, 2)
 
 
+def test_solve_gap_builds_its_2x2_state_only_when_read(monkeypatch):
+    """The solution holds the Bloch vector; ``rho`` is assembled on each read."""
+
+    def forbidden(*args):
+        raise AssertionError("solve_gap built a 2x2 matrix")
+
+    monkeypatch.setattr(spin, "_from_bloch", forbidden)
+    plates = [BulkParams(0.3, 1e4, 0.7), BulkParams(0.45, 5.0, -2.5), BulkParams(0.6, 50.0, 0.0)]
+    solutions = [solve_gap(p) for p in plates]
+    for sol in solutions:
+        assert sol.bloch.shape == (3,) and sol.residual < 1e-12
+        with pytest.raises(AssertionError, match="built a 2x2 matrix"):
+            sol.rho
+    monkeypatch.undo()
+    for sol, p in zip(solutions, plates):
+        assert np.array_equal(sol.rho, spin._from_bloch(0.5, sol.bloch))
+        h = effective_hamiltonian(p.epsilon, sol.lam * np.exp(1j * p.phi))
+        assert np.allclose(sol.rho, gibbs_state(h, p.beta), atol=1e-12)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="near T_c, lam = sqrt(mu^2 - eps^2) magnifies the 1e-14 bisection width on mu "

@@ -265,23 +265,25 @@ def test_solver_argument_validation():
 @pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
 def test_plates_whose_epsilon_squared_underflows_are_rejected():
     """The contact map divides by |F|^2 + epsilon^2, which is 0 at a normal
-    plate whose epsilon^2 underflows; such a plate is rejected on both
+    plate whose epsilon^2 underflows, and the commutator by mu_t^3, which
+    is 0 there once epsilon^3 underflows; such a plate is rejected on both
     routes and by the references that gather plates.  Every input check
     runs before the weak-contact warning, so this strong contact only raises."""
-    tiny = JunctionParams(BulkParams(1e-170, 1.0), BulkParams(0.3, 1e4), 1e-3)
-    for call in (
-        lambda: solve_ness(tiny),
-        lambda: ness.solve_batch([tiny, STANDARD]),
-        lambda: ness.ness_map((0j, 0j), tiny),
-        lambda: ness.closed_form_rhs((0j, 0j), tiny),
-    ):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="its square underflows to 0"):
-                call()
-        assert caught == []
-    # an epsilon whose square is subnormal but not 0 still solves, on both routes
-    small = JunctionParams(BulkParams(3e-162, 1.0), BulkParams(0.3, 1e4), 1e-3)
+    for epsilon in (1e-110, 3e-162, 1e-170):
+        tiny = JunctionParams(BulkParams(epsilon, 1.0), BulkParams(0.3, 1e4), 1e-3)
+        for call in (
+            lambda: solve_ness(tiny),
+            lambda: ness.solve_batch([tiny, STANDARD]),
+            lambda: ness.ness_map((0j, 0j), tiny),
+            lambda: ness.closed_form_rhs((0j, 0j), tiny),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="its cube underflows to 0"):
+                    call()
+            assert caught == []
+    # an epsilon whose cube is subnormal but not 0 still solves, on both routes
+    small = JunctionParams(BulkParams(2e-108, 1.0), BulkParams(0.3, 1e4), 1e-3)
     assert solve_ness(small).converged and ness.solve_batch([small, STANDARD]).converged.all()
 
 

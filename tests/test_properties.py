@@ -5,7 +5,8 @@ threshold), weak contacts up to the warning bound, and caller seeds.
 Each test pins its examples with its own ``@seed``, so every run checks
 the same points, and an edit to a test's source does not swap them (a
 derandomized run seeds itself from a hash of that source).  Points a
-past example set hit are kept as ``@example``.
+past example set hit are kept as ``@example``.  The CLI contract test
+draws whole argvs, with extreme floats, in place of points.
 """
 
 import cmath
@@ -13,6 +14,8 @@ import contextlib
 import io
 import json
 import math
+import sys
+import warnings
 from dataclasses import fields
 
 import hypothesis
@@ -45,6 +48,7 @@ from bcsjj.observables import (
 from bcsjj.spin import commutant_projection, evolve_heisenberg, pauli_components
 from bcsjj.sweep import (
     SWEEP_AXES,
+    RunConfig,
     _seed_from_config,
     config_from_mapping,
     evaluate_point,
@@ -507,3 +511,93 @@ def test_contact_states_are_the_dephased_bulk_states(params, seed):
             h = boundary_hamiltonian(f"{side}_b", params, *sol.Lambda_b)
             dephased = commutant_projection(solve_gap(bulk).rho, h)
             assert np.abs(getattr(sol, f"rho_b_{side}") - dephased).max() <= 1e-14, side
+
+
+ONE_IN_FOUR = st.integers(0, 3).map(lambda k: k == 0)
+# Float flag values: the edges of the float range, the epsilon limits of
+# the junction solve, and a few ordinary values, each also negated.
+CLI_FLOATS = st.builds(
+    lambda value, negate: -value if negate else value,
+    st.sampled_from((
+        0.0, 5e-324, 1e-162, 1e-110, 1e154, 1e155, 1e300, sys.float_info.max,
+        math.inf, math.nan, 1e-3, 0.3, 1.0, 1e4,
+    )),
+    ONE_IN_FOUR,
+)
+CLI_INTS = {
+    "count": st.integers(1, 3),
+    "lattice_n": st.integers(1, 2),
+    "max_iter": st.sampled_from((-1, 0, 1, 2, 100)),
+    "memory_cap": st.sampled_from((0, 1, 10**6, 10**9)),
+}
+# every command but check, which runs one fixed suite on its own grid
+CLI_COMMANDS = {name: (dests, formats) for name, _, dests, formats in cli._SUBCOMMANDS if name != "check"}
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of one of :data:`CLI_COMMANDS`, each of its flags present
+    one time in four (a required one always), with a value of the flag's
+    type.  Files (``--config``, ``--output``) are left out."""
+    name = draw(st.sampled_from(sorted(CLI_COMMANDS)))
+    dests, formats = CLI_COMMANDS[name]
+    argv = [name]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(formats))]
+    for dest in dests:
+        flag, options = cli._FLAGS[dest]
+        if dest in ("config", "output") or not (options.get("required") or draw(ONE_IN_FOUR)):
+            continue
+        if dest == "axis":
+            values = [draw(st.sampled_from(SWEEP_AXES))]
+        elif options.get("type") is int:
+            values = [draw(CLI_INTS[dest])]
+        else:
+            values = draw(st.lists(CLI_FLOATS, min_size=1, max_size=2 if options.get("nargs") else 1))
+        argv += [flag, *map(repr, values)]
+    return argv
+
+
+def _last_value(argv, flag):
+    """The value of the last ``flag`` in ``argv``, or None."""
+    values = [argv[k + 1] for k, token in enumerate(argv[:-1]) if token == flag]
+    return values[-1] if values else None
+
+
+def _quiet_main(argv):
+    """``cli.main(argv)`` with every warning but a weak contact's an error:
+    its exit code and stdout."""
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", category=ness.WeakContactWarning)
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _reject_constant(token):
+    raise ValueError(f"bare {token} is not JSON")
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@hypothesis.seed(117)
+@given(argv=cli_argvs())
+@example(argv=["ness", "--epsilon-i", "1e-110", "--beta-i", "1", "--gamma", "0"])  # _ccr's mu_t^3 underflowed
+@example(argv=["sweep", "--axis", "gamma", "--start", "0", "--stop", "inf", "--count", "3"])
+@example(argv=["sweep", "--axis", "gamma", "--start", "-1e308", "--stop", "1e308", "--count", "3"])
+@example(argv=["sweep", "--epsilon-i", "1e160", "--count", "2"])  # bulk operands overflowed
+@example(argv=["sweep", "--epsilon-ii", "1e154", "--count", "2"])  # the commutator overflowed
+@example(argv=["sweep", "--gamma", "1e308", "--tolerance", "1e4", "--count", "2"])  # the current overflowed
+@example(argv=["ness", "--gamma", "-0.0"])  # the one-point grid dropped the sign of -0.0
+def test_cli_contract(argv):
+    """Whatever the flags, ``bcsjj`` exits with one of its codes (1 only
+    for ``finite-n``), lets no exception or warning out, prints strict
+    JSON, and a lone ``ness`` row is the one-point gamma sweep's row."""
+    code, out = _quiet_main(argv)
+    assert code in (0, 2, 3, 4) or (code == 1 and argv[0] == "finite-n"), code
+    if out and (_last_value(argv, "--format") or {"ness": "json"}.get(argv[0])) == "json":
+        json.loads(out, parse_constant=_reject_constant)
+    if argv[0] == "ness":
+        gamma = _last_value(argv, "--gamma") or repr(RunConfig.gamma)
+        grid = ["--axis", "gamma", "--start", gamma, "--stop", gamma, "--count", "1", "--format", "csv"]
+        assert _quiet_main([*argv, "--format", "csv"]) == _quiet_main(["sweep", *argv[1:], *grid])

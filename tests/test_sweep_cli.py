@@ -659,18 +659,25 @@ def test_cli_rejects_non_finite_seeds(flag, value, capsys):
 
 @pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
 def test_cli_rejects_junction_plates_whose_epsilon_squared_underflows(capsys):
-    tiny = ("--epsilon-i", "1e-170", "--epsilon-ii", "1e-170", "--beta-i", "1", "--beta-ii", "1")
+    for epsilon in ("1e-110", "1e-170"):
+        tiny = ("--epsilon-i", epsilon, "--epsilon-ii", epsilon, "--beta-i", "1", "--beta-ii", "1")
+        for command in ("ness", "sweep"):
+            # the input checks run before the weak-contact warning: the error is all that prints
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run_cli(command, *tiny) == 2
+            captured = capsys.readouterr()
+            assert caught == [] and captured.out == ""
+            assert captured.err == f"error: junction epsilon = {epsilon} is too small: its cube underflows to 0\n"
+        # one plate alone, and the lattice, still take such an epsilon
+        assert run_cli("gap", "--epsilon", epsilon, "--beta", "1") == 0
+        assert run_cli("finite-n", "--n", "1", *tiny) == 0
+        capsys.readouterr()
+    # just above the limit both routes print a row, silently
     for command in ("ness", "sweep"):
-        # the input checks run before the weak-contact warning: the error is all that prints
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run_cli(command, *tiny) == 2
-        captured = capsys.readouterr()
-        assert caught == [] and captured.out == ""
-        assert captured.err == "error: junction epsilon = 1e-170 is too small: its square underflows to 0\n"
-    # one plate alone, and the lattice, still take such an epsilon
-    assert run_cli("gap", "--epsilon", "1e-170", "--beta", "1") == 0
-    assert run_cli("finite-n", "--n", "1", *tiny) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(command, "--epsilon-i", "2e-108", "--beta-i", "1", "--gamma", "0") == 0
     capsys.readouterr()
 
 
@@ -703,6 +710,46 @@ def test_cli_sweep_overflowing_contact_prints_strict_json(capsys):
     rows = _strict_json(capsys.readouterr().out)
     assert [(r["converged"], r["residual"], r["current"]) for r in rows] == [(False, None, None)] * 2
     assert all(isinstance(r["lambda_I"], float) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (("0", "inf"), "config key 'stop' must be finite, got inf"),
+        (("nan", "1"), "config key 'start' must be finite, got nan"),
+        (("-1e308", "1e308"), "config keys 'start' and 'stop' must differ by a finite amount"),
+    ],
+    ids=["infinite_stop", "nan_start", "overflowing_span"],
+)
+@pytest.mark.filterwarnings("error")
+def test_cli_sweep_rejects_a_range_that_is_not_finite(bounds, message, capsys):
+    """A grid whose bounds or span are not finite is refused before numpy forms it."""
+    start, stop = bounds
+    for count in ("1", "3"):
+        argv = ("sweep", "--axis", "gamma", "--start", start, "--stop", stop, "--count", count)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (("--epsilon-i", "1e160"), 3),  # the bulk operands overflow
+        (("--epsilon-ii", "1e154"), 0),  # the commutator's |F|^2 and mu_t^3 overflow
+        (("--gamma", "1e308", "--tolerance", "1e4"), 3),  # the current overflows
+    ],
+    ids=["bulk_operands", "commutator", "current"],
+)
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+@pytest.mark.filterwarnings("error")
+def test_cli_array_route_is_as_quiet_as_the_float_route(flags, code, capsys):
+    """The array route warns nothing where the lone point warns nothing,
+    and its row 0 (phi_II = pi/2 on the delta_phi axis) is the lone row."""
+    assert run_cli("sweep", *flags, "--count", "2") == code
+    rows = capsys.readouterr().out.splitlines()
+    assert run_cli("ness", *flags, "--phi-ii", repr(math.pi / 2), "--format", "csv") == code
+    assert capsys.readouterr().out.splitlines() == rows[:2]
 
 
 def test_cli_sweep_stdout(capsys):

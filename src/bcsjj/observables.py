@@ -35,8 +35,6 @@ point's row is computed without numpy; both round alike.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import spin
 from .spin import _dot, _from_bloch
 
@@ -50,8 +48,8 @@ class GoldstonePair:
     """
 
     region: str
-    q: np.ndarray
-    p: np.ndarray
+    q: "numpy.ndarray"
+    p: "numpy.ndarray"
     ccr_exact: complex
     ccr_formula: complex
     var_Q: float
@@ -97,6 +95,8 @@ def goldstone_operators(region, sol):
     the normal phase F = 0 and both operators vanish identically (a valid
     degenerate case, not an error).
     """
+    import numpy as np
+
     if region not in ("I_b", "II_b"):
         raise ValueError(f"region must be 'I_b' or 'II_b', got {region!r}")
     row = 0 if region == "I_b" else 1
@@ -124,6 +124,8 @@ def goldstone_operators(region, sol):
 
 def ccr_defect(pair):
     """Distance between the exact commutator mean and the gap formula, elementwise."""
+    import numpy as np
+
     return np.abs(pair.ccr_exact - pair.ccr_formula)
 
 
@@ -136,6 +138,8 @@ def goldstone_dynamics_residual(pair, hamiltonian, times):
     s makes dQ/dt = s * nu * P at t = 0 (dQ/dt = -nu n_hat x q).  Zero
     operators (normal phase) give zero residual trivially.
     """
+    import numpy as np
+
     q, p = pair.q, pair.p
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     n = spin.pauli_components(hamiltonian)[1].real

@@ -3,14 +3,15 @@
 One row per grid point: inputs, bulk and contact gaps, contact phases
 and spectral scales, pair current, mode frequencies, commutator defects
 and solver diagnostics.  A lone point's row (``ness``, or a one-point
-sweep) is computed on Python floats, from the solve to the row, and a
-larger grid's from ``(N,)`` arrays, by the same formulas and to the same
-bits.  A grid point changes only the swept field of the configured point.
-Rendering is deterministic (17 significant digits, LF endings) so reruns
-of the same config are byte-identical.  A CSV table formats a column that
-holds one finite nonzero value in every row once, as text in its row
-template: equal finite nonzero floats have one bit pattern, so the bytes
-are those of formatting every cell.
+sweep) is computed on Python floats, from the solve to the row, so
+``ness`` loads no numpy, and a larger grid's from ``(N,)`` arrays, by the
+same formulas and to the same bits.  A grid point changes only the swept
+field of the configured point.  Rendering is deterministic (17
+significant digits, LF endings) so reruns of the same config are
+byte-identical.  A CSV table formats a column that holds one finite
+nonzero value in every row once, as text in its row template: equal
+finite nonzero floats have one bit pattern, so the bytes are those of
+formatting every cell.
 """
 
 import contextlib
@@ -19,8 +20,6 @@ import math
 import operator
 import typing
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams
@@ -129,8 +128,8 @@ _ACCEPTED = {float: (int, float), int: (int,), str: (str,), tuple: (int, float)}
 def _typed(key, value):
     """``value`` for the field ``key``, or a ValueError naming the key.
 
-    The seeds take one finite number or a list of them and become a tuple
-    of floats.
+    A float field takes an int only if a float can hold it.  The seeds
+    take one finite number or a list of them and become a tuple of floats.
     """
     kinds = _FIELD_TYPES[key]
     if value is None and type(None) in kinds:
@@ -142,6 +141,14 @@ def _typed(key, value):
         if not isinstance(v, accepted) or isinstance(v, bool):
             names = " or ".join(t.__name__ for t in accepted)
             raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+        if type(v) is int and float in accepted:
+            try:
+                float(v)
+            except OverflowError:
+                raise ValueError(
+                    f"config key {key!r} must be a number a float can hold, "
+                    f"got an integer of {v.bit_length()} bits"
+                ) from None
         if seeds and not math.isfinite(v):
             raise ValueError(f"config key {key!r} must be finite, got {value!r}")
     return tuple(map(float, items)) if seeds else value
@@ -215,6 +222,8 @@ def evaluate_point(params, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=Non
 
 def run_sweep(config):
     """Evaluate the configured grid, in order, one SweepRow per point."""
+    import numpy as np
+
     start, stop = _sweep_range(config)
     grid = np.linspace(start, stop, config.count).tolist()
     grid[0] = start  # linspace forms start + 0 * step, which drops the sign of a -0.0 start
@@ -260,11 +269,9 @@ def _evaluate(points, tolerance, max_iter, seed):
 def _hypot(z):
     """|z| at each element of a complex array, rounded as abs() rounds a Python
     complex (np.abs may not); a NaN keeps its sign, where abs() gives +NaN."""
+    import numpy as np
+
     return np.hypot(z.real, z.imag)
-
-
-# math.atan2 at each element of two arrays: np.arctan2 may round otherwise
-_atan2_each = np.frompyfunc(math.atan2, 2, 1)
 
 
 def _row_values(sol):
@@ -278,8 +285,11 @@ def _row_values(sol):
     """
     batch = isinstance(sol, NessSolution)
     if batch:
+        import numpy as np
+
         gamma = np.array([p.gamma for p in sol.points], dtype=float)
-        modulus, atan2 = _hypot, _atan2_each
+        # math.atan2 at each element of two arrays: np.arctan2 may round otherwise
+        modulus, atan2 = _hypot, np.frompyfunc(math.atan2, 2, 1)
         quiet = np.errstate(over="ignore", invalid="ignore")
     else:
         gamma, modulus, atan2, quiet = sol.points[0].gamma, abs, math.atan2, contextlib.nullcontext()

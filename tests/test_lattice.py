@@ -157,6 +157,8 @@ def test_dimension_cap():
     LatticeSpec(3)  # 2^18 fits under the default cap
     with pytest.raises(ResourceLimitError):
         LatticeSpec(4)  # 2^32 does not
+    with pytest.raises(ResourceLimitError):
+        LatticeSpec(10**400)  # refused before its dimension is formed
 
 
 def test_memory_cap():

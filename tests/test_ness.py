@@ -89,6 +89,22 @@ def test_map_of_a_contact_field_whose_square_overflows_is_nan():
     assert f_II == ness_map((0, 0.4), replace(p, gamma=1e150))[1]
 
 
+def test_references_are_quiet_at_a_huge_plate():
+    """The 2x2 references gather their plates as the solver does, with
+    numpy's overflow warnings off: at a plate whose eps^2 overflows none
+    warns, and each reads NaN where the solver does."""
+    p = JunctionParams(BulkParams(1e160, 1.0), BulkParams(0.3, 1e4), 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_ness(p)
+        rhs_I, rhs_II = closed_form_rhs((0j, 0j), p)
+        hamiltonians = [boundary_hamiltonian(region, p) for region in ness.REGIONS]
+        defect = verify_steady(sol)
+    assert cmath.isnan(sol.Lambda_b_I) and cmath.isnan(rhs_I) and math.isnan(defect)
+    assert rhs_II == closed_form_rhs((0j, 0j), replace(p, bulk_I=BulkParams(1e150, 1.0)))[1]
+    assert hamiltonians[0][0, 0] == 1e160 and np.isfinite(hamiltonians).all()
+
+
 def test_steady_state_residual():
     for p in grid_points():
         sol = solve_ness(p)

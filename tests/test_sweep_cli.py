@@ -456,6 +456,8 @@ def test_cli_finite_n_config_file_picks_json(tmp_path, capsys):
         ("finite-n", {"lattice_n": 1.0}),
         ("ness", {"seed_lambda": [0.1, float("nan")]}),
         ("ness", {"seed_phi": float("-inf")}),
+        ("ness", {"epsilon_I": 10**400}),  # an integer no float holds
+        ("ness", {"seed_lambda": [0.1, 10**400]}),
     ],
 )
 def test_cli_rejects_mistyped_config_values(command, mapping, tmp_path, capsys):
@@ -558,21 +560,27 @@ def test_gamma_sweep_warns_once_naming_the_worst_gamma():
     assert caught == []
 
 
-def _scipy_modules_after(statements):
-    """The scipy modules a fresh process holds after ``statements``."""
+def _probe(statements):
+    """The stdout of a fresh process that runs ``statements`` on this bcsjj."""
     src = os.path.dirname(os.path.dirname(bcsjj.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = statements + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", statements], capture_output=True, text=True, env=env, check=True
     )
-    return proc.stdout.split()
+    return proc.stdout
+
+
+def _modules_after(package, statements):
+    """The modules of ``package`` that a fresh process holds after ``statements``."""
+    return _probe(
+        statements + f"\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    ).split()
 
 
 def test_cli_import_loads_no_scipy():
     """`import bcsjj.cli` (and so `import bcsjj`) loads no scipy module."""
-    assert _scipy_modules_after("import bcsjj.cli") == []
+    assert _modules_after("scipy", "import bcsjj.cli") == []
 
 
 def test_cli_commands_load_no_scipy():
@@ -587,10 +595,40 @@ def test_cli_commands_load_no_scipy():
         "        ['finite-n', '--n', '1'], ['finite-n', '--n', '2', '--format', 'json'])]\n"
         "assert codes == [0] * 6, codes"
     )
-    assert _scipy_modules_after(statements) == []
-    assert "scipy.sparse" in _scipy_modules_after(
-        "from bcsjj import LatticeSpec, build_current\nbuild_current(LatticeSpec(1), 1e-3)"
+    assert _modules_after("scipy", statements) == []
+    assert "scipy.sparse" in _modules_after(
+        "scipy", "from bcsjj import LatticeSpec, build_current\nbuild_current(LatticeSpec(1), 1e-3)"
     )
+
+
+def test_cli_import_loads_no_numpy():
+    """`import bcsjj` and `import bcsjj.cli` load no numpy module: each
+    module imports numpy in the functions that build arrays."""
+    assert _modules_after("numpy", "import bcsjj\nimport bcsjj.cli") == []
+
+
+def test_cli_ness_loads_no_numpy():
+    """A lone ness point runs on Python floats from its flags to its row:
+    JSON, CSV, the overflow point (exit 3) and a seeded point load no
+    numpy.  A sweep builds arrays, so the probe sees numpy once loaded."""
+    statements = (
+        "import contextlib, io, warnings\n"
+        "from bcsjj.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in (['ness', '--gamma', '1e-3'],\n"
+        "        ['ness', '--gamma', '1e-3', '--format', 'csv'], ['ness', '--gamma', '1e155'],\n"
+        "        ['ness', '--seed-lambda', '0.4', '0.39', '--seed-phi', '0.1'])]\n"
+        "assert codes == [0, 0, 3, 0], codes"
+    )
+    assert _modules_after("numpy", statements) == []
+    sweep = (
+        "import contextlib, io\n"
+        "from bcsjj.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['sweep', '--count', '2']) == 0"
+    )
+    assert "numpy" in _modules_after("numpy", sweep)
 
 
 def test_cli_ness_json_dump(capsys):
@@ -976,25 +1014,33 @@ def test_cli_finite_n_peak_within_estimate(capsys):
     capsys.readouterr()
 
 
+def _first_finite_n_run(n, *flags):
+    """(exit code, traced peak, estimate) of a fresh process's first
+    `finite-n --n n` run, with ``flags``.
+
+    `from bcsjj.cli import main` must leave numpy unloaded.  numpy is then
+    imported before tracing starts, as in CI's "each size in a fresh
+    process" step: the first array a process builds loads numpy, ~6 MB
+    traced that estimated_bytes leaves out.
+    """
+    probe = (
+        "import contextlib, io, sys, tracemalloc\n"
+        "from bcsjj.cli import main\n"
+        "from bcsjj.lattice import LatticeSpec\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import numpy\n"
+        "tracemalloc.start()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({['finite-n', '--n', str(n), *flags]!r})\n"
+        f"print(code, tracemalloc.get_traced_memory()[1], LatticeSpec({n}).estimated_bytes)\n"
+    )
+    return tuple(map(int, _probe(probe).split()))
+
+
 def test_cli_first_finite_n_run_peaks_within_estimate():
     """A process's first `finite-n --n 1` stays within estimated_bytes:
     the parser is built on import, outside the traced run."""
-    src = os.path.dirname(os.path.dirname(bcsjj.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = (
-        "import contextlib, io, tracemalloc\n"
-        "from bcsjj.cli import main\n"
-        "from bcsjj.lattice import LatticeSpec\n"
-        "tracemalloc.start()\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['finite-n', '--n', '1'])\n"
-        "print(code, tracemalloc.get_traced_memory()[1], LatticeSpec(1).estimated_bytes)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    )
-    code, peak, estimate = map(int, proc.stdout.split())
+    code, peak, estimate = _first_finite_n_run(1)
     assert code == 0
     assert peak <= estimate, f"cold peak {peak} B, estimate {estimate} B"
 
@@ -1003,22 +1049,7 @@ def test_cli_first_finite_n_run_at_n_2_peaks_within_estimate():
     """A process's first `finite-n --n 2`, the size where the commutator
     check sets the peak, stays within estimated_bytes, abc's caches
     included."""
-    src = os.path.dirname(os.path.dirname(bcsjj.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = (
-        "import contextlib, io, tracemalloc\n"
-        "from bcsjj.cli import main\n"
-        "from bcsjj.lattice import LatticeSpec\n"
-        "tracemalloc.start()\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['finite-n', '--n', '2', '--format', 'json'])\n"
-        "print(code, tracemalloc.get_traced_memory()[1], LatticeSpec(2).estimated_bytes)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    )
-    code, peak, estimate = map(int, proc.stdout.split())
+    code, peak, estimate = _first_finite_n_run(2, "--format", "json")
     assert code == 0
     assert peak <= estimate, f"cold peak {peak} B, estimate {estimate} B"
 

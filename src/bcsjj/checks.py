@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import lattice, observables, perturbation, spin
+from ._numpy import np
 from .constants import (
     FINITE_N_COMMUTATOR_TOL, FINITE_N_CONSERVATION_TOL, FINITE_N_CURRENT_TOL, NESS_CHANGE_TOL,
 )
@@ -64,8 +65,6 @@ def _standard_params(eps, gamma, delta, beta=STANDARD_BETA):
 def _worst(defects):
     """The largest of ``defects`` as a float, NaN if any is NaN (Python's
     ``max`` drops a NaN that comes after a number)."""
-    import numpy as np
-
     return float(np.max(defects))
 
 
@@ -115,8 +114,6 @@ def check_equilibrium_gauge(opts):
 @functools.lru_cache(maxsize=1)
 def _standard_grid(opts):
     """The 102-point grid (epsilon x gamma x 17 phase biases), solved at once."""
-    import numpy as np
-
     deltas = np.linspace(-math.pi / 2, math.pi / 2, 17)
     points = [
         _standard_params(eps, gamma, float(delta))
@@ -128,8 +125,6 @@ def _standard_grid(opts):
 
 
 def check_ness_oracle(opts):
-    import numpy as np
-
     batch = _standard_grid(opts)
     worst = float(np.abs(closed_form_rhs(batch.Lambda_b, batch.points) - batch.Lambda_b).max())
     return CheckResult("ness.oracle_equivalence", worst < 1e-11, worst, 1e-11)
@@ -146,8 +141,6 @@ def check_ness_steady(opts):
 
 
 def check_ness_gauge(opts):
-    import numpy as np
-
     base = _standard_params(0.3, 1e-3, 0.3)
     deltas = np.array([0.7, 2.1, -1.3, 2.0 * math.pi])
     batch = _solve_all([base] + [gauge_shift(base, float(d)) for d in deltas], opts)
@@ -162,8 +155,6 @@ def check_ness_gauge(opts):
 
 
 def check_ness_swap(opts):
-    import numpy as np
-
     params = JunctionParams(
         bulk_I=BulkParams(0.2, STANDARD_BETA, 0.4),
         bulk_II=BulkParams(0.3, STANDARD_BETA, 0.1),
@@ -179,8 +170,6 @@ def check_ness_swap(opts):
 
 
 def check_ness_phase_locking(opts):
-    import numpy as np
-
     batch = _standard_grid(opts)
     ordered = batch.Lambda_b != 0.0
     lam_b, field = batch.Lambda_b[ordered], batch.field[ordered]
@@ -191,8 +180,6 @@ def check_ness_phase_locking(opts):
 
 def check_ness_phase_proportionality(opts):
     """How far phi_t_I - phi_t_II strays from the imposed bias."""
-    import numpy as np
-
     gamma = 1e-3
     deltas = np.linspace(0.1, math.pi / 2 - 0.05, 9)
     batch = _solve_all(
@@ -223,8 +210,6 @@ def check_perturbation_slopes(opts):
 def _law_errors(opts):
     """Worst sup-normalized deviations (sine, cosine) of the current and
     frequency laws over the standard epsilons, solved once for both."""
-    import numpy as np
-
     gamma = 1e-3
     deltas = np.linspace(-math.pi / 2, math.pi / 2, 33)
     shape = (len(STANDARD_EPSILONS), len(deltas))
@@ -253,8 +238,6 @@ def check_cosine_law(opts):
 
 
 def check_ccr(opts):
-    import numpy as np
-
     params = _standard_params(0.3, 0.0, 0.3)
     bounds = ((1e-3, 1e-2), (1e-4, 1e-3))
     batch = _solve_all([params] + [replace(params, gamma=gamma) for gamma, _ in bounds], opts)
@@ -271,8 +254,6 @@ def check_ccr(opts):
 
 
 def check_dynamics(opts):
-    import numpy as np
-
     batch = _solve_all(
         [_standard_params(eps, gamma, 0.5) for eps in STANDARD_EPSILONS for gamma in (0.0, 1e-3)],
         opts,

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import spin
+from ._numpy import np
 from .constants import GAP_BISECTION_TOL
 
 
@@ -56,8 +57,6 @@ def effective_hamiltonian(epsilon, field):
 
     Elementwise: arrays of epsilons and fields give a ``(..., 2, 2)`` stack.
     """
-    import numpy as np
-
     eps, f = (np.asarray(v)[..., None, None] for v in (epsilon, field))
     return eps * spin.SIGMA_Z - f.conj() * spin.SIGMA_PLUS - f * spin.SIGMA_MINUS
 
@@ -69,8 +68,6 @@ def gap_map(lam, params):
     Hamiltonian at pairing amplitude ``lam``; analytically this equals
     (lam / (2 mu)) tanh(beta mu).  Fixed points are self-consistent gaps.
     """
-    import numpy as np
-
     field = lam * np.exp(1j * params.phi)
     rho = spin.gibbs_state(effective_hamiltonian(params.epsilon, field), params.beta)
     return abs(spin.expectation(rho, spin.SIGMA_PLUS))
@@ -118,8 +115,6 @@ def solve_gap(params):
     and ``residual`` its gap-map defect ||<sigma_plus>| - lam|.  No 2x2
     matrix is built until ``rho`` is read.
     """
-    import numpy as np
-
     eps, beta = params.epsilon, params.beta
     lam, mu, superconducting = gap_root(eps, beta)
     field = lam * np.exp(1j * params.phi)

@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._numpy import np
 from .constants import (
     FINITE_N_COMMUTATOR_TOL,
     FINITE_N_CONSERVATION_TOL,
@@ -100,10 +101,11 @@ class LatticeSpec:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if self.memory_cap is not None and not self.memory_cap > 0:
             raise ValueError(f"memory_cap must be positive, got {self.memory_cap!r}")
-        # by the site count: a huge n's dimension 2^(2 n^2) is not formed
+        # by the site count, and the message prints n: a huge n's dimension
+        # 2^(2 n^2), or even its 2 n^2, may be too large to form or print
         if self.n_sites >= DEFAULT_DIM_CAP.bit_length():
             raise ResourceLimitError(
-                f"Hilbert dimension 2**{2 * self.n**2} exceeds the cap "
+                f"Hilbert dimension 2**(2 n^2) at n = {self.n} exceeds the cap "
                 f"{DEFAULT_DIM_CAP}; n = 3 is the largest lattice this oracle builds"
             )
         if self.memory_cap is not None and self.estimated_bytes > self.memory_cap:
@@ -137,8 +139,6 @@ class LatticeSpec:
         (:func:`_row_blocks`), at most 48 B per entry.  On top comes
         ``_RUN_OVERHEAD_BYTES`` for what is not sized by the lattice.
         """
-        import numpy as np
-
         n2, dim = self.sites_per_plate, self.dim
         nnz_j = dim * n2 // 2
         nnz_h = dim * (1 + n2 * (n2 - 1) // 2) + nnz_j
@@ -151,8 +151,6 @@ class LatticeSpec:
 
 def _index_dtype(top):
     """int32 while every index and offset stays below 2^31, else int64."""
-    import numpy as np
-
     return np.int32 if top <= np.iinfo(np.int32).max else np.int64
 
 
@@ -168,8 +166,6 @@ class _Csr(NamedTuple):
 
 def _rows_of(op):
     """The row of each stored entry of a CSR ``op``, in storage order."""
-    import numpy as np
-
     return np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
 
 
@@ -197,8 +193,6 @@ def _plate_operators(n):
     exact, and each one divided by n is the sparse product's.  Every entry
     list is read off one of them by ``np.nonzero``, in CSR order.
     """
-    import numpy as np
-
     width, dim = n * n, 1 << (n * n)
     states = np.arange(dim)
     raising = np.zeros((dim, dim))
@@ -239,8 +233,6 @@ class _Rows(NamedTuple):
 
 
 def _rows(dim, row, col, value=None):
-    import numpy as np
-
     count = np.bincount(row, minlength=dim)
     return _Rows(count, row, np.arange(row.size) - (np.cumsum(count) - count)[row], col, value)
 
@@ -272,8 +264,6 @@ def _assemble(dim, plates, terms, dtype):
     one cumulative sum over the wide blocks of a few plate-I rows places
     all their entries.
     """
-    import numpy as np
-
     every = np.arange(dim)
     # Block kinds: 0 a[r, c] 1 for c != r; the c = r block as 1 b's lower
     # part, 2 the diagonal (kept per plate-I row), 3 b's upper part;
@@ -385,8 +375,6 @@ def _hamiltonian(spec, params):
 
 def _relative_number(spec):
     """Pair-number imbalance between the plates, real CSR."""
-    import numpy as np
-
     number = _plate_operators(spec.n).number
     diagonal_only = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
     return _assemble(number.size, ((number, diagonal_only), (-number, diagonal_only)), [], float)
@@ -394,8 +382,6 @@ def _relative_number(spec):
 
 def _current(spec, gamma):
     """Pair current operator J = i [H, Q], in closed form, complex CSR."""
-    import numpy as np
-
     ops = _plate_operators(spec.n)
     # the closed form's +-1 entries times its scale, in numpy's complex
     # arithmetic (signed zeros included); zero entries are kept
@@ -442,8 +428,6 @@ def _target_defect(start, stop, row, col, value, target):
     canonical CSR ``target``; NaN if any value compared is NaN.  Each
     target entry meets the commutator entry at its (row, column), if
     there is one: both run in that order."""
-    import numpy as np
-
     dim = target.shape[1]
     lo, hi = target.indptr[start], target.indptr[stop]
     key = np.repeat(np.arange(start, stop), np.diff(target.indptr[start : stop + 1])) * dim
@@ -478,8 +462,6 @@ def _identity_and_conservation(hamiltonian, charge, current, width):
     H(gamma = 0) is, bit for bit, H's entries whose row and column agree
     on one plate's ``width`` bits.
     """
-    import numpy as np
-
     indptr = hamiltonian.indptr
     q = np.zeros(charge.shape[0])
     q[charge.indices] = charge.data  # Q is diagonal: each entry's column is its row
@@ -508,8 +490,6 @@ def _site_groups(n_sites):
 
 def _product_table(states):
     """The kron of a few one-site states (at most 64 x 64), without np.kron's call overhead."""
-    import numpy as np
-
     table = np.ones((1, 1), dtype=complex)
     for state in states:
         state = np.asarray(state, dtype=complex)
@@ -601,8 +581,6 @@ def finite_n_report(spec, params):
     :func:`product_state_current`.  A coupling whose products overflow
     gives NaN defects, and a failed report, without a warning.
     """
-    import numpy as np
-
     with np.errstate(over="ignore", invalid="ignore"):
         charge = _relative_number(spec)
         hamiltonian = _hamiltonian(spec, params)
@@ -638,8 +616,6 @@ def _spectral_interval(hamiltonian):
     read from the stored CSR entries (``data`` and ``indptr``), a block
     of rows at a time (:func:`_row_blocks`); nothing of H's size is made.
     """
-    import numpy as np
-
     diag = hamiltonian.diagonal()
     indptr = hamiltonian.indptr
     abs_sums = np.zeros(len(diag))
@@ -662,8 +638,6 @@ def _chebyshev_order(x):
     bounds the tail.  Where that ratio rounds to 1 (|x| past ~3.6e16,
     or not finite) nothing is bounded, and ``ValueError`` is raised.
     """
-    import numpy as np
-
     half = abs(x) / 2
     if half == 0.0:
         return 0
@@ -693,8 +667,6 @@ def _bessel_j(order, x):
     in ``order`` + |x|.  Three rescales take any double to zero, so no
     value needs more than three.
     """
-    import numpy as np
-
     if abs(x) < 2 * math.sqrt(np.finfo(float).eps):
         out = [1.0]
         for k in range(1, order + 1):
@@ -737,8 +709,6 @@ def _propagate(hamiltonian, vec, t):
     recurrence only reads ``vec``, so its first T_0 is ``vec`` itself,
     not a copy.
     """
-    import numpy as np
-
     center, radius = _spectral_interval(hamiltonian)
     coeffs = _bessel_j(_chebyshev_order(t * radius), t * radius)
 
@@ -772,8 +742,6 @@ def _top_product_vector(site_states):
     most significant); its weight, the product of their top eigenvalues
     clipped at 0, is the share of the product state it carries.
     """
-    import numpy as np
-
     values, vectors = np.linalg.eigh(np.asarray(site_states, dtype=complex))
     weight = math.prod(max(top, 0.0) for top in values[:, -1])
     vec = functools.reduce(lambda left, right: np.multiply.outer(left, right).ravel(), vectors[:, :, -1])
@@ -782,7 +750,6 @@ def _top_product_vector(site_states):
 
 def _value_key(array):
     """Shape, dtypes and bytes of a CSR or dense array: equal only for equal values."""
-    import numpy as np
     from scipy import sparse
 
     if sparse.issparse(array):
@@ -796,8 +763,6 @@ def _value_key(array):
 def _to_eigenbasis(basis, block):
     """basis^T @ block for H's real eigenbasis.  It acts on the (re, im)
     columns of a complex block as one real product, as in :func:`_propagate`."""
-    import numpy as np
-
     if not np.iscomplexobj(block):
         return basis.T @ block
     return (basis.T @ np.ascontiguousarray(block).view(float)).view(complex)
@@ -807,8 +772,6 @@ def _apply_product_state(site_states, block):
     """(rho_0 kron rho_1 kron ...) @ block, one group of sites at a time
     (the kron of its states, at most 64 x 64), so the dim x dim product
     state is never formed.  Site 0 is the most significant bit."""
-    import numpy as np
-
     out = block
     for first, last in _site_groups(len(site_states)):
         table = _product_table(site_states[first:last])
@@ -826,8 +789,6 @@ def _spectral_weights(op, hamiltonian, site_states):
     W is kept with its diagonal zeroed, and <op> is contracted in the
     product state directly.
     """
-    import numpy as np
-
     energies, basis = np.linalg.eigh(hamiltonian.toarray())
     op_basis = _to_eigenbasis(basis, op @ basis)
     rho_basis = _to_eigenbasis(basis, _apply_product_state(site_states, basis))
@@ -867,7 +828,6 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
     cannot be bounded on the other).
     """
     global _spectral_memo
-    import numpy as np
     from scipy import sparse
 
     if not (sparse.issparse(hamiltonian) and hamiltonian.dtype == np.float64):

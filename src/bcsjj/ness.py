@@ -56,6 +56,7 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
+from ._numpy import np
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams, effective_hamiltonian, gap_root
 from .spin import _from_bloch
@@ -260,8 +261,6 @@ def _plates(points):
     (eps^2) may overflow, so numpy's overflow and invalid warnings are off
     here, as on Python floats, for every caller of the gather.
     """
-    import numpy as np
-
     lam, order, eps, scale, gamma = _plate_rows(points)
     order, gamma = np.array(order, dtype=complex), np.array(gamma, dtype=float)
     eps, scale = np.array(eps, dtype=float), np.array(scale, dtype=float)
@@ -351,8 +350,6 @@ def _contact_state(x_r, x_i, xo_r, xo_i, bulk_vec, eps, plate, sqrt, maximum):
 
 def _complex(re, im):
     """The complex array re + i im, bit for bit."""
-    import numpy as np
-
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
     return out
@@ -407,8 +404,6 @@ _PointSolution = namedtuple("_PointSolution", [f.name for f in fields(NessSoluti
 
 def _packed(point):
     """A :class:`_PointSolution` as a :class:`NessSolution` of one point."""
-    import numpy as np
-
     return NessSolution(point.points, *(np.array(value)[..., None] for value in point[1:]))
 
 
@@ -455,8 +450,6 @@ def _solve_rows(points, tol, max_iter, seed):
     overflow, so numpy's overflow and invalid warnings are off, as on
     Python floats.
     """
-    import numpy as np
-
     with np.errstate(over="ignore", invalid="ignore"):
         lam, _, eps, bulk_vec, _, plate = _plates(points)
         x_r, x_i = plate[0].copy(), plate[1].copy()
@@ -506,8 +499,6 @@ def solve_ness(params, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
 def _region_hamiltonians(order, eps, gamma, lam_b):
     """``(4, N, 2, 2)`` Hamiltonians of the regions I_a, II_a (bulk field) and I_b,
     II_b (bulk field plus gamma times the other plate's contact order parameter)."""
-    import numpy as np
-
     field = np.concatenate((order, order + gamma * lam_b[::-1]))
     return effective_hamiltonian(np.concatenate((eps, eps)), field)
 
@@ -523,8 +514,6 @@ def boundary_hamiltonian(region, params, Lambda_b_I=0j, Lambda_b_II=0j):
     the same bits either way.  The plates come from the solver's gather,
     which runs the bare gap root once per distinct (epsilon, beta).
     """
-    import numpy as np
-
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}, expected one of {REGIONS}")
     points, single = _point_axis(params)
@@ -576,8 +565,6 @@ def closed_form_rhs(guess, params):
     order parameter as Re(conj(order) field).  Where eps^2 or |field|^2
     overflows, nothing warns, as in the solver.
     """
-    import numpy as np
-
     points, single = _point_axis(params)
     x = np.asarray(guess, dtype=complex).reshape(2, len(points))
     _, order, eps, _, gamma, _ = _plates(points)
@@ -610,8 +597,6 @@ def verify_steady(sol):
     ``(4, N, 2, 2)`` stacks (regions I_a, II_a, I_b, II_b), and the
     commutators are matrix products.
     """
-    import numpy as np
-
     points, single = _point_axis(sol.points)
     n_points = len(points)
     lam_b = sol.Lambda_b.reshape(2, n_points)

@@ -36,6 +36,7 @@ point's row is computed without numpy; both round alike.
 from dataclasses import dataclass
 
 from . import spin
+from ._numpy import np
 from .spin import _dot, _from_bloch
 
 
@@ -95,8 +96,6 @@ def goldstone_operators(region, sol):
     the normal phase F = 0 and both operators vanish identically (a valid
     degenerate case, not an error).
     """
-    import numpy as np
-
     if region not in ("I_b", "II_b"):
         raise ValueError(f"region must be 'I_b' or 'II_b', got {region!r}")
     row = 0 if region == "I_b" else 1
@@ -124,8 +123,6 @@ def goldstone_operators(region, sol):
 
 def ccr_defect(pair):
     """Distance between the exact commutator mean and the gap formula, elementwise."""
-    import numpy as np
-
     return np.abs(pair.ccr_exact - pair.ccr_formula)
 
 
@@ -138,8 +135,6 @@ def goldstone_dynamics_residual(pair, hamiltonian, times):
     s makes dQ/dt = s * nu * P at t = 0 (dQ/dt = -nu n_hat x q).  Zero
     operators (normal phase) give zero residual trivially.
     """
-    import numpy as np
-
     q, p = pair.q, pair.p
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     n = spin.pauli_components(hamiltonian)[1].real

@@ -24,6 +24,7 @@ each plate's gap once.
 import math
 from dataclasses import dataclass, replace
 
+from ._numpy import np
 from .constants import CENTRAL_DIFF_STEP
 from .equilibrium import solve_gap
 from .ness import solve_batch
@@ -123,8 +124,6 @@ def certify_first_order(params, gammas=(1e-4, 1e-3, 1e-2)):
     ``CENTRAL_DIFF_STEP``) give the numeric slopes; the probed nonzero
     ``gammas`` bound the quadratic remainder of each linearization.
     """
-    import numpy as np
-
     if not gammas or not all(gammas):
         raise ValueError(f"need nonzero gammas to probe the remainder, got {gammas}")
     _, analytic, _ = _expansion(params)

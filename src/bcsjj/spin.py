@@ -16,6 +16,7 @@ result is deterministic to floating-point rounding.
 import functools
 import math
 
+from ._numpy import np
 from .constants import VALIDATION_ATOL
 
 
@@ -35,8 +36,6 @@ _MATRIX_ENTRIES = {
 @functools.cache
 def _matrices():
     """The 2x2 constants by name, built once: callers must not modify them."""
-    import numpy as np
-
     return {name: np.array(entries, dtype=complex) for name, entries in _MATRIX_ENTRIES.items()}
 
 
@@ -47,17 +46,28 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def __dir__():
+    return sorted([*globals(), *_MATRIX_ENTRIES])
+
+
+__all__ = [
+    *_MATRIX_ENTRIES,
+    "commutant_projection",
+    "evolve_heisenberg",
+    "expectation",
+    "gibbs_state",
+    "is_hermitian",
+    "pauli_components",
+]
+
+
 def is_hermitian(op, atol=VALIDATION_ATOL):
     """Whether a matrix, or every matrix of a stack, is Hermitian to ``atol``."""
-    import numpy as np
-
     op = np.asarray(op)
     return bool(np.max(np.abs(op - np.swapaxes(op.conj(), -1, -2))) <= atol)
 
 
 def _require_hermitian(op, what, stack=False):
-    import numpy as np
-
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (2, 2) or (op.ndim > 2 and not stack):
         raise ValueError(f"{what} must be a 2x2 matrix{' stack' if stack else ''}, got shape {op.shape}")
@@ -69,8 +79,6 @@ def _require_hermitian(op, what, stack=False):
 def pauli_components(op):
     """Complex (scalar, vector) Pauli components of any 2x2 matrix, or of a
     ``(..., 2, 2)`` stack as ``(...)`` scalars and ``(3, ...)`` vectors."""
-    import numpy as np
-
     half = 0.5 * op  # halved first, so that sums of entries near the float maximum fit
     a, b = half[..., 0, 0], half[..., 0, 1]
     c, d = half[..., 1, 0], half[..., 1, 1]
@@ -83,8 +91,6 @@ def _from_bloch(scalar, v):
 
     No validation; ``v`` may be complex.
     """
-    import numpy as np
-
     m = _matrices()
     x, y, z = (np.asarray(v)[k, ..., None, None] for k in range(3))
     return scalar * m["IDENTITY"] + x * m["SIGMA_X"] + y * m["SIGMA_Y"] + z * m["SIGMA_Z"]
@@ -104,8 +110,6 @@ def _scaled_norm(n):
     ~1.34e154) warns nothing.  Only such an n is rescaled, to
     max |n_i| = 1, which keeps its direction; otherwise ``scale`` is 1.
     """
-    import numpy as np
-
     norm = math.sqrt(np.vdot(n, n))
     if norm != math.inf:
         return 1.0, n, norm
@@ -119,8 +123,6 @@ def _thermal_bloch(n, beta):
 
     A field whose square overflows keeps its polarized state.
     """
-    import numpy as np
-
     scale, n, norm = _scaled_norm(n)
     if norm == 0.0:
         return np.zeros(3)
@@ -134,8 +136,6 @@ def gibbs_state(hamiltonian, beta):
     (1 - tanh(beta |n|) n_hat . sigma) / 2; the scalar part cancels.
     H with zero traceless part gives the maximally mixed state.
     """
-    import numpy as np
-
     hamiltonian = _require_hermitian(hamiltonian, "Hamiltonian")
     if not (np.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
@@ -151,8 +151,6 @@ def commutant_projection(rho, hamiltonian):
     matrix elements in the H eigenbasis while preserving the trace.
     A degenerate H (zero traceless part) leaves ``rho`` unchanged.
     """
-    import numpy as np
-
     rho = _require_hermitian(rho, "density matrix")
     hamiltonian = _require_hermitian(hamiltonian, "Hamiltonian")
     s, v = pauli_components(rho)
@@ -178,8 +176,6 @@ def evolve_heisenberg(op, hamiltonian, t):
     and ``hamiltonian`` may be ``(..., 2, 2)`` stacks; their stack shapes
     and ``t``'s broadcast into the result's ``(..., 2, 2)``.
     """
-    import numpy as np
-
     hamiltonian = _require_hermitian(hamiltonian, "Hamiltonian", stack=True)
     s, a = pauli_components(np.asarray(op, dtype=complex))
     n = pauli_components(hamiltonian)[1].real
@@ -196,8 +192,6 @@ def evolve_heisenberg(op, hamiltonian, t):
 
 def expectation(rho, op):
     """Tr(rho op) as a complex number."""
-    import numpy as np
-
     rho = np.asarray(rho)
     op = np.asarray(op)
     return complex(

@@ -21,6 +21,7 @@ import operator
 import typing
 from dataclasses import dataclass, fields
 
+from ._numpy import np
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams
 from .ness import JunctionParams, NessSolution, _solve
@@ -222,8 +223,6 @@ def evaluate_point(params, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=Non
 
 def run_sweep(config):
     """Evaluate the configured grid, in order, one SweepRow per point."""
-    import numpy as np
-
     start, stop = _sweep_range(config)
     grid = np.linspace(start, stop, config.count).tolist()
     grid[0] = start  # linspace forms start + 0 * step, which drops the sign of a -0.0 start
@@ -269,8 +268,6 @@ def _evaluate(points, tolerance, max_iter, seed):
 def _hypot(z):
     """|z| at each element of a complex array, rounded as abs() rounds a Python
     complex (np.abs may not); a NaN keeps its sign, where abs() gives +NaN."""
-    import numpy as np
-
     return np.hypot(z.real, z.imag)
 
 
@@ -285,8 +282,6 @@ def _row_values(sol):
     """
     batch = isinstance(sol, NessSolution)
     if batch:
-        import numpy as np
-
         gamma = np.array([p.gamma for p in sol.points], dtype=float)
         # math.atan2 at each element of two arrays: np.arctan2 may round otherwise
         modulus, atan2 = _hypot, np.frompyfunc(math.atan2, 2, 1)

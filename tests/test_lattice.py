@@ -158,7 +158,7 @@ def test_dimension_cap():
     with pytest.raises(ResourceLimitError):
         LatticeSpec(4)  # 2^32 does not
     with pytest.raises(ResourceLimitError):
-        LatticeSpec(10**400)  # refused before its dimension is formed
+        LatticeSpec(10**2200)  # refused before its dimension is formed; 2 n^2 has 4401 digits
 
 
 def test_memory_cap():

@@ -603,8 +603,24 @@ def test_cli_commands_load_no_scipy():
 
 def test_cli_import_loads_no_numpy():
     """`import bcsjj` and `import bcsjj.cli` load no numpy module: each
-    module imports numpy in the functions that build arrays."""
+    module's ``np`` is a stand-in until an array is first built."""
     assert _modules_after("numpy", "import bcsjj\nimport bcsjj.cli") == []
+
+
+def test_first_array_binds_numpy_in_every_module():
+    """The first array a process builds binds numpy itself as ``np`` in
+    every bcsjj module, so no later call pays for a stand-in or an import."""
+    statements = (
+        "import sys\n"
+        "import bcsjj, numpy\n"
+        "bcsjj.spin.SIGMA_X\n"
+        "for name, module in sorted(sys.modules.items()):\n"
+        "    if name.startswith('bcsjj.') and 'np' in vars(module):\n"
+        "        print(name, module.np is numpy)"
+    )
+    bound = dict(line.split() for line in _probe(statements).splitlines())
+    assert {"bcsjj.lattice", "bcsjj.ness", "bcsjj.spin", "bcsjj.sweep"} <= bound.keys()
+    assert set(bound.values()) == {"True"}, bound
 
 
 def test_cli_ness_loads_no_numpy():
@@ -952,9 +968,11 @@ def test_cli_finite_n_json_is_strict_at_an_overflowing_coupling(capsys):
 
 
 def test_cli_finite_n_resource_exit(capsys):
-    assert run_cli("finite-n", "--n", "4") == 4
-    err = capsys.readouterr().err
-    assert "exceeds the cap" in err
+    # the second n is so large that 2 n^2 has more digits than an int may print
+    for n in ("4", "1" + "0" * 2200):
+        assert run_cli("finite-n", "--n", n) == 4
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err
 
 
 def test_cli_finite_n_memory_cap(capsys):

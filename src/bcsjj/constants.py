@@ -9,9 +9,6 @@ stay consistent across modules.  Values are absolute unless noted.
 # inputs.
 VALIDATION_ATOL = 1e-10
 
-# Scalar gap bisection width on the spectral gap mu.
-GAP_BISECTION_TOL = 1e-14
-
 # Steady-state fixed point: a junction point stops iterating, converged,
 # once its map defect max |f(x) - x| is below this.
 NESS_CHANGE_TOL = 1e-13

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from . import spin
 from ._numpy import np
-from .constants import GAP_BISECTION_TOL
 
 
 @dataclass(frozen=True)
@@ -89,20 +88,42 @@ def gap_root(epsilon, beta):
 
     The ordered branch exists iff tanh(beta epsilon) > 2 epsilon, in
     which case tanh(beta mu) / mu is strictly decreasing so the root of
-    tanh(beta mu) = 2 mu is unique; plain bisection on (epsilon, 1/2]
-    brackets it from the sign change.  Returns the ordered branch when
-    it exists, otherwise the normal solution ``(0.0, epsilon, False)``.
+    g(mu) = tanh(beta mu) - 2 mu in (epsilon, 1/2] is unique.  g is
+    concave there, so Newton steps from mu = 1/2, where g <= 0, descend
+    monotonically onto the root.  The bracket (lo, hi) starts as
+    (epsilon, 1/2] and keeps the last points with g > 0 and g < 0; a step
+    that would leave it bisects it instead.  The descent stops at g = 0,
+    at a step below half an ulp, or where rounding lets a Newton step
+    cross the root: the step back from there is the last.  Every mu tried
+    lies strictly inside the bracket, which shrinks at each step, so the
+    loop ends for any floats, infinite and NaN ones included.  Returns
+    the ordered branch when it exists, otherwise the normal solution
+    ``(0.0, epsilon, False)``.
     """
     if math.tanh(beta * epsilon) > 2.0 * epsilon:
-        lo, hi = epsilon, 0.5
-        # f(lo) > 0 by the criterion, f(0.5) = tanh(beta/2) - 1 < 0
-        while hi - lo > GAP_BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if math.tanh(beta * mid) - 2.0 * mid > 0.0:
-                lo = mid
+        lo, mu, hi = epsilon, 0.5, 0.5
+        newton = True  # mu came from a Newton step
+        while True:
+            t = math.tanh(beta * mu)
+            g = t - 2.0 * mu
+            step = mu - g / (beta * (1.0 - t * t) - 2.0)
+            if g < 0.0:
+                hi = mu
+            elif g > 0.0 and not newton:
+                lo = mu
             else:
-                hi = mid
-        mu = 0.5 * (lo + hi)
+                # g = 0 (or NaN), or a Newton step crossed the root
+                if g > 0.0 and lo < step < hi:
+                    mu = step
+                break
+            if step == mu:
+                break
+            newton = lo < step < hi
+            if not newton:
+                step = 0.5 * (lo + hi)
+                if not lo < step < hi:
+                    break
+            mu = step
         return math.sqrt(max(mu * mu - epsilon * epsilon, 0.0)), mu, True
     return 0.0, epsilon, False
 

@@ -309,13 +309,16 @@ def _linearize(x_r, x_i, xo_r, xo_i, *plate):
     return f_r - x_r, f_i - x_i, s_r * w_r - gc, s_r * w_i, s_i * w_r, s_i * w_i - gc
 
 
-def _newton_delta(d_r, d_i, b00, b01, b10, b11, do_r, do_i, o00, o01, o10, o11):
+def _newton_delta(d_r, d_i, b00, b01, b10, b11, do_r, do_i, o00, o01, o10, o11, where):
     """One plate's Newton update delta, from its (d, B) and the other
     plate's (d_o, B_o), B_o's entries named o.
 
     The updates solve delta = d + B delta_o and delta_o = d_o + B_o delta,
     so (I - B B_o) delta = d + B d_o, a real 2x2 system solved in closed
-    form; a singular I - B B_o has its determinant read as 1.
+    form.  Where I - B B_o is exactly singular (its determinant is 0) the
+    update is half the map step, d / 2, which breaks the two-cycle of the
+    plain map at a symmetric point such as B = B_o = I.  ``where`` is
+    :func:`_pick` on floats and ``numpy.where`` on arrays.
     """
     r_r = d_r + (b00 * do_r + b01 * do_i)
     r_i = d_i + (b10 * do_r + b11 * do_i)
@@ -325,8 +328,17 @@ def _newton_delta(d_r, d_i, b00, b01, b10, b11, do_r, do_i, o00, o01, o10, o11):
     p10 = b10 * o00 + b11 * o10
     m11 = 1.0 - (b10 * o01 + b11 * o11)
     det = m00 * m11 - p01 * p10
-    det = det + (det == 0.0)  # 1 where singular
-    return (m11 * r_r + p01 * r_i) / det, (m00 * r_i + p10 * r_r) / det
+    singular = det == 0.0
+    det = det + singular  # 1 where singular, so nothing divides by 0
+    return (
+        where(singular, 0.5 * d_r, (m11 * r_r + p01 * r_i) / det),
+        where(singular, 0.5 * d_i, (m00 * r_i + p10 * r_r) / det),
+    )
+
+
+def _pick(condition, a, b):
+    """``numpy.where`` of one float condition."""
+    return a if condition else b
 
 
 def _contact_state(x_r, x_i, xo_r, xo_i, bulk_vec, eps, plate, sqrt, maximum):
@@ -418,8 +430,8 @@ def _solve_point(points, tol, max_iter, seed):
     for step in range(1, max_iter + 1):
         own = _linearize(x0r, x0i, x1r, x1i, *plate_I)
         other = _linearize(x1r, x1i, x0r, x0i, *plate_II)
-        dx0r, dx0i = _newton_delta(*own, *other)
-        dx1r, dx1i = _newton_delta(*other, *own)
+        dx0r, dx0i = _newton_delta(*own, *other, _pick)
+        dx1r, dx1i = _newton_delta(*other, *own, _pick)
         x0r, x0i, x1r, x1i = x0r + dx0r, x0i + dx0i, x1r + dx1r, x1i + dx1i
         if not _nan_max(_modulus(*own[:2], math.sqrt), _modulus(*other[:2], math.sqrt)) >= tol:
             break
@@ -459,7 +471,7 @@ def _solve_rows(points, tol, max_iter, seed):
         going = np.ones(len(points), dtype=bool)
         for step in range(1, max_iter + 1):
             own = np.array(_linearize(x_r, x_i, x_r[::-1].copy(), x_i[::-1].copy(), *plate))
-            delta_r, delta_i = _newton_delta(*own, *own[:, ::-1].copy())
+            delta_r, delta_i = _newton_delta(*own, *own[:, ::-1].copy(), np.where)
             x_r = np.where(going, x_r + delta_r, x_r)
             x_i = np.where(going, x_i + delta_i, x_i)
             defect = _modulus(own[0], own[1], np.sqrt)

@@ -201,13 +201,13 @@ def test_solve_gap_builds_its_2x2_state_only_when_read(monkeypatch):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="near T_c, lam = sqrt(mu^2 - eps^2) magnifies the 1e-14 bisection width on mu "
-    "into a 2.4e-5 relative error (ROADMAP item 3)",
+    reason="near T_c, lam = sqrt(mu^2 - eps^2) magnifies the rounding of mu "
+    "into a 7.9e-8 relative error (ROADMAP item 3)",
 )
 def test_gap_near_the_threshold_matches_a_60_digit_bisection():
     """Just above the ordering threshold, where mu - eps is ~7e-11, the bare
     gap root's lambda agrees with a 60-digit bisection of tanh(beta mu) = 2 mu
-    on the same float inputs to 1e-8 relative.  It reads 8.3563933010474e-06
+    on the same float inputs to 1e-8 relative.  It reads 8.356194009997372e-06
     against the bisection's 8.35619466676866e-06."""
     mpmath = pytest.importorskip("mpmath")
     epsilon, beta = 0.499, 6.920596039795692
@@ -223,3 +223,94 @@ def test_gap_near_the_threshold_matches_a_60_digit_bisection():
         mu = (lo + hi) / 2
         lam = float(mpmath.sqrt(mu * mu - eps * eps))
     assert abs(equilibrium.gap_root(epsilon, beta)[0] - lam) <= 1e-8 * lam
+
+
+# 2**-53, the unit roundoff of a double
+UNIT = 2.0**-53
+# the gap grid: epsilon up to just below 1/2, beta from 1e-12 to 1e4 above beta_c
+GRID_EPSILONS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49, 0.499)
+GRID_OFFSETS = tuple(10.0**k for k in range(-12, 5))
+
+
+def _mpmath_gap(epsilon, beta):
+    """(lam, mu, |g'(mu)|) at the root of g(mu) = tanh(beta mu) - 2 mu in
+    (epsilon, 1/2], to 50 digits on the same float inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        eps, b = mpmath.mpf(epsilon), mpmath.mpf(beta)
+
+        def g(mu):
+            return mpmath.tanh(b * mu) - 2 * mu
+
+        half = mpmath.mpf(0.5)
+        mu = half if g(half) == 0 else mpmath.findroot(g, (eps, half), solver="anderson")
+        slope = abs(b * (1 - mpmath.tanh(b * mu) ** 2) - 2)
+        return mpmath.sqrt(mu * mu - eps * eps), mu, slope
+
+
+class _CountingMath:
+    """``math`` with its ``tanh`` calls counted."""
+
+    def __init__(self):
+        self.tanh_args = []
+
+    @property
+    def tanh_calls(self):
+        return len(self.tanh_args)
+
+    def tanh(self, x):
+        self.tanh_args.append(x)
+        return math.tanh(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def test_gap_root_matches_a_50_digit_root_in_few_tanh_calls(monkeypatch):
+    """On a grid from 1e-12 above the threshold to deep in the ordered phase,
+    mu is within 8 ulps of g(mu) divided by |g'(mu)| of the 50-digit root, and
+    lam within what that and the rounding of sqrt(mu^2 - eps^2) allow.  From
+    1e-2 above the threshold lam is right to 2e-13 relative (it reads at most
+    1.1e-13; the bisection to 1e-14 that the Newton root replaced read
+    9.2e-12, at epsilon = 0.499).  Each root, criterion included, takes at
+    most 20 tanh calls (at most 15 here; the bisection took ~45)."""
+    counting = _CountingMath()
+    monkeypatch.setattr(equilibrium, "math", counting)
+    for epsilon in GRID_EPSILONS:
+        for offset in GRID_OFFSETS:
+            beta = critical_beta(epsilon) * (1.0 + offset)
+            counting.tanh_args.clear()
+            lam, mu, superconducting = equilibrium.gap_root(epsilon, beta)
+            assert superconducting and counting.tanh_calls <= 20, (epsilon, offset)
+            lam_ref, mu_ref, slope = _mpmath_gap(epsilon, beta)
+            mu_bound = 8 * UNIT * mu_ref / slope
+            lam_bound = (mu_ref * mu_bound + 2 * UNIT * mu_ref**2) / lam_ref + 2 * UNIT * lam_ref
+            assert abs(mu - mu_ref) <= mu_bound, (epsilon, offset)
+            assert abs(lam - lam_ref) <= lam_bound, (epsilon, offset)
+            if offset >= 1e-2:
+                assert abs(lam - lam_ref) <= 2e-13 * lam_ref, (epsilon, offset)
+
+
+def test_gap_root_bisects_where_a_newton_step_would_leave_the_bracket(monkeypatch):
+    """On the small-epsilon side, one ulp of beta above the threshold, the
+    root lies 7e-15 above epsilon, where g'(mu) is only -3e-4.  Rounding
+    then carries a plain Newton step from mu = 1/2 below epsilon, out of the
+    bracket; the safeguard bisects (epsilon, mu) instead, and the root stays
+    inside (epsilon, 1/2] and agrees with a 50-digit root."""
+    epsilon, beta = 0.0076703741709189125, 2.000156914530545
+    assert math.tanh(beta * epsilon) > 2.0 * epsilon  # ordered, just
+    mu, inside = 0.5, 0.5
+    for _ in range(30):
+        t = math.tanh(beta * mu)
+        mu = mu - (t - 2.0 * mu) / (beta * (1.0 - t * t) - 2.0)
+        if not mu > epsilon:
+            break
+        inside = mu
+    assert not mu > epsilon  # the unguarded iteration leaves the bracket
+    counting = _CountingMath()
+    monkeypatch.setattr(equilibrium, "math", counting)
+    lam, mu, superconducting = equilibrium.gap_root(epsilon, beta)
+    assert beta * (0.5 * (epsilon + inside)) in counting.tanh_args  # the bisection ran
+    lam_ref, mu_ref, slope = _mpmath_gap(epsilon, beta)
+    assert superconducting and epsilon < mu <= 0.5
+    assert abs(mu - mu_ref) <= 8 * UNIT * mu_ref / slope

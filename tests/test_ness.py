@@ -51,7 +51,7 @@ def test_decoupled_junction_echoes_bulk():
     assert abs(sol.Lambda_b_I - 0.4 * cmath.exp(0.3j)) < 1e-6
     assert abs(sol.Lambda_b_II - 0.4) < 1e-6
     # the decoupled field is the bulk order parameter itself; Lambda_b
-    # re-derives it through the projection, so only the bulk bisection
+    # re-derives it through the projection, so only the bulk gap root's
     # defect separates them
     assert abs(sol.field_I - sol.Lambda_b_I) < 1e-13
     assert abs(sol.mu_t_I - 0.5) < 1e-6
@@ -264,6 +264,31 @@ def test_empty_batch_evaluates_the_map_at_most_twice(monkeypatch):
     empty = ness.solve_batch([])
     assert empty.Lambda_b.shape == (2, 0) and empty.iterations.shape == (0,)
     assert len(calls) <= 2  # at most one loop step, then the final stage
+
+
+def test_a_singular_newton_system_takes_half_the_map_step():
+    """Mirror-image plates (phases 0 and pi) at gamma = 1, deep in the ordered
+    phase: the bulk gap root gives mu = 1/2 exactly, so at the bulk seed both
+    contact fields are 0, the blocks B and B_o are I but for opposite
+    off-diagonal roundings of sin(pi), and I - B B_o is exactly 0.
+    Each plate's update is then half its map step d / 2, on floats and on
+    arrays alike, and the next step is a regular Newton step."""
+    params = JunctionParams(BulkParams(0.3, 1e4, math.pi), BulkParams(0.3, 1e4), 1.0)
+    assert gap_root(0.3, 1e4)[1] == 0.5
+    _, order, eps, scale, (gamma,) = ness._plate_rows([params])
+    plate_I, plate_II = (
+        ness._operands(z.real, z.imag, e, s, gamma)[1] for (z,), (e,), (s,) in zip(order, eps, scale)
+    )
+    x_I, x_II = order[0][0], order[1][0]
+    own = ness._linearize(x_I.real, x_I.imag, x_II.real, x_II.imag, *plate_I)
+    other = ness._linearize(x_II.real, x_II.imag, x_I.real, x_I.imag, *plate_II)
+    b00, b01, b10, b11 = own[2:]
+    assert (b00, b01, b11) == (1.0, 0.0, 1.0) and other[2:] == (b00, b01, -b10, b11)
+    assert ness._newton_delta(*own, *other, ness._pick) == (0.5 * own[0], 0.5 * own[1])
+    assert ness._newton_delta(*other, *own, ness._pick) == (0.5 * other[0], 0.5 * other[1])
+    rows = np.array([own, other]).T
+    delta = ness._newton_delta(*rows, *rows[:, ::-1], np.where)
+    assert np.array_equal(delta, 0.5 * rows[:2])
 
 
 def test_solver_argument_validation():

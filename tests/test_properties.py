@@ -460,6 +460,30 @@ def test_solve_gap_takes_its_gap_from_the_bare_root(plate):
     assert sol.superconducting is superconducting
 
 
+# floats as a caller may pass them: zeros, subnormals, negatives, the extremes
+RAW_FLOAT = st.floats() | st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5, 2.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
+)
+
+
+@PROPERTY
+@hypothesis.seed(118)
+@given(epsilon=RAW_FLOAT, beta=RAW_FLOAT)
+@example(epsilon=0.3, beta=math.inf)  # g(1/2) = 0 ends the loop, where beta (1 - t^2) is inf * 0
+@example(epsilon=-1.0, beta=-math.inf)  # every Newton step is NaN: only bisection moves mu
+@example(epsilon=-math.inf, beta=-math.inf)  # the bracket's midpoint is -inf
+@example(epsilon=-0.3, beta=1.0)  # the root is mu = 0, g'(0) = beta - 2
+@example(epsilon=5e-324, beta=1e308)
+def test_gap_root_returns_on_any_floats(epsilon, beta):
+    """gap_root ends on any pair of floats, and an ordered root lies in
+    (epsilon, 1/2]."""
+    lam, mu, superconducting = gap_root(epsilon, beta)
+    if superconducting:
+        assert epsilon < mu <= 0.5
+    else:
+        assert (lam, mu) == (0.0, epsilon) or math.isnan(epsilon)
+
+
 @PROPERTY
 @hypothesis.seed(115)
 @given(plate=plates())

@@ -1,5 +1,6 @@
 """Sweep table contract and command-line behavior."""
 
+import decimal
 import json
 import math
 import os
@@ -259,7 +260,14 @@ def run_cli(*argv):
 def test_cli_gap_text(capsys):
     assert run_cli("gap", "--epsilon", "0.3", "--beta", "10000") == 0
     out = capsys.readouterr().out
-    assert "superconducting branch: lambda = 0.39999" in out
+    # tanh(beta / 2) rounds to 1, so mu = 1/2 is the root itself, and lambda is
+    # sqrt(1/4 - epsilon^2) on the float epsilon, correctly rounded
+    assert math.tanh(10000 * 0.5) == 1.0
+    with decimal.localcontext() as exact:
+        exact.prec = 50
+        lam = float((decimal.Decimal(0.25) - decimal.Decimal(0.3) ** 2).sqrt())
+    assert f"{lam:.17g}" == "0.40000000000000002"
+    assert f"superconducting branch: lambda = {lam:.17g}, mu = {0.5:.17g}\n" in out
     assert "criterion" in out
 
 
@@ -700,6 +708,29 @@ def test_cli_ness_iteration_cap_exit(capsys):
     assert payload["converged"] is False
     assert payload["iterations"] == 1
     assert payload["residual"] > 1e-12
+
+
+# unequal plates at a strong contact, where a Newton step on one contact alone,
+# with the other contact's value from its map, cycles for 100,000 steps
+STRONG_PLATES = (
+    ("0.17908194548497847", "11.153972713681394", "-1.682029518573472"),
+    ("0.11358614707844915", "64.15093467871652", "1.568622731313404"),
+)
+
+
+@pytest.mark.filterwarnings("ignore::bcsjj.ness.WeakContactWarning")
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["I-II", "II-I"])
+def test_cli_ness_converges_at_a_strong_contact_in_both_plate_orders(order, capsys):
+    (eps_i, beta_i, phi_i), (eps_ii, beta_ii, phi_ii) = (STRONG_PLATES[k] for k in order)
+    argv = ["--epsilon-i", eps_i, "--beta-i", beta_i, "--phi-i", phi_i, "--epsilon-ii", eps_ii]
+    argv += ["--beta-ii", beta_ii, "--phi-ii", phi_ii, "--gamma", "2.0853276761513344"]
+    assert run_cli("ness", *argv, "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True and payload["iterations"] <= 50
+    assert payload["steady_residual"] <= 1e-15
+    # the two plate orders reach one root, its plates swapped
+    current = 0.4042662307487243
+    assert payload["current"] == pytest.approx(current if order == (0, 1) else -current, abs=1e-12)
 
 
 @pytest.mark.parametrize("flag", ["--seed-lambda", "--seed-phi"])

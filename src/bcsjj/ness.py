@@ -27,9 +27,13 @@ a = -1/2 tanh(beta |n|) n / |n|.  Dephasing keeps the part
 :func:`solve_batch` finds this fixed point by Newton steps, with the
 map's Jacobian in closed form.  Its kernel is written once, in real
 arithmetic with only ``+ - * /`` and ``sqrt`` on each plate's real and
-imaginary parts, read from one operand table.  Exactly one point runs on
-Python floats, any other number in one masked loop over ``(2, N)`` arrays of
-plate rows; both round alike, fail alike (every maximum propagates NaN, so a
+imaginary parts, read from one operand table.  That table is gathered
+from the seven inputs held as columns (:func:`_plate_rows`), each a list
+over the points or one number that every point shares; a plate whose
+columns a sweep holds fixed takes its gap root, Bloch scale and order
+parameter once.  Exactly one point runs on Python floats, any other
+number in one masked loop over ``(2, N)`` arrays of plate rows; both
+round alike, fail alike (every maximum propagates NaN, so a
 defect turned NaN stops a point, unconverged; a NaN's sign may differ) and
 print no warning on overflow.  Seeds must be finite and epsilon^3 nonzero.
 The result is one :class:`NessSolution` holding the solver's arrays
@@ -63,30 +67,32 @@ from .spin import _from_bloch
 
 REGIONS = ("I_a", "I_b", "II_b", "II_a")
 
+# a junction point's seven inputs, in the order of the solver's input columns
+POINT_FIELDS = ("epsilon_I", "epsilon_II", "beta_I", "beta_II", "gamma", "phi_I", "phi_II")
+
 
 class WeakContactWarning(UserWarning):
     """gamma is not small against the plates' epsilon."""
 
 
-def warn_strong_contact(points):
+def warn_strong_contact(eps, gamma):
     """One WeakContactWarning for the points with |gamma| > 0.1 min(epsilon).
 
-    Names the worst point, the one with the largest |gamma| / min(epsilon),
-    and how many of ``points`` are over the bound.  The warning points at
-    the first caller outside bcsjj.
+    Reads the plate table: ``eps`` the pair of epsilon lists (plate I,
+    plate II) and ``gamma`` the list of couplings.  Names the worst point,
+    the first with the largest |gamma| / min(epsilon), and how many of the
+    points are over the bound.  The warning points at the first caller
+    outside bcsjj.
     """
-
-    def eps_min(p):
-        return min(p.bulk_I.epsilon, p.bulk_II.epsilon)
-
-    over = [p for p in points if abs(p.gamma) > 0.1 * eps_min(p)]
+    eps_min = list(map(min, *eps))
+    over = [k for k, g in enumerate(gamma) if abs(g) > 0.1 * eps_min[k]]
     if not over:
         return
-    worst = max(over, key=lambda p: abs(p.gamma) / eps_min(p))
-    count = f" ({len(over)} of {len(points)} points)" if len(points) > 1 else ""
+    worst = max(over, key=lambda k: abs(gamma[k]) / eps_min[k])
+    count = f" ({len(over)} of {len(gamma)} points)" if len(gamma) > 1 else ""
     warnings.warn(
-        f"gamma = {worst.gamma} is not small against min(epsilon) = "
-        f"{eps_min(worst)}{count}; the junction treatment assumes a weak contact",
+        f"gamma = {gamma[worst]} is not small against min(epsilon) = "
+        f"{eps_min[worst]}{count}; the junction treatment assumes a weak contact",
         WeakContactWarning,
         stacklevel=_outside_stacklevel(),
     )
@@ -221,27 +227,65 @@ class _BulkScales(dict):
         return value
 
 
-def _plate_rows(points):
-    """Bulk data of both plates at every point, as Python numbers.
+def _columns(points):
+    """The seven inputs of a sequence of JunctionParams as columns in
+    ``POINT_FIELDS`` order: lists over the points, or a lone point's seven
+    numbers."""
+    if len(points) == 1:
+        return _inputs(points[0])
+    bulk_I, bulk_II = [p.bulk_I for p in points], [p.bulk_II for p in points]
+    return (
+        [b.epsilon for b in bulk_I], [b.epsilon for b in bulk_II],
+        [b.beta for b in bulk_I], [b.beta for b in bulk_II],
+        [p.gamma for p in points], [b.phi for b in bulk_I], [b.phi for b in bulk_II],
+    )
 
-    Returns the bulk gaps, the bulk order parameters, the epsilons and
-    the bulk Bloch scales s, each a pair of lists (plate I, plate II)
-    over the points, and the list of couplings: the one operand table
-    that :func:`_operands` reads.  The bare gap root runs once per
-    distinct (epsilon, beta) plate.
+
+def _inputs(params):
+    """One point's seven inputs in ``POINT_FIELDS`` order: the columns of a
+    lone point, each fixed."""
+    bulk_I, bulk_II = params.bulk_I, params.bulk_II
+    return (
+        bulk_I.epsilon, bulk_II.epsilon, bulk_I.beta, bulk_II.beta,
+        params.gamma, bulk_I.phi, bulk_II.phi,
+    )
+
+
+def _full(column, n):
+    """A column's values at n points: a list as it is, and a fixed column,
+    one number shared by every point, that number n times."""
+    return column if isinstance(column, list) else [column] * n
+
+
+def _plate_rows(columns, n):
+    """Bulk data of both plates at n points, as Python numbers.
+
+    ``columns`` holds the seven inputs in ``POINT_FIELDS`` order, each a
+    list over the points or one number fixed at every point (a sweep
+    varies one).  Returns the bulk gaps, the bulk order parameters, the
+    epsilons and the bulk Bloch scales s, each a pair of lists (plate I,
+    plate II) over the points, and the list of couplings: the one operand
+    table that :func:`_operands` reads.  The bare gap root runs once per
+    distinct (epsilon, beta) plate, plate I first and each plate in point
+    order.  A plate whose epsilon and beta are fixed takes its gap and
+    scale once, and its order parameter ``cmath.rect(gap, phi)`` too where
+    phi is fixed; the per-point work is only where the plate varies.
     """
+    eps_I, eps_II, beta_I, beta_II, gamma, phi_I, phi_II = columns
     table = _BulkScales()
     rows = []
-    for bulks in ([p.bulk_I for p in points], [p.bulk_II for p in points]):
-        data = [table[b.epsilon, b.beta] for b in bulks]
-        rows.append((
-            [gap for gap, _ in data],
-            [cmath.rect(gap, b.phi) for (gap, _), b in zip(data, bulks)],
-            [b.epsilon for b in bulks],
-            [s for _, s in data],
-        ))
+    for eps, beta, phi in ((eps_I, beta_I, phi_I), (eps_II, beta_II, phi_II)):
+        if isinstance(eps, list) or isinstance(beta, list):
+            data = list(map(table.__getitem__, zip(_full(eps, n), _full(beta, n))))
+            lam, scale = [gap for gap, _ in data], [s for _, s in data]
+            order = list(map(cmath.rect, lam, _full(phi, n)))
+        else:
+            gap, s = table[eps, beta]
+            lam, scale = [gap] * n, [s] * n
+            order = list(map(cmath.rect, lam, phi)) if isinstance(phi, list) else [cmath.rect(gap, phi)] * n
+        rows.append((lam, order, _full(eps, n), scale))
     lam, order, eps, scale = zip(*rows)
-    return lam, order, eps, scale, [p.gamma for p in points]
+    return lam, order, eps, scale, _full(gamma, n)
 
 
 def _operands(order_r, order_i, eps, scale, gamma):
@@ -252,8 +296,8 @@ def _operands(order_r, order_i, eps, scale, gamma):
     return (-m_r, -m_i, a_z), (order_r, order_i, gamma, m_r, m_i, a_z * eps, eps * eps)
 
 
-def _plates(points):
-    """Bulk data of both plates at every point, as ``(2, N)`` arrays.
+def _plate_arrays(rows):
+    """The plate table of :func:`_plate_rows` as ``(2, N)`` arrays.
 
     Returns the bulk gaps, the bulk order parameters, the epsilons, the
     ``(3, 2, N)`` bulk Bloch vectors, the ``(N,)`` couplings and the
@@ -261,7 +305,7 @@ def _plates(points):
     (eps^2) may overflow, so numpy's overflow and invalid warnings are off
     here, as on Python floats, for every caller of the gather.
     """
-    lam, order, eps, scale, gamma = _plate_rows(points)
+    lam, order, eps, scale, gamma = rows
     order, gamma = np.array(order, dtype=complex), np.array(gamma, dtype=float)
     eps, scale = np.array(eps, dtype=float), np.array(scale, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,6 +313,12 @@ def _plates(points):
             order.real.copy(), order.imag.copy(), eps, scale, np.array((gamma, gamma))
         )
     return np.array(lam, dtype=float), order, eps, np.array(bulk_vec), gamma, plate
+
+
+def _plates(points):
+    """:func:`_plate_arrays` of a sequence of JunctionParams: the gather of
+    the 2x2 references."""
+    return _plate_arrays(_plate_rows(_columns(points), len(points)))
 
 
 def _contact_map(xo_r, xo_i, order_r, order_i, gamma, m_r, m_i, az_eps, eps_sq):
@@ -383,15 +433,19 @@ def solve_batch(points, tol=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     plate whose epsilon^3 underflows to 0, before any warning.  One point
     runs on Python floats, any other number on ``(2, N)`` arrays.
     """
-    solution = _solve(points, tol, max_iter, seed)
+    points = tuple(points)
+    solution = _solve(_columns(points), len(points), tol, max_iter, seed, points)
     return _packed(solution) if isinstance(solution, _PointSolution) else solution
 
 
-def _solve(points, tol, max_iter, seed):
-    """:func:`solve_batch`'s input checks, solve and warning, in that order.
+def _solve(columns, n, tol, max_iter, seed, points=None):
+    """:func:`solve_batch` of n points given as :func:`_plate_rows` columns:
+    its input checks, the plate table (which rejects an epsilon whose cube
+    underflows), the solve and the warning, in that order.
 
     Returns one point as a :class:`_PointSolution` of Python numbers and
-    any other number of points as a :class:`NessSolution`.
+    any other number of points as a :class:`NessSolution`, with ``points``
+    as its ``points``.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -402,9 +456,10 @@ def _solve(points, tol, max_iter, seed):
         seed = (complex(seed[0]), complex(seed[1]))
         if not (cmath.isfinite(seed[0]) and cmath.isfinite(seed[1])):
             raise ValueError(f"seed must be finite, got {seed}")
-    points = tuple(points)
-    solution = (_solve_point if len(points) == 1 else _solve_rows)(points, tol, max_iter, seed)
-    warn_strong_contact(points)
+    rows = _plate_rows(columns, n)
+    solution = (_solve_point if n == 1 else _solve_rows)(rows, tol, max_iter, seed, points)
+    _, _, eps, _, gamma = rows
+    warn_strong_contact(eps, gamma)
     return solution
 
 
@@ -419,9 +474,10 @@ def _packed(point):
     return NessSolution(point.points, *(np.array(value)[..., None] for value in point[1:]))
 
 
-def _solve_point(points, tol, max_iter, seed):
-    """:func:`solve_batch` of one point, on Python floats: a :class:`_PointSolution`."""
-    lam, order, eps, scale, (gamma,) = _plate_rows(points)
+def _solve_point(rows, tol, max_iter, seed, points):
+    """:func:`solve_batch` of one point's plate table, on Python floats: a
+    :class:`_PointSolution`."""
+    lam, order, eps, scale, (gamma,) = rows
     (bulk_I, plate_I), (bulk_II, plate_II) = (
         _operands(z.real, z.imag, e, s, gamma) for (z,), (e,), (s,) in zip(order, eps, scale)
     )
@@ -453,8 +509,9 @@ def _solve_point(points, tol, max_iter, seed):
     )
 
 
-def _solve_rows(points, tol, max_iter, seed):
-    """:func:`solve_batch` on ``(2, N)`` float arrays, one row per plate.
+def _solve_rows(rows, tol, max_iter, seed, points):
+    """:func:`solve_batch` of a plate table on ``(2, N)`` float arrays, one
+    row per plate.
 
     One masked loop: each step is computed at every point (the other
     plate's operands as contiguous swapped copies) and taken by the points
@@ -463,12 +520,12 @@ def _solve_rows(points, tol, max_iter, seed):
     Python floats.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        lam, _, eps, bulk_vec, _, plate = _plates(points)
+        lam, _, eps, bulk_vec, gamma, plate = _plate_arrays(rows)
         x_r, x_i = plate[0].copy(), plate[1].copy()
         if seed is not None:
             x_r[0], x_i[0], x_r[1], x_i[1] = seed[0].real, seed[0].imag, seed[1].real, seed[1].imag
-        iterations = np.full(len(points), max_iter)
-        going = np.ones(len(points), dtype=bool)
+        iterations = np.full(len(gamma), max_iter)
+        going = np.ones(len(gamma), dtype=bool)
         for step in range(1, max_iter + 1):
             own = np.array(_linearize(x_r, x_i, x_r[::-1].copy(), x_i[::-1].copy(), *plate))
             delta_r, delta_i = _newton_delta(*own, *own[:, ::-1].copy(), np.where)
@@ -544,7 +601,7 @@ def ness_map(guess, params):
     the solver's own kernel on Python floats, so its bits are the
     solver's map bits.
     """
-    _, order, eps, scale, (gamma,) = _plate_rows((params,))
+    _, order, eps, scale, (gamma,) = _plate_rows(_inputs(params), 1)
     (_, plate_I), (_, plate_II) = (
         _operands(z.real, z.imag, e, s, gamma) for (z,), (e,), (s,) in zip(order, eps, scale)
     )

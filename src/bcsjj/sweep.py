@@ -5,8 +5,11 @@ and spectral scales, pair current, mode frequencies, commutator defects
 and solver diagnostics.  A lone point's row (``ness``, or a one-point
 sweep) is computed on Python floats, from the solve to the row, so
 ``ness`` loads no numpy, and a larger grid's from ``(N,)`` arrays, by the
-same formulas and to the same bits.  A grid point changes only the swept
-field of the configured point.  Rendering is deterministic (17
+same formulas and to the same bits.  A sweep holds its grid as the seven
+input columns: the configured point's values, each one number fixed at
+every point, and the swept column, a list over the grid.  No grid point
+builds parameters; each swept value is checked by the rule and message of
+the constructor it replaces.  Rendering is deterministic (17
 significant digits, LF endings) so reruns of the same config are
 byte-identical.  A CSV table formats a column that holds one finite
 nonzero value in every row once, as text in its row template: equal
@@ -24,7 +27,7 @@ from dataclasses import dataclass, fields
 from ._numpy import np
 from .constants import NESS_CHANGE_TOL
 from .equilibrium import BulkParams
-from .ness import JunctionParams, NessSolution, _solve
+from .ness import POINT_FIELDS, JunctionParams, NessSolution, _full, _inputs, _solve
 from .observables import _ccr, goldstone_frequencies, josephson_current
 
 SWEEP_AXES = (
@@ -37,8 +40,6 @@ SWEEP_AXES = (
 )
 
 FORMATS = ("csv", "json")
-
-POINT_FIELDS = ("epsilon_I", "epsilon_II", "beta_I", "beta_II", "gamma", "phi_I", "phi_II")
 
 
 @dataclass
@@ -188,7 +189,9 @@ def _seed_from_config(config):
 
 
 def params_at(config, value=None):
-    """Junction parameters at the configured point, or at ``value`` on its axis."""
+    """Junction parameters at the configured point, or at ``value`` on its axis:
+    the per-point reference for :func:`run_sweep`, whose grid points build no
+    parameters."""
     point = JunctionParams(
         BulkParams(config.epsilon_I, config.beta_I, config.phi_I),
         BulkParams(config.epsilon_II, config.beta_II, config.phi_II),
@@ -217,18 +220,50 @@ def _axis_points(axis, point):
 
 def evaluate_point(params, tolerance=NESS_CHANGE_TOL, max_iter=100_000, seed=None):
     """Full pipeline at one parameter point: :func:`run_sweep` of one point,
-    on Python floats."""
-    return _evaluate([params], tolerance, max_iter, seed)[0]
+    on Python floats, its columns the point's seven numbers."""
+    return _evaluate(_inputs(params), 1, tolerance, max_iter, seed)[0]
 
 
 def run_sweep(config):
-    """Evaluate the configured grid, in order, one SweepRow per point."""
+    """Evaluate the configured grid, in order, one SweepRow per point.
+
+    The grid is held as the seven input columns of :func:`_grid_columns`,
+    so no point builds its own parameters.
+    """
     start, stop = _sweep_range(config)
     grid = np.linspace(start, stop, config.count).tolist()
     grid[0] = start  # linspace forms start + 0 * step, which drops the sign of a -0.0 start
-    points = list(map(_axis_points(config.axis, params_at(config)), grid))
+    columns = _grid_columns(config, grid)
     seed = _seed_from_config(config)
-    return _evaluate(points, config.tolerance, config.max_iter, seed)
+    return _evaluate(columns, len(grid), config.tolerance, config.max_iter, seed)
+
+
+def _positive(value):
+    """BulkParams' rule for epsilon and beta."""
+    return math.isfinite(value) and value > 0
+
+
+def _grid_columns(config, grid):
+    """The grid's seven inputs in ``POINT_FIELDS`` order: the configured
+    point's values, each one number fixed at every point, and the swept
+    column, a list over ``grid``.  On ``delta_phi`` that column is
+    phi_II = phi_I - value.
+
+    The checks are those of building each point, in the same order: the
+    configured point by :func:`params_at`, then the swept column by the
+    rule of the constructor it replaces.  Where a value breaks it, the
+    first such point in grid order is built, so that its constructor
+    raises its own error.  A one-point grid's swept column is its one
+    number, as for any lone point.
+    """
+    params_at(config)
+    field = "phi_II" if config.axis == "delta_phi" else config.axis
+    valid = math.isfinite if field in ("phi_II", "gamma") else _positive
+    column = [config.phi_I - v for v in grid] if config.axis == "delta_phi" else grid
+    if not all(map(valid, column)):
+        params_at(config, next(v for v, c in zip(grid, column) if not valid(c)))
+    swept = column if len(column) > 1 else column[0]
+    return [swept if name == field else getattr(config, name) for name in POINT_FIELDS]
 
 
 def _sweep_range(config):
@@ -253,16 +288,18 @@ def _sweep_range(config):
     return start, stop
 
 
-def _evaluate(points, tolerance, max_iter, seed):
-    """One solve, then each SweepRow from :func:`_row_values`."""
-    sol = _solve(points, tolerance, max_iter, seed)
-    return [
-        SweepRow(
-            p.bulk_I.epsilon, p.bulk_II.epsilon, p.bulk_I.beta, p.bulk_II.beta,
-            p.gamma, p.bulk_I.phi, p.bulk_II.phi, *values,
-        )
-        for p, values in zip(sol.points, _row_values(sol))
-    ]
+_GAMMA = POINT_FIELDS.index("gamma")
+
+
+def _evaluate(columns, n, tolerance, max_iter, seed):
+    """One solve of n points given as input columns, then one SweepRow per
+    point from the columns and :func:`_row_values`.  A lone point's columns
+    are its seven numbers."""
+    sol = _solve(columns, n, tolerance, max_iter, seed)
+    if n == 1:
+        return [SweepRow(*columns, *_row_values(sol, columns[_GAMMA]))]
+    columns = [_full(column, n) for column in columns]
+    return list(map(SweepRow, *columns, *_row_values(sol, columns[_GAMMA])))
 
 
 def _hypot(z):
@@ -271,8 +308,9 @@ def _hypot(z):
     return np.hypot(z.real, z.imag)
 
 
-def _row_values(sol):
-    """The SweepRow fields after the seven inputs, one tuple per point.
+def _row_values(sol, gamma):
+    """The SweepRow fields after the seven inputs at the couplings
+    ``gamma``: a lone point's values, or a batch's, one list per field.
 
     One set of formulas serves both routes of the solve: a lone point's
     :class:`~bcsjj.ness._PointSolution` of Python numbers, read with abs and
@@ -282,12 +320,12 @@ def _row_values(sol):
     """
     batch = isinstance(sol, NessSolution)
     if batch:
-        gamma = np.array([p.gamma for p in sol.points], dtype=float)
+        gamma = np.array(gamma, dtype=float)
         # math.atan2 at each element of two arrays: np.arctan2 may round otherwise
         modulus, atan2 = _hypot, np.frompyfunc(math.atan2, 2, 1)
         quiet = np.errstate(over="ignore", invalid="ignore")
     else:
-        gamma, modulus, atan2, quiet = sol.points[0].gamma, abs, math.atan2, contextlib.nullcontext()
+        modulus, atan2, quiet = abs, math.atan2, contextlib.nullcontext()
     lam_b, mu_t = sol.Lambda_b, sol.mu_t
     lambda_t, phi_t, ccr_defect = [], [], []
     with quiet:
@@ -301,7 +339,7 @@ def _row_values(sol):
             *sol.lambda_bulk, *lambda_t, *phi_t, *mu_t, josephson_current(sol, gamma),
             *goldstone_frequencies(sol), *ccr_defect, sol.residual, sol.converged, sol.iterations,
         )
-    return zip(*(column.tolist() for column in columns)) if batch else [columns]
+    return [column.tolist() for column in columns] if batch else columns
 
 
 _CSV_VALUES = operator.attrgetter(*CSV_COLUMNS)

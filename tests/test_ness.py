@@ -275,7 +275,7 @@ def test_a_singular_newton_system_takes_half_the_map_step():
     arrays alike, and the next step is a regular Newton step."""
     params = JunctionParams(BulkParams(0.3, 1e4, math.pi), BulkParams(0.3, 1e4), 1.0)
     assert gap_root(0.3, 1e4)[1] == 0.5
-    _, order, eps, scale, (gamma,) = ness._plate_rows([params])
+    _, order, eps, scale, (gamma,) = ness._plate_rows(ness._inputs(params), 1)
     plate_I, plate_II = (
         ness._operands(z.real, z.imag, e, s, gamma)[1] for (z,), (e,), (s,) in zip(order, eps, scale)
     )
@@ -387,7 +387,7 @@ def test_one_point_runs_the_kernel_on_floats(monkeypatch, capsys):
     capsys.readouterr()
     for count in (0, 2, 6):
         row_kinds.clear()
-        sweep._evaluate([STANDARD] * count, NESS_CHANGE_TOL, 100_000, None)
+        sweep._evaluate(ness._columns([STANDARD] * count), count, NESS_CHANGE_TOL, 100_000, None)
         assert len(row_kinds) == 4 and all(k == {np.ndarray} for k in row_kinds), count
 
 

@@ -146,6 +146,9 @@ WEAK_POINT = JunctionParams(BulkParams(0.3, 1e4, 0.3), BulkParams(0.3, 1e4), 1e-
 # the contact fields' squares overflow, so the map, and with it the defect, is NaN on step 1
 OVERFLOW_POINT = JunctionParams(BulkParams(0.3, 1e4), BulkParams(0.3, 1e4), 1e155)
 
+# a phase so large that phi_I - delta rounds on a delta_phi sweep
+PHASE_ROUNDING_POINT = JunctionParams(BulkParams(0.3, 1e4, 1e16), BulkParams(0.2, 40.0), 1e-3)
+
 
 def _rotated(seed, delta):
     if seed is None:
@@ -185,6 +188,12 @@ def _same_row(row, expected):
 @example(config=_swept(TWO_CYCLE_POINT, axis="gamma", start=1.0, stop=1e-3, count=3))
 @example(config=_swept(ZERO_GAMMA_POINT, axis="beta_II", start=50.0, stop=1.0, count=2))
 @example(config=_swept(ROUNDING_POINT, axis="gamma", start=ROUNDING_POINT.gamma, stop=0.0, count=2))
+# phi_II = phi_I - value rounds: the ulp of 1e16 is 2
+@example(config=_swept(PHASE_ROUNDING_POINT, axis="delta_phi", start=-1.5, stop=1.5, count=7))
+# from the ordered side of beta_c to the normal side: the normal plates begin mid-grid
+@example(config=_swept(WEAK_POINT, axis="beta_I", start=1.5 * critical_beta(0.3), stop=0.5 * critical_beta(0.3), count=5))
+# through epsilon = 1/2, where the plate has no ordered phase at any beta
+@example(config=_swept(WEAK_POINT, axis="epsilon_II", start=0.3, stop=0.7, count=5))
 def test_sweep_rows_equal_single_point_rows(config):
     """A grid's rows, built from the batch's arrays, are its points' lone
     rows, built on Python floats, bit for bit."""

@@ -111,17 +111,27 @@ def test_sweep_solves_each_plate_once_on_bloch_vectors(axis, monkeypatch):
 
 @pytest.mark.parametrize("axis", SWEEP_AXES)
 def test_sweep_builds_only_the_swept_plate_per_grid_value(axis, monkeypatch):
+    """A grid value changes only the swept input column, a list of numbers,
+    and builds no parameters: a sweep constructs as many BulkParams and
+    JunctionParams (those of the configured point) at 200 points as at 5."""
     built = []
 
-    def counted(*args):
-        built.append(args)
-        return BulkParams(*args)
+    def counting(init):
+        def counted(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
 
-    monkeypatch.setattr(sweep, "BulkParams", counted)
+        return counted
+
+    for cls in (BulkParams, JunctionParams):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     start, stop = AXIS_RANGES[axis]
-    run_sweep(small_config(axis=axis, start=start, stop=stop, count=7))
-    # both plates of the configured point, then the swept one per value
-    assert len(built) == 2 + (0 if axis == "gamma" else 7)
+    counts = []
+    for count in (5, 200):
+        built.clear()
+        run_sweep(small_config(axis=axis, start=start, stop=stop, count=count))
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_render_deterministic():
@@ -906,12 +916,44 @@ def test_cli_ness_strong_contact_converges(capsys):
     assert json.loads(capsys.readouterr().out)["converged"] is True
 
 
-def test_cli_sweep_nonconvergence_exit(monkeypatch, tmp_path, capsys):
-    rows = run_sweep(small_config(count=2))
-    bad = [rows[0], replace(rows[1], converged=False)]
-    monkeypatch.setattr(cli, "run_sweep", lambda config: bad)
-    assert run_cli("sweep", "--output", str(tmp_path / "x.csv")) == 3
+def test_cli_sweep_nonconvergence_exit(tmp_path, capsys):
+    # one Newton step does not meet the tolerance at gamma = 1e-2
+    assert run_cli("sweep", "--max-iter", "1", "--gamma", "1e-2", "--count", "2",
+                   "--output", str(tmp_path / "x.csv")) == 3
+    rows = (tmp_path / "x.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",false") for row in rows)
     capsys.readouterr()
+
+
+# Each refusal names what the per-point constructors named: the checks run in
+# the order range, configured point, swept values in grid order, seeds,
+# solver inputs, then the plate table's epsilon^3.
+SWEEP_REFUSALS = {
+    "epsilon_I_below_0_on_the_grid": (
+        "--axis epsilon_I --start 0.3 --stop -0.1 --count 5",
+        "epsilon must be finite and positive, got -5.551115123125783e-17",
+    ),
+    "beta_II_from_minus_5": ("--axis beta_II --start -5 --stop 5 --count 3", "beta must be finite and positive, got -5.0"),
+    "phi_II_overflows": (
+        "--axis delta_phi --phi-i 1e308 --start -1e308 --stop 0 --count 3",
+        "phi must be finite, got inf",
+    ),
+    "epsilon_II_cube_underflows": (
+        "--axis epsilon_II --start 1e-200 --stop 0.3 --count 3",
+        "junction epsilon = 1e-200 is too small: its cube underflows to 0",
+    ),
+    "swept_value_before_tolerance": (
+        "--axis epsilon_I --start -0.1 --stop 0.3 --tolerance -1",
+        "epsilon must be finite and positive, got -0.1",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags, message", SWEEP_REFUSALS.values(), ids=SWEEP_REFUSALS)
+def test_cli_sweep_refusals(flags, message, capsys):
+    assert run_cli("sweep", *flags.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_cli_usage_errors(capsys):

@@ -615,19 +615,29 @@ def _spectral_interval(hamiltonian):
     sum_{j != i} |h_ij| of some diagonal entry h_ii.  The row sums are
     read from the stored CSR entries (``data`` and ``indptr``), a block
     of rows at a time (:func:`_row_blocks`); nothing of H's size is made.
+    An entry of H that is not finite makes the center or the half-width
+    NaN or infinite, and raises ``ValueError`` naming H, without a numpy
+    warning; so does a row sum of |H| that overflows.
     """
     diag = hamiltonian.diagonal()
     indptr = hamiltonian.indptr
     abs_sums = np.zeros(len(diag))
-    for start, stop in _row_blocks(indptr):
-        rows = start + np.flatnonzero(np.diff(indptr[start : stop + 1]))
-        if rows.size:
-            lo, hi = indptr[start], indptr[stop]
-            abs_sums[rows] = np.add.reduceat(np.abs(hamiltonian.data[lo:hi]), indptr[rows] - lo)
-    radii = abs_sums - np.abs(diag)
-    low = float(np.min(diag - radii))
-    high = float(np.max(diag + radii))
-    return (high + low) / 2, (high - low) / 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start, stop in _row_blocks(indptr):
+            rows = start + np.flatnonzero(np.diff(indptr[start : stop + 1]))
+            if rows.size:
+                lo, hi = indptr[start], indptr[stop]
+                abs_sums[rows] = np.add.reduceat(np.abs(hamiltonian.data[lo:hi]), indptr[rows] - lo)
+        radii = abs_sums - np.abs(diag)
+        low = float(np.min(diag - radii))
+        high = float(np.max(diag + radii))
+    center, radius = (high + low) / 2, (high - low) / 2
+    if not (math.isfinite(center) and math.isfinite(radius)):
+        raise ValueError(
+            f"the Hamiltonian H has a non-finite entry or an overflowing row sum: "
+            f"its Gershgorin interval is [{low!r}, {high!r}]"
+        )
+    return center, radius
 
 
 def _chebyshev_order(x):
@@ -760,42 +770,89 @@ def _value_key(array):
     return (array.shape,) + tuple((part.dtype.str, part.tobytes()) for part in parts)
 
 
-def _to_eigenbasis(basis, block):
-    """basis^T @ block for H's real eigenbasis.  It acts on the (re, im)
-    columns of a complex block as one real product, as in :func:`_propagate`."""
+def _in_eigenbases(left, block, right):
+    """left^T @ block @ right for real eigenbases ``left`` and ``right``.  A
+    complex block's (re, im) parts go through each basis as one real
+    product, as in :func:`_propagate`, so no complex copy of a basis is made."""
     if not np.iscomplexobj(block):
-        return basis.T @ block
-    return (basis.T @ np.ascontiguousarray(block).view(float)).view(complex)
+        return left.T @ block @ right
+    half = (left.T @ np.ascontiguousarray(block).view(float)).view(complex)
+    return (right.T @ np.ascontiguousarray(half.T).view(float)).view(complex).T
 
 
-def _apply_product_state(site_states, block):
-    """(rho_0 kron rho_1 kron ...) @ block, one group of sites at a time
-    (the kron of its states, at most 64 x 64), so the dim x dim product
-    state is never formed.  Site 0 is the most significant bit."""
-    out = block
-    for first, last in _site_groups(len(site_states)):
-        table = _product_table(site_states[first:last])
-        out = np.matmul(table, out.reshape(1 << first, table.shape[0], -1))
-    return out.reshape(block.shape)
+def _bit_counts(dim):
+    """The number of set bits of each basis state 0 .. dim - 1 (dim a power
+    of 2), one pass per bit: numpy before 2.0 has no ``np.bitwise_count``."""
+    states = np.arange(dim)
+    counts = np.zeros(dim, dtype=states.dtype)
+    for shift in range(dim.bit_length() - 1):
+        counts += (states >> shift) & 1
+    return counts
 
 
 def _spectral_weights(op, hamiltonian, site_states):
-    """<op> at t = 0, and the energies E, coherences W and column sums of W
-    that carry its time dependence.
+    """<op> at t = 0, and the energies E, coherences W, column sums of W and
+    largest |E| that carry its time dependence.
 
     With H = V diag(E) V^dagger and W_ab = (V^dagger rho V)_ba (V^dagger op V)_ab,
     <op(t)> = sum_ab e^{iE_a t} W_ab e^{-iE_b t}.  The a = b terms do not
     depend on t, so <op(t)> = <op> + sum_{a != b} W_ab (e^{i(E_a - E_b)t} - 1):
     W is kept with its diagonal zeroed, and <op> is contracted in the
     product state directly.
+
+    H is diagonalized one block at a time.  Where every stored entry of H
+    joins two basis states with the same number of set bits (pairing and
+    tunnelling conserve the total pair number), the blocks are those
+    bit-count sectors, 2 n^2 + 1 of them; otherwise the whole basis is one
+    block.  E and W are in block order, each block's states rising.  V is
+    block diagonal, so W's block (s, s') is (V_s'^T rho[s', s] V_s)^T times
+    (V_s^T op[s, s'] V_s') entrywise, formed only where op has a stored
+    entry and zero elsewhere; rho[s', s] is read off the per-group site
+    tables (:func:`_product_table`), as :func:`_expectation` reads rho.
+    A block holding a non-finite entry raises ``ValueError`` before its
+    ``eigh``: every entry of H lies in some block.
     """
-    energies, basis = np.linalg.eigh(hamiltonian.toarray())
-    op_basis = _to_eigenbasis(basis, op @ basis)
-    rho_basis = _to_eigenbasis(basis, _apply_product_state(site_states, basis))
-    coherences = rho_basis.T * op_basis
+    from scipy import sparse
+
+    op = sparse.csr_matrix(op)
+    static = _expectation(op.shape, _rows_of(op), op.indices, op.data, site_states)
+    hamiltonian = sparse.csr_matrix(hamiltonian)
+    dim = hamiltonian.shape[0]
+    sector = _bit_counts(dim)
+    if not np.array_equal(sector[_rows_of(hamiltonian)], sector[hamiltonian.indices]):
+        sector = np.zeros(dim, dtype=sector.dtype)
+    order = np.argsort(sector, kind="stable")
+    edges = np.concatenate(([0], np.cumsum(np.bincount(sector))))
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+    dense = hamiltonian.toarray()
+    energies = np.empty(dim)
+    bases = []
+    for block in blocks:
+        states = order[block]
+        part = dense[np.ix_(states, states)]
+        if not np.isfinite(part).all():
+            raise ValueError("the Hamiltonian H has a non-finite entry")
+        energies[block], basis = np.linalg.eigh(part)
+        bases.append(basis)
+
+    n_sites = len(site_states)
+    tables = []  # per group of sites: its table, and each state's index into it in block order
+    for first, last in _site_groups(n_sites):
+        digits = (order >> (n_sites - last)) & ((1 << (last - first)) - 1)
+        tables.append((_product_table(site_states[first:last]), digits))
+    dense_op = op.toarray()
+    coherences = np.zeros((dim, dim), dtype=complex)
+    joined = np.unique(sector[_rows_of(op)] * len(blocks) + sector[op.indices])
+    for s, s_to in zip(*np.divmod(joined, len(blocks))):
+        rows, cols = blocks[s], blocks[s_to]
+        rho = functools.reduce(np.multiply, (table[np.ix_(digits[cols], digits[rows])] for table, digits in tables))
+        op_block = dense_op[np.ix_(order[rows], order[cols])]
+        rho_basis = _in_eigenbases(bases[s_to], rho, bases[s])
+        coherences[rows, cols] = rho_basis.T * _in_eigenbases(bases[s], op_block, bases[s_to])
     np.fill_diagonal(coherences, 0.0)
-    static = product_state_expectation(op, site_states)
-    return static, energies, coherences, coherences.sum(axis=0)
+    reach = float(np.abs(energies).max())
+    return static, energies, coherences, coherences.sum(axis=0), reach
 
 
 # (key, weights) of the last dense evolution; a call with equal H, op and
@@ -808,13 +865,16 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
 
     Up to ``dense_dim`` it is the spectral sum over the eigenpairs of H
     (dense ``eigh``), <op> + sum_{a != b} W_ab (e^{i(E_a - E_b)t} - 1)
-    (:func:`_spectral_weights`).  H is diagonalized and W formed once per
-    (H, op, state): the last weights are kept, keyed on the values of H,
-    op and the site states, so each later t of a series costs one O(d^2)
-    phase sum.  At n = 2 (d = 256, one BLAS thread) a later call takes
-    ~0.13 ms, the first ~17 ms.  Written in e^{i(E_a - E_b)t} - 1, the
-    sum gives <op> exactly at t = 0, and at every t when W vanishes off
-    the diagonal (Q under the decoupled n = 1 H).
+    (:func:`_spectral_weights`).  H is diagonalized one pair-number
+    sector (the basis states with k set bits) at a time where it
+    conserves that number, as the lattice H does, and whole otherwise.
+    H is diagonalized and W formed once per (H, op, state): the last
+    weights are kept, keyed on the values of H, op and the site states,
+    so each later t of a series costs one O(d^2) phase sum.  At n = 2
+    (d = 256, one BLAS thread) a later call takes ~0.1 ms, the first
+    ~5 ms.  Written in e^{i(E_a - E_b)t} - 1, the sum gives <op>
+    exactly at t = 0, and at every t when W vanishes off the diagonal
+    (Q under the decoupled n = 1 H).
     Above ``dense_dim`` the state must be pure to within ``KRYLOV_TOL``:
     the product of the sites' top eigenvectors (:func:`_top_product_vector`)
     must carry weight >= 1 - ``KRYLOV_TOL``.  That one vector is
@@ -823,7 +883,8 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
     dense path evolves it exactly.  H must be real float64 sparse, as
     :func:`build_hamiltonian` returns it, and stays real throughout; any
     other form, a non-finite t or a site-state count that does not match
-    H's dimension raises ``ValueError``, and so does a t too large for
+    H's dimension raises ``ValueError``, as does a NaN or infinite entry
+    of H (the message names H), and so does a t too large for
     either path (t E overflows on the dense path; the Chebyshev tail
     cannot be bounded on the other).
     """
@@ -851,9 +912,8 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
             _spectral_memo = (None, None)
             weights = _spectral_weights(op, hamiltonian, site_states)
             _spectral_memo = (key, weights)
-        static, energies, coherences, column_sums = weights
-        # eigh's energies rise, so the ends hold the largest |E|
-        if not math.isfinite(abs(t) * max(-float(energies[0]), float(energies[-1]))):
+        static, energies, coherences, column_sums, reach = weights
+        if not math.isfinite(abs(t) * reach):
             raise ValueError(f"t is too large: t times H's largest |energy| overflows, {t!r}")
         phases = np.exp(1j * t * energies)
         shifts = phases - 1.0

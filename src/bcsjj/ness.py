@@ -83,7 +83,14 @@ def warn_strong_contact(eps, gamma):
     the first with the largest |gamma| / min(epsilon), and how many of the
     points are over the bound.  The warning points at the first caller
     outside bcsjj.
+
+    Where max |gamma| <= 0.1 min(epsilon) over all points, no point is
+    over the bound, and that one comparison returns, as does an empty
+    table.  A NaN that makes the comparison false falls through to the
+    per-point scan, which never counts a NaN point as over.
     """
+    if not gamma or max(map(abs, gamma)) <= 0.1 * min(map(min, eps)):
+        return
     eps_min = list(map(min, *eps))
     over = [k for k, g in enumerate(gamma) if abs(g) > 0.1 * eps_min[k]]
     if not over:

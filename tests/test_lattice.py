@@ -801,14 +801,17 @@ def test_spectral_memo_under_threads():
 
 
 def test_dense_path_diagonalizes_once_per_input(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
+    """One weight build (the eigh of each block, and W) per (H, op, state);
+    equal values in new objects hit the memo, a changed H, op or state misses.
+    Builds are counted, not eigh calls: H is diagonalized one sector at a time."""
+    builds = []
+    spectral_weights = lattice._spectral_weights
 
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return eigh(matrix)
+    def counted(op, hamiltonian, site_states):
+        builds.append(hamiltonian.shape)
+        return spectral_weights(op, hamiltonian, site_states)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(lattice, "_spectral_weights", counted)
     monkeypatch.setattr(lattice, "_spectral_memo", (None, None))
     spec = LatticeSpec(2)
     h = build_hamiltonian(spec, junction(gamma=2e-3, delta=0.5))
@@ -817,17 +820,99 @@ def test_dense_path_diagonalizes_once_per_input(monkeypatch):
     states = [bulk] * spec.n_sites
     times = np.linspace(0.0, 20.0, 40)
     first = [time_evolve_expectation(j, h, states, t) for t in times]
-    assert len(calls) == 1
+    assert len(builds) == 1
     # equal values in new objects still hit
     again = [time_evolve_expectation(j.copy(), h.copy(), [s.copy() for s in states], t) for t in times]
-    assert again == first and len(calls) == 1
+    assert again == first and len(builds) == 1
     time_evolve_expectation(j, build_hamiltonian(spec, junction(gamma=3e-3, delta=0.5)), states, 1.0)
-    assert len(calls) == 2
+    assert len(builds) == 2
     time_evolve_expectation(build_relative_number(spec), h, states, 1.0)
-    assert len(calls) == 3
+    assert len(builds) == 3
     time_evolve_expectation(j, h, states[:-1] + [np.eye(2) / 2], 1.0)
-    assert len(calls) == 4
-    assert all(shape == (spec.dim, spec.dim) for shape in calls)
+    assert len(builds) == 4
+    assert all(shape == (spec.dim, spec.dim) for shape in builds)
+
+
+def counted_eigh(monkeypatch):
+    """Patch np.linalg.eigh to record each matrix it is given; returns that list."""
+    blocks = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        blocks.append(matrix.copy())
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(lattice, "_spectral_memo", (None, None))
+    return blocks
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dense_path_diagonalizes_each_bit_count_sector(monkeypatch, n):
+    """The lattice H conserves the pair number, so its eigh blocks are the
+    bit-count sectors in rising count, of sizes C(2 n^2, k), each H
+    restricted to the states with k set bits in rising order."""
+    spec = LatticeSpec(n)
+    h = build_hamiltonian(spec, junction(gamma=2e-2, delta=0.5))
+    states = [random_site_state(np.random.default_rng(107 + n)) for _ in range(spec.n_sites)]
+    blocks = counted_eigh(monkeypatch)
+    time_evolve_expectation(build_current(spec, 2e-2), h, states, 0.7)
+    assert [len(block) for block in blocks] == [math.comb(spec.n_sites, k) for k in range(spec.n_sites + 1)]
+    counts = np.array([bin(state).count("1") for state in range(spec.dim)])
+    dense = h.toarray()
+    for k, block in enumerate(blocks):
+        sector = np.flatnonzero(counts == k)
+        assert np.array_equal(block, dense[np.ix_(sector, sector)]), k
+
+
+@pytest.mark.parametrize("which", ["current", "relative_number", "dense"])
+def test_sector_path_matches_literal_evolution_at_n2(which):
+    """<J(t)>, <Q(t)> and a random complex dense op, which joins every pair
+    of sectors, in a mixed product state at n = 2, against one full eigh."""
+    rng = np.random.default_rng(109)
+    spec = LatticeSpec(2)
+    h = build_hamiltonian(spec, junction(gamma=2e-2, delta=0.9))
+    op = {
+        "current": lambda: build_current(spec, 2e-2),
+        "relative_number": lambda: build_relative_number(spec),
+        "dense": lambda: rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim)),
+    }[which]()
+    states = [random_site_state(rng) for _ in range(spec.n_sites)]
+    for t in (0.0, 0.4, -3.1, 30.0):
+        got = time_evolve_expectation(op, h, states, t)
+        want = literal_evolution(op, h, states, t)
+        assert abs(got - want) <= 1e-13, f"t={t}: {got} vs {want}"
+
+
+def test_hamiltonian_that_mixes_sectors_is_one_block(monkeypatch):
+    """A real symmetric sparse H joining states of different bit counts is
+    diagonalized whole, and the spectral sum still matches one full eigh."""
+    rng = np.random.default_rng(113)
+    spec = LatticeSpec(1)
+    raw = rng.normal(size=(spec.dim, spec.dim))
+    h = sparse.csr_matrix(raw + raw.T)
+    op = build_current(spec, 1e-2)
+    states = [random_site_state(rng) for _ in range(spec.n_sites)]
+    blocks = counted_eigh(monkeypatch)
+    got = time_evolve_expectation(op, h, states, 1.3)
+    assert [block.shape for block in blocks] == [(spec.dim, spec.dim)]
+    assert abs(got - literal_evolution(op, h, states, 1.3)) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("dense_dim", [DENSE_EVOLUTION_DIM, 0])
+def test_time_evolution_refuses_a_non_finite_hamiltonian(bad, dense_dim):
+    """A NaN or inf entry of H raises a ValueError naming H, not t, on
+    either path, diagonal or not, and no numpy warning fires first."""
+    spec = LatticeSpec(1)
+    q = build_relative_number(spec)
+    states = [random_pure_site_state(np.random.default_rng(127))] * spec.n_sites
+    for entry in range(build_hamiltonian(spec, junction(gamma=1e-2)).nnz):
+        h = build_hamiltonian(spec, junction(gamma=1e-2))
+        h.data[entry] = bad
+        with pytest.raises(ValueError, match="the Hamiltonian H has a non-finite entry"):
+            time_evolve_expectation(q, h, states, 0.5, dense_dim=dense_dim)
 
 
 def test_default_dense_threshold_sane():

@@ -435,3 +435,47 @@ def test_weak_contact_warning(recwarn):
     assert len(recwarn) == 0  # building the parameters computes nothing
     with pytest.warns(WeakContactWarning):
         solve_ness(strong)
+
+
+def scanned_strong_contact(eps, gamma):
+    """The per-point scan of warn_strong_contact, with no shortcut: the
+    message it would warn with, or None."""
+    eps_min = list(map(min, *eps))
+    over = [k for k, g in enumerate(gamma) if abs(g) > 0.1 * eps_min[k]]
+    if not over:
+        return None
+    worst = max(over, key=lambda k: abs(gamma[k]) / eps_min[k])
+    count = f" ({len(over)} of {len(gamma)} points)" if len(gamma) > 1 else ""
+    return (
+        f"gamma = {gamma[worst]} is not small against min(epsilon) = "
+        f"{eps_min[worst]}{count}; the junction treatment assumes a weak contact"
+    )
+
+
+@pytest.mark.parametrize(
+    "eps, gamma",
+    [
+        (([0.3], [0.3]), [1e-3]),
+        (([0.3], [0.2]), [0.03]),
+        (([0.3] * 3, [0.25, 0.3, 0.2]), [-0.025, 0.02, 0.019]),
+        (([0.3] * 3, [0.25, 0.3, 0.2]), [0.01, -0.031, 0.02]),
+        (([0.3, 0.1, 0.3], [0.3, 0.3, 0.3]), [0.011, 0.011, 0.011]),
+        (([0.3] * 3, [0.3] * 3), [math.nan, 0.05, 0.01]),
+        (([0.3] * 3, [0.3] * 3), [0.01, math.nan, 0.05]),
+        (([0.3] * 3, [0.3] * 3), [0.01, math.nan, 0.005]),
+        (([math.nan, 0.3, 0.2], [0.3] * 3), [0.04, 0.01, 0.025]),
+        (([0.3, math.nan, 0.2], [0.3] * 3), [0.04, 0.01, 0.025]),
+        (([0.3, 0.2], [math.inf, 0.3]), [math.inf, 0.01]),
+        (([math.inf, math.inf], [math.inf, math.inf]), [1e300, math.inf]),
+    ],
+)
+def test_strong_contact_shortcut_keeps_the_scan(eps, gamma):
+    """The one comparison of max |gamma| against 0.1 min(epsilon) warns as
+    the per-point scan does: the same text, count and worst point, or no
+    warning; a NaN anywhere falls through to the scan."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ness.warn_strong_contact(eps, gamma)
+    expected = scanned_strong_contact(eps, gamma)
+    assert [str(w.message) for w in caught] == ([] if expected is None else [expected])
+    assert all(w.category is WeakContactWarning for w in caught)

@@ -758,16 +758,30 @@ def _top_product_vector(site_states):
     return weight, vec
 
 
+def _as_csr(matrix):
+    """``matrix`` itself if it is a scipy CSR matrix, else a CSR copy of it."""
+    from scipy import sparse
+
+    if sparse.issparse(matrix) and matrix.format == "csr":
+        return matrix
+    return sparse.csr_matrix(matrix)
+
+
 def _value_key(array):
-    """Shape, dtypes and bytes of a CSR or dense array: equal only for equal values."""
+    """Shape, dtypes and bytes of a dense array, or of a sparse matrix's CSR
+    ``indptr``, ``indices`` and ``data``: equal only for equal values.  A
+    CSR matrix's arrays are read as given; another sparse form is
+    converted to CSR first."""
     from scipy import sparse
 
     if sparse.issparse(array):
-        array = sparse.csr_matrix(array)
+        if array.format != "csr":
+            array = sparse.csr_matrix(array)
         parts = (array.indptr, array.indices, array.data)
     else:
-        parts = (np.asarray(array),)
-    return (array.shape,) + tuple((part.dtype.str, part.tobytes()) for part in parts)
+        array = np.asarray(array)
+        parts = (array,)
+    return (array.shape, *[(part.dtype, part.tobytes()) for part in parts])
 
 
 def _in_eigenbases(left, block, right):
@@ -790,6 +804,24 @@ def _bit_counts(dim):
     return counts
 
 
+def _sector_blocks(values, rows, cols, position, heights, widths, block_of):
+    """Blocks of the matrix with entries (``rows``, ``cols``, ``values``),
+    entry e in block ``block_of[e]``, each block ``heights[b]`` x
+    ``widths[b]`` and indexed by its states' positions in their sectors.
+    One scatter fills all blocks; entries at one place add up in storage
+    order from zero, as in ``toarray``, so each block is bit for bit the
+    dense matrix's.  Single-precision values are widened to double, so a
+    complex64 block splits into (re, im) float64 pairs in
+    :func:`_in_eigenbases`."""
+    sizes = heights * widths
+    ends = np.cumsum(sizes)
+    flat = (ends - sizes)[block_of] + position[rows] * widths[block_of] + position[cols]
+    total = int(ends[-1]) if ends.size else 0
+    buffer = np.zeros(total, dtype=np.result_type(values, float))
+    np.add.at(buffer, flat, values)
+    return [part.reshape(h, w) for part, h, w in zip(np.split(buffer, ends[:-1]), heights, widths)]
+
+
 def _spectral_weights(op, hamiltonian, site_states):
     """<op> at t = 0, and the energies E, coherences W, column sums of W and
     largest |E| that carry its time dependence.
@@ -807,49 +839,64 @@ def _spectral_weights(op, hamiltonian, site_states):
     block.  E and W are in block order, each block's states rising.  V is
     block diagonal, so W's block (s, s') is (V_s'^T rho[s', s] V_s)^T times
     (V_s^T op[s, s'] V_s') entrywise, formed only where op has a stored
-    entry and zero elsewhere; rho[s', s] is read off the per-group site
-    tables (:func:`_product_table`), as :func:`_expectation` reads rho.
-    A block holding a non-finite entry raises ``ValueError`` before its
-    ``eigh``: every entry of H lies in some block.
+    entry and zero elsewhere.  The blocks of H and op are scattered
+    straight from their CSR entries (:func:`_sector_blocks`), and each
+    rho[s', s] is gathered from the per-group site tables
+    (:func:`_product_table`) through offset tables made once for all
+    blocks, as :func:`_expectation` reads rho: no dense d x d copy of H,
+    op or rho is made.  A block holding a non-finite
+    entry raises ``ValueError`` before its ``eigh`` (every entry of H lies
+    in some block), and one whose energies overflow raises after it; both
+    messages name H.
     """
-    from scipy import sparse
-
-    op = sparse.csr_matrix(op)
-    static = _expectation(op.shape, _rows_of(op), op.indices, op.data, site_states)
-    hamiltonian = sparse.csr_matrix(hamiltonian)
+    op = _as_csr(op)
+    op_rows = _rows_of(op)
+    static = _expectation(op.shape, op_rows, op.indices, op.data, site_states)
+    hamiltonian = _as_csr(hamiltonian)
+    h_rows = _rows_of(hamiltonian)
     dim = hamiltonian.shape[0]
     sector = _bit_counts(dim)
-    if not np.array_equal(sector[_rows_of(hamiltonian)], sector[hamiltonian.indices]):
+    if not np.array_equal(sector[h_rows], sector[hamiltonian.indices]):
         sector = np.zeros(dim, dtype=sector.dtype)
     order = np.argsort(sector, kind="stable")
-    edges = np.concatenate(([0], np.cumsum(np.bincount(sector))))
-    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    sizes = np.bincount(sector)
+    edges = np.concatenate(([0], np.cumsum(sizes)))
+    position = np.empty(dim, dtype=edges.dtype)  # each state's place in its sector
+    position[order] = np.arange(dim) - edges[sector[order]]
 
-    dense = hamiltonian.toarray()
     energies = np.empty(dim)
     bases = []
-    for block in blocks:
-        states = order[block]
-        part = dense[np.ix_(states, states)]
+    h_blocks = _sector_blocks(
+        hamiltonian.data, h_rows, hamiltonian.indices, position, sizes, sizes, sector[h_rows]
+    )
+    for s, part in enumerate(h_blocks):
         if not np.isfinite(part).all():
             raise ValueError("the Hamiltonian H has a non-finite entry")
+        block = slice(edges[s], edges[s + 1])
         energies[block], basis = np.linalg.eigh(part)
+        if not np.isfinite(energies[block]).all():
+            raise ValueError(
+                "the Hamiltonian H has a spectrum that overflows: eigh gave a non-finite energy"
+            )
         bases.append(basis)
 
+    joined, block_of = np.unique(sector[op_rows] * sizes.size + sector[op.indices], return_inverse=True)
+    row_sectors, col_sectors = np.divmod(joined, sizes.size)
+    op_blocks = _sector_blocks(
+        op.data, op_rows, op.indices, position, sizes[row_sectors], sizes[col_sectors], block_of
+    )
     n_sites = len(site_states)
-    tables = []  # per group of sites: its table, and each state's index into it in block order
+    groups = []  # per group of sites: its flat table, and each state's row and column offset into it
     for first, last in _site_groups(n_sites):
-        digits = (order >> (n_sites - last)) & ((1 << (last - first)) - 1)
-        tables.append((_product_table(site_states[first:last]), digits))
-    dense_op = op.toarray()
+        width = last - first
+        digits = (order >> (n_sites - last)) & ((1 << width) - 1)
+        groups.append((_product_table(site_states[first:last]).ravel(), digits << width, digits))
     coherences = np.zeros((dim, dim), dtype=complex)
-    joined = np.unique(sector[_rows_of(op)] * len(blocks) + sector[op.indices])
-    for s, s_to in zip(*np.divmod(joined, len(blocks))):
-        rows, cols = blocks[s], blocks[s_to]
-        rho = functools.reduce(np.multiply, (table[np.ix_(digits[cols], digits[rows])] for table, digits in tables))
-        op_block = dense_op[np.ix_(order[rows], order[cols])]
+    for s, s_to, op_block in zip(row_sectors, col_sectors, op_blocks):
+        rows, cols = slice(edges[s], edges[s + 1]), slice(edges[s_to], edges[s_to + 1])
+        rho = functools.reduce(np.multiply, (table[high[cols, None] + low[rows]] for table, high, low in groups))
         rho_basis = _in_eigenbases(bases[s_to], rho, bases[s])
-        coherences[rows, cols] = rho_basis.T * _in_eigenbases(bases[s], op_block, bases[s_to])
+        np.multiply(rho_basis.T, _in_eigenbases(bases[s], op_block, bases[s_to]), out=coherences[rows, cols])
     np.fill_diagonal(coherences, 0.0)
     reach = float(np.abs(energies).max())
     return static, energies, coherences, coherences.sum(axis=0), reach
@@ -869,10 +916,12 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
     sector (the basis states with k set bits) at a time where it
     conserves that number, as the lattice H does, and whole otherwise.
     H is diagonalized and W formed once per (H, op, state): the last
-    weights are kept, keyed on the values of H, op and the site states,
-    so each later t of a series costs one O(d^2) phase sum.  At n = 2
-    (d = 256, one BLAS thread) a later call takes ~0.1 ms, the first
-    ~5 ms.  Written in e^{i(E_a - E_b)t} - 1, the sum gives <op>
+    weights are kept, keyed on the values of H, op and the site states
+    (the shape, dtypes and bytes of a CSR input's ``indptr``, ``indices``
+    and ``data`` as given, and of the states as one stacked complex
+    array), so each later t of a series costs one O(d^2) phase sum.  At
+    n = 2 (d = 256, one BLAS thread) a later call takes ~0.05 ms, the
+    first ~4 ms.  Written in e^{i(E_a - E_b)t} - 1, the sum gives <op>
     exactly at t = 0, and at every t when W vanishes off the diagonal
     (Q under the decoupled n = 1 H).
     Above ``dense_dim`` the state must be pure to within ``KRYLOV_TOL``:
@@ -900,11 +949,7 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
     if 1 << len(site_states) != dim:
         raise ValueError(f"{len(site_states)} site states do not span H's dimension {dim}")
     if dim <= dense_dim:
-        key = (
-            _value_key(hamiltonian),
-            _value_key(op),
-            tuple(_value_key(np.asarray(state, dtype=complex)) for state in site_states),
-        )
+        key = (_value_key(hamiltonian), _value_key(op), _value_key(np.asarray(site_states, dtype=complex)))
         cached_key, weights = _spectral_memo  # one read: another thread may replace it
         if cached_key != key:
             # drop the old W first: one is held at a time, even while a miss runs
@@ -927,5 +972,5 @@ def time_evolve_expectation(op, hamiltonian, site_states, t, dense_dim=DENSE_EVO
             f"vector, over KRYLOV_TOL = {KRYLOV_TOL}: above dense_dim only a pure state "
             "evolves; the dense path (dim <= dense_dim) evolves a mixed state exactly"
         )
-    moved = _propagate(sparse.csr_matrix(hamiltonian), vec, t)
-    return complex(weight * np.vdot(moved, sparse.csr_matrix(op) @ moved))
+    moved = _propagate(_as_csr(hamiltonian), vec, t)
+    return complex(weight * np.vdot(moved, _as_csr(op) @ moved))

@@ -722,6 +722,21 @@ def test_non_hermitian_op_matches_expm():
             assert abs(got - oracle) <= 1e-12, f"t={t}: {got} vs {oracle}"
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.float32])
+def test_single_precision_op_evolves_as_its_double_values(dtype):
+    """A complex64 or float32 op, sparse or dense, gives on the dense path the
+    value of the same entries held in double precision."""
+    rng = np.random.default_rng(149)
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction(gamma=2e-2, delta=0.6))
+    raw = rng.normal(size=(4, 4)) + (1j * rng.normal(size=(4, 4)) if dtype is np.complex64 else 0)
+    op = raw.astype(dtype)
+    states = [random_site_state(rng) for _ in range(spec.n_sites)]
+    want = time_evolve_expectation(op.astype(complex), h, states, 0.9)
+    for form in (op, sparse.csr_matrix(op)):
+        assert abs(time_evolve_expectation(form, h, states, 0.9) - want) <= 1e-13
+
+
 def _memo_pool():
     """Small H, op and state pools, with equal values in distinct objects."""
     rng = np.random.default_rng(79)
@@ -800,10 +815,9 @@ def test_spectral_memo_under_threads():
     assert not wrong, wrong
 
 
-def test_dense_path_diagonalizes_once_per_input(monkeypatch):
-    """One weight build (the eigh of each block, and W) per (H, op, state);
-    equal values in new objects hit the memo, a changed H, op or state misses.
-    Builds are counted, not eigh calls: H is diagonalized one sector at a time."""
+def counted_builds(monkeypatch):
+    """Patch the weight build to record the shape of each H it is given, and
+    empty the memo; returns that list."""
     builds = []
     spectral_weights = lattice._spectral_weights
 
@@ -813,6 +827,14 @@ def test_dense_path_diagonalizes_once_per_input(monkeypatch):
 
     monkeypatch.setattr(lattice, "_spectral_weights", counted)
     monkeypatch.setattr(lattice, "_spectral_memo", (None, None))
+    return builds
+
+
+def test_dense_path_diagonalizes_once_per_input(monkeypatch):
+    """One weight build (the eigh of each block, and W) per (H, op, state);
+    equal values in new objects hit the memo, a changed H, op or state misses.
+    Builds are counted, not eigh calls: H is diagonalized one sector at a time."""
+    builds = counted_builds(monkeypatch)
     spec = LatticeSpec(2)
     h = build_hamiltonian(spec, junction(gamma=2e-3, delta=0.5))
     j = build_current(spec, 2e-3)
@@ -831,6 +853,61 @@ def test_dense_path_diagonalizes_once_per_input(monkeypatch):
     time_evolve_expectation(j, h, states[:-1] + [np.eye(2) / 2], 1.0)
     assert len(builds) == 4
     assert all(shape == (spec.dim, spec.dim) for shape in builds)
+
+
+def test_spectral_memo_hits_equal_values_in_any_form(monkeypatch):
+    """The memo is keyed on values, not on objects or forms: CSR copies, the
+    site states as a list or as one (N, 2, 2) array, a real-typed state equal
+    to a complex one, and H or op as COO or CSC all hit, with the first bits."""
+    spec = LatticeSpec(2)
+    h = build_hamiltonian(spec, junction(gamma=2e-3, delta=0.5))
+    j = build_current(spec, 2e-3)
+    rng = np.random.default_rng(131)
+    real = np.diag([0.25, 0.75])
+    states = [random_site_state(rng) for _ in range(spec.n_sites - 1)] + [real.astype(complex)]
+    builds = counted_builds(monkeypatch)
+    first = time_evolve_expectation(j, h, states, 1.7)
+    forms = {
+        "copies": (j.copy(), h.copy(), [s.copy() for s in states]),
+        "stacked states": (j, h, np.array(states)),
+        "real-typed state": (j, h, states[:-1] + [real]),
+        "COO op": (j.tocoo(), h, states),
+        "CSC op": (j.tocsc(), h, states),
+        "COO H": (j, h.tocoo(), states),
+    }
+    for name, (op, hamiltonian, site_states) in forms.items():
+        got = time_evolve_expectation(op, hamiltonian, site_states, 1.7)
+        assert got == first and len(builds) == 1, name
+
+
+@pytest.mark.parametrize("change", ["op indptr", "op indices", "op data", "H data", "state entry"])
+def test_spectral_memo_misses_a_change_to_any_array(monkeypatch, change):
+    """A change to only one CSR array of op or H, or to one entry of one site
+    state, misses the memo and gives the changed input's value."""
+    rng = np.random.default_rng(137)
+    spec = LatticeSpec(1)
+    h = build_hamiltonian(spec, junction(gamma=2e-2, delta=0.5))
+    op = build_current(spec, 2e-2)
+    states = [random_site_state(rng) for _ in range(spec.n_sites)]
+    builds = counted_builds(monkeypatch)
+    first = time_evolve_expectation(op, h, states, 1.3)
+    op, h, states = op.copy(), h.copy(), [s.copy() for s in states]
+    if change == "op indptr":
+        row = np.flatnonzero(np.diff(op.indptr))[0]  # its first entry moves up one row
+        assert row > 0
+        op.indptr[row] += 1
+    elif change == "op indices":
+        op.indices[0] = (op.indices[0] + 1) % spec.dim
+    elif change == "op data":
+        op.data[0] += 0.5
+    elif change == "H data":
+        h.data *= 1.5
+    else:
+        states[1][0, 0] += 0.125
+    got = time_evolve_expectation(op, h, states, 1.3)
+    assert len(builds) == 2
+    assert got != first
+    assert abs(got - literal_evolution(op, h, states, 1.3)) <= 1e-13
 
 
 def counted_eigh(monkeypatch):
@@ -913,6 +990,21 @@ def test_time_evolution_refuses_a_non_finite_hamiltonian(bad, dense_dim):
         h.data[entry] = bad
         with pytest.raises(ValueError, match="the Hamiltonian H has a non-finite entry"):
             time_evolve_expectation(q, h, states, 0.5, dense_dim=dense_dim)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dense_dim", [DENSE_EVOLUTION_DIM, 0])
+def test_time_evolution_names_h_when_its_spectrum_overflows(dense_dim):
+    """Every stored entry of a finite H at 1e308: its energies (dense path)
+    or its Gershgorin row sums (Chebyshev path) overflow, and the ValueError
+    names H, not t, with no numpy warning first."""
+    spec = LatticeSpec(1)
+    q = build_relative_number(spec)
+    states = [random_pure_site_state(np.random.default_rng(139))] * spec.n_sites
+    h = build_hamiltonian(spec, junction(gamma=1e-2))
+    h.data[:] = 1e308
+    with pytest.raises(ValueError, match="^the Hamiltonian H has "):
+        time_evolve_expectation(q, h, states, 0.5, dense_dim=dense_dim)
 
 
 def test_default_dense_threshold_sane():

@@ -2,12 +2,12 @@
 
 A module takes numpy with ``from ._numpy import np``.  Until a module
 first reads an attribute of ``np``, it is a stand-in, so importing
-``bcsjj`` loads no numpy, and neither does a lone ``ness`` point, which
-reads none.  That first read imports numpy and binds it as ``np`` in
-every module of the package that holds the stand-in.  From then on each
-``np.<name>`` is a plain global lookup, as with a module-level import,
-so no call pays for an import statement.  Nothing at module level may
-read an attribute of ``np``: it would load numpy on import.
+``bcsjj`` loads no numpy, nor does a lone ``gap`` or ``ness`` call,
+which reads none.  That first read imports numpy and binds it as ``np``
+in every module of the package that holds the stand-in.  From then on
+each ``np.<name>`` is a plain global lookup, as with a module-level
+import, so no call pays for an import statement.  Nothing at module
+level may read an attribute of ``np``: it would load numpy on import.
 """
 
 import sys

@@ -14,6 +14,7 @@ exactly when tanh(beta epsilon) > 2 epsilon; the phase phi is free
 survives.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -45,10 +46,11 @@ class BulkSolution:
     lam: float
     mu: float
     superconducting: bool
-    bloch: "numpy.ndarray"
+    bloch_xyz: tuple
     residual: float
 
-    rho = property(lambda self: spin._from_bloch(0.5, self.bloch), doc="2x2 state 1/2 + bloch.sigma")
+    bloch = property(lambda self: np.array(self.bloch_xyz), doc="the Bloch vector as a (3,) array")
+    rho = property(lambda self: spin._from_bloch(0.5, self.bloch_xyz), doc="2x2 state 1/2 + bloch.sigma")
 
 
 def effective_hamiltonian(epsilon, field):
@@ -67,7 +69,7 @@ def gap_map(lam, params):
     Hamiltonian at pairing amplitude ``lam``; analytically this equals
     (lam / (2 mu)) tanh(beta mu).  Fixed points are self-consistent gaps.
     """
-    field = lam * np.exp(1j * params.phi)
+    field = lam * cmath.exp(1j * params.phi)
     rho = spin.gibbs_state(effective_hamiltonian(params.epsilon, field), params.beta)
     return abs(spin.expectation(rho, spin.SIGMA_PLUS))
 
@@ -133,15 +135,13 @@ def solve_gap(params):
 
     The gap is :func:`gap_root`'s; ``bloch`` is the Bloch vector of the
     closed-form thermal state of the one-site Hamiltonian at that gap,
-    and ``residual`` its gap-map defect ||<sigma_plus>| - lam|.  No 2x2
-    matrix is built until ``rho`` is read.
+    and ``residual`` its gap-map defect ||<sigma_plus>| - lam|, all on
+    Python floats: no array is built until ``bloch`` or ``rho`` is read.
     """
     eps, beta = params.epsilon, params.beta
     lam, mu, superconducting = gap_root(eps, beta)
-    field = lam * np.exp(1j * params.phi)
+    field = lam * cmath.exp(1j * params.phi)
     # the thermal state on the axis (-Re F, -Im F, eps); <sigma_plus> = a_x + i a_y
-    a = spin._thermal_bloch(np.array([-field.real, -field.imag, eps]), beta)
-    return BulkSolution(
-        lam=lam, mu=mu, superconducting=superconducting,
-        bloch=a, residual=abs(abs(complex(a[0], a[1])) - lam),
-    )
+    a = spin._thermal_bloch((-field.real, -field.imag, eps), beta)
+    residual = abs(abs(complex(a[0], a[1])) - lam)
+    return BulkSolution(lam=lam, mu=mu, superconducting=superconducting, bloch_xyz=a, residual=residual)

@@ -101,32 +101,31 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _scaled_norm(n):
-    """``(scale, n / scale, |n / scale|)`` of a real 3-vector ``n``.
+def _unit(n):
+    """``(|n|, n/|n|)`` of a real 3-vector ``n`` on Python floats; n/|n| is None at n = 0.
 
-    |n| = sqrt(n.n) has the bits of ``np.linalg.norm`` without its Python
-    wrapper.  ``np.vdot`` is the BLAS kernel of ``n.dot(n)`` without
-    numpy's floating-point check, so a square that overflows (|n| past
-    ~1.34e154) warns nothing.  Only such an n is rescaled, to
-    max |n_i| = 1, which keeps its direction; otherwise ``scale`` is 1.
+    ``math.hypot`` never squares, so only a norm past the float maximum
+    overflows: only then is n rescaled, to max |n_i| = 1, for its direction.
     """
-    norm = math.sqrt(np.vdot(n, n))
-    if norm != math.inf:
-        return 1.0, n, norm
-    scale = float(np.abs(n).max())
-    n = n / scale
-    return scale, n, math.sqrt(np.vdot(n, n))
+    x, y, z = map(float, n)
+    norm = math.hypot(x, y, z)
+    if norm == math.inf:
+        scale = max(abs(x), abs(y), abs(z))
+        return norm, _unit((x / scale, y / scale, z / scale))[1]
+    return norm, (x / norm, y / norm, z / norm) if norm else None
 
 
 def _thermal_bloch(n, beta):
-    """a = -1/2 tanh(beta |n|) n/|n| of exp(-beta n.sigma)/Z = 1/2 + a.sigma (0 at n = 0).
+    """a = -1/2 tanh(beta |n|) n/|n| of exp(-beta n.sigma)/Z = 1/2 + a.sigma, as floats (0 at n = 0).
 
-    A field whose square overflows keeps its polarized state.
+    n/|n| comes first: tanh(beta |n|)/|n| is subnormal for a field near
+    the float maximum and would round the polarized a_z off -1/2.
     """
-    scale, n, norm = _scaled_norm(n)
-    if norm == 0.0:
-        return np.zeros(3)
-    return -0.5 * np.tanh(beta * (scale * norm)) * (n / norm)
+    norm, unit = _unit(n)
+    if unit is None:
+        return 0.0, 0.0, 0.0
+    factor = -0.5 * math.tanh(beta * norm)
+    return factor * unit[0], factor * unit[1], factor * unit[2]
 
 
 def gibbs_state(hamiltonian, beta):
@@ -159,10 +158,10 @@ def commutant_projection(rho, hamiltonian):
         raise ValueError("density matrix must have unit trace")
     if s.real - float(np.linalg.norm(a)) < -VALIDATION_ATOL:
         raise ValueError("density matrix must be positive semidefinite")
-    _, n, norm = _scaled_norm(pauli_components(hamiltonian)[1].real)
-    if norm == 0.0:
+    _, unit = _unit(pauli_components(hamiltonian)[1].real)
+    if unit is None:
         return rho.copy()
-    n_hat = n / norm
+    n_hat = np.array(unit)
     projected = np.dot(a, n_hat) * n_hat
     return _from_bloch(s.real, projected)
 

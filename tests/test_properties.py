@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcsjj import cli, ness
-from bcsjj.equilibrium import BulkParams, critical_beta, gap_root, solve_gap
+from bcsjj.equilibrium import BulkParams, critical_beta, effective_hamiltonian, gap_map, gap_root, solve_gap
 from bcsjj.ness import (
     REGIONS,
     JunctionParams,
@@ -45,7 +45,7 @@ from bcsjj.observables import (
     goldstone_operators,
     josephson_current,
 )
-from bcsjj.spin import commutant_projection, evolve_heisenberg, pauli_components
+from bcsjj.spin import commutant_projection, evolve_heisenberg, gibbs_state, pauli_components
 from bcsjj.sweep import (
     SWEEP_AXES,
     RunConfig,
@@ -514,6 +514,31 @@ def test_printed_fixed_point_defect_is_the_solve_gap_residual(plate):
     assert (branch is not None) is sol.superconducting
     if branch is not None:
         assert _same_bits(branch["lambda"], sol.lam) and _same_bits(branch["mu"], sol.mu)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@hypothesis.seed(119)
+@given(plate=plates() | st.builds(BulkParams, st.floats(0.7, 1e308), st.floats(1e-3, 1e5), PHI))
+@example(plate=BulkParams(0.3, 1e4, 0.7))  # ordered
+@example(plate=BulkParams(0.3, 1.0, -2.5))  # normal, below the threshold
+@example(plate=BulkParams(1e200, 1.0, 0.7))  # the field's square overflows
+@example(plate=BulkParams(1e308, 1.0, 0.7))  # 2 * epsilon overflows
+@example(plate=BulkParams(0.0234375, 2.001466777976636, 9.316093979364542e-305))  # subnormal Im F
+def test_solve_gap_state_is_the_gap_map_state(plate):
+    """solve_gap's float state is the 2x2 gap map's: its residual is the
+    gap-map defect bit for bit, and its rho the Gibbs state of the
+    effective Hamiltonian.  pauli_components halves each entry of H
+    first, which rounds a field component whose half is subnormal: there
+    the two states differ in subnormal bits only."""
+    sol = solve_gap(plate)
+    assert _same_bits(sol.residual, abs(gap_map(sol.lam, plate) - sol.lam))
+    field = sol.lam * cmath.exp(1j * plate.phi)
+    rho = gibbs_state(effective_hamiltonian(plate.epsilon, field), plate.beta)
+    if all(c == 0.0 or 0.5 * abs(c) >= sys.float_info.min for c in (field.real, field.imag)):
+        assert np.array_equal(sol.rho, rho)
+    else:
+        assert np.abs(sol.rho - rho).max() < 1e-320
 
 
 @PROPERTY

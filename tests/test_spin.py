@@ -1,5 +1,7 @@
 """Single-site Bloch algebra against dense linear-algebra oracles."""
 
+import math
+
 import numpy as np
 import pytest
 import hypothesis
@@ -115,25 +117,43 @@ def test_gibbs_degenerate_hamiltonian_is_maximally_mixed():
 
 @pytest.mark.filterwarnings("error")
 def test_gibbs_state_of_a_field_whose_square_overflows_is_polarized():
-    """|n|^2 overflows past |n| ~ 1.34e154: the state stays the polarized
-    one along n, as at any field far above the temperature."""
+    """|n|^2 overflows past |n| ~ 1.34e154, and |n| itself past the float
+    maximum: the state stays the polarized one along n, as at any field
+    far above the temperature."""
     for field in (1e155, 1e200, 1e300):
         assert np.array_equal(gibbs_state(np.diag([field, -field]), 1.0), np.diag([0.0, 1.0]))
     tilted = gibbs_state(1e200 * (SIGMA_X - 0.5 * SIGMA_Y + SIGMA_Z), 1.0)
     assert np.allclose(tilted, gibbs_state(SIGMA_X - 0.5 * SIGMA_Y + SIGMA_Z, 1e4), rtol=0.0, atol=1e-15)
+    beyond = gibbs_state(np.array([[1e308, 1.5e308], [1.5e308, -1e308]]), 1.0)
+    assert np.allclose(beyond, gibbs_state(1.5 * SIGMA_X + SIGMA_Z, 1e4), rtol=0.0, atol=1e-15)
 
 
-def test_thermal_bloch_keeps_the_bits_of_the_linalg_norm_below_overflow():
+@pytest.mark.filterwarnings("error")
+def test_thermal_bloch_keeps_the_bits_of_the_float_formula():
     """Contiguous vectors and strided views (gibbs_state passes the real
-    part of a complex vector) over 300 decades of |n|."""
+    part of a complex vector) over 300 decades of |n|: a is
+    -1/2 tanh(beta |n|) (n/|n|) with |n| = math.hypot(*n), bit for bit, and
+    a few ulps from the same formula on np.linalg.norm and np.tanh.  A
+    field whose norm itself overflows takes its direction at max |n_i| = 1
+    and gives the polarized state."""
     rng = np.random.default_rng(29)
     for _ in range(2000):
         n = rng.standard_normal(3) * 10.0 ** rng.uniform(-150.0, 150.0, 3)
         beta = float(10.0 ** rng.uniform(-3.0, 3.0))
         for vector in (n, (n + 0.5j).real):
-            norm = float(np.linalg.norm(vector))
-            expected = -0.5 * np.tanh(beta * norm) * (vector / norm)
-            assert np.array_equal(spin._thermal_bloch(vector, beta), expected)
+            norm = math.hypot(*vector)
+            expected = [-0.5 * math.tanh(beta * norm) * (float(c) / norm) for c in vector]
+            a = spin._thermal_bloch(vector, beta)
+            assert np.array(a).tobytes() == np.array(expected).tobytes()
+            linalg = -0.5 * np.tanh(beta * np.linalg.norm(vector)) * (vector / np.linalg.norm(vector))
+            assert np.allclose(a, linalg, rtol=8 * np.finfo(float).eps, atol=1e-300)
+    for field in ([1.5e308, -1.5e308, 1e308], [0.0, 1.7e308, 1.7e308]):
+        for vector in (np.array(field), (np.array(field) + 0.5j).real):
+            unit = vector / np.abs(vector).max()
+            expected = -0.5 * (unit / math.hypot(*unit))
+            a = spin._thermal_bloch(vector, 1e-300)
+            assert np.array(a).tobytes() == expected.tobytes()
+            assert abs(math.hypot(*a) - 0.5) <= 1e-16
 
 
 def test_one_matrix_functions_reject_stacks():

@@ -665,6 +665,30 @@ def test_cli_ness_loads_no_numpy():
     assert "numpy" in _modules_after("numpy", sweep)
 
 
+def test_cli_gap_loads_no_numpy():
+    """A lone gap runs on Python floats: JSON and text, for an ordered
+    plate, a normal one, one whose field squared overflows and one whose
+    2 * epsilon overflows, load no numpy.  check builds arrays, so the
+    probe sees numpy once loaded."""
+    statements = (
+        "import contextlib, io\n"
+        "from bcsjj.cli import main\n"
+        "plates = (['--epsilon', '0.3', '--beta', '1e4', '--phi', '0.7'], ['--epsilon', '0.3', '--beta', '1'],\n"
+        "    ['--epsilon', '1e200', '--beta', '1'], ['--epsilon', '1e308', '--beta', '1'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['gap', *plate, *form]) for plate in plates for form in ([], ['--format', 'json'])]\n"
+        "assert codes == [0] * 8, codes"
+    )
+    assert _modules_after("numpy", statements) == []
+    check = (
+        "import contextlib, io\n"
+        "from bcsjj.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['check', '--only', 'equilibrium']) == 0"
+    )
+    assert "numpy" in _modules_after("numpy", check)
+
+
 def test_cli_ness_json_dump(capsys):
     code = run_cli("ness", "--gamma", "1e-3", "--phi-i", "0.3")
     assert code == 0
